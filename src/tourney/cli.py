@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -27,15 +26,6 @@ from .errors import (
     TourneyError,
     VerificationFailedError,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Options shared by every subcommand."""
-
-    command: str
-    threads: int
-    time_budget: float | None
 
 
 def _rational(value: Fraction) -> dict[str, int]:
@@ -68,7 +58,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 # -- subcommand handlers -----------------------------------------------------
 
-def _cmd_gen(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_gen(args: argparse.Namespace) -> int:
     family = args.family
     if family == "transitive":
         t = generators.gen_transitive(_need(args, "n"))
@@ -105,7 +95,7 @@ def _need(args: argparse.Namespace, name: str) -> int:
     return value
 
 
-def _cmd_count(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_count(args: argparse.Namespace) -> int:
     t = io.read_tour(args.input)
     names: list[str] = [q for q in ("c3", "c4", "c5", "s3", "s4", "s5")
                         if getattr(args, q)]
@@ -123,7 +113,7 @@ def _cmd_count(args: argparse.Namespace, config: RunConfig) -> int:
     return 0 if report.cross_checked else 1
 
 
-def _cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_classify(args: argparse.Namespace) -> int:
     t = io.read_tour(args.input)
     report = classify.classification_report(t)
     _emit({
@@ -134,7 +124,7 @@ def _cmd_classify(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     target = args.target
     if target == "thm1":
         result = extremal.verify_c5_max(_need(args, "n"))
@@ -183,7 +173,7 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.verify is not None:
         corpus = enumeration.read_corpus(args.verify)
         enumeration.verify_corpus(corpus)
@@ -193,7 +183,7 @@ def _cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
         if args.constraint != "regular":
             raise InvalidInput("only --constraint regular is supported")
         corpus = enumeration.enumerate_regular(
-            args.n, threads=config.threads, time_budget=config.time_budget,
+            args.n, threads=args.threads, time_budget=args.time_budget,
             symmetry_break=args.symmetry_break)
         if args.out is not None:
             enumeration.write_corpus(corpus, args.out)
@@ -210,13 +200,18 @@ def _cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
 # -- parser ------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    env_threads = os.environ.get("TOURNEY_THREADS", "1")
+    try:
+        default_threads = int(env_threads)
+    except ValueError:
+        raise InvalidInput(f"TOURNEY_THREADS must be an integer, "
+                           f"got {env_threads!r}") from None
     parser = argparse.ArgumentParser(
         prog="tourney",
         description="Construct, count, classify and verify small tournaments.")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("TOURNEY_THREADS", "1")),
-                        help="worker cap for enumeration (default "
-                             "TOURNEY_THREADS or 1)")
+    parser.add_argument("--threads", type=int, default=default_threads,
+                        help="worker cap for enumeration, further capped by "
+                             "the CPU count (default TOURNEY_THREADS or 1)")
     parser.add_argument("--time-budget", type=float, default=None,
                         help="wall-clock budget in seconds for enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -282,21 +277,15 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = RunConfig(args.command, max(1, args.threads), args.time_budget)
-    try:
-        return _HANDLERS[args.command](args, config)
     except (VerificationFailedError, InternalParityError) as exc:
         print(f"claim violated: {exc}", file=sys.stderr)
         return 1
-    except (InvalidInput, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TourneyError as exc:
+    except (TourneyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

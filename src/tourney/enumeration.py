@@ -16,8 +16,18 @@ is still reached, and the labeled total is the fixed-row count times
 C(n-1, (n-1)/2) because relabelings of 1..n-1 put the parts of the
 partition by vertex 0's out-set in bijection.
 
+The search splits itself into jobs at the first undecided row: vertex
+1's row under the symmetry break, vertex 0's row without it.  The same
+backtracker, stopped after that row's edges, lists its feasible
+orientations (1/3/10/35/126 jobs at n = 3/5/7/9/11 with the break), and
+each job backtracks the rest of the edges from one of them.  The jobs
+run in order in this process, or on a process pool when threads > 1;
+either way one loop adds up their counts and key sets.  The job list
+depends only on n and the symmetry break, and the corpus only on the
+union of the keys, so the worker count changes neither.
+
 Class representatives are decoded from the canonical key itself, so the
-corpus does not depend on edge order or worker count.  A .corpus file
+corpus does not depend on edge order or job order.  A .corpus file
 stores the header tallies plus one .tour block per class.
 """
 
@@ -27,7 +37,9 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 from typing import Callable, Iterator, TypeVar
 
@@ -42,7 +54,7 @@ from .errors import (
     TooLargeError,
     VerificationFailedError,
 )
-from .io import format_tour, parse_tour
+from .io import format_tour, parse_tour, read_text
 
 SWEEP_MAX_ORDER = 7
 ENUM_MAX_ORDER = 9
@@ -76,17 +88,8 @@ def all_tournaments(n: int) -> Iterator[Tournament]:
             f"full sweeps are capped at order {SWEEP_MAX_ORDER}, got {n}")
     if n < 1:
         raise BadOrderError(f"order must be >= 1, got {n}")
-    edges = _edges(n)
-    for code in range(1 << len(edges)):
-        rows = [0] * n
-        c = code
-        for i, j in edges:
-            if c & 1:
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-            c >>= 1
-        yield Tournament(n, tuple(rows))
+    for code in range(1 << (n * (n - 1) // 2)):
+        yield tournament_from_code(n, code)
 
 
 def sweep_all(n: int, visitor: Callable[[A, Tournament], A], init: A) -> A:
@@ -99,6 +102,11 @@ def sweep_all(n: int, visitor: Callable[[A, Tournament], A], init: A) -> A:
 
 # -- regular enumeration -----------------------------------------------------
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeBudgetExceededError("enumeration ran past its budget")
+
+
 def _backtrack_regular(n: int, rows: list[int], out: list[int], rem: list[int],
                        edges: list[tuple[int, int]], start: int,
                        deadline: float | None,
@@ -108,9 +116,8 @@ def _backtrack_regular(n: int, rows: list[int], out: list[int], rem: list[int],
         emit(tuple(rows))
         return
     tick[0] += 1
-    if deadline is not None and tick[0] % 4096 == 0:
-        if time.monotonic() > deadline:
-            raise TimeBudgetExceededError("enumeration ran past its budget")
+    if tick[0] % 4096 == 0:
+        _check_deadline(deadline)
     half = (n - 1) // 2
     i, j = edges[start]
     rem[i] -= 1
@@ -156,38 +163,31 @@ def _start_state(n: int, symmetry_break: bool
     return rows, out, rem, start
 
 
-def _apply_forced(rows: list[int], out: list[int], rem: list[int],
-                  edges: list[tuple[int, int]], start: int,
-                  pattern: int, width: int, n: int) -> bool:
-    """Force orientations of edges[start:start+width] from pattern bits.
-    Returns False if the partial assignment is already infeasible."""
-    half = (n - 1) // 2
-    for k in range(width):
-        i, j = edges[start + k]
-        rem[i] -= 1
-        rem[j] -= 1
-        if (pattern >> k) & 1:
-            src, dst = i, j
-        else:
-            src, dst = j, i
-        rows[src] |= 1 << dst
-        out[src] += 1
-        if out[src] > half:
-            return False
-        if out[dst] + rem[dst] < half:
-            return False
-    return True
-
-
-def _regular_job(n: int, symmetry_break: bool, pattern: int, width: int,
-                 deadline: float | None) -> tuple[int, set[int]]:
-    """Enumerate the subtree under one forced-edge pattern; canonicalize
-    every completion.  Returns (labeled count in subtree, canonical keys)."""
+def _first_row_jobs(n: int, symmetry_break: bool, deadline: float | None
+                    ) -> tuple[list[tuple[tuple[int, ...], ...]], int]:
+    """Every feasible orientation of the first undecided row, as
+    (rows, out, rem) states, plus the index of the edge each job
+    resumes at."""
     edges = _edges(n)
     rows, out, rem, start = _start_state(n, symmetry_break)
-    if width and not _apply_forced(rows, out, rem, edges, start, pattern,
-                                   width, n):
-        return 0, set()
+    row = 1 if start else 0  # the symmetry break has decided row 0
+    stop = start + n - 1 - row
+    jobs: list[tuple[tuple[int, ...], ...]] = []
+
+    def emit(_: tuple[int, ...]) -> None:
+        jobs.append((tuple(rows), tuple(out), tuple(rem)))
+
+    _backtrack_regular(n, rows, out, rem, edges[:stop], start, deadline,
+                       emit, [0])
+    return jobs, stop
+
+
+def _regular_job(n: int, state: tuple[tuple[int, ...], ...], stop: int,
+                 deadline: float | None) -> tuple[int, set[int]]:
+    """Enumerate the subtree below one job state; canonicalize every
+    completion.  Returns (labeled count in subtree, canonical keys)."""
+    _check_deadline(deadline)
+    rows, out, rem = (list(part) for part in state)
     keys: set[int] = set()
     count = 0
 
@@ -196,8 +196,8 @@ def _regular_job(n: int, symmetry_break: bool, pattern: int, width: int,
         count += 1
         keys.add(canonical_form(Tournament(n, snapshot)).key)
 
-    _backtrack_regular(n, rows, out, rem, edges, start + width, deadline,
-                       emit, [0])
+    _backtrack_regular(n, rows, out, rem, _edges(n), stop, deadline, emit,
+                       [0])
     return count, keys
 
 
@@ -234,28 +234,20 @@ def enumerate_regular(n: int, *, threads: int = 1, symmetry_break: bool = True,
     half = (n - 1) // 2
     scale = comb(n - 1, half) if symmetry_break and n > 1 else 1
 
-    edges = _edges(n)
-    _, _, _, start = _start_state(n, symmetry_break)
-    free = len(edges) - start
-    if threads > 1 and free > 4:
-        width = 1
-        while (1 << width) < 4 * threads and width < min(12, free - 1):
-            width += 1
-        jobs = [(n, symmetry_break, pattern, width, deadline)
-                for pattern in range(1 << width)]
-        total = 0
-        keys: set[int] = set()
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for count, job_keys in pool.map(_regular_job_star, jobs):
-                total += count
-                keys |= job_keys
-        return _corpus_from_keys(n, total * scale, keys)
-    count, keys = _regular_job(n, symmetry_break, 0, 0, deadline)
-    return _corpus_from_keys(n, count * scale, keys)
-
-
-def _regular_job_star(args: tuple) -> tuple[int, set[int]]:
-    return _regular_job(*args)
+    jobs, stop = _first_row_jobs(n, symmetry_break, deadline)
+    # A fork pool starts all its workers at once, so never ask for more
+    # than there are CPUs or jobs.
+    workers = min(threads, os.cpu_count() or 1, len(jobs))
+    total = 0
+    keys: set[int] = set()
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        run = pool.map if pool else map
+        for count, job_keys in run(_regular_job, repeat(n), jobs,
+                                   repeat(stop), repeat(deadline)):
+            total += count
+            keys |= job_keys
+    return _corpus_from_keys(n, total * scale, keys)
 
 
 # -- corpus files ------------------------------------------------------------
@@ -283,34 +275,37 @@ def write_corpus(corpus: EnumCorpus, path: str | os.PathLike[str]) -> None:
 def read_corpus(path: str | os.PathLike[str]) -> EnumCorpus:
     if not os.path.exists(path):
         raise CorpusMissingError(f"no corpus file at {path}")
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+    lines = read_text(path).split("\n")
     pos = 0
 
-    def take(prefix: str) -> str:
+    def take(prefix: str, convert: Callable[[str], A] = str) -> A:
         nonlocal pos
         if pos >= len(lines) or not lines[pos].startswith(prefix):
             raise ParseError(f"expected {prefix!r} line", line=pos + 1)
         value = lines[pos][len(prefix):].strip()
         pos += 1
-        return value
+        try:
+            return convert(value)
+        except ValueError:
+            raise ParseError(f"bad value {value!r} after {prefix!r}",
+                             line=pos) from None
 
     if pos >= len(lines) or lines[pos] != _MAGIC:
         raise ParseError(f"expected header {_MAGIC!r}", line=1)
     pos += 1
-    n = int(take("n "))
+    n = take("n ", int)
     constraint = take("constraint ")
-    labeled = int(take("labeled_count "))
-    nclasses = int(take("classes "))
+    labeled = take("labeled_count ", int)
+    nclasses = take("classes ", int)
     classes = []
     for _ in range(nclasses):
         while pos < len(lines) and lines[pos] == "":
             pos += 1
-        key_hex = take("class ")
+        key = take("class ", lambda text: int(text, 16))
         block = lines[pos:pos + n + 1]
         pos += n + 1
         rep = parse_tour("\n".join(block) + "\n")
-        classes.append((CanonicalForm(n, int(key_hex, 16)), rep))
+        classes.append((CanonicalForm(n, key), rep))
     while pos < len(lines) and lines[pos] == "":
         pos += 1
     if pos != len(lines):

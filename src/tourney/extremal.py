@@ -32,10 +32,11 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-from .core import Tournament, canonical_form
+from .core import CanonicalForm, Tournament, canonical_form
 from .counting import c4_formula, c5_formula, s5_formula, trace_m
 from .classify import is_nearly_doubly_regular, is_regular, aat_positive
-from .enumeration import EnumCorpus, enumerate_regular, tournament_from_code
+from .enumeration import (EnumCorpus, _edges, enumerate_regular,
+                          tournament_from_code)
 from .errors import (
     BadOrderError,
     BadResidueError,
@@ -280,7 +281,7 @@ def _sweep_stats(n: int) -> tuple[int, int, int, list[int], list[int]]:
     s5 witness codes)."""
     import numpy as np
 
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = _edges(n)
     e = len(edges)
     total = 1 << e
     batch = 1 << min(16, e)
@@ -328,14 +329,9 @@ def _sweep_stats(n: int) -> tuple[int, int, int, list[int], list[int]]:
     return regular, best_c5, best_s5, c5_codes, s5_codes
 
 
-def _key_hex(n: int, key: int) -> str:
-    width = (n * n + 3) // 4
-    return format(key, f"0{width}x")
-
-
 def _classes_of_codes(n: int, codes: list[int]) -> tuple[str, ...]:
     keys = {canonical_form(tournament_from_code(n, c)).key for c in codes}
-    return tuple(_key_hex(n, k) for k in sorted(keys))
+    return tuple(CanonicalForm(n, k).hex() for k in sorted(keys))
 
 
 def verify_c5_max(n: int) -> SweepExtremes:
@@ -390,12 +386,11 @@ def _check_sweep_claims(result: SweepExtremes) -> None:
             raise VerificationFailedError(
                 f"max c5 {result.c5.observed} misses the bound "
                 f"{result.c5.bound_value}")
-        qr_key = _key_hex(7, canonical_form(gen_qr(7)).key)
+        qr_key = canonical_form(gen_qr(7)).hex()
         if result.c5.witnesses != (qr_key,):
             raise VerificationFailedError(
                 "c5 maximizers are not exactly the quadratic-residue class")
-        regular_keys = tuple(_key_hex(7, cf.key)
-                             for cf, _ in corpus.classes)
+        regular_keys = tuple(cf.hex() for cf, _ in corpus.classes)
         if not result.s5.tight or result.s5.witnesses != regular_keys:
             raise VerificationFailedError(
                 "s5 maximizers are not exactly the three regular classes")
@@ -404,8 +399,7 @@ def _check_sweep_claims(result: SweepExtremes) -> None:
             raise VerificationFailedError(
                 f"max c5 at order 5 should be 3 < 9/2, got "
                 f"{result.c5.observed}")
-        mid_key = _key_hex(
-            5, canonical_form(gen_named("delta_o_delta_o")).key)
+        mid_key = canonical_form(gen_named("delta_o_delta_o")).hex()
         if mid_key not in result.c5.witnesses:
             raise VerificationFailedError(
                 "the middle-blowup 3-cycle is missing from the c5 maximizers")
@@ -430,8 +424,8 @@ def verify_regular9(corpus: EnumCorpus) -> dict[str, BoundReport]:
     if len(corpus.classes) != 15:
         raise VerificationFailedError(
             f"expected 15 order-9 regular classes, got {len(corpus.classes)}")
-    stats = [(_key_hex(9, cf.key), s5_formula(rep), c5_formula(rep),
-              rep) for cf, rep in corpus.classes]
+    stats = [(cf.hex(), s5_formula(rep), c5_formula(rep), rep)
+             for cf, rep in corpus.classes]
     min_s5 = min(s for _, s, _, _ in stats)
     max_c5 = max(c for _, _, c, _ in stats)
     s5_witnesses = tuple(k for k, s, _, _ in stats if s == min_s5)
@@ -451,7 +445,7 @@ def verify_regular9(corpus: EnumCorpus) -> dict[str, BoundReport]:
     if len(ndr_keys) != 2 or not set(ndr_keys) <= set(s5_witnesses):
         raise VerificationFailedError(
             "expected exactly two nearly doubly regular minimizers")
-    named = {_key_hex(9, canonical_form(gen_named(name)).key): name
+    named = {canonical_form(gen_named(name)).hex(): name
              for name in ("delta_delta", "prop2_a", "prop2_b")}
     if not set(named) <= set(s5_witnesses):
         raise VerificationFailedError(

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Tournament, compose, validate
+from .core import MAX_ORDER, Tournament, compose, validate
 from .errors import (
     BadResidueClassError,
     BadSymbolError,
@@ -32,8 +32,6 @@ from .errors import (
     UnknownNameError,
 )
 from .io import parse_tour
-
-MAX_ORDER = 64
 
 
 def gen_transitive(n: int) -> Tournament:

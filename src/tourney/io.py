@@ -60,9 +60,23 @@ def format_tour(t: Tournament) -> str:
     return "\n".join(out) + "\n"
 
 
+def read_text(path: str | os.PathLike[str]) -> str:
+    """The text of an ASCII file.  A non-ASCII byte raises ParseError
+    with its line and column."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        with open(path, encoding="ascii", errors="replace") as fh:
+            text = fh.read()
+        pos = text.index("\ufffd")
+        raise ParseError("file is not ASCII",
+                         line=text.count("\n", 0, pos) + 1,
+                         col=pos - text.rfind("\n", 0, pos)) from None
+
+
 def read_tour(path: str | os.PathLike[str]) -> Tournament:
-    with open(path, encoding="ascii") as fh:
-        return parse_tour(fh.read())
+    return parse_tour(read_text(path))
 
 
 def write_tour(t: Tournament, path: str | os.PathLike[str]) -> None:

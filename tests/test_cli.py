@@ -20,6 +20,15 @@ def run(capsys, *argv: str) -> tuple[int, str]:
     return code, out
 
 
+def assert_usage_error(capsys, *argv: str) -> str:
+    """main exits 2 with a one-line message and no traceback."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
 class TestGen:
     def test_stdout_tour(self, capsys):
         code, out = run(capsys, "gen", "rlt", "--n", "7")
@@ -96,12 +105,14 @@ class TestCount:
                       "--c3", "--method", "oracle")
         assert code == 2
 
-    def test_malformed_input(self, capsys, tmp_path):
-        # structurally bad: row 1 has its own bit set
+    @pytest.mark.parametrize("data", [
+        b"2\n01\n01\n",    # structurally bad: row 1 has its own bit set
+        b"2\n0\xe9\n10\n",  # a non-ASCII byte
+    ], ids=["loop", "non-ascii"])
+    def test_malformed_input(self, capsys, tmp_path, data):
         path = tmp_path / "bad.tour"
-        path.write_text("2\n01\n01\n")
-        code, _ = run(capsys, "count", "--input", str(path))
-        assert code == 2
+        path.write_bytes(data)
+        assert_usage_error(capsys, "count", "--input", str(path))
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "count", "--input", "/nonexistent.tour")
@@ -191,11 +202,35 @@ class TestEnumerate:
         code, _ = run(capsys, "enumerate", "--n", "6")
         assert code == 2
 
+    @pytest.mark.parametrize("old,new", [
+        (b"n 5", b"n x"),
+        (b"class ", b"class zz"),
+        (b"regular", b"r\xe9gular"),
+    ], ids=["n", "class-key", "non-ascii"])
+    @pytest.mark.parametrize("command", [["enumerate", "--verify"],
+                                         ["verify", "prop2", "--corpus"]],
+                             ids=["enumerate", "prop2"])
+    def test_malformed_corpus_is_usage_error(self, capsys, tmp_path, old,
+                                             new, command):
+        path = tmp_path / "r5.corpus"
+        code, _ = run(capsys, "enumerate", "--n", "5", "--out", str(path))
+        assert code == 0
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
+        err = assert_usage_error(capsys, *command, str(path))
+        assert "(line " in err
+
     def test_threads_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("TOURNEY_THREADS", "2")
         code, out = run(capsys, "enumerate", "--n", "5")
         assert code == 0
         assert json.loads(out)["labeled_count"] == 24
+
+    def test_threads_env_not_integer(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "r.tour"
+        write_tour(gen_rlt(5), path)
+        monkeypatch.setenv("TOURNEY_THREADS", "abc")
+        err = assert_usage_error(capsys, "classify", "--input", str(path))
+        assert "TOURNEY_THREADS" in err
 
 
 class TestEntryPoint:

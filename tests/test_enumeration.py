@@ -14,6 +14,7 @@ from tourney import (
     automorphism_count,
     canonical_form,
     enumerate_regular,
+    enumeration,
     is_regular,
     load_or_enumerate,
     read_corpus,
@@ -47,7 +48,8 @@ class TestLabeledSweep:
 
 class TestEnumerateRegular:
     @pytest.mark.parametrize("n,classes,labeled",
-                             [(3, 1, 2), (5, 1, 24), (7, 3, 2640)])
+                             [(1, 1, 1), (3, 1, 2), (5, 1, 24),
+                              (7, 3, 2640)])
     def test_class_and_labeled_counts(self, n, classes, labeled):
         corpus = enumerate_regular(n)
         assert len(corpus.classes) == classes
@@ -75,12 +77,40 @@ class TestEnumerateRegular:
                         for _, rep in corpus.classes)
             assert total == corpus.labeled_count
 
-    def test_threads_do_not_change_output(self):
-        a = enumerate_regular(7, threads=1)
-        b = enumerate_regular(7, threads=2)
+    @pytest.mark.parametrize("symmetry_break", [True, False])
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_threads_do_not_change_output(self, n, symmetry_break):
+        a = enumerate_regular(n, threads=1, symmetry_break=symmetry_break)
+        b = enumerate_regular(n, threads=2, symmetry_break=symmetry_break)
         assert a.labeled_count == b.labeled_count
         assert [cf.key for cf, _ in a.classes] == \
             [cf.key for cf, _ in b.classes]
+
+    @pytest.mark.parametrize("cpus,workers", [(4, 4), (64, 10), (None, None)])
+    def test_workers_bounded_by_cpus_and_jobs(self, monkeypatch, cpus,
+                                              workers):
+        # order 7 splits into 10 jobs; a fake pool records its size, so
+        # no process starts
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+        corpus = enumerate_regular(7, threads=64)
+        assert started == ([] if workers is None else [workers])
+        assert corpus.labeled_count == 2640
 
     def test_reps_are_canonical(self):
         corpus = enumerate_regular(7)
