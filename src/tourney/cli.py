@@ -236,7 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument("--w", type=int, action="append", metavar="M",
                        help="sink-and-source-free subset count of order M")
     count.add_argument("--trace", type=int, action="append", metavar="M",
-                       help="adjacency-power trace of order M")
+                       help="adjacency-power trace of order M, "
+                            f"1 <= M <= {counting.TRACE_MAX_M}")
     count.add_argument("--method",
                        choices=["formula", "oracle", "trace", "all"],
                        default="all")

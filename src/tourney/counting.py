@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .core import Tournament, canonical_form
@@ -34,6 +35,7 @@ from .errors import (
 )
 
 ORACLE_MAX_ORDER = 12
+TRACE_MAX_M = 1024
 
 
 def scores(t: Tournament) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -71,15 +73,16 @@ def arc_intersections(t: Tournament, i: int, j: int) -> ArcIntersection:
 
 def _c3_within(t: Tournament, mask: int) -> int:
     """3-cycles of the subtournament induced on a vertex mask."""
+    rows = t.out_rows
     k = mask.bit_count()
-    total = comb(k, 3)
+    pairs = 0  # twice the sum of C(out-degree inside the mask, 2)
     m = mask
     while m:
         low = m & -m
-        v = low.bit_length() - 1
+        d = (rows[low.bit_length() - 1] & mask).bit_count()
+        pairs += d * (d - 1)
         m ^= low
-        total -= comb((t.out_rows[v] & mask).bit_count(), 2)
-    return total
+    return k * (k - 1) * (k - 2) // 6 - pairs // 2
 
 
 def c3_formula(t: Tournament) -> int:
@@ -176,14 +179,21 @@ def s5_formula(t: Tournament) -> int:
     return w_formula(t, 5)
 
 
+def _matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
 def trace_m(t: Tournament, m: int) -> int:
     """Trace of the m-th adjacency power: closed walks of length m.
 
-    Exact for any m >= 1 (big-int arithmetic; a numpy int64 path is used
-    only when n**m provably fits).
+    Exact for 1 <= m <= TRACE_MAX_M.  A numpy int64 path is used only
+    when n**m provably fits; otherwise big-int square-and-multiply takes
+    about 2 log2(m) products.  The cap bounds the work: entries grow to
+    about m log2(n) bits, and m = TRACE_MAX_M at n = 64 takes seconds.
     """
-    if m < 1:
-        raise BadMError(f"trace needs m >= 1, got {m}")
+    if m < 1 or m > TRACE_MAX_M:
+        raise BadMError(f"trace needs 1 <= m <= {TRACE_MAX_M}, got {m}")
     n = t.n
     a = [[(t.out_rows[i] >> j) & 1 for j in range(n)] for i in range(n)]
     if n ** m < (1 << 62):
@@ -192,11 +202,15 @@ def trace_m(t: Tournament, m: int) -> int:
         mat = np.array(a, dtype=np.int64)
         power = np.linalg.matrix_power(mat, m)
         return int(np.trace(power))
-    power = a
-    for _ in range(m - 1):
-        power = [[sum(power[i][k] * a[k][j] for k in range(n))
-                  for j in range(n)] for i in range(n)]
-    return sum(power[i][i] for i in range(n))
+    result: list[list[int]] | None = None
+    while True:
+        if m & 1:
+            result = a if result is None else _matmul(result, a)
+        m >>= 1
+        if not m:
+            break
+        a = _matmul(a, a)
+    return sum(result[i][i] for i in range(n))
 
 
 # -- oracles -----------------------------------------------------------------

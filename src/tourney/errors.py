@@ -131,5 +131,6 @@ class ParseError(InvalidInput):
         if line is not None:
             loc = f" (line {line}" + (f", col {col}" if col is not None else "") + ")"
         super().__init__(message + loc)
+        self.reason = message
         self.line = line
         self.col = col

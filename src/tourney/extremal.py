@@ -27,6 +27,7 @@ VerificationFailedError the moment a claimed fact fails.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -35,8 +36,8 @@ from typing import Iterator
 from .core import CanonicalForm, Tournament, canonical_form
 from .counting import c4_formula, c5_formula, s5_formula, trace_m
 from .classify import is_nearly_doubly_regular, is_regular, aat_positive
-from .enumeration import (EnumCorpus, _edges, enumerate_regular,
-                          tournament_from_code)
+from .enumeration import (EnumCorpus, OrbitMass, _edges, c3_profile,
+                          enumerate_regular, tournament_from_code)
 from .errors import (
     BadOrderError,
     BadResidueError,
@@ -330,8 +331,17 @@ def _sweep_stats(n: int) -> tuple[int, int, int, list[int], list[int]]:
 
 
 def _classes_of_codes(n: int, codes: list[int]) -> tuple[str, ...]:
-    keys = {canonical_form(tournament_from_code(n, c)).key for c in codes}
-    return tuple(CanonicalForm(n, k).hex() for k in sorted(keys))
+    """Classes among the witness codes of a full sweep.  The codes are
+    every labeled tournament attaining an isomorphism-invariant maximum,
+    so they are closed under relabeling and their orbit masses add up to
+    len(codes); OrbitMass raises VerificationFailedError otherwise."""
+    members = [tournament_from_code(n, c) for c in codes]
+    mass = OrbitMass(n, Counter(map(c3_profile, members)), 1)
+    for t in members:
+        if mass.offer(t):
+            break
+    mass.check()
+    return tuple(CanonicalForm(n, k).hex() for k in sorted(mass.keys))
 
 
 def verify_c5_max(n: int) -> SweepExtremes:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from tourney import gen_rlt, parse_tour, write_tour
+from tourney import TRACE_MAX_M, gen_random, gen_rlt, parse_tour, write_tour
 from tourney.cli import main
 
 
@@ -118,6 +118,13 @@ class TestCount:
         code, _ = run(capsys, "count", "--input", "/nonexistent.tour")
         assert code == 2
 
+    def test_trace_above_cap_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "r64.tour"
+        write_tour(gen_random(64, 1), path)
+        err = assert_usage_error(capsys, "count", "--input", str(path),
+                                 "--trace", "100000")
+        assert str(TRACE_MAX_M) in err
+
 
 class TestClassify:
     def test_flags_json(self, capsys, tmp_path):
@@ -218,6 +225,18 @@ class TestEnumerate:
         path.write_bytes(path.read_bytes().replace(old, new, 1))
         err = assert_usage_error(capsys, *command, str(path))
         assert "(line " in err
+
+    def test_corpus_row_error_names_file_line(self, capsys, tmp_path):
+        path = tmp_path / "r7.corpus"
+        code, _ = run(capsys, "enumerate", "--n", "7", "--out", str(path))
+        assert code == 0
+        lines = path.read_text().split("\n")
+        # lines 7 and 8 are the first class's key and order line
+        assert lines[6].startswith("class ") and lines[7] == "7"
+        lines[8] = "x" + lines[8][1:]
+        path.write_text("\n".join(lines))
+        err = assert_usage_error(capsys, "enumerate", "--verify", str(path))
+        assert "(line 9, col 1)" in err
 
     def test_threads_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("TOURNEY_THREADS", "2")

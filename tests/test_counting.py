@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tourney import (
+    TRACE_MAX_M,
     ArcIntersection,
     arc_intersections,
     c3_formula,
@@ -130,6 +131,30 @@ class TestEdgeCases:
             w_formula(t, 2)
         with pytest.raises(BadMError):
             s_formula(t, 6)
+
+    @pytest.mark.parametrize("t,m", [(gen_rlt(9), 20),
+                                     (gen_random(8, 3), 21),
+                                     (gen_random(16, 4), 16)],
+                             ids=["rlt9", "random8", "random16"])
+    def test_trace_big_int_route(self, t, m):
+        # n**m >= 2**62 takes the big-int route; the reference is m - 1
+        # repeated products
+        n = t.n
+        assert n ** m >= 1 << 62
+        a = [[int(t.has_arc(i, j)) for j in range(n)] for i in range(n)]
+        power = a
+        for _ in range(m - 1):
+            power = [[sum(power[i][k] * a[k][j] for k in range(n))
+                      for j in range(n)] for i in range(n)]
+        assert trace_m(t, m) == sum(power[i][i] for i in range(n))
+
+    def test_trace_cap(self):
+        t = gen_transitive(5)
+        assert trace_m(t, TRACE_MAX_M) == 0
+        with pytest.raises(BadMError):
+            trace_m(t, TRACE_MAX_M + 1)
+        with pytest.raises(BadMError):
+            trace_m(t, 0)
 
     def test_oracle_cap(self):
         t = gen_random(13, 0)

@@ -8,8 +8,11 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tourney import (
+    Tournament,
     all_tournaments,
     automorphism_count,
     canonical_form,
@@ -133,6 +136,72 @@ class TestEnumerateRegular:
     def test_time_budget(self):
         with pytest.raises(TimeBudgetExceededError):
             enumerate_regular(9, time_budget=0.02)
+
+
+def relabel(t: Tournament, perm: list[int]) -> Tournament:
+    rows = [0] * t.n
+    for i in range(t.n):
+        for j in range(t.n):
+            if t.has_arc(i, j):
+                rows[perm[i]] |= 1 << perm[j]
+    return Tournament(t.n, tuple(rows))
+
+
+def canonicalize_every_completion(n: int, symmetry_break: bool
+                                  ) -> tuple[int, list[int]]:
+    """Reference route: the same backtracker, with every completion
+    canonicalized.  Returns (labeled count, sorted class keys)."""
+    jobs, stop = enumeration._first_row_jobs(n, symmetry_break, None)
+    keys: set[int] = set()
+    count = 0
+
+    def emit(rows: tuple[int, ...]) -> None:
+        nonlocal count
+        count += 1
+        keys.add(canonical_form(Tournament(n, rows)).key)
+
+    for state in jobs:
+        enumeration._walk(n, state, stop, None, emit, [0])
+    scale = math.comb(n - 1, (n - 1) // 2) if symmetry_break else 1
+    return count * scale, sorted(keys)
+
+
+class TestOrbitMassCertificate:
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_profile_invariant_on_regular(self, corpus7, corpus9, n, data):
+        corpus = {5: enumerate_regular(5), 7: corpus7, 9: corpus9}[n]
+        t = data.draw(st.sampled_from([rep for _, rep in corpus.classes]))
+        perm = data.draw(st.permutations(range(n)))
+        assert enumeration.c3_profile(relabel(t, perm)) == \
+            enumeration.c3_profile(t)
+
+    @given(code=st.integers(0, (1 << 21) - 1),
+           perm=st.permutations(range(7)))
+    @settings(max_examples=100, deadline=None)
+    def test_profile_invariant_on_order7(self, code, perm):
+        t = tournament_from_code(7, code)
+        assert enumeration.c3_profile(relabel(t, perm)) == \
+            enumeration.c3_profile(t)
+
+    @pytest.mark.parametrize("symmetry_break", [True, False])
+    @pytest.mark.parametrize("n", [1, 3, 5, 7])
+    def test_matches_canonicalizing_every_completion(self, n,
+                                                     symmetry_break):
+        corpus = enumerate_regular(n, symmetry_break=symmetry_break)
+        labeled, keys = canonicalize_every_completion(n, symmetry_break)
+        assert corpus.labeled_count == labeled
+        assert [cf.key for cf, _ in corpus.classes] == keys
+
+    @pytest.mark.parametrize("wrong", [lambda aut: 1, lambda aut: 2 * aut],
+                             ids=["mass-over", "mass-short"])
+    def test_wrong_automorphism_count_raises(self, monkeypatch, wrong):
+        real = enumeration.automorphism_count
+        monkeypatch.setattr(enumeration, "automorphism_count",
+                            lambda t: wrong(real(t)))
+        with pytest.raises(VerificationFailedError):
+            enumerate_regular(7)
 
 
 class TestCorpusFiles:

@@ -24,6 +24,7 @@ from tourney import (
     gen_qr,
     gen_rlt,
     gen_transitive,
+    is_regular,
     oracle_cycles,
     oracle_strong_subs,
     regular_identity,
@@ -32,6 +33,7 @@ from tourney import (
     s5_of_dr,
     s5_of_ndr,
     s5_of_rlt,
+    tournament_from_code,
     trace_m,
     verify_binomial_sum_min,
     verify_c5_max,
@@ -43,7 +45,8 @@ from tourney.errors import (
     TooLargeError,
     VerificationFailedError,
 )
-from tourney.extremal import delta_tt3_copies_in_rlt, rlt5_copies_in_rlt
+from tourney.extremal import (_classes_of_codes, delta_tt3_copies_in_rlt,
+                              rlt5_copies_in_rlt)
 
 
 class TestClosedForms:
@@ -197,6 +200,16 @@ class TestSweepDrivers:
     def test_rejects_other_orders(self):
         with pytest.raises(TooLargeError):
             verify_c5_max(9)
+
+    def test_witness_classes_need_a_relabeling_closed_set(self):
+        # the 24 regular codes of order 5 are one class; dropping one
+        # leaves that class short of its orbit mass
+        codes = [c for c in range(1 << 10)
+                 if is_regular(tournament_from_code(5, c))]
+        assert _classes_of_codes(5, codes) == (
+            canonical_form(gen_rlt(5)).hex(),)
+        with pytest.raises(VerificationFailedError):
+            _classes_of_codes(5, codes[1:])
 
 
 class TestRegular9Driver:
