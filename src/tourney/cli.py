@@ -68,7 +68,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         n = _need(args, "n")
         if args.symbol is None:
             raise InvalidInput("gen rotational needs --symbol")
-        diffs = frozenset(int(part) for part in args.symbol.split(","))
+        try:
+            diffs = frozenset(int(part) for part in args.symbol.split(","))
+        except ValueError:
+            raise InvalidInput(f"--symbol must be comma-separated integers, "
+                               f"got {args.symbol!r}") from None
         t = generators.gen_rotational(generators.RotationalSymbol(n, diffs))
     elif family == "qr":
         if args.p is None:
@@ -206,6 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
     except ValueError:
         raise InvalidInput(f"TOURNEY_THREADS must be an integer, "
                            f"got {env_threads!r}") from None
+    if default_threads < 1:
+        raise InvalidInput(f"TOURNEY_THREADS must be at least 1, "
+                           f"got {default_threads}")
     parser = argparse.ArgumentParser(
         prog="tourney",
         description="Construct, count, classify and verify small tournaments.")

@@ -13,6 +13,11 @@ bit-string over all relabelings, computed by an ordered-partition search
 that is exact (the pruning never discards a permutation that could still
 attain the minimum).  Two tournaments are isomorphic iff their canonical
 keys are equal.
+
+The same search gives |Aut|.  Every relabeling that attains the minimal
+key is a leaf of it, so the leaves tied with the final minimum are
+exactly the relabelings that give the canonical key.  Those form one
+coset of the automorphism group, so their number is |Aut|.
 """
 
 from __future__ import annotations
@@ -266,8 +271,9 @@ class CanonicalForm:
         return tuple(rows)
 
 
-def canonical_form(t: Tournament) -> CanonicalForm:
-    """Exact canonical key by ordered-partition search.
+def _minimal_relabelings(t: Tournament) -> tuple[CanonicalForm, int]:
+    """The canonical form of t and the number of relabelings that attain
+    it, by one ordered-partition search.
 
     Positions of the new labeling are filled left to right.  The unplaced
     vertices form an ordered list of cells; the vertex for the next
@@ -278,19 +284,25 @@ def canonical_form(t: Tournament) -> CanonicalForm:
     Only candidates attaining the minimal row at their level can lead to
     the global minimum, and a best-so-far prefix comparison prunes
     dominated subtrees.
+
+    Every relabeling that attains the minimal key survives the pruning:
+    the search cuts only prefixes strictly larger than the best so far
+    and rows above their level's minimum, and the vertices of one cell
+    are interchangeable for every row already written.  So the leaves
+    equal to the final minimum are exactly the relabelings that give the
+    canonical key, and their count restarts at 1 whenever a strictly
+    smaller leaf appears.
     """
     n = t.n
     if n > MAX_CANONICAL_ORDER:
         raise OrderTooLargeError(
             f"canonicalization capped at order {MAX_CANONICAL_ORDER}, got {n}")
     rows = t.out_rows
-    if n == 1:
-        return CanonicalForm(1, 0)
-
     best: list[int] | None = None
+    ties = 0
 
     def dfs(assigned: list[int], cells: list[list[int]], prefix: list[int]) -> None:
-        nonlocal best
+        nonlocal best, ties
         a = len(assigned)
         tied = False
         if best is not None:
@@ -299,8 +311,11 @@ def canonical_form(t: Tournament) -> CanonicalForm:
                 return
             tied = prefix == bp
         if a == n:
-            if best is None or prefix < best:
+            if tied:
+                ties += 1
+            else:
                 best = prefix[:]
+                ties = 1
             return
         first = cells[0]
         rest = cells[1:]
@@ -349,7 +364,14 @@ def canonical_form(t: Tournament) -> CanonicalForm:
     key = 0
     for row in best:
         key = (key << n) | row
-    return CanonicalForm(n, key)
+    return CanonicalForm(n, key), ties
+
+
+def canonical_form(t: Tournament) -> CanonicalForm:
+    """Exact canonical key: the lexicographically minimal row-major
+    adjacency over all relabelings, by the ordered-partition search of
+    _minimal_relabelings."""
+    return _minimal_relabelings(t)[0]
 
 
 def key_for_permutation(t: Tournament, perm: Sequence[int]) -> int:
@@ -382,34 +404,9 @@ def is_isomorphic(a: Tournament, b: Tournament) -> bool:
 
 
 def automorphism_count(t: Tournament) -> int:
-    """Order of the automorphism group, by backtracking over partial
-    vertex maps.  Each extension must preserve every already-placed arc,
-    so inconsistent branches die within a few levels."""
-    if t.n > MAX_CANONICAL_ORDER:
-        raise OrderTooLargeError(
-            f"automorphism search capped at order {MAX_CANONICAL_ORDER}")
-    rows = t.out_rows
-    n = t.n
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> int:
-        if i == n:
-            return 1
-        ri = rows[i]
-        total = 0
-        for w in range(n):
-            if used[w]:
-                continue
-            rw = rows[w]
-            for j in range(i):
-                if ((ri >> j) & 1) != ((rw >> image[j]) & 1):
-                    break
-            else:
-                image[i] = w
-                used[w] = True
-                total += extend(i + 1)
-                used[w] = False
-        return total
-
-    return extend(0)
+    """Order of the automorphism group: the number of relabelings that
+    attain the canonical key.  Two relabelings give the same key iff they
+    differ by an automorphism, so those relabelings form one coset of
+    Aut(t), and the canonicalization search counts them as its leaves
+    tied with the final minimum."""
+    return _minimal_relabelings(t)[1]

@@ -80,6 +80,7 @@ from .errors import (
     BadOrderError,
     CorpusMissingError,
     EvenOrderError,
+    InvalidInput,
     ParseError,
     TimeBudgetExceededError,
     TooLargeError,
@@ -337,14 +338,21 @@ def enumerate_regular(n: int, *, threads: int = 1, symmetry_break: bool = True,
                       time_budget: float | None = None,
                       allow_long: bool = False) -> EnumCorpus:
     """All regular tournaments of odd order n up to isomorphism, plus the
-    labeled total.  n <= 9 unless allow_long permits 11.  Raises
-    VerificationFailedError if the orbit-mass certificate fails."""
+    labeled total.  n <= 9 unless allow_long permits 11.  threads must
+    be at least 1, and time_budget None or a positive finite number of
+    seconds; InvalidInput otherwise.  Raises VerificationFailedError if
+    the orbit-mass certificate fails."""
     if n % 2 == 0:
         raise EvenOrderError(f"regular tournaments have odd order, got {n}")
     cap = ENUM_LONG_MAX_ORDER if allow_long else ENUM_MAX_ORDER
     if n < 1 or n > cap:
         raise BadOrderError(f"order must be odd in 1..{cap}, got {n}")
-    deadline = time.monotonic() + time_budget if time_budget else None
+    if threads < 1:
+        raise InvalidInput(f"worker count must be at least 1, got {threads}")
+    if time_budget is not None and not 0 < time_budget < math.inf:
+        raise InvalidInput(f"time budget must be a positive finite number of "
+                           f"seconds, got {time_budget}")
+    deadline = None if time_budget is None else time.monotonic() + time_budget
     half = (n - 1) // 2
     scale = comb(n - 1, half) if symmetry_break and n > 1 else 1
 

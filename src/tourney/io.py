@@ -29,7 +29,11 @@ def parse_tour(text: str) -> Tournament:
         col = next((k + 1 for k, ch in enumerate(header)
                     if not "0" <= ch <= "9"), 1)
         raise ParseError("order line must be a decimal integer", line=1, col=col)
-    n = int(header)
+    try:
+        n = int(header)
+    except ValueError:  # longer than the interpreter's int-string limit
+        raise ParseError(f"order line has too many digits ({len(header)})",
+                         line=1) from None
     if len(lines) - 1 != n:
         # point at the first missing or first extra line
         where = len(lines) + 1 if len(lines) - 1 < n else n + 2

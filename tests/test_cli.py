@@ -4,13 +4,18 @@ entry point."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tourney import TRACE_MAX_M, gen_random, gen_rlt, parse_tour, write_tour
+from tourney import (TRACE_MAX_M, enumerate_regular, format_tour, gen_random,
+                     gen_rlt, parse_tour, write_corpus, write_tour)
 from tourney.cli import main
 
 
@@ -57,6 +62,11 @@ class TestGen:
                         "--symbol", "1,2,3")
         assert code == 0
         assert parse_tour(out) == gen_rlt(7)
+
+    def test_bad_symbol_is_usage_error(self, capsys):
+        err = assert_usage_error(capsys, "gen", "rotational", "--n", "7",
+                                 "--symbol", "1,2,x")
+        assert "--symbol" in err
 
     def test_missing_argument_is_usage_error(self, capsys):
         code, _ = run(capsys, "gen", "rlt")
@@ -113,6 +123,12 @@ class TestCount:
         path = tmp_path / "bad.tour"
         path.write_bytes(data)
         assert_usage_error(capsys, "count", "--input", str(path))
+
+    def test_oversized_order_line(self, capsys, tmp_path):
+        path = tmp_path / "big.tour"
+        path.write_text("1" * 5000 + "\n")
+        err = assert_usage_error(capsys, "count", "--input", str(path))
+        assert "(line 1)" in err
 
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "count", "--input", "/nonexistent.tour")
@@ -244,12 +260,97 @@ class TestEnumerate:
         assert code == 0
         assert json.loads(out)["labeled_count"] == 24
 
+    @pytest.mark.parametrize("flags", [["--threads", "0"],
+                                       ["--threads", "-3"],
+                                       ["--time-budget", "0"],
+                                       ["--time-budget", "nan"],
+                                       ["--time-budget", "inf"],
+                                       ["--time-budget", "-1"]],
+                             ids=["threads-0", "threads-neg", "budget-0",
+                                  "budget-nan", "budget-inf", "budget-neg"])
+    def test_bad_run_limits_are_usage_errors(self, capsys, flags):
+        assert_usage_error(capsys, *flags, "enumerate", "--n", "5")
+
+    def test_threads_env_below_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("TOURNEY_THREADS", "0")
+        err = assert_usage_error(capsys, "enumerate", "--n", "5")
+        assert "TOURNEY_THREADS" in err
+
     def test_threads_env_not_integer(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "r.tour"
         write_tour(gen_rlt(5), path)
         monkeypatch.setenv("TOURNEY_THREADS", "abc")
         err = assert_usage_error(capsys, "classify", "--input", str(path))
         assert "TOURNEY_THREADS" in err
+
+
+def mutated(seed: bytes) -> st.SearchStrategy[bytes]:
+    """seed after one to four edits, each deleting up to four bytes at a
+    position and inserting up to four others there."""
+    edit = st.tuples(
+        st.integers(0, 1 << 16), st.integers(0, 4),
+        st.one_of(st.binary(max_size=4),
+                  st.sampled_from([b"0", b"1", b"\n", b"9", b" "])))
+
+    def apply(edits: list[tuple[int, int, bytes]]) -> bytes:
+        data = seed
+        for pos, cut, insert in edits:
+            pos %= len(data) + 1
+            data = data[:pos] + insert + data[pos + cut:]
+        return data
+
+    return st.lists(edit, min_size=1, max_size=4).map(apply)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.fixture(scope="module")
+def corpus5_bytes(fuzz_dir) -> bytes:
+    path = fuzz_dir / "r5.corpus"
+    write_corpus(enumerate_regular(5), path)
+    return path.read_bytes()
+
+
+def run_on_bytes(path, data: bytes, *argv: str) -> tuple[int, str]:
+    """main on a file holding data; returns (exit code, stderr)."""
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main([*argv, str(path)])
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code: int, err: str, allowed: tuple[int, ...]) -> None:
+    assert code in allowed
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith(("error:", "claim violated:"))
+
+
+class TestFuzz:
+    """main on mutated .tour and .corpus bytes exits with a message, never
+    a traceback."""
+
+    @given(data=mutated(format_tour(gen_rlt(7)).encode()),
+           command=st.sampled_from(["count", "classify"]))
+    @example(data=b"1" * 5000 + b"\n", command="count")
+    @settings(max_examples=80, deadline=None)
+    def test_tour(self, fuzz_dir, data, command):
+        code, err = run_on_bytes(fuzz_dir / "t.tour", data, command,
+                                 "--input")
+        assert_clean_exit(code, err, (0, 2))
+
+    @given(draw=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_corpus(self, fuzz_dir, corpus5_bytes, draw):
+        data = draw.draw(mutated(corpus5_bytes))
+        code, err = run_on_bytes(fuzz_dir / "c.corpus", data, "enumerate",
+                                 "--verify")
+        assert_clean_exit(code, err, (0, 1, 2))
 
 
 class TestEntryPoint:

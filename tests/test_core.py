@@ -19,6 +19,7 @@ from tourney import (
     canonical_form_bruteforce,
     compose,
     converse,
+    gen_qr,
     gen_random,
     gen_rlt,
     gen_transitive,
@@ -27,9 +28,11 @@ from tourney import (
     is_strong,
     mask_of,
     strong_decomposition,
+    tournament_from_code,
     validate,
     vertices_of,
 )
+from tourney.core import key_for_permutation
 from tourney.errors import (
     LoopArcError,
     MissingOrDoubleArcError,
@@ -40,6 +43,14 @@ from tourney.errors import (
 
 def random_tournament(rng: random.Random, n: int) -> Tournament:
     return gen_random(n, rng.randrange(1 << 30))
+
+
+def automorphisms_bruteforce(t: Tournament) -> int:
+    """The relabelings whose key equals the minimum over all n!
+    relabelings, which is canonical_form_bruteforce's key."""
+    keys = [key_for_permutation(t, p)
+            for p in itertools.permutations(range(t.n))]
+    return keys.count(min(keys))
 
 
 def relabel(t: Tournament, perm: list[int]) -> Tournament:
@@ -235,6 +246,8 @@ class TestCanonicalForm:
     def test_order_cap(self):
         with pytest.raises(OrderTooLargeError):
             canonical_form(gen_random(17, 1))
+        with pytest.raises(OrderTooLargeError):
+            automorphism_count(gen_random(17, 1))
 
     def test_hex_and_rows_round_trip(self):
         t = gen_rlt(7)
@@ -279,3 +292,24 @@ class TestIsomorphism:
             labelings = {relabel(t, list(p)).out_rows
                          for p in itertools.permutations(range(n))}
             assert len(labelings) * automorphism_count(t) == math.factorial(n)
+
+    def test_automorphism_count_matches_bruteforce_order5(self):
+        for code in range(1 << 10):
+            t = tournament_from_code(5, code)
+            assert automorphism_count(t) == automorphisms_bruteforce(t)
+
+    @given(n=st.integers(6, 7), seed=st.integers(0, (1 << 30) - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_automorphism_count_matches_bruteforce(self, n, seed):
+        t = gen_random(n, seed)
+        assert automorphism_count(t) == automorphisms_bruteforce(t)
+
+    @pytest.mark.parametrize("t,aut", [(gen_qr(7), 21), (gen_rlt(7), 7)],
+                             ids=["qr7", "rlt7"])
+    def test_automorphism_count_vertex_transitive(self, t, aut):
+        assert automorphism_count(t) == automorphisms_bruteforce(t) == aut
+
+    def test_automorphism_count_is_odd(self, corpus9):
+        # a tournament has no automorphism of order 2, so |Aut| is odd
+        for _, rep in corpus9.classes:
+            assert automorphism_count(rep) % 2 == 1

@@ -30,6 +30,7 @@ from tourney.errors import (
     BadOrderError,
     CorpusMissingError,
     EvenOrderError,
+    InvalidInput,
     TimeBudgetExceededError,
     VerificationFailedError,
 )
@@ -136,6 +137,16 @@ class TestEnumerateRegular:
     def test_time_budget(self):
         with pytest.raises(TimeBudgetExceededError):
             enumerate_regular(9, time_budget=0.02)
+
+    @pytest.mark.parametrize("budget", [0.0, math.nan, math.inf, -1.0])
+    def test_time_budget_must_be_positive_finite(self, budget):
+        with pytest.raises(InvalidInput):
+            enumerate_regular(9, time_budget=budget)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_must_be_positive(self, threads):
+        with pytest.raises(InvalidInput):
+            enumerate_regular(5, threads=threads)
 
 
 def relabel(t: Tournament, perm: list[int]) -> Tournament:
