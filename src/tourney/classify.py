@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import Tournament, induced, is_strong
 from .counting import _c3_within
@@ -38,19 +38,30 @@ def is_transitive(t: Tournament) -> bool:
     return _c3_within(t, t.full_mask()) == 0
 
 
+def _balanced(t: Tournament, mask: int) -> bool:
+    """The subtournament on a vertex mask is regular if its size k is
+    odd, near regular if even: its sorted scores equal the balanced
+    sequence, all (k-1)/2 for odd k, half k/2-1 and half k/2 for even k.
+    The scores sum to C(k, 2), so that holds exactly when every score
+    lies in [(k-1)//2, k//2]."""
+    k = mask.bit_count()
+    lo, hi = (k - 1) // 2, k // 2
+    m = mask
+    while m:
+        low = m & -m
+        m ^= low
+        score = (t.out_rows[low.bit_length() - 1] & mask).bit_count()
+        if not lo <= score <= hi:
+            return False
+    return True
+
+
 def is_regular(t: Tournament) -> bool:
-    if t.n % 2 == 0:
-        return False
-    half = (t.n - 1) // 2
-    return all(r.bit_count() == half for r in t.out_rows)
+    return t.n % 2 == 1 and _balanced(t, t.full_mask())
 
 
 def is_near_regular(t: Tournament) -> bool:
-    n = t.n
-    if n % 2 == 1:
-        return False
-    ins = sorted(n - 1 - r.bit_count() for r in t.out_rows)
-    return ins == [n // 2 - 1] * (n // 2) + [n // 2] * (n // 2)
+    return t.n % 2 == 0 and _balanced(t, t.full_mask())
 
 
 def semi_degree(t: Tournament) -> int:
@@ -62,58 +73,27 @@ def semi_degree(t: Tournament) -> int:
     return (t.n - 1) // 2
 
 
-def _check_side(side: str) -> None:
+def _side_masks(t: Tournament, side: str) -> Iterator[int]:
+    """The out-sets (plus), in-sets (minus), or both, of every vertex,
+    made one at a time so that a caller's first failure stops the rest."""
     if side not in _SIDES:
         raise BadMError(f"side must be one of {_SIDES}, got {side!r}")
+    if side != "minus":
+        yield from t.out_rows
+    if side != "plus":
+        yield from (t.in_mask(i) for i in range(t.n))
 
 
 def is_locally_transitive(t: Tournament, side: str = "both") -> bool:
     """Every out-set (plus), in-set (minus), or both induce 3-cycle-free
     subtournaments."""
-    _check_side(side)
-    if side in ("plus", "both"):
-        if any(_c3_within(t, t.out_mask(i)) != 0 for i in range(t.n)):
-            return False
-    if side in ("minus", "both"):
-        if any(_c3_within(t, t.in_mask(i)) != 0 for i in range(t.n)):
-            return False
-    return True
-
-
-def _mask_regular_or_near(t: Tournament, mask: int) -> bool:
-    k = mask.bit_count()
-    if k == 0:
-        return True
-    if k % 2 == 1:
-        half = (k - 1) // 2
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            if (t.out_rows[low.bit_length() - 1] & mask).bit_count() != half:
-                return False
-        return True
-    outs = []
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        outs.append((t.out_rows[low.bit_length() - 1] & mask).bit_count())
-    ins = sorted(k - 1 - o for o in outs)
-    return ins == [k // 2 - 1] * (k // 2) + [k // 2] * (k // 2)
+    return all(_c3_within(t, mask) == 0 for mask in _side_masks(t, side))
 
 
 def is_locally_regular(t: Tournament, side: str = "both") -> bool:
     """Every out-set (plus), in-set (minus), or both induce a regular or
     near-regular subtournament per the subset's parity."""
-    _check_side(side)
-    if side in ("plus", "both"):
-        if any(not _mask_regular_or_near(t, t.out_mask(i)) for i in range(t.n)):
-            return False
-    if side in ("minus", "both"):
-        if any(not _mask_regular_or_near(t, t.in_mask(i)) for i in range(t.n)):
-            return False
-    return True
+    return all(_balanced(t, mask) for mask in _side_masks(t, side))
 
 
 def is_doubly_regular(t: Tournament) -> bool:
@@ -138,14 +118,10 @@ def is_doubly_regular(t: Tournament) -> bool:
 
 
 def is_nearly_doubly_regular(t: Tournament) -> bool:
-    """Regular with n = 1 (mod 4) and every out-set inducing a
-    near-regular subtournament.  Orders 0 and 1 count vacuously."""
-    n = t.n
-    if n <= 1:
-        return True
-    if n % 4 != 1 or not is_regular(t):
-        return False
-    return all(_mask_regular_or_near(t, t.out_mask(i)) for i in range(n))
+    """Regular with n = 1 (mod 4) and every out-set, of even size
+    (n-1)/2, inducing a near-regular subtournament.  Order 1 counts: its
+    one out-set is empty."""
+    return t.n % 4 == 1 and is_regular(t) and is_locally_regular(t, "plus")
 
 
 def is_rldr(t: Tournament) -> bool:
@@ -191,25 +167,6 @@ def landau_feasible(seq: Sequence[int]) -> bool:
     return total == comb(n, 2)
 
 
-_FLAG_ORDER = (
-    "strong",
-    "transitive",
-    "regular",
-    "near_regular",
-    "doubly_regular",
-    "nearly_doubly_regular",
-    "locally_transitive_plus",
-    "locally_transitive_minus",
-    "locally_transitive",
-    "locally_regular_plus",
-    "locally_regular_minus",
-    "locally_regular",
-    "rldr",
-    "rlndr",
-    "aat_positive",
-)
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     """All flags computed eagerly, in a fixed key order, plus the
@@ -226,7 +183,7 @@ def classification_report(t: Tournament) -> ClassificationReport:
     ltm = is_locally_transitive(t, "minus")
     lrp = is_locally_regular(t, "plus")
     lrm = is_locally_regular(t, "minus")
-    values = {
+    flags = {
         "strong": is_strong(t),
         "transitive": is_transitive(t),
         "regular": regular,
@@ -243,6 +200,5 @@ def classification_report(t: Tournament) -> ClassificationReport:
         "rlndr": is_rlndr(t),
         "aat_positive": aat_positive(t),
     }
-    flags = {name: values[name] for name in _FLAG_ORDER}
     return ClassificationReport(
         t.n, flags, (t.n - 1) // 2 if regular else None)

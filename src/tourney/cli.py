@@ -101,13 +101,11 @@ def _need(args: argparse.Namespace, name: str) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     t = io.read_tour(args.input)
-    names: list[str] = [q for q in ("c3", "c4", "c5", "s3", "s4", "s5")
-                        if getattr(args, q)]
+    names = [q for q in counting._FIXED_QUANTITIES if getattr(args, q)]
     names += [f"w{m}" for m in args.w or []]
     names += [f"tr{m}" for m in args.trace or []]
-    if not names:
-        names = ["c3", "c4", "c5", "s3", "s4", "s5"]
-    report = counting.count_report(t, names, args.method)
+    report = counting.count_report(
+        t, names or counting._FIXED_QUANTITIES, args.method)
     _emit({
         "n": report.n,
         "quantities": [{"name": e.name, "method": e.method, "value": e.value}
@@ -238,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     count = sub.add_parser("count", help="counting report as JSON")
     count.add_argument("--input", required=True)
-    for q in ("c3", "c4", "c5", "s3", "s4", "s5"):
+    for q in counting._FIXED_QUANTITIES:
         count.add_argument(f"--{q}", action="store_true")
     count.add_argument("--w", type=int, action="append", metavar="M",
                        help="sink-and-source-free subset count of order M")

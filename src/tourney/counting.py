@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import Tournament, canonical_form
 from .errors import (
@@ -179,38 +178,23 @@ def s5_formula(t: Tournament) -> int:
     return w_formula(t, 5)
 
 
-def _matmul(x: list[list[int]], y: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*y))
-    return [[sum(map(mul, row, col)) for col in cols] for row in x]
-
-
 def trace_m(t: Tournament, m: int) -> int:
     """Trace of the m-th adjacency power: closed walks of length m.
 
-    Exact for 1 <= m <= TRACE_MAX_M.  A numpy int64 path is used only
-    when n**m provably fits; otherwise big-int square-and-multiply takes
-    about 2 log2(m) products.  The cap bounds the work: entries grow to
-    about m log2(n) bits, and m = TRACE_MAX_M at n = 64 takes seconds.
+    Exact for 1 <= m <= TRACE_MAX_M.  numpy squares and multiplies in
+    int64 when n**m < 2**62, which bounds every entry of every power it
+    forms and the trace, and in Python ints (object dtype) otherwise.
+    The cap bounds the work: entries grow to about m log2(n) bits, and
+    m = TRACE_MAX_M at n = 64 takes seconds.
     """
     if m < 1 or m > TRACE_MAX_M:
         raise BadMError(f"trace needs 1 <= m <= {TRACE_MAX_M}, got {m}")
-    n = t.n
-    a = [[(t.out_rows[i] >> j) & 1 for j in range(n)] for i in range(n)]
-    if n ** m < (1 << 62):
-        import numpy as np
+    import numpy as np
 
-        mat = np.array(a, dtype=np.int64)
-        power = np.linalg.matrix_power(mat, m)
-        return int(np.trace(power))
-    result: list[list[int]] | None = None
-    while True:
-        if m & 1:
-            result = a if result is None else _matmul(result, a)
-        m >>= 1
-        if not m:
-            break
-        a = _matmul(a, a)
-    return sum(result[i][i] for i in range(n))
+    n = t.n
+    a = np.array([[(row >> j) & 1 for j in range(n)] for row in t.out_rows],
+                 dtype=np.int64 if n ** m < (1 << 62) else object)
+    return int(np.trace(np.linalg.matrix_power(a, m)))
 
 
 # -- oracles -----------------------------------------------------------------
@@ -378,26 +362,41 @@ class CountReport:
     cross_checked: bool
 
 
-_FORMULAS = {
-    "c3": c3_formula,
-    "c4": c4_formula,
-    "c5": c5_formula,
-    "s3": lambda t: s_formula(t, 3),
-    "s4": lambda t: s_formula(t, 4),
-    "s5": s5_formula,
-}
-
-_CYCLE_ORDER = {"c3": 3, "c4": 4, "c5": 5}
-_STRONG_ORDER = {"s3": 3, "s4": 4, "s5": 5}
+# the quantities named without a free order; `tourney count` reports
+# all six when none is asked for
+_FIXED_QUANTITIES = ("c3", "c4", "c5", "s3", "s4", "s5")
 
 
-def _parse_quantity(name: str) -> tuple[str, int | None]:
-    if name in _FORMULAS:
-        return name, None
+def _cycles_by_trace(t: Tournament, m: int) -> int:
+    """c_m = tr_m / m for m in {3, 4, 5}, where every closed m-walk is
+    an m-cycle counted once per starting vertex."""
+    tr = trace_m(t, m)
+    if tr % m != 0:
+        raise InternalParityError(f"trace {tr} not divisible by {m}")
+    return tr // m
+
+
+def _routes(name: str) -> list[tuple[str, Callable[[Tournament], int]]]:
+    """The (method, route) pairs that compute one quantity, in report
+    order: formula, oracle, trace.  A route finds its counting function
+    among this module's globals when it runs, so a wrapper installed
+    there sees every call."""
+    if name in _FIXED_QUANTITIES:
+        m = int(name[1])
+        if name[0] == "c":
+            return [("formula",
+                     lambda t: (c3_formula, c4_formula, c5_formula)[m - 3](t)),
+                    ("oracle", lambda t: oracle_cycles(t, m)),
+                    ("trace", lambda t: _cycles_by_trace(t, m))]
+        return [("formula", lambda t: s_formula(t, m)),
+                ("oracle", lambda t: oracle_strong_subs(t, m))]
     if name.startswith("w") and name[1:].isdigit():
-        return "w", int(name[1:])
+        m = int(name[1:])
+        return [("formula", lambda t: w_formula(t, m)),
+                ("oracle", lambda t: oracle_w(t, m))]
     if name.startswith("tr") and name[2:].isdigit():
-        return "tr", int(name[2:])
+        m = int(name[2:])
+        return [("trace", lambda t: trace_m(t, m))]
     raise BadMError(f"unknown quantity {name!r}")
 
 
@@ -406,7 +405,8 @@ def count_report(t: Tournament, names: Sequence[str],
     """Build a CountReport for the requested quantity names.
 
     Names: c3 c4 c5 s3 s4 s5, wM, trM.  Methods: formula, oracle, trace,
-    or all (every method applicable to the quantity).  Oracle and trace
+    or all (every method applicable to the quantity).  A quantity with a
+    single route (trM) is reported under every method.  Oracle and trace
     requests honour the order caps of the underlying ops.
     """
     if method not in ("formula", "oracle", "trace", "all"):
@@ -414,38 +414,12 @@ def count_report(t: Tournament, names: Sequence[str],
     entries: list[CountEntry] = []
     agree = True
     for name in names:
-        kind, m = _parse_quantity(name)
-        values: list[CountEntry] = []
-        if kind in _FORMULAS:
-            if method in ("formula", "all"):
-                values.append(CountEntry(name, "formula", _FORMULAS[kind](t)))
-            if method in ("oracle", "all"):
-                if kind in _CYCLE_ORDER:
-                    values.append(CountEntry(
-                        name, "oracle", oracle_cycles(t, _CYCLE_ORDER[kind])))
-                else:
-                    values.append(CountEntry(
-                        name, "oracle",
-                        oracle_strong_subs(t, _STRONG_ORDER[kind])))
-            if method in ("trace", "all") and kind in _CYCLE_ORDER:
-                mm = _CYCLE_ORDER[kind]
-                tr = trace_m(t, mm)
-                if tr % mm != 0:
-                    raise InternalParityError(
-                        f"trace {tr} not divisible by {mm}")
-                values.append(CountEntry(name, "trace", tr // mm))
-            if not values:
+        routes = _routes(name)
+        if len(routes) > 1:
+            routes = [r for r in routes if method in (r[0], "all")]
+            if not routes:
                 raise BadMError(f"method {method!r} does not apply to {name}")
-        elif kind == "w":
-            if method in ("formula", "all"):
-                values.append(CountEntry(name, "formula", w_formula(t, m)))
-            if method in ("oracle", "all"):
-                values.append(CountEntry(name, "oracle", oracle_w(t, m)))
-            if not values:
-                raise BadMError(f"method {method!r} does not apply to {name}")
-        else:  # trace: a single route, reported regardless of method filter
-            values.append(CountEntry(name, "trace", trace_m(t, m)))
-        if len({e.value for e in values}) > 1:
-            agree = False
-        entries.extend(values)
+        values = [CountEntry(name, how, route(t)) for how, route in routes]
+        agree = agree and len({e.value for e in values}) == 1
+        entries += values
     return CountReport(t.n, tuple(entries), agree)

@@ -86,7 +86,7 @@ from .errors import (
     TooLargeError,
     VerificationFailedError,
 )
-from .io import format_tour, parse_tour, read_text
+from .io import _decimal, format_tour, parse_tour, read_text
 
 SWEEP_MAX_ORDER = 7
 ENUM_MAX_ORDER = 9
@@ -400,30 +400,41 @@ def read_corpus(path: str | os.PathLike[str]) -> EnumCorpus:
     lines = read_text(path).split("\n")
     pos = 0
 
-    def take(prefix: str, convert: Callable[[str], A] = str) -> A:
+    def take(prefix: str) -> str:
+        """The rest of the next line, which must start with prefix."""
         nonlocal pos
         if pos >= len(lines) or not lines[pos].startswith(prefix):
             raise ParseError(f"expected {prefix!r} line", line=pos + 1)
-        value = lines[pos][len(prefix):].strip()
         pos += 1
-        try:
-            return convert(value)
-        except ValueError:
-            raise ParseError(f"bad value {value!r} after {prefix!r}",
-                             line=pos) from None
+        return lines[pos - 1][len(prefix):]
+
+    def take_decimal(name: str) -> int:
+        text = take(f"{name} ")
+        return _decimal(text, name, line=pos, col=len(name) + 2)
 
     if pos >= len(lines) or lines[pos] != _MAGIC:
         raise ParseError(f"expected header {_MAGIC!r}", line=1)
     pos += 1
-    n = take("n ", int)
+    n = take_decimal("n")
+    if n % 2 == 0 or n > ENUM_LONG_MAX_ORDER:
+        raise ParseError(f"n must be odd and in 1..{ENUM_LONG_MAX_ORDER}, "
+                         f"got {n}", line=pos)
     constraint = take("constraint ")
-    labeled = take("labeled_count ", int)
-    nclasses = take("classes ", int)
+    if constraint != "regular":
+        raise ParseError(f"constraint must be 'regular', got {constraint!r}",
+                         line=pos)
+    labeled = take_decimal("labeled_count")
+    nclasses = take_decimal("classes")
     classes = []
     for _ in range(nclasses):
         while pos < len(lines) and lines[pos] == "":
             pos += 1
-        key = take("class ", lambda text: int(text, 16))
+        value = take("class ").strip()
+        try:
+            key = int(value, 16)
+        except ValueError:
+            raise ParseError(f"bad value {value!r} after 'class '",
+                             line=pos) from None
         start = pos
         pos += n + 1
         try:
@@ -442,23 +453,24 @@ def read_corpus(path: str | os.PathLike[str]) -> EnumCorpus:
     return EnumCorpus(n, constraint, labeled, tuple(classes))
 
 
-# class counts known independently of this enumerator
-KNOWN_REGULAR_CLASSES = {3: 1, 5: 1, 7: 3, 9: 15}
+# class counts known independently of this enumerator, for every order
+# read_corpus admits; 1223 at order 11 is McKay's (OEIS A096368)
+KNOWN_REGULAR_CLASSES = {1: 1, 3: 1, 5: 1, 7: 3, 9: 15, 11: 1223}
 
 
 def verify_corpus(corpus: EnumCorpus) -> None:
     """Re-check every corpus invariant without regenerating: canonical
-    keys match their representatives, the constraint holds, keys are
-    sorted and distinct, the labeled count satisfies the orbit-counting
-    identity sum(n!/|Aut|), and the class count matches the known table
-    where one exists.  Raises VerificationFailedError on any mismatch."""
+    keys match their representatives, the representatives are regular,
+    keys are sorted and distinct, the labeled count satisfies the
+    orbit-counting identity sum(n!/|Aut|), and the class count matches
+    the known table.  Raises VerificationFailedError on any mismatch."""
     from .classify import is_regular
 
     seen: set[int] = set()
     for cf, rep in corpus.classes:
         if rep.n != corpus.n or cf.n != corpus.n:
             raise VerificationFailedError("class order disagrees with header")
-        if corpus.constraint == "regular" and not is_regular(rep):
+        if not is_regular(rep):
             raise VerificationFailedError(
                 "a stored representative is not regular")
         if canonical_form(rep).key != cf.key:
@@ -470,9 +482,8 @@ def verify_corpus(corpus: EnumCorpus) -> None:
     keys = [cf.key for cf, _ in corpus.classes]
     if keys != sorted(keys):
         raise VerificationFailedError("classes are not sorted by key")
-    known = KNOWN_REGULAR_CLASSES.get(corpus.n)
-    if corpus.constraint == "regular" and known is not None \
-            and len(corpus.classes) != known:
+    known = KNOWN_REGULAR_CLASSES[corpus.n]
+    if len(corpus.classes) != known:
         raise VerificationFailedError(
             f"expected {known} classes at order {corpus.n}, "
             f"got {len(corpus.classes)}")
@@ -491,7 +502,7 @@ def load_or_enumerate(n: int, path: str | os.PathLike[str],
     and write it."""
     if os.path.exists(path):
         corpus = read_corpus(path)
-        if corpus.n != n or corpus.constraint != "regular":
+        if corpus.n != n:
             raise CorpusMissingError(
                 f"cached corpus at {path} is for a different run")
         verify_corpus(corpus)

@@ -108,14 +108,8 @@ def gen_qr(p: int) -> Tournament:
         raise BadResidueClassError(f"need p = 3 (mod 4), got {p} = {p % 4} (mod 4)")
     if p > MAX_ORDER:
         raise OrderTooLargeError(f"order {p} exceeds {MAX_ORDER}")
-    squares = {(x * x) % p for x in range(1, p)}
-    rows = []
-    for i in range(p):
-        r = 0
-        for d in squares:
-            r |= 1 << ((i + d) % p)
-        rows.append(r)
-    return validate(p, rows)
+    squares = frozenset((x * x) % p for x in range(1, p))
+    return gen_rotational(RotationalSymbol(p, squares))
 
 
 # -- quadratic residues over a prime-power field -----------------------------
@@ -140,70 +134,21 @@ def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...],
     return tuple(prod[:k])
 
 
-def _poly_pow_mod(base: tuple[int, ...], e: int,
-                  f: tuple[int, ...], p: int) -> tuple[int, ...]:
-    k = len(f) - 1
-    result = tuple([1] + [0] * (k - 1))
-    cur = base
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, cur, f, p)
-        cur = _poly_mul_mod(cur, cur, f, p)
-        e >>= 1
-    return result
-
-
 def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Monic irreducible polynomial of degree k over F_p, as the length
-    k + 1 coefficient tuple (low-degree-first, leading 1).  Uses the
-    x^(p^k) = x criterion with gcd checks at the maximal proper subfields.
+    k + 1 coefficient tuple (low-degree-first, leading 1): the first one,
+    in base-p order of the low coefficients, with no root in F_p.
+
+    Exact for k <= 3 only, where a reducible polynomial has a linear
+    factor and so a root.  The order cap keeps k there: p = 3 (mod 4)
+    and odd k > 1 with p^k <= MAX_ORDER leave GF(27) alone.
     """
-    x = tuple([0, 1] + [0] * (k - 2)) if k >= 2 else (0,)
-
-    def is_irreducible(f: tuple[int, ...]) -> bool:
-        if _poly_pow_mod(x, p ** k, f, p) != x:
-            return False
-        for q in {d for d in range(2, k + 1) if k % d == 0 and _is_prime(d)}:
-            g = _poly_pow_mod(x, p ** (k // q), f, p)
-            diff = tuple((g[i] - x[i]) % p for i in range(k))
-            if not _poly_gcd_is_one(diff, f, p):
-                return False
-        return True
-
     for code in range(p ** k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        f = tuple(coeffs) + (1,)
-        if is_irreducible(f):
+        f = tuple(code // p ** d % p for d in range(k)) + (1,)
+        if all(sum(c * x ** d for d, c in enumerate(f)) % p
+               for x in range(p)):
             return f
     raise NotPrimeError(f"no irreducible polynomial found for p={p}, k={k}")
-
-
-def _poly_gcd_is_one(a: tuple[int, ...], f: tuple[int, ...], p: int) -> bool:
-    """True iff gcd(a, f) = 1 over F_p (a given by k coefficients)."""
-    def trim(v: list[int]) -> list[int]:
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    u, v = trim(list(f)), trim(list(a))
-    while v:
-        # u mod v
-        inv = pow(v[-1], p - 2, p)
-        u = u[:]
-        while len(u) >= len(v):
-            c = (u[-1] * inv) % p
-            shift = len(u) - len(v)
-            for i in range(len(v)):
-                u[shift + i] = (u[shift + i] - c * v[i]) % p
-            u = trim(u)
-            if not u:
-                break
-        u, v = v, u
-    return len(u) == 1  # nonzero constant
 
 
 def gen_qr_power(p: int, k: int) -> Tournament:

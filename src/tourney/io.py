@@ -17,6 +17,23 @@ from .core import Tournament, validate
 from .errors import ParseError
 
 
+def _decimal(text: str, what: str, line: int, col: int = 1) -> int:
+    """The value of text, which must be ASCII decimal digits only: no
+    sign, space or underscore.  Anything else raises ParseError naming
+    the line and the column of the first bad character, where the text
+    starts at column col."""
+    bad = next((k for k, ch in enumerate(text) if not "0" <= ch <= "9"),
+               None)
+    if not text or bad is not None:
+        raise ParseError(f"{what} must be a decimal integer", line=line,
+                         col=col + (bad or 0))
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter's int-string limit
+        raise ParseError(f"{what} has too many digits ({len(text)})",
+                         line=line) from None
+
+
 def parse_tour(text: str) -> Tournament:
     """Parse .tour text into a validated Tournament."""
     lines = text.split("\n")
@@ -24,16 +41,7 @@ def parse_tour(text: str) -> Tournament:
         lines.pop()  # single trailing newline
     if not lines:
         raise ParseError("empty input", line=1)
-    header = lines[0]
-    if not header or not all("0" <= ch <= "9" for ch in header):
-        col = next((k + 1 for k, ch in enumerate(header)
-                    if not "0" <= ch <= "9"), 1)
-        raise ParseError("order line must be a decimal integer", line=1, col=col)
-    try:
-        n = int(header)
-    except ValueError:  # longer than the interpreter's int-string limit
-        raise ParseError(f"order line has too many digits ({len(header)})",
-                         line=1) from None
+    n = _decimal(lines[0], "order line", line=1)
     if len(lines) - 1 != n:
         # point at the first missing or first extra line
         where = len(lines) + 1 if len(lines) - 1 < n else n + 2

@@ -5,6 +5,8 @@ balanced score lists) run over the full regular corpora."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tourney import (
     aat_positive,
@@ -28,6 +30,7 @@ from tourney import (
     landau_feasible,
     scores,
     semi_degree,
+    tournament_from_code,
 )
 from tourney.errors import NotRegularError, NotSortedError
 
@@ -52,6 +55,46 @@ class TestBasicPredicates:
         assert is_near_regular(t)
         assert not is_near_regular(gen_transitive(6))
         assert not is_near_regular(gen_rlt(7))
+
+
+def balanced_by_definition(t, vs: list[int]) -> bool:
+    """Regular (odd size) or near regular (even size), from the
+    definitions, for the subtournament induced on vs."""
+    k = len(vs)
+    outs = [sum(t.has_arc(v, w) for w in vs) for v in vs]
+    if k % 2 == 1:
+        return all(d == (k - 1) // 2 for d in outs)
+    ins = sorted(k - 1 - d for d in outs)
+    return ins == [k // 2 - 1] * (k // 2) + [k // 2] * (k // 2)
+
+
+def assert_balance_predicates_match_definitions(t) -> None:
+    n = t.n
+    every = list(range(n))
+    assert is_regular(t) == (n % 2 == 1 and balanced_by_definition(t, every))
+    assert is_near_regular(t) == (n % 2 == 0
+                                  and balanced_by_definition(t, every))
+    plus = all(balanced_by_definition(t, [w for w in every if t.has_arc(v, w)])
+               for v in every)
+    minus = all(balanced_by_definition(t, [w for w in every
+                                           if t.has_arc(w, v)])
+                for v in every)
+    assert is_locally_regular(t, "plus") == plus
+    assert is_locally_regular(t, "minus") == minus
+    assert is_locally_regular(t) == (plus and minus)
+
+
+class TestBalancePredicates:
+    def test_all_order5(self):
+        for code in range(1 << 10):
+            assert_balance_predicates_match_definitions(
+                tournament_from_code(5, code))
+
+    @given(st.integers(0, (1 << 15) - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_order6_sample(self, code):
+        assert_balance_predicates_match_definitions(
+            tournament_from_code(6, code))
 
 
 class TestLocalStructure:

@@ -229,7 +229,14 @@ class TestEnumerate:
         (b"n 5", b"n x"),
         (b"class ", b"class zz"),
         (b"regular", b"r\xe9gular"),
-    ], ids=["n", "class-key", "non-ascii"])
+        (b"n 5", b"n 0_5"),
+        (b"n 5", b"n +5"),
+        (b"n 5", b"n 5 "),
+        (b"labeled_count 24", b"labeled_count 2_4"),
+        (b"classes 1", b"classes  1"),
+        (b"regular", b"anything"),
+    ], ids=["n", "class-key", "non-ascii", "n-underscore", "n-plus",
+            "n-space", "labeled-underscore", "classes-space", "constraint"])
     @pytest.mark.parametrize("command", [["enumerate", "--verify"],
                                          ["verify", "prop2", "--corpus"]],
                              ids=["enumerate", "prop2"])
@@ -241,6 +248,37 @@ class TestEnumerate:
         path.write_bytes(path.read_bytes().replace(old, new, 1))
         err = assert_usage_error(capsys, *command, str(path))
         assert "(line " in err
+
+    @staticmethod
+    def empty_corpus(path, n: str, constraint: str, labeled: str) -> str:
+        path.write_text(f"tourney-corpus 1\nn {n}\nconstraint {constraint}"
+                        f"\nlabeled_count {labeled}\nclasses 0\n")
+        return str(path)
+
+    @pytest.mark.parametrize("n,constraint,labeled,line", [
+        ("-3", "regular", "24", 2),
+        ("0", "regular", "0", 2),
+        ("4", "regular", "0", 2),
+        ("13", "regular", "0", 2),
+        ("3", "anything", "0", 3),
+    ], ids=["n-minus", "n-zero", "n-even", "n-above-cap", "constraint"])
+    def test_header_rules_on_empty_corpus(self, capsys, tmp_path, n,
+                                          constraint, labeled, line):
+        path = self.empty_corpus(tmp_path / "e.corpus", n, constraint,
+                                 labeled)
+        err = assert_usage_error(capsys, "enumerate", "--verify", path)
+        assert f"(line {line}" in err
+
+    def test_empty_order11_corpus_fails(self, capsys, tmp_path):
+        # order 11 has 1223 regular classes, so an empty corpus is a
+        # failed claim even though its orbit sum 0 matches its count
+        path = self.empty_corpus(tmp_path / "r11.corpus", "11", "regular",
+                                 "0")
+        code = main(["enumerate", "--verify", path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("claim violated: expected 1223 classes at order 11, "
+                       "got 0\n")
 
     def test_corpus_row_error_names_file_line(self, capsys, tmp_path):
         path = tmp_path / "r7.corpus"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from tourney import (
     TRACE_MAX_M,
     ArcIntersection,
+    CountEntry,
     arc_intersections,
     c3_formula,
     c4_formula,
@@ -37,6 +38,17 @@ from tourney import (
     w_formula,
 )
 from tourney.errors import BadMError, NotAnArcError, TooLargeError
+
+
+def trace_by_repeated_products(t, m: int) -> int:
+    """Trace of A**m from m - 1 products of Python-int matrices."""
+    n = t.n
+    a = [[int(t.has_arc(i, j)) for j in range(n)] for i in range(n)]
+    power = a
+    for _ in range(m - 1):
+        power = [[sum(power[i][k] * a[k][j] for k in range(n))
+                  for j in range(n)] for i in range(n)]
+    return sum(power[i][i] for i in range(n))
 
 
 def assert_formulas_match_oracles(t) -> None:
@@ -137,16 +149,16 @@ class TestEdgeCases:
                                      (gen_random(16, 4), 16)],
                              ids=["rlt9", "random8", "random16"])
     def test_trace_big_int_route(self, t, m):
-        # n**m >= 2**62 takes the big-int route; the reference is m - 1
-        # repeated products
-        n = t.n
-        assert n ** m >= 1 << 62
-        a = [[int(t.has_arc(i, j)) for j in range(n)] for i in range(n)]
-        power = a
-        for _ in range(m - 1):
-            power = [[sum(power[i][k] * a[k][j] for k in range(n))
-                      for j in range(n)] for i in range(n)]
-        assert trace_m(t, m) == sum(power[i][i] for i in range(n))
+        # n**m >= 2**62 takes the big-int route
+        assert t.n ** m >= 1 << 62
+        assert trace_m(t, m) == trace_by_repeated_products(t, m)
+
+    @pytest.mark.parametrize("m", [20, 21], ids=["int64", "object"])
+    def test_trace_either_side_of_dtype_switch(self, m):
+        # 8**20 = 2**60 fits int64; 8**21 = 2**63 does not
+        t = gen_random(8, 3)
+        assert (t.n ** m < 1 << 62) == (m == 20)
+        assert trace_m(t, m) == trace_by_repeated_products(t, m)
 
     def test_trace_cap(self):
         t = gen_transitive(5)
@@ -225,3 +237,36 @@ class TestCountReport:
     def test_unknown_name_rejected(self):
         with pytest.raises(BadMError):
             count_report(gen_transitive(4), ["c9"], "formula")
+
+    def test_entry_order_per_name(self):
+        # names in request order; per name formula, oracle, trace
+        t = gen_random(7, 5)
+        rep = count_report(t, ["tr4", "s3", "c4", "w4", "c3"], "all")
+        assert [(e.name, e.method) for e in rep.quantities] == [
+            ("tr4", "trace"),
+            ("s3", "formula"), ("s3", "oracle"),
+            ("c4", "formula"), ("c4", "oracle"), ("c4", "trace"),
+            ("w4", "formula"), ("w4", "oracle"),
+            ("c3", "formula"), ("c3", "oracle"), ("c3", "trace"),
+        ]
+
+    @pytest.mark.parametrize("method", ["formula", "oracle", "trace", "all"])
+    def test_single_route_reported_under_every_method(self, method):
+        rep = count_report(gen_rlt(7), ["tr5"], method)
+        assert rep.quantities == (CountEntry("tr5", "trace", 140),)
+
+    @pytest.mark.parametrize("names,method,message", [
+        (["c3", "s3"], "trace", "method 'trace' does not apply to s3"),
+        (["w4"], "trace", "method 'trace' does not apply to w4"),
+        (["w2"], "all", "w_m needs m >= 3, got 2"),
+        (["w2"], "oracle", "w oracle needs m >= 3, got 2"),
+        (["tr0"], "all", "trace needs 1 <= m <= 1024, got 0"),
+        (["w-1"], "all", "unknown quantity 'w-1'"),
+        (["c6"], "all", "unknown quantity 'c6'"),
+        (["c3"], "sum", "unknown method 'sum'"),
+    ], ids=["s3-trace", "w4-trace", "w2-all", "w2-oracle", "tr0", "w-1",
+            "c6", "method"])
+    def test_bad_requests(self, names, method, message):
+        with pytest.raises(BadMError) as info:
+            count_report(gen_rlt(7), names, method)
+        assert str(info.value) == message

@@ -4,6 +4,8 @@ named order-9 fixtures carry the properties that make them useful."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from tourney import (
@@ -14,6 +16,7 @@ from tourney import (
     compose,
     converse,
     expected_cycles,
+    format_tour,
     gen_named,
     gen_qr,
     gen_qr_power,
@@ -108,6 +111,13 @@ class TestQuadraticResidue:
         assert is_doubly_regular(t)
         # prime case must agree with the direct construction
         assert gen_qr_power(7, 1) == gen_qr(7)
+
+    def test_prime_power_text_is_pinned(self):
+        # sha256 of the .tour text of the GF(27) tournament, so that
+        # `gen qr --p 3 --power 3` keeps its bytes
+        text = format_tour(gen_qr_power(3, 3))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "0c7c367d179ce2a26a9a62574960053473f59dd14ae9c096029a42afbbc1fa72")
 
     def test_prime_power_rejects_even_degree(self):
         with pytest.raises(BadResidueClassError):
