@@ -1,8 +1,8 @@
 """Enumerate regular tournaments and audit the result.
 
-Runs the symmetry-broken backtracker at orders 3, 5, 7, checks the
-labeled counts against the orbit-counting identity, and round-trips a
-corpus file through write, read, and verify.
+Runs the regular join (two half-order classes through a cross matrix)
+at orders 3, 5, 7, checks the labeled counts against the orbit-counting
+identity, and round-trips a corpus file through write, read, and verify.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ def main() -> None:
         print("orbit counting confirms the labeled count of",
               again.labeled_count)
     print()
-    print("(order 9 takes about half a minute; try: tourney enumerate "
-          "--n 9 --out r9.corpus)")
+    print("(order 11 takes a few seconds; try: tourney enumerate "
+          "--n 11 --out r11.corpus)")
 
 
 if __name__ == "__main__":

@@ -185,8 +185,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.constraint != "regular":
             raise InvalidInput("only --constraint regular is supported")
         corpus = enumeration.enumerate_regular(
-            args.n, threads=args.threads, time_budget=args.time_budget,
-            symmetry_break=args.symmetry_break)
+            args.n, threads=args.threads, time_budget=args.time_budget)
         if args.out is not None:
             enumeration.write_corpus(corpus, args.out)
     _emit({
@@ -215,8 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tourney",
         description="Construct, count, classify and verify small tournaments.")
     parser.add_argument("--threads", type=int, default=default_threads,
-                        help="worker cap for enumeration, further capped by "
-                             "the CPU count (default TOURNEY_THREADS or 1)")
+                        help="worker-process cap for enumeration, which "
+                             "runs in this process and so starts none "
+                             "(default TOURNEY_THREADS or 1)")
     parser.add_argument("--time-budget", type=float, default=None,
                         help="wall-clock budget in seconds for enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -267,9 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--out", help="write a .corpus file")
     enum.add_argument("--verify", metavar="FILE",
                       help="verify an existing .corpus instead")
-    enum.add_argument("--no-symmetry-break", dest="symmetry_break",
-                      action="store_false",
-                      help="enumerate without fixing vertex 0's out-set")
     return parser
 
 

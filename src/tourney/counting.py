@@ -20,6 +20,7 @@ binomial(n, 5) is divisible by 8; that parity is asserted on every call.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -390,12 +391,18 @@ def _routes(name: str) -> list[tuple[str, Callable[[Tournament], int]]]:
                     ("trace", lambda t: _cycles_by_trace(t, m))]
         return [("formula", lambda t: s_formula(t, m)),
                 ("oracle", lambda t: oracle_strong_subs(t, m))]
-    if name.startswith("w") and name[1:].isdigit():
-        m = int(name[1:])
-        return [("formula", lambda t: w_formula(t, m)),
-                ("oracle", lambda t: oracle_w(t, m))]
-    if name.startswith("tr") and name[2:].isdigit():
-        m = int(name[2:])
+    # ASCII digits only, the rule of io._decimal; str.isdigit also
+    # takes "²" and "٣"
+    suffixed = re.fullmatch(r"(w|tr)([0-9]+)", name)
+    if suffixed:
+        try:
+            m = int(suffixed[2])
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise BadMError(f"the order of {suffixed[1]} has too many digits "
+                            f"({len(suffixed[2])})") from None
+        if suffixed[1] == "w":
+            return [("formula", lambda t: w_formula(t, m)),
+                    ("oracle", lambda t: oracle_w(t, m))]
         return [("trace", lambda t: trace_m(t, m))]
     raise BadMError(f"unknown quantity {name!r}")
 

@@ -6,57 +6,65 @@ Two drivers:
                      order n <= 7, one per upper-triangle edge code
                      (bit k of the code orients the k-th pair i < j in
                      lexicographic order: 1 means i -> j).
-  enumerate_regular  backtracks over arc orientations with out-degree
-                     feasibility pruning through every labeled regular
-                     tournament, then sorts them into isomorphism classes
-                     under an orbit-mass certificate.
+  enumerate_regular  joins two classes of half order through a 0/1
+                     cross matrix into every regular tournament whose
+                     vertex 0 beats exactly 1..h, then sorts them into
+                     isomorphism classes under an orbit-mass certificate.
 
-Symmetry breaking fixes vertex 0's out-set to {1..(n-1)/2}; every class
-is still reached, and the labeled total is the fixed-row count times
-C(n-1, (n-1)/2) because relabelings of 1..n-1 put the parts of the
-partition by vertex 0's out-set in bijection.
+The join.  Let n = 2h + 1 and fix vertex 0's out-set to P = {1..h}; it
+loses to Q = {h+1..2h}.  A regular tournament with that first row is
+exactly a tournament on P, a tournament on Q and a 0/1 h x h cross matrix
+M, where M[a][b] = 1 means that the a-th vertex of P beats the b-th of Q.
+Every vertex has out-degree h exactly when the margins of M are fixed
+(Gale 1957; Ryser 1957): row a sums to h - score of a on P, and column b
+to 1 + score of b on Q.  So enumerate_regular takes one canonical
+representative R of every class of order h (at most 1,024 codes to
+canonicalize, since h <= 5), and for each ordered pair (R+, R-) lists
+every cross matrix with those margins, row by row.
 
-The search splits itself into jobs at the first undecided row: vertex
-1's row under the symmetry break, vertex 0's row without it.  The same
-backtracker, stopped after that row's edges, lists its feasible
-orientations (1/3/10/35/126 jobs at n = 3/5/7/9/11 with the break), and
-each job backtracks the rest of the edges from one of them.  The job
-list depends only on n and the symmetry break.
+The weight of a completion (R+, R-, M) is the number of labeled regular
+tournaments of order n it stands for:
 
-Classes come from two passes over the jobs:
+    (h!/|Aut R+|) * (h!/|Aut R-|) * C(n-1, h).
 
-  count    every job tallies its completions by c3 profile, a cheap
-           isomorphism invariant: the sorted pairs, over the vertices v,
-           of the 3-cycle counts inside v's out-set and in-set.  The jobs
-           run in order in this process, or on a process pool when
-           threads > 1; either way one loop adds up the tallies.
-  certify  this process walks the jobs again, in order, and
-           canonicalizes a completion only while its profile's bucket is
-           short of mass.  Each new class adds its orbit n!/|Aut| to its
-           bucket.  A bucket is certified when its mass equals its
-           completion count times the scale (C(n-1, (n-1)/2) under the
-           symmetry break, else 1), and the walk stops as soon as every
-           bucket is certified.
+The weight is exact.  A regular tournament whose vertex 0 beats exactly
+P is a labeled tournament T+ on P, a labeled T- on Q and a cross matrix.
+By orbit-stabilizer, h!/|Aut R+| labeled tournaments on P are isomorphic
+to R+; choose for each such T+ one relabeling of P that carries R+ onto
+T+, and likewise on Q.  The chosen pair of relabelings carries the cross
+matrices of (R+, R-) one to one onto those of (T+, T-), permuting rows
+and columns.  So every first-row-fixed regular tournament is the image
+of exactly one completion under exactly one chosen pair, and is
+isomorphic to it: a completion stands for (h!/|Aut R+|) * (h!/|Aut R-|)
+of them.  Relabelings of 1..n-1 put the regular tournaments with each of
+the C(n-1, h) out-sets of vertex 0 in bijection, which gives the last
+factor.
+
+Classes come from two passes over the same generator of (completion,
+weight), and no completion is stored:
+
+  count    adds each weight to its c3 profile, a cheap isomorphism
+           invariant: the sorted pairs, over the vertices v, of the
+           3-cycle counts inside v's out-set and in-set.
+  certify  walks the completions again and canonicalizes one only while
+           its profile's bucket is short of mass.  Each new class adds
+           its orbit n!/|Aut| to its bucket, and the walk stops as soon
+           as every bucket holds its mass.
 
 The certificate is exact.  A class lies in one bucket, because the
-profile is an invariant, and fixing vertex 0's out-set divides every
-class's labeled count by the same scale, so the classes of a bucket add
-up to exactly its mass.  Every class has positive mass, so a class the
-walk never found leaves its bucket short.  A bucket that goes over its
-mass, or is still short when the walk ends, raises
-VerificationFailedError; no corpus is returned.  At order 9 the 46,144
-completions fall into 13 buckets; the walk visits 2,902 of them and
-canonicalizes 158.
-
-Memory does not grow with the completions: the count pass keeps one
-tally per bucket and the walk one key per class, and no completion is
-stored.  OrbitMass certifies any relabeling-closed set of labeled
-tournaments the same way with scale 1; extremal uses it for the
-sweep's witness codes.
+profile is an invariant, and by the weight argument above the classes of
+a bucket add up to exactly its mass.  Every class has positive mass, so
+a class the walk never found leaves its bucket short.  A bucket that
+goes over its mass, or is still short when the walk ends, raises
+VerificationFailedError; no corpus is returned.  At order 9 the 16
+half-order pairs give 157 completions; at order 11 the 144 pairs give
+31,405 completions in 1,223 classes.  OrbitMass certifies any
+relabeling-closed set of labeled tournaments the same way; extremal
+uses it for the sweep's witness codes.
 
 Class representatives are decoded from the canonical key itself, so the
-corpus does not depend on edge order or job order.  A .corpus file
-stores the header tallies plus one .tour block per class.
+corpus does not depend on the order of the join.  A .corpus file stores
+the header tallies plus one .tour block per class.
 """
 
 from __future__ import annotations
@@ -66,14 +74,12 @@ import os
 import time
 from collections import Counter
 from collections.abc import Mapping
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterator, TypeVar
 
-from .core import (CanonicalForm, Tournament, automorphism_count,
+from .core import (CanonicalForm, Tournament, _minimal_relabelings,
                    canonical_form, validate)
 from .counting import _c3_within
 from .errors import (
@@ -89,8 +95,7 @@ from .errors import (
 from .io import _decimal, format_tour, parse_tour, read_text
 
 SWEEP_MAX_ORDER = 7
-ENUM_MAX_ORDER = 9
-ENUM_LONG_MAX_ORDER = 11
+ENUM_MAX_ORDER = 11
 
 A = TypeVar("A")
 
@@ -139,79 +144,63 @@ def _check_deadline(deadline: float | None) -> None:
         raise TimeBudgetExceededError("enumeration ran past its budget")
 
 
-def _backtrack_regular(n: int, rows: list[int], out: list[int], rem: list[int],
-                       edges: list[tuple[int, int]], start: int,
-                       deadline: float | None,
-                       emit: Callable[[tuple[int, ...]], None],
-                       tick: list[int]) -> None:
-    if start == len(edges):
-        emit(tuple(rows))
-        return
-    tick[0] += 1
-    if tick[0] % 4096 == 0:
-        _check_deadline(deadline)
-    half = (n - 1) // 2
-    i, j = edges[start]
-    rem[i] -= 1
-    rem[j] -= 1
-    if out[i] < half and out[j] + rem[j] >= half:
-        rows[i] |= 1 << j
-        out[i] += 1
-        _backtrack_regular(n, rows, out, rem, edges, start + 1, deadline,
-                           emit, tick)
-        out[i] -= 1
-        rows[i] &= ~(1 << j)
-    if out[j] < half and out[i] + rem[i] >= half:
-        rows[j] |= 1 << i
-        out[j] += 1
-        _backtrack_regular(n, rows, out, rem, edges, start + 1, deadline,
-                           emit, tick)
-        out[j] -= 1
-        rows[j] &= ~(1 << i)
-    rem[i] += 1
-    rem[j] += 1
+def _half_classes(h: int) -> list[tuple[Tournament, int]]:
+    """(canonical representative, labeled count) of every class of order
+    h, in key order.  The labeled count is h!/|Aut| by orbit-stabilizer.
+    Order 0 has the one empty tournament."""
+    if h == 0:
+        return [(Tournament(0, ()), 1)]
+    counts = Counter(canonical_form(t).key for t in all_tournaments(h))
+    return [(Tournament(h, CanonicalForm(h, key).rows()), counts[key])
+            for key in sorted(counts)]
 
 
-def _start_state(n: int, symmetry_break: bool
-                 ) -> tuple[list[int], list[int], list[int], int]:
-    """(rows, out, rem, first undecided edge index) after the optional
-    fixed first row."""
-    rows = [0] * n
-    out = [0] * n
-    rem = [n - 1] * n
-    start = 0
-    if symmetry_break and n > 1:
-        half = (n - 1) // 2
-        for j in range(1, n):
-            if j <= half:
-                rows[0] |= 1 << j
-                out[0] += 1
-            else:
-                rows[j] |= 1
-                out[j] += 1
-            rem[0] -= 1
-            rem[j] -= 1
-        start = n - 1
-    return rows, out, rem, start
+def _cross_matrices(row_sums: list[int], col_sums: list[int]
+                    ) -> Iterator[tuple[int, ...]]:
+    """Every 0/1 matrix with the given row and column sums, as a tuple of
+    row masks (bit b of row a is entry (a, b)), filled row by row."""
+    h = len(col_sums)
+
+    def fill(a: int, cols: list[int]) -> Iterator[tuple[int, ...]]:
+        if a == len(row_sums):
+            yield ()
+            return
+        rows_after = len(row_sums) - a - 1
+        for chosen in combinations(range(h), row_sums[a]):
+            left = list(cols)
+            for b in chosen:
+                left[b] -= 1
+            if all(0 <= c <= rows_after for c in left):
+                mask = sum(1 << b for b in chosen)
+                for rest in fill(a + 1, left):
+                    yield (mask, *rest)
+
+    yield from fill(0, col_sums)
 
 
-def _first_row_jobs(n: int, symmetry_break: bool, deadline: float | None
-                    ) -> tuple[list[tuple[tuple[int, ...], ...]], int]:
-    """Every feasible orientation of the first undecided row, as
-    (rows, out, rem) states, plus the index of the edge each job
-    resumes at."""
-    edges = _edges(n)
-    rows, out, rem, start = _start_state(n, symmetry_break)
-    row = 1 if start else 0  # the symmetry break has decided row 0
-    stop = start + n - 1 - row
-    jobs: list[tuple[tuple[int, ...], ...]] = []
-
-    def emit(_: tuple[int, ...]) -> None:
-        jobs.append((tuple(rows), tuple(out), tuple(rem)))
-
-    _backtrack_regular(n, rows, out, rem, edges[:stop], start, deadline,
-                       emit, [0])
-    return jobs, stop
+def _completions(n: int, classes: list[tuple[Tournament, int]],
+                 deadline: float | None
+                 ) -> Iterator[tuple[Tournament, int]]:
+    """Every regular tournament of order n whose vertex 0 beats exactly
+    1..h, one per (R+, R-, cross matrix) over the classes of order h,
+    with the number of labeled regular tournaments it stands for."""
+    h = (n - 1) // 2
+    full = (1 << h) - 1
+    for plus, plus_count in classes:
+        row_sums = [h - plus.out_degree(a) for a in range(h)]
+        for minus, minus_count in classes:
+            col_sums = [1 + minus.out_degree(b) for b in range(h)]
+            weight = plus_count * minus_count * comb(n - 1, h)
+            for m in _cross_matrices(row_sums, col_sums):
+                _check_deadline(deadline)
+                rows = [full << 1]
+                rows += [plus.out_rows[a] << 1 | m[a] << (h + 1)
+                         for a in range(h)]
+                for b in range(h):
+                    beats_b = sum((m[a] >> b & 1) << a for a in range(h))
+                    rows.append(1 | (full ^ beats_b) << 1
+                                | minus.out_rows[b] << (h + 1))
+                yield Tournament(n, tuple(rows)), weight
 
 
 def c3_profile(t: Tournament) -> tuple[tuple[int, int], ...]:
@@ -227,18 +216,15 @@ class OrbitMass:
     """Orbit-mass certificate for the classes of a set of labeled
     tournaments of order n, bucketed by c3 profile.
 
-    counts[profile] is the number of members with that profile, and each
-    member stands for `scale` labeled tournaments.  offer() canonicalizes
-    a member only while its bucket is short; each new class adds
-    n!/|Aut| to the bucket.  Once every bucket's mass equals its
-    count * scale, `keys` holds every class of the set."""
+    masses[profile] is the number of labeled tournaments of the set with
+    that profile.  offer() canonicalizes a tournament only while its
+    bucket is short; each new class adds n!/|Aut| to the bucket.  Once
+    every bucket holds its mass, `keys` holds every class of the set."""
 
-    def __init__(self, n: int, counts: Mapping[tuple, int],
-                 scale: int) -> None:
+    def __init__(self, n: int, masses: Mapping[tuple, int]) -> None:
         self.keys: set[int] = set()
         self._orbit = math.factorial(n)
-        self._short = {profile: count * scale
-                       for profile, count in counts.items()}
+        self._short = dict(masses)
         self._open = len(self._short)
 
     def offer(self, t: Tournament) -> bool:
@@ -250,10 +236,10 @@ class OrbitMass:
             raise VerificationFailedError(
                 f"c3 profile {profile} was never counted")
         if short:
-            key = canonical_form(t).key
-            if key not in self.keys:
-                self.keys.add(key)
-                short -= self._orbit // automorphism_count(t)
+            cf, aut = _minimal_relabelings(t)
+            if cf.key not in self.keys:
+                self.keys.add(cf.key)
+                short -= self._orbit // aut
                 if short < 0:
                     raise VerificationFailedError(
                         f"classes with c3 profile {profile} exceed the "
@@ -270,49 +256,6 @@ class OrbitMass:
             raise VerificationFailedError(
                 f"{self._open} c3-profile buckets are short of their "
                 f"labeled count by {sum(self._short.values())} in total")
-
-
-class _Certified(Exception):
-    """Ends the certify walk once every bucket holds its mass."""
-
-
-def _walk(n: int, state: tuple[tuple[int, ...], ...], stop: int,
-          deadline: float | None, emit: Callable[[tuple[int, ...]], None],
-          tick: list[int]) -> None:
-    """Backtrack the subtree below one job state."""
-    _check_deadline(deadline)
-    rows, out, rem = (list(part) for part in state)
-    _backtrack_regular(n, rows, out, rem, _edges(n), stop, deadline, emit,
-                       tick)
-
-
-def _regular_job(n: int, state: tuple[tuple[int, ...], ...], stop: int,
-                 deadline: float | None) -> Counter[tuple]:
-    """The count pass of one job: its completions tallied by c3 profile."""
-    counts: Counter[tuple] = Counter()
-
-    def emit(snapshot: tuple[int, ...]) -> None:
-        counts[c3_profile(Tournament(n, snapshot))] += 1
-
-    _walk(n, state, stop, deadline, emit, [0])
-    return counts
-
-
-def _certify(n: int, jobs: list[tuple[tuple[int, ...], ...]], stop: int,
-             deadline: float | None, mass: OrbitMass) -> None:
-    """The certify pass: walk the jobs in order until every bucket holds
-    its mass."""
-    def emit(snapshot: tuple[int, ...]) -> None:
-        if mass.offer(Tournament(n, snapshot)):
-            raise _Certified
-
-    tick = [0]
-    try:
-        for state in jobs:
-            _walk(n, state, stop, deadline, emit, tick)
-    except _Certified:
-        return
-    mass.check()
 
 
 @dataclass(frozen=True)
@@ -334,42 +277,37 @@ def _corpus_from_keys(n: int, labeled: int, keys: set[int]) -> EnumCorpus:
     return EnumCorpus(n, "regular", labeled, tuple(classes))
 
 
-def enumerate_regular(n: int, *, threads: int = 1, symmetry_break: bool = True,
-                      time_budget: float | None = None,
-                      allow_long: bool = False) -> EnumCorpus:
-    """All regular tournaments of odd order n up to isomorphism, plus the
-    labeled total.  n <= 9 unless allow_long permits 11.  threads must
-    be at least 1, and time_budget None or a positive finite number of
-    seconds; InvalidInput otherwise.  Raises VerificationFailedError if
-    the orbit-mass certificate fails."""
+def enumerate_regular(n: int, *, threads: int = 1,
+                      time_budget: float | None = None) -> EnumCorpus:
+    """All regular tournaments of odd order n <= ENUM_MAX_ORDER up to
+    isomorphism, plus the labeled total.  threads caps the worker
+    processes; the join runs in this process, so it starts none.
+    threads must be at least 1, and time_budget None or a positive
+    finite number of seconds; InvalidInput otherwise.  Raises
+    VerificationFailedError if the orbit-mass certificate fails."""
     if n % 2 == 0:
         raise EvenOrderError(f"regular tournaments have odd order, got {n}")
-    cap = ENUM_LONG_MAX_ORDER if allow_long else ENUM_MAX_ORDER
-    if n < 1 or n > cap:
-        raise BadOrderError(f"order must be odd in 1..{cap}, got {n}")
+    if n < 1 or n > ENUM_MAX_ORDER:
+        raise BadOrderError(
+            f"order must be odd in 1..{ENUM_MAX_ORDER}, got {n}")
     if threads < 1:
         raise InvalidInput(f"worker count must be at least 1, got {threads}")
     if time_budget is not None and not 0 < time_budget < math.inf:
         raise InvalidInput(f"time budget must be a positive finite number of "
                            f"seconds, got {time_budget}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    half = (n - 1) // 2
-    scale = comb(n - 1, half) if symmetry_break and n > 1 else 1
+    classes = _half_classes((n - 1) // 2)
 
-    jobs, stop = _first_row_jobs(n, symmetry_break, deadline)
-    # A fork pool starts all its workers at once, so never ask for more
-    # than there are CPUs or jobs.
-    workers = min(threads, os.cpu_count() or 1, len(jobs))
-    counts: Counter[tuple] = Counter()
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        run = pool.map if pool else map
-        for job_counts in run(_regular_job, repeat(n), jobs, repeat(stop),
-                              repeat(deadline)):
-            counts.update(job_counts)
-    mass = OrbitMass(n, counts, scale)
-    _certify(n, jobs, stop, deadline, mass)
-    return _corpus_from_keys(n, counts.total() * scale, mass.keys)
+    masses: Counter[tuple] = Counter()
+    for t, weight in _completions(n, classes, deadline):
+        masses[c3_profile(t)] += weight
+    mass = OrbitMass(n, masses)
+    for t, _ in _completions(n, classes, deadline):
+        if mass.offer(t):
+            break
+    else:
+        mass.check()
+    return _corpus_from_keys(n, masses.total(), mass.keys)
 
 
 # -- corpus files ------------------------------------------------------------
@@ -416,8 +354,8 @@ def read_corpus(path: str | os.PathLike[str]) -> EnumCorpus:
         raise ParseError(f"expected header {_MAGIC!r}", line=1)
     pos += 1
     n = take_decimal("n")
-    if n % 2 == 0 or n > ENUM_LONG_MAX_ORDER:
-        raise ParseError(f"n must be odd and in 1..{ENUM_LONG_MAX_ORDER}, "
+    if n % 2 == 0 or n > ENUM_MAX_ORDER:
+        raise ParseError(f"n must be odd and in 1..{ENUM_MAX_ORDER}, "
                          f"got {n}", line=pos)
     constraint = take("constraint ")
     if constraint != "regular":
@@ -463,33 +401,38 @@ def verify_corpus(corpus: EnumCorpus) -> None:
     keys match their representatives, the representatives are regular,
     keys are sorted and distinct, the labeled count satisfies the
     orbit-counting identity sum(n!/|Aut|), and the class count matches
-    the known table.  Raises VerificationFailedError on any mismatch."""
+    the known table.  Raises BadOrderError for an order outside the
+    table and VerificationFailedError on any mismatch."""
     from .classify import is_regular
 
+    known = KNOWN_REGULAR_CLASSES.get(corpus.n)
+    if known is None:
+        raise BadOrderError(
+            f"no known regular class count at order {corpus.n}; the "
+            f"admitted orders are {', '.join(map(str, KNOWN_REGULAR_CLASSES))}")
     seen: set[int] = set()
+    orbit_sum = 0
     for cf, rep in corpus.classes:
         if rep.n != corpus.n or cf.n != corpus.n:
             raise VerificationFailedError("class order disagrees with header")
         if not is_regular(rep):
             raise VerificationFailedError(
                 "a stored representative is not regular")
-        if canonical_form(rep).key != cf.key:
+        rep_cf, aut = _minimal_relabelings(rep)
+        if rep_cf.key != cf.key:
             raise VerificationFailedError(
                 f"stored key {cf.hex()} does not match its representative")
         if cf.key in seen:
             raise VerificationFailedError(f"duplicate class key {cf.hex()}")
         seen.add(cf.key)
+        orbit_sum += math.factorial(corpus.n) // aut
     keys = [cf.key for cf, _ in corpus.classes]
     if keys != sorted(keys):
         raise VerificationFailedError("classes are not sorted by key")
-    known = KNOWN_REGULAR_CLASSES[corpus.n]
     if len(corpus.classes) != known:
         raise VerificationFailedError(
             f"expected {known} classes at order {corpus.n}, "
             f"got {len(corpus.classes)}")
-    orbit_sum = sum(
-        math.factorial(corpus.n) // automorphism_count(rep)
-        for _, rep in corpus.classes)
     if orbit_sum != corpus.labeled_count:
         raise VerificationFailedError(
             f"labeled count {corpus.labeled_count} fails orbit counting "

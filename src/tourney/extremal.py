@@ -336,7 +336,7 @@ def _classes_of_codes(n: int, codes: list[int]) -> tuple[str, ...]:
     so they are closed under relabeling and their orbit masses add up to
     len(codes); OrbitMass raises VerificationFailedError otherwise."""
     members = [tournament_from_code(n, c) for c in codes]
-    mass = OrbitMass(n, Counter(map(c3_profile, members)), 1)
+    mass = OrbitMass(n, Counter(map(c3_profile, members)))
     for t in members:
         if mass.offer(t):
             break

@@ -264,8 +264,14 @@ class TestCountReport:
         (["w-1"], "all", "unknown quantity 'w-1'"),
         (["c6"], "all", "unknown quantity 'c6'"),
         (["c3"], "sum", "unknown method 'sum'"),
+        (["w²"], "all", "unknown quantity 'w²'"),
+        (["w٣"], "all", "unknown quantity 'w٣'"),
+        (["tr٥"], "all", "unknown quantity 'tr٥'"),
+        (["w" + "1" * 5000], "all",
+         "the order of w has too many digits (5000)"),
     ], ids=["s3-trace", "w4-trace", "w2-all", "w2-oracle", "tr0", "w-1",
-            "c6", "method"])
+            "c6", "method", "w-superscript", "w-arabic-indic",
+            "tr-arabic-indic", "w-too-long"])
     def test_bad_requests(self, names, method, message):
         with pytest.raises(BadMError) as info:
             count_report(gen_rlt(7), names, method)

@@ -1,7 +1,7 @@
-"""Exhaustive generation: labeled sweeps, the regular-tournament
-backtracker with its symmetry break, and the corpus file format.
-Counts are cross-validated against the plain labeled sweep where that
-is affordable."""
+"""Exhaustive generation: labeled sweeps, the regular-tournament join
+with its orbit-mass certificate, and the corpus file format.  Counts are
+cross-validated against the plain labeled sweep and a plain labeled arc
+backtracker where that is affordable."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tourney import (
+    EnumCorpus,
     Tournament,
     all_tournaments,
     automorphism_count,
@@ -65,14 +66,6 @@ class TestEnumerateRegular:
         expect = sweep_all(n, lambda acc, t: acc + is_regular(t), 0)
         assert enumerate_regular(n).labeled_count == expect
 
-    @pytest.mark.parametrize("n", [3, 5])
-    def test_symmetry_break_equivalence(self, n):
-        broken = enumerate_regular(n, symmetry_break=True)
-        plain = enumerate_regular(n, symmetry_break=False)
-        assert broken.labeled_count == plain.labeled_count
-        assert [cf.key for cf, _ in broken.classes] == \
-            [cf.key for cf, _ in plain.classes]
-
     def test_orbit_counting_identity(self):
         # labeled count = sum over classes of n! / |Aut|
         for n in (3, 5, 7):
@@ -81,40 +74,13 @@ class TestEnumerateRegular:
                         for _, rep in corpus.classes)
             assert total == corpus.labeled_count
 
-    @pytest.mark.parametrize("symmetry_break", [True, False])
     @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_threads_do_not_change_output(self, n, symmetry_break):
-        a = enumerate_regular(n, threads=1, symmetry_break=symmetry_break)
-        b = enumerate_regular(n, threads=2, symmetry_break=symmetry_break)
+    def test_threads_do_not_change_output(self, n):
+        a = enumerate_regular(n, threads=1)
+        b = enumerate_regular(n, threads=2)
         assert a.labeled_count == b.labeled_count
         assert [cf.key for cf, _ in a.classes] == \
             [cf.key for cf, _ in b.classes]
-
-    @pytest.mark.parametrize("cpus,workers", [(4, 4), (64, 10), (None, None)])
-    def test_workers_bounded_by_cpus_and_jobs(self, monkeypatch, cpus,
-                                              workers):
-        # order 7 splits into 10 jobs; a fake pool records its size, so
-        # no process starts
-        started = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return None
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
-        corpus = enumerate_regular(7, threads=64)
-        assert started == ([] if workers is None else [workers])
-        assert corpus.labeled_count == 2640
 
     def test_reps_are_canonical(self):
         corpus = enumerate_regular(7)
@@ -130,13 +96,11 @@ class TestEnumerateRegular:
         with pytest.raises(EvenOrderError):
             enumerate_regular(6)
         with pytest.raises(BadOrderError):
-            enumerate_regular(11)  # needs allow_long
-        with pytest.raises(BadOrderError):
-            enumerate_regular(13, allow_long=True)
+            enumerate_regular(13)
 
     def test_time_budget(self):
         with pytest.raises(TimeBudgetExceededError):
-            enumerate_regular(9, time_budget=0.02)
+            enumerate_regular(11, time_budget=0.02)
 
     @pytest.mark.parametrize("budget", [0.0, math.nan, math.inf, -1.0])
     def test_time_budget_must_be_positive_finite(self, budget):
@@ -158,22 +122,52 @@ def relabel(t: Tournament, perm: list[int]) -> Tournament:
     return Tournament(t.n, tuple(rows))
 
 
-def canonicalize_every_completion(n: int, symmetry_break: bool
+def regular_completions(n: int, fixed_row: bool = True):
+    """Reference route: the out-rows of every labeled regular tournament
+    of order n, by a plain arc backtracker that shares no code with the
+    engine.  With fixed_row, only those whose vertex 0 beats exactly
+    1..(n-1)/2."""
+    h = (n - 1) // 2
+    rows = [0] * n
+    out = [0] * n
+    rem = [n - 1] * n
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def walk(k):
+        if k == len(edges):
+            # every out-degree is at most h and they sum to n * h
+            yield tuple(rows)
+            return
+        i, j = edges[k]
+        if fixed_row and i == 0:
+            choices = [(0, j) if j <= h else (j, 0)]
+        else:
+            choices = [(i, j), (j, i)]
+        rem[i] -= 1
+        rem[j] -= 1
+        for a, b in choices:
+            if out[a] < h and out[b] + rem[b] >= h:
+                rows[a] |= 1 << b
+                out[a] += 1
+                yield from walk(k + 1)
+                out[a] -= 1
+                rows[a] &= ~(1 << b)
+        rem[i] += 1
+        rem[j] += 1
+
+    yield from walk(0)
+
+
+def canonicalize_every_completion(n: int, fixed_row: bool
                                   ) -> tuple[int, list[int]]:
-    """Reference route: the same backtracker, with every completion
+    """Reference route: every completion of the plain backtracker
     canonicalized.  Returns (labeled count, sorted class keys)."""
-    jobs, stop = enumeration._first_row_jobs(n, symmetry_break, None)
     keys: set[int] = set()
     count = 0
-
-    def emit(rows: tuple[int, ...]) -> None:
-        nonlocal count
+    for rows in regular_completions(n, fixed_row):
         count += 1
         keys.add(canonical_form(Tournament(n, rows)).key)
-
-    for state in jobs:
-        enumeration._walk(n, state, stop, None, emit, [0])
-    scale = math.comb(n - 1, (n - 1) // 2) if symmetry_break else 1
+    scale = math.comb(n - 1, (n - 1) // 2) if fixed_row else 1
     return count * scale, sorted(keys)
 
 
@@ -196,21 +190,29 @@ class TestOrbitMassCertificate:
         assert enumeration.c3_profile(relabel(t, perm)) == \
             enumeration.c3_profile(t)
 
-    @pytest.mark.parametrize("symmetry_break", [True, False])
+    @pytest.mark.parametrize("fixed_row", [True, False])
     @pytest.mark.parametrize("n", [1, 3, 5, 7])
-    def test_matches_canonicalizing_every_completion(self, n,
-                                                     symmetry_break):
-        corpus = enumerate_regular(n, symmetry_break=symmetry_break)
-        labeled, keys = canonicalize_every_completion(n, symmetry_break)
+    def test_matches_canonicalizing_every_completion(self, n, fixed_row):
+        corpus = enumerate_regular(n)
+        labeled, keys = canonicalize_every_completion(n, fixed_row)
         assert corpus.labeled_count == labeled
         assert [cf.key for cf, _ in corpus.classes] == keys
+
+    def test_order9_labeled_count_matches_backtracker(self, corpus9):
+        completions = sum(1 for _ in regular_completions(9))
+        assert completions == 46144
+        assert corpus9.labeled_count == completions * 70 == 3230080
 
     @pytest.mark.parametrize("wrong", [lambda aut: 1, lambda aut: 2 * aut],
                              ids=["mass-over", "mass-short"])
     def test_wrong_automorphism_count_raises(self, monkeypatch, wrong):
-        real = enumeration.automorphism_count
-        monkeypatch.setattr(enumeration, "automorphism_count",
-                            lambda t: wrong(real(t)))
+        real = enumeration._minimal_relabelings
+
+        def corrupted(t):
+            cf, aut = real(t)
+            return cf, wrong(aut)
+
+        monkeypatch.setattr(enumeration, "_minimal_relabelings", corrupted)
         with pytest.raises(VerificationFailedError):
             enumerate_regular(7)
 
@@ -247,6 +249,21 @@ class TestCorpusFiles:
         path.write_text(text)
         with pytest.raises(VerificationFailedError):
             verify_corpus(read_corpus(path))
+
+    def test_order11_round_trip(self, tmp_path):
+        # 1,223 classes (OEIS A096368) and 48,251,508,480 labeled regular
+        # tournaments (OEIS A007079); verify_corpus checks the orbit sum
+        corpus = enumerate_regular(11)
+        path = tmp_path / "r11.corpus"
+        write_corpus(corpus, path)
+        again = read_corpus(path)
+        verify_corpus(again)
+        assert len(again.classes) == 1223
+        assert again.labeled_count == 48251508480
+
+    def test_verify_rejects_unknown_order(self):
+        with pytest.raises(BadOrderError, match="1, 3, 5, 7, 9, 11"):
+            verify_corpus(EnumCorpus(13, "regular", 0, ()))
 
     def test_load_or_enumerate(self, tmp_path):
         path = tmp_path / "r5.corpus"
