@@ -18,9 +18,9 @@ M, where M[a][b] = 1 means that the a-th vertex of P beats the b-th of Q.
 Every vertex has out-degree h exactly when the margins of M are fixed
 (Gale 1957; Ryser 1957): row a sums to h - score of a on P, and column b
 to 1 + score of b on Q.  So enumerate_regular takes one canonical
-representative R of every class of order h (at most 1,024 codes to
-canonicalize, since h <= 5), and for each ordered pair (R+, R-) lists
-every cross matrix with those margins, row by row.
+representative R of every class of order h (certified below over at
+most 1,024 labeled codes, since h <= 5), and for each ordered pair
+(R+, R-) lists every cross matrix with those margins, row by row.
 
 The weight of a completion (R+, R-, M) is the number of labeled regular
 tournaments of order n it stands for:
@@ -40,27 +40,28 @@ of them.  Relabelings of 1..n-1 put the regular tournaments with each of
 the C(n-1, h) out-sets of vertex 0 in bijection, which gives the last
 factor.
 
-Classes come from two passes over the same generator of (completion,
-weight), and no completion is stored:
+Classes come from one walk of the generator of (completion, weight),
+through certified_classes:
 
-  count    adds each weight to its c3 profile, a cheap isomorphism
-           invariant: the sorted pairs, over the vertices v, of the
-           3-cycle counts inside v's out-set and in-set.
-  certify  walks the completions again and canonicalizes one only while
-           its profile's bucket is short of mass.  Each new class adds
-           its orbit n!/|Aut| to its bucket, and the walk stops as soon
-           as every bucket holds its mass.
+  count    adds each weight to its c3 profile's bucket, a cheap
+           isomorphism invariant: the sorted pairs, over the vertices v,
+           of the 3-cycle counts inside v's out-set and in-set.  The
+           completion is kept in its bucket's list.
+  certify  each bucket canonicalizes its completions in walk order, and
+           only while it is short of its mass.  Each new class adds its
+           orbit n!/|Aut| to the bucket.
 
 The certificate is exact.  A class lies in one bucket, because the
 profile is an invariant, and by the weight argument above the classes of
 a bucket add up to exactly its mass.  Every class has positive mass, so
-a class the walk never found leaves its bucket short.  A bucket that
-goes over its mass, or is still short when the walk ends, raises
+a class the bucket never found leaves it short.  A bucket that goes over
+its mass, or is still short after its last completion, raises
 VerificationFailedError; no corpus is returned.  At order 9 the 16
-half-order pairs give 157 completions; at order 11 the 144 pairs give
-31,405 completions in 1,223 classes.  OrbitMass certifies any
-relabeling-closed set of labeled tournaments the same way; extremal
-uses it for the sweep's witness codes.
+half-order pairs give 157 completions and 16 canonicalizations; at order
+11 the 144 pairs give 31,405 completions in 1,223 classes.
+certified_classes certifies any relabeling-closed set of labeled
+tournaments the same way: _half_classes passes every labeled tournament
+of order h with weight 1, and extremal the sweep's witness codes.
 
 Class representatives are decoded from the canonical key itself, so the
 corpus does not depend on the order of the join.  A .corpus file stores
@@ -73,14 +74,12 @@ import math
 import os
 import time
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from .core import (CanonicalForm, Tournament, _minimal_relabelings,
-                   canonical_form, validate)
+from .core import CanonicalForm, Tournament, _minimal_relabelings, validate
 from .counting import _c3_within
 from .errors import (
     BadOrderError,
@@ -107,14 +106,11 @@ def _edges(n: int) -> list[tuple[int, int]]:
 def tournament_from_code(n: int, code: int) -> Tournament:
     """Labeled tournament of an upper-triangle edge code."""
     rows = [0] * n
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (code >> k) & 1:
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-            k += 1
+    for k, (i, j) in enumerate(_edges(n)):
+        if (code >> k) & 1:
+            rows[i] |= 1 << j
+        else:
+            rows[j] |= 1 << i
     return Tournament(n, tuple(rows))
 
 
@@ -146,13 +142,14 @@ def _check_deadline(deadline: float | None) -> None:
 
 def _half_classes(h: int) -> list[tuple[Tournament, int]]:
     """(canonical representative, labeled count) of every class of order
-    h, in key order.  The labeled count is h!/|Aut| by orbit-stabilizer.
+    h, in key order.  The labeled count is the class's orbit h!/|Aut|
+    from certified_classes over every labeled tournament of order h.
     Order 0 has the one empty tournament."""
     if h == 0:
         return [(Tournament(0, ()), 1)]
-    counts = Counter(canonical_form(t).key for t in all_tournaments(h))
-    return [(Tournament(h, CanonicalForm(h, key).rows()), counts[key])
-            for key in sorted(counts)]
+    _, orbits = certified_classes(h, ((t, 1) for t in all_tournaments(h)))
+    return [(Tournament(h, CanonicalForm(h, key).rows()), orbits[key])
+            for key in sorted(orbits)]
 
 
 def _cross_matrices(row_sums: list[int], col_sums: list[int]
@@ -212,50 +209,44 @@ def c3_profile(t: Tournament) -> tuple[tuple[int, int], ...]:
         for v, row in enumerate(t.out_rows)))
 
 
-class OrbitMass:
-    """Orbit-mass certificate for the classes of a set of labeled
-    tournaments of order n, bucketed by c3 profile.
+def certified_classes(n: int, members: Iterable[tuple[Tournament, int]]
+                      ) -> tuple[int, dict[int, int]]:
+    """Classes of a relabeling-closed set of labeled tournaments of order
+    n, under the orbit-mass certificate.  members yields (tournament,
+    number of labeled tournaments it stands for).  Returns the labeled
+    total and {canonical key: n!/|Aut|} over the classes.
 
-    masses[profile] is the number of labeled tournaments of the set with
-    that profile.  offer() canonicalizes a tournament only while its
-    bucket is short; each new class adds n!/|Aut| to the bucket.  Once
-    every bucket holds its mass, `keys` holds every class of the set."""
-
-    def __init__(self, n: int, masses: Mapping[tuple, int]) -> None:
-        self.keys: set[int] = set()
-        self._orbit = math.factorial(n)
-        self._short = dict(masses)
-        self._open = len(self._short)
-
-    def offer(self, t: Tournament) -> bool:
-        """Count t toward its bucket; True once every bucket is
-        certified."""
+    One pass adds each weight to its c3 profile's bucket and keeps the
+    member there.  Then each bucket canonicalizes its members in walk
+    order while it is short of its mass; a new class adds its orbit.
+    Raises VerificationFailedError if a bucket goes over its mass or is
+    still short after its last member."""
+    masses: Counter[tuple] = Counter()
+    buckets: dict[tuple, list[Tournament]] = {}
+    for t, weight in members:
         profile = c3_profile(t)
-        short = self._short.get(profile)
-        if short is None:
-            raise VerificationFailedError(
-                f"c3 profile {profile} was never counted")
-        if short:
+        masses[profile] += weight
+        buckets.setdefault(profile, []).append(t)
+    factorial = math.factorial(n)
+    orbits: dict[int, int] = {}
+    for profile, bucket in buckets.items():
+        short = masses[profile]
+        for t in bucket:
+            if not short:
+                break
             cf, aut = _minimal_relabelings(t)
-            if cf.key not in self.keys:
-                self.keys.add(cf.key)
-                short -= self._orbit // aut
+            if cf.key not in orbits:
+                orbits[cf.key] = factorial // aut
+                short -= orbits[cf.key]
                 if short < 0:
                     raise VerificationFailedError(
                         f"classes with c3 profile {profile} exceed the "
                         f"bucket's labeled count by {-short}")
-                self._short[profile] = short
-                if not short:
-                    self._open -= 1
-        return not self._open
-
-    def check(self) -> None:
-        """Raise VerificationFailedError unless every bucket is
-        certified."""
-        if self._open:
+        if short:
             raise VerificationFailedError(
-                f"{self._open} c3-profile buckets are short of their "
-                f"labeled count by {sum(self._short.values())} in total")
+                f"classes with c3 profile {profile} are short of the "
+                f"bucket's labeled count by {short}")
+    return masses.total(), orbits
 
 
 @dataclass(frozen=True)
@@ -269,7 +260,8 @@ class EnumCorpus:
     classes: tuple[tuple[CanonicalForm, Tournament], ...]
 
 
-def _corpus_from_keys(n: int, labeled: int, keys: set[int]) -> EnumCorpus:
+def _corpus_from_keys(n: int, labeled: int, keys: Iterable[int]
+                      ) -> EnumCorpus:
     classes = []
     for key in sorted(keys):
         cf = CanonicalForm(n, key)
@@ -296,18 +288,9 @@ def enumerate_regular(n: int, *, threads: int = 1,
         raise InvalidInput(f"time budget must be a positive finite number of "
                            f"seconds, got {time_budget}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    classes = _half_classes((n - 1) // 2)
-
-    masses: Counter[tuple] = Counter()
-    for t, weight in _completions(n, classes, deadline):
-        masses[c3_profile(t)] += weight
-    mass = OrbitMass(n, masses)
-    for t, _ in _completions(n, classes, deadline):
-        if mass.offer(t):
-            break
-    else:
-        mass.check()
-    return _corpus_from_keys(n, masses.total(), mass.keys)
+    labeled, orbits = certified_classes(
+        n, _completions(n, _half_classes((n - 1) // 2), deadline))
+    return _corpus_from_keys(n, labeled, orbits)
 
 
 # -- corpus files ------------------------------------------------------------
@@ -350,6 +333,19 @@ def read_corpus(path: str | os.PathLike[str]) -> EnumCorpus:
         text = take(f"{name} ")
         return _decimal(text, name, line=pos, col=len(name) + 2)
 
+    def take_key() -> int:
+        """The class key on the next line, exactly as CanonicalForm.hex()
+        writes it: (n*n + 3)//4 lowercase hex digits."""
+        text = take("class ")
+        width = (n * n + 3) // 4
+        bad = next((k for k, ch in enumerate(text)
+                    if k >= width or ch not in "0123456789abcdef"),
+                   None if len(text) == width else len(text))
+        if bad is not None:
+            raise ParseError(f"class key must be {width} lowercase hex "
+                             f"digits", line=pos, col=len("class ") + 1 + bad)
+        return int(text, 16)
+
     if pos >= len(lines) or lines[pos] != _MAGIC:
         raise ParseError(f"expected header {_MAGIC!r}", line=1)
     pos += 1
@@ -367,12 +363,7 @@ def read_corpus(path: str | os.PathLike[str]) -> EnumCorpus:
     for _ in range(nclasses):
         while pos < len(lines) and lines[pos] == "":
             pos += 1
-        value = take("class ").strip()
-        try:
-            key = int(value, 16)
-        except ValueError:
-            raise ParseError(f"bad value {value!r} after 'class '",
-                             line=pos) from None
+        key = take_key()
         start = pos
         pos += n + 1
         try:

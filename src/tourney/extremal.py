@@ -27,7 +27,6 @@ VerificationFailedError the moment a claimed fact fails.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -36,7 +35,7 @@ from typing import Iterator
 from .core import CanonicalForm, Tournament, canonical_form
 from .counting import c4_formula, c5_formula, s5_formula, trace_m
 from .classify import is_nearly_doubly_regular, is_regular, aat_positive
-from .enumeration import (EnumCorpus, OrbitMass, _edges, c3_profile,
+from .enumeration import (EnumCorpus, _edges, certified_classes,
                           enumerate_regular, tournament_from_code)
 from .errors import (
     BadOrderError,
@@ -79,7 +78,9 @@ def c5_regular_max(n: int) -> int:
 
 def s5_of_rlt(n: int) -> int:
     """(n+1) n (n-1)(n-3)(11 n - 47) / 1920, the strong-5-subset count of
-    RLT_n; also the maximum over all tournaments of odd order n >= 9."""
+    RLT_n.  That it is the maximum over all tournaments of order n is
+    checked exhaustively by verify_c5_max at n = 5 and 7 only; above
+    order 7 nothing checks it."""
     _require_odd(n, 3)
     return _exact_div((n + 1) * n * (n - 1) * (n - 3) * (11 * n - 47), 1920)
 
@@ -334,14 +335,11 @@ def _classes_of_codes(n: int, codes: list[int]) -> tuple[str, ...]:
     """Classes among the witness codes of a full sweep.  The codes are
     every labeled tournament attaining an isomorphism-invariant maximum,
     so they are closed under relabeling and their orbit masses add up to
-    len(codes); OrbitMass raises VerificationFailedError otherwise."""
-    members = [tournament_from_code(n, c) for c in codes]
-    mass = OrbitMass(n, Counter(map(c3_profile, members)))
-    for t in members:
-        if mass.offer(t):
-            break
-    mass.check()
-    return tuple(CanonicalForm(n, k).hex() for k in sorted(mass.keys))
+    len(codes); certified_classes raises VerificationFailedError
+    otherwise."""
+    _, orbits = certified_classes(
+        n, ((tournament_from_code(n, c), 1) for c in codes))
+    return tuple(CanonicalForm(n, k).hex() for k in sorted(orbits))
 
 
 def verify_c5_max(n: int) -> SweepExtremes:

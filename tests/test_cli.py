@@ -235,8 +235,16 @@ class TestEnumerate:
         (b"labeled_count 24", b"labeled_count 2_4"),
         (b"classes 1", b"classes  1"),
         (b"regular", b"anything"),
+        (b"class 038e186", b"class 0x038e186"),
+        (b"class 038e186", b"class +038e186"),
+        (b"class 038e186", b"class 038e_186"),
+        (b"class 038e186", b"class 0038e186"),
+        (b"class 038e186", b"class 038E186"),
+        (b"class 038e186", b"class 038e186 "),
     ], ids=["n", "class-key", "non-ascii", "n-underscore", "n-plus",
-            "n-space", "labeled-underscore", "classes-space", "constraint"])
+            "n-space", "labeled-underscore", "classes-space", "constraint",
+            "class-0x", "class-plus", "class-underscore", "class-leading-zero",
+            "class-upper", "class-space"])
     @pytest.mark.parametrize("command", [["enumerate", "--verify"],
                                          ["verify", "prop2", "--corpus"]],
                              ids=["enumerate", "prop2"])

@@ -6,12 +6,14 @@ backtracker where that is affordable."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tourney import (
+    CanonicalForm,
     EnumCorpus,
     Tournament,
     all_tournaments,
@@ -19,6 +21,7 @@ from tourney import (
     canonical_form,
     enumerate_regular,
     enumeration,
+    gen_rlt,
     is_regular,
     load_or_enumerate,
     read_corpus,
@@ -202,6 +205,44 @@ class TestOrbitMassCertificate:
         completions = sum(1 for _ in regular_completions(9))
         assert completions == 46144
         assert corpus9.labeled_count == completions * 70 == 3230080
+
+    def test_certified_classes_of_order4(self):
+        labeled, orbits = enumeration.certified_classes(
+            4, ((t, 1) for t in all_tournaments(4)))
+        assert labeled == 64 and sum(orbits.values()) == 64
+        assert sorted(orbits) == sorted(
+            {canonical_form(t).key for t in all_tournaments(4)})
+        for key, orbit in orbits.items():
+            rep = Tournament(4, CanonicalForm(4, key).rows())
+            assert orbit == 24 // automorphism_count(rep)
+
+    @pytest.mark.parametrize("mass,failure", [(23, "exceed"), (25, "short")])
+    def test_bucket_off_its_mass_raises(self, mass, failure):
+        # the regular tournaments of order 5 are one class of orbit 24
+        with pytest.raises(VerificationFailedError, match=failure):
+            enumeration.certified_classes(5, [(gen_rlt(5), mass)])
+
+    @pytest.mark.parametrize("n,searches", [(7, 6), (9, 22)])
+    def test_one_walk_and_searches_only_while_short(self, monkeypatch, n,
+                                                    searches):
+        # the join's 3 (order 7) or 16 (order 9) searches plus 3 or 6 for
+        # the half-order reps; canonicalizing every member would take
+        # 13 + 8 or 157 + 64
+        calls = Counter()
+
+        def count_calls(name):
+            real = getattr(enumeration, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(enumeration, name, counted)
+
+        count_calls("_completions")
+        count_calls("_minimal_relabelings")
+        enumerate_regular(n)
+        assert calls == {"_completions": 1, "_minimal_relabelings": searches}
 
     @pytest.mark.parametrize("wrong", [lambda aut: 1, lambda aut: 2 * aut],
                              ids=["mass-over", "mass-short"])
