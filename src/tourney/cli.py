@@ -6,13 +6,15 @@ drivers as JSON), enumerate (regular corpus generation/verification).
 
 Exit codes: 0 success, 1 a mathematical claim failed its check, 2 usage,
 parse, or input errors.  JSON output never contains floats; exact
-rationals are {"num": ..., "den": ...}.  TOURNEY_THREADS seeds the
-default worker count; --threads overrides it.
+rationals are {"num": ..., "den": ...}.  A printed report's JSON is
+exactly its dataclass fields, in declaration order (see _exact).
+TOURNEY_THREADS seeds the default worker count; --threads overrides it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,23 +30,19 @@ from .errors import (
 )
 
 
-def _rational(value: Fraction) -> dict[str, int]:
-    return {"num": value.numerator, "den": value.denominator}
-
-
-def _bound_report_json(report: extremal.BoundReport) -> dict[str, Any]:
-    return {
-        "bound_name": report.bound_name,
-        "n": report.n,
-        "bound_value": _rational(report.bound_value),
-        "observed": report.observed,
-        "tight": report.tight,
-        "witnesses": list(report.witnesses),
-    }
+def _exact(value: Any) -> dict[str, Any]:
+    """json's hook for what it cannot encode itself.  A Fraction prints
+    as {"num": ..., "den": ...}; any other value must be a result
+    dataclass, whose JSON is exactly its fields in declaration order.
+    For anything else dataclasses.fields raises TypeError, as json
+    expects of a default hook."""
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
 
 
 def _emit(doc: Any) -> None:
-    json.dump(doc, sys.stdout, indent=2)
+    json.dump(doc, sys.stdout, indent=2, default=_exact)
     sys.stdout.write("\n")
 
 
@@ -106,55 +104,30 @@ def _cmd_count(args: argparse.Namespace) -> int:
     names += [f"tr{m}" for m in args.trace or []]
     report = counting.count_report(
         t, names or counting._FIXED_QUANTITIES, args.method)
-    _emit({
-        "n": report.n,
-        "quantities": [{"name": e.name, "method": e.method, "value": e.value}
-                       for e in report.quantities],
-        "cross_checked": report.cross_checked,
-    })
+    _emit(report)
     return 0 if report.cross_checked else 1
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     t = io.read_tour(args.input)
-    report = classify.classification_report(t)
-    _emit({
-        "n": report.n,
-        "flags": report.flags,
-        "semi_degree": report.semi_degree,
-    })
+    _emit(classify.classification_report(t))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     target = args.target
     if target == "thm1":
-        result = extremal.verify_c5_max(_need(args, "n"))
-        _emit({
-            "n": result.n,
-            "total_codes": result.total_codes,
-            "regular_codes": result.regular_codes,
-            "c5": _bound_report_json(result.c5),
-            "s5": _bound_report_json(result.s5),
-        })
+        _emit(extremal.verify_c5_max(_need(args, "n")))
     elif target == "prop2":
         if args.corpus is None:
             raise InvalidInput("verify prop2 needs --corpus")
         corpus = enumeration.read_corpus(args.corpus)
         enumeration.verify_corpus(corpus)
-        reports = extremal.verify_regular9(corpus)
-        _emit({name: _bound_report_json(rep) for name, rep in reports.items()})
+        _emit(extremal.verify_regular9(corpus))
     elif target == "lemma1":
         if args.p is None:
             raise InvalidInput("verify lemma1 needs --p")
-        result = extremal.verify_binomial_sum_min(_need(args, "n"), args.p)
-        _emit({
-            "bound": _bound_report_json(result.bound),
-            "p": result.p,
-            "balanced": list(result.balanced),
-            "unique_minimizer": result.unique_minimizer,
-            "within_uniqueness_range": result.within_uniqueness_range,
-        })
+        _emit(extremal.verify_binomial_sum_min(_need(args, "n"), args.p))
     else:  # eq7
         if args.input is None:
             raise InvalidInput("verify eq7 needs --input")
@@ -168,8 +141,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "n": t.n,
             "lhs": lhs,
             "rhs": rhs,
-            "trace_lhs": _rational(Fraction(tl)),
-            "trace_rhs": _rational(Fraction(tr)),
+            "trace_lhs": tl,
+            "trace_rhs": tr,
             "equal": True,
         })
     return 0

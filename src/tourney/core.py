@@ -198,42 +198,24 @@ class StrongDecomposition:
     components: tuple[VertexSet, ...]
 
 
-def _reach_masks(t: Tournament) -> list[int]:
-    rows = t.out_rows
-    res = []
-    for i in range(t.n):
-        reach = (1 << i) | rows[i]
-        frontier = rows[i]
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= rows[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~reach
-            reach |= frontier
-        res.append(reach)
-    return res
-
-
 def strong_decomposition(t: Tournament) -> StrongDecomposition:
-    """Partition into strong components in domination order."""
-    reach = _reach_masks(t)
+    """Partition into strong components in domination order, by Landau's
+    score cut.  With the vertices sorted by score, highest first, the top
+    k beat every other vertex exactly when their scores sum to
+    C(k, 2) + k (n - k).  The components are the blocks between
+    consecutive such k.  A vertex of an earlier component outscores every
+    vertex of a later one, so equal scores never straddle a cut."""
+    n = t.n
     comps: list[int] = []
-    seen = 0
-    for i in range(t.n):
-        if (seen >> i) & 1:
-            continue
-        back = 0
-        for j in range(t.n):
-            if (reach[j] >> i) & 1:
-                back |= 1 << j
-        comp = reach[i] & back
-        comps.append(comp)
-        seen |= comp
-    # Earlier component reaches strictly more, so reach size sorts them.
-    comps.sort(key=lambda c: reach[vertices_of(c)[0]].bit_count(), reverse=True)
+    block = 0
+    total = 0
+    order = sorted(t.vertices(), key=t.out_degree, reverse=True)
+    for k, v in enumerate(order, 1):
+        block |= 1 << v
+        total += t.out_degree(v)
+        if total == k * (k - 1) // 2 + k * (n - k):
+            comps.append(block)
+            block = 0
     return StrongDecomposition(tuple(comps))
 
 

@@ -62,6 +62,9 @@ half-order pairs give 157 completions and 16 canonicalizations; at order
 certified_classes certifies any relabeling-closed set of labeled
 tournaments the same way: _half_classes passes every labeled tournament
 of order h with weight 1, and extremal the sweep's witness codes.
+enumerate_regular's time budget is checked inside certified_classes,
+once per member of the walk and after every canonicalization, so it
+bounds the certify phase as well as the join.
 
 Class representatives are decoded from the canonical key itself, so the
 corpus does not depend on the order of the join.  A .corpus file stores
@@ -140,14 +143,16 @@ def _check_deadline(deadline: float | None) -> None:
         raise TimeBudgetExceededError("enumeration ran past its budget")
 
 
-def _half_classes(h: int) -> list[tuple[Tournament, int]]:
+def _half_classes(h: int, deadline: float | None
+                  ) -> list[tuple[Tournament, int]]:
     """(canonical representative, labeled count) of every class of order
     h, in key order.  The labeled count is the class's orbit h!/|Aut|
     from certified_classes over every labeled tournament of order h.
     Order 0 has the one empty tournament."""
     if h == 0:
         return [(Tournament(0, ()), 1)]
-    _, orbits = certified_classes(h, ((t, 1) for t in all_tournaments(h)))
+    _, orbits = certified_classes(
+        h, ((t, 1) for t in all_tournaments(h)), deadline)
     return [(Tournament(h, CanonicalForm(h, key).rows()), orbits[key])
             for key in sorted(orbits)]
 
@@ -175,8 +180,7 @@ def _cross_matrices(row_sums: list[int], col_sums: list[int]
     yield from fill(0, col_sums)
 
 
-def _completions(n: int, classes: list[tuple[Tournament, int]],
-                 deadline: float | None
+def _completions(n: int, classes: list[tuple[Tournament, int]]
                  ) -> Iterator[tuple[Tournament, int]]:
     """Every regular tournament of order n whose vertex 0 beats exactly
     1..h, one per (R+, R-, cross matrix) over the classes of order h,
@@ -189,7 +193,6 @@ def _completions(n: int, classes: list[tuple[Tournament, int]],
             col_sums = [1 + minus.out_degree(b) for b in range(h)]
             weight = plus_count * minus_count * comb(n - 1, h)
             for m in _cross_matrices(row_sums, col_sums):
-                _check_deadline(deadline)
                 rows = [full << 1]
                 rows += [plus.out_rows[a] << 1 | m[a] << (h + 1)
                          for a in range(h)]
@@ -209,7 +212,8 @@ def c3_profile(t: Tournament) -> tuple[tuple[int, int], ...]:
         for v, row in enumerate(t.out_rows)))
 
 
-def certified_classes(n: int, members: Iterable[tuple[Tournament, int]]
+def certified_classes(n: int, members: Iterable[tuple[Tournament, int]],
+                      deadline: float | None = None
                       ) -> tuple[int, dict[int, int]]:
     """Classes of a relabeling-closed set of labeled tournaments of order
     n, under the orbit-mass certificate.  members yields (tournament,
@@ -220,10 +224,13 @@ def certified_classes(n: int, members: Iterable[tuple[Tournament, int]]
     member there.  Then each bucket canonicalizes its members in walk
     order while it is short of its mass; a new class adds its orbit.
     Raises VerificationFailedError if a bucket goes over its mass or is
-    still short after its last member."""
+    still short after its last member, and TimeBudgetExceededError once
+    the monotonic clock passes deadline, checked once per member of the
+    walk and after every search."""
     masses: Counter[tuple] = Counter()
     buckets: dict[tuple, list[Tournament]] = {}
     for t, weight in members:
+        _check_deadline(deadline)
         profile = c3_profile(t)
         masses[profile] += weight
         buckets.setdefault(profile, []).append(t)
@@ -235,6 +242,7 @@ def certified_classes(n: int, members: Iterable[tuple[Tournament, int]]
             if not short:
                 break
             cf, aut = _minimal_relabelings(t)
+            _check_deadline(deadline)
             if cf.key not in orbits:
                 orbits[cf.key] = factorial // aut
                 short -= orbits[cf.key]
@@ -289,7 +297,7 @@ def enumerate_regular(n: int, *, threads: int = 1,
                            f"seconds, got {time_budget}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     labeled, orbits = certified_classes(
-        n, _completions(n, _half_classes((n - 1) // 2), deadline))
+        n, _completions(n, _half_classes((n - 1) // 2, deadline)), deadline)
     return _corpus_from_keys(n, labeled, orbits)
 
 

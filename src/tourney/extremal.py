@@ -292,10 +292,8 @@ def _sweep_stats(n: int) -> tuple[int, int, int, list[int], list[int]]:
     c4tab = np.array([comb(v, 4) for v in range(n)], dtype=np.int64)
     shifts = np.arange(e, dtype=np.int64)
     regular = 0
-    best_c5 = -1
-    best_s5 = -1
-    c5_codes: list[int] = []
-    s5_codes: list[int] = []
+    best = [-1, -1]
+    witnesses: list[list[int]] = [[], []]
     for lo in range(0, total, batch):
         codes = np.arange(lo, min(lo + batch, total), dtype=np.int64)
         bits = (codes[:, None] >> shifts) & 1
@@ -316,19 +314,14 @@ def _sweep_stats(n: int) -> tuple[int, int, int, list[int], list[int]]:
               - c4tab[deg].sum(axis=1)
               - c4tab[n - 1 - deg].sum(axis=1)
               + (adj * c3tab[sq]).sum(axis=(1, 2)))
-        bmax = int(c5.max())
-        if bmax > best_c5:
-            best_c5 = bmax
-            c5_codes = []
-        if bmax == best_c5:
-            c5_codes.extend(int(c) for c in codes[c5 == best_c5])
-        bmax = int(s5.max())
-        if bmax > best_s5:
-            best_s5 = bmax
-            s5_codes = []
-        if bmax == best_s5:
-            s5_codes.extend(int(c) for c in codes[s5 == best_s5])
-    return regular, best_c5, best_s5, c5_codes, s5_codes
+        for q, values in enumerate((c5, s5)):
+            bmax = int(values.max())
+            if bmax > best[q]:
+                best[q] = bmax
+                witnesses[q] = []
+            if bmax == best[q]:
+                witnesses[q].extend(int(c) for c in codes[values == bmax])
+    return regular, *best, *witnesses
 
 
 def _classes_of_codes(n: int, codes: list[int]) -> tuple[str, ...]:

@@ -5,6 +5,7 @@ entry point."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tourney import (TRACE_MAX_M, enumerate_regular, format_tour, gen_random,
-                     gen_rlt, parse_tour, write_corpus, write_tour)
+from tourney import (TRACE_MAX_M, enumerate_regular, format_tour, gen_qr,
+                     gen_random, gen_rlt, parse_tour, write_corpus,
+                     write_tour)
 from tourney.cli import main
 
 
@@ -397,6 +399,79 @@ class TestFuzz:
         code, err = run_on_bytes(fuzz_dir / "c.corpus", data, "enumerate",
                                  "--verify")
         assert_clean_exit(code, err, (0, 1, 2))
+
+
+# sha256 of stdout for every JSON document the CLI prints, pinned so that
+# a change to how reports are encoded shows up as a changed byte
+GOLDEN = {
+    "count-qr11": (
+        ("count", "--input", "{qr11}"),
+        "45d72bc18ef74f911bc003527f40e7c8a079ba739dda3646d77f4c62f88aef0b"),
+    "count-rlt9": (
+        ("count", "--input", "{rlt9}"),
+        "f1c8a944c685165353260329a05e686bcceca6608881818dd48a89ad180cd940"),
+    "count-random8": (
+        ("count", "--input", "{random8}"),
+        "8f1fe7376d95a222c9828410c15e7ab30b2faee9f9fda2aede446b36526375ac"),
+    "count-formula-qr11": (
+        ("count", "--input", "{qr11}", "--w", "4", "--trace", "5",
+         "--method", "formula"),
+        "976c42f106e9c63d7660e17338e2d31e718ed89f5e765efe58db1c1a7eebac33"),
+    "count-formula-rlt9": (
+        ("count", "--input", "{rlt9}", "--w", "4", "--trace", "5",
+         "--method", "formula"),
+        "f443c5b44fee384c0e7b682972502d2cfefe1aa875ad3d42d72c9ff1c29a743a"),
+    "count-formula-random8": (
+        ("count", "--input", "{random8}", "--w", "4", "--trace", "5",
+         "--method", "formula"),
+        "42e3a2a884d06ea0f1547d433d3f5c7b4a2ab1de7afe8eba13c9df3d365cddcc"),
+    "classify-qr11": (
+        ("classify", "--input", "{qr11}"),
+        "4be89107846978a5f61f9a5596787dbde7ede6ea7c9200ce5b264fe648678f00"),
+    "classify-rlt9": (
+        ("classify", "--input", "{rlt9}"),
+        "443d57926d8bb402cef64c5866a9aa7327a6c0847f38f1e5e7cbf7d490f01c05"),
+    "classify-random8": (
+        ("classify", "--input", "{random8}"),
+        "62fda3f2e832a1f864aeea06bc882641185acea044a60d1fd94f7fee5ca0cc83"),
+    "thm1-5": (
+        ("verify", "thm1", "--n", "5"),
+        "bc3acc93428482a4a3a41ba7422394d3a5882cf5980886b99087cf4f758c6f73"),
+    "lemma1-7-4": (
+        ("verify", "lemma1", "--n", "7", "--p", "4"),
+        "4dccda68484ace490f18f3c7413c1fdd7aa7f12a567638f43c49254658c102a2"),
+    "lemma1-5-4": (
+        ("verify", "lemma1", "--n", "5", "--p", "4"),
+        "a0856165d850914d33d8e0d32d2aeaffa3a0d00001d1c40aad566ae5399c3bf8"),
+    "eq7-qr11": (
+        ("verify", "eq7", "--input", "{qr11}"),
+        "2da44c0eb18141601250986bf730bc59e1aa238c770cc13d4785f90c35ccf3c8"),
+    "enumerate-9": (
+        ("enumerate", "--n", "9"),
+        "8e8cdc5896f8ed3bb6be3c15982dd83e699ac0f5f75e2e880f1140b5360e605d"),
+    "prop2": (
+        ("verify", "prop2", "--corpus", "{corpus9}"),
+        "d7c9bbddd265a255d571ad26144a1ceb4f328cfdd7c2584f6b915deaa531ac57"),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory, corpus9) -> dict[str, str]:
+    d = tmp_path_factory.mktemp("golden")
+    paths = {"corpus9": str(d / "r9.corpus")}
+    write_corpus(corpus9, paths["corpus9"])
+    for name, t in (("qr11", gen_qr(11)), ("rlt9", gen_rlt(9)),
+                    ("random8", gen_random(8, 42))):
+        paths[name] = str(d / f"{name}.tour")
+        write_tour(t, paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN.values(), ids=GOLDEN.keys())
+def test_golden_stdout(capsys, golden_inputs, argv, digest):
+    code, out = run(capsys, *(a.format(**golden_inputs) for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestEntryPoint:

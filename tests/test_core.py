@@ -33,6 +33,7 @@ from tourney import (
     vertices_of,
 )
 from tourney.core import key_for_permutation
+from tourney.counting import _strong_within
 from tourney.errors import (
     LoopArcError,
     MissingOrDoubleArcError,
@@ -209,6 +210,20 @@ class TestStrongDecomposition:
                     for i in vertices_of(d.components[a]):
                         for j in vertices_of(d.components[b]):
                             assert t.has_arc(i, j)
+
+    def test_matches_breadth_first_reference_on_every_subset(self):
+        # the score cut against the two-closure reference that s_formula
+        # is checked by; each component must itself be strong, so a
+        # decomposition that merges two adjacent components fails here
+        rng = random.Random(37)
+        for n in range(1, 9):
+            for _ in range(6):
+                t = random_tournament(rng, n)
+                for m in range(1, 1 << n):
+                    sub = induced(t, m)
+                    assert is_strong(sub) == _strong_within(t.out_rows, m)
+                for comp in strong_decomposition(t).components:
+                    assert _strong_within(t.out_rows, comp)
 
 
 class TestCanonicalForm:

@@ -6,6 +6,7 @@ backtracker where that is affordable."""
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -104,6 +105,20 @@ class TestEnumerateRegular:
     def test_time_budget(self):
         with pytest.raises(TimeBudgetExceededError):
             enumerate_regular(11, time_budget=0.02)
+
+    def test_time_budget_covers_certification(self, monkeypatch):
+        # the order-7 join has 13 members and 3 searches; slowed to
+        # 0.05 s each, the searches alone overrun a 0.1 s budget
+        real = enumeration._minimal_relabelings
+
+        def slowed(t):
+            if t.n == 7:
+                time.sleep(0.05)
+            return real(t)
+
+        monkeypatch.setattr(enumeration, "_minimal_relabelings", slowed)
+        with pytest.raises(TimeBudgetExceededError):
+            enumerate_regular(7, time_budget=0.1)
 
     @pytest.mark.parametrize("budget", [0.0, math.nan, math.inf, -1.0])
     def test_time_budget_must_be_positive_finite(self, budget):
