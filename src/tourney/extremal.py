@@ -23,6 +23,26 @@ verify_c5_max sweeps every labeled tournament of order 5 or 7 and pins
 down the maximizers of c5 and s5 up to isomorphism; verify_regular9
 audits the enumerated order-9 regular corpus.  Both raise
 VerificationFailedError the moment a claimed fact fails.
+
+The sweep adds one vertex to every labeled tournament of order n - 1.
+With A the adjacency of vertices 1..n-1, s the 0/1 out-set of vertex 0
+and u = 1 - s, the order-n tournament is T = [[0, s^T], [u, A]], and
+
+  c5(T) = tr(A^5)/5 + s^T A^3 u   a closed 5-walk in a tournament never
+                                  repeats a vertex, so each one through
+                                  vertex 0 is a 5-cycle leaving along s
+                                  and returning along u
+  (T^2)_ij = A^2_ij + u_i s_j     for old i, j; (T^2)_0j = (s^T A)_j and
+                                  (T^2)_i0 = (A u)_i
+  out-degrees                     deg_A + u on the old vertices, |s| on 0
+
+The strong-5-subset count s5 = C(n,5) - sum C(out,4) - sum C(in,4) +
+sum over arcs i -> j of C((T^2)_ij, 3) then takes its arc term as
+
+  sum A o C(A^2, 3) + u^T (A o C(A^2, 2)) s
+    + sum_i u_i C((A u)_i, 3) + sum_j s_j C((s^T A)_j, 3)
+
+by C(x + 1, 3) = C(x, 3) + C(x, 2), where o is the entrywise product.
 """
 
 from __future__ import annotations
@@ -30,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .core import CanonicalForm, Tournament, canonical_form
 from .counting import c4_formula, c5_formula, s5_formula, trace_m
@@ -46,6 +66,9 @@ from .errors import (
     VerificationFailedError,
 )
 from .generators import gen_named, gen_qr
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -277,51 +300,103 @@ def verify_binomial_sum_min(n: int, p: int) -> MinimizationReport:
 
 # -- exhaustive labeled sweeps -----------------------------------------------
 
-def _sweep_stats(n: int) -> tuple[int, int, int, list[int], list[int]]:
-    """One pass over all 2^C(n,2) labeled tournaments with numpy batches.
-    Returns (regular code count, max c5, max s5, c5 witness codes,
-    s5 witness codes)."""
+# Base codes per numpy batch.  The per-code arrays of one batch hold
+# 256 * 2^(n-1) * (n-1) int64 entries, under 1 MiB at n = 7, so the
+# sweep's peak memory stays near that of importing numpy.
+_SWEEP_BATCH = 256
+
+
+def _bilinear(x: np.ndarray, left: np.ndarray,
+              right: np.ndarray) -> np.ndarray:
+    """left_q^T X_b right_q for every matrix X_b of the stack x and every
+    row q of left and right, as the (len(x), len(left)) product of
+    vec(X_b) with vec(left_q right_q^T)."""
+    m = x.shape[1]
+    outer = (left[:, :, None] * right[:, None, :]).reshape(-1, m * m)
+    return x.reshape(len(x), m * m) @ outer.T
+
+
+def _extension_batch(
+        n: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(codes, c5, s5, regular) of every order-n code s + (a << (n-1))
+    with a in the int64 array ``base`` and 0 <= s < 2^(n-1); each result
+    has shape (len(base), 2^(n-1)) with the code of row a, column s.
+
+    _edges(n) lists vertex 0's arcs first, so a is the order-(n-1) code
+    A of vertices 1..n-1 and bit k of s means 0 -> k+1.  With u = 1 - s
+    and old out-degrees deg_A + u, the counts follow from A^2 and A^3
+    once per base code, by the identities in the module docstring."""
     import numpy as np
 
-    edges = _edges(n)
-    e = len(edges)
-    total = 1 << e
-    batch = 1 << min(16, e)
-    half = (n - 1) // 2
-    c3tab = np.array([comb(v, 3) for v in range(n + 1)], dtype=np.int64)
-    c4tab = np.array([comb(v, 4) for v in range(n)], dtype=np.int64)
-    shifts = np.arange(e, dtype=np.int64)
-    regular = 0
+    m = n - 1
+    h = m // 2
+    edges = _edges(m)
+    bits = (base[:, None] >> np.arange(len(edges))) & 1
+    a = np.zeros((len(base), m, m), dtype=np.int64)
+    for k, (i, j) in enumerate(edges):
+        a[:, i, j] = bits[:, k]
+        a[:, j, i] = 1 - bits[:, k]
+    outsets = np.arange(1 << m, dtype=np.int64)
+    s = (outsets[:, None] >> np.arange(m)) & 1
+    u = 1 - s
+    size = s.sum(axis=1)
+    sq = a @ a
+    cube = sq @ a
+    tr5 = (cube * np.swapaxes(sq, 1, 2)).sum(axis=(1, 2))
+    if (tr5 % 5).any():
+        raise VerificationFailedError("closed 5-walk total not 5-divisible")
+    c5 = (tr5 // 5)[:, None] + _bilinear(cube, s, u)
+
+    c2, c3, c4 = (np.array([comb(v, r) for v in range(n + 1)], dtype=np.int64)
+                  for r in (2, 3, 4))
+    # [b, i, s]: out-degree of old vertex i, and the 2-paths along its
+    # arc with the new vertex: (A u)_i when i -> 0, (s^T A)_i when 0 -> i,
+    # where (A u)_i = deg_i - |s| + (s^T A)_i
+    deg = a.sum(axis=2)[:, :, None]
+    out = deg + u.T
+    paths = ((np.swapaxes(a, 1, 2).reshape(-1, m) @ s.T).reshape(out.shape)
+             + u.T * (deg - size))
+    # share[o, p] = C(p, 3) - C(o, 4) - C(n - 1 - o, 4): an old vertex's
+    # part of s5 besides the arcs among old vertices
+    share = c3[None, :] - c4[:n, None] - c4[n - 1::-1, None]
+    s5 = (comb(n, 5) - c4[size] - c4[n - 1 - size]
+          + (a * c3[sq]).sum(axis=(1, 2))[:, None]
+          + _bilinear(a * c2[sq], u, s)
+          + share[out, paths].sum(axis=1))
+    regular = (out == h).all(axis=1) & (size == h)
+    codes = (base[:, None] << m) + outsets
+    return codes, c5, s5, regular
+
+
+def _sweep_stats(n: int) -> tuple[int, int, int, int, list[int], list[int]]:
+    """One pass over every labeled tournament of order n, as an order-(n-1)
+    base code a plus the out-set s of vertex 0, in ascending code order
+    s + (a << (n-1)).  Returns (codes visited, regular code count, max c5,
+    max s5, c5 witness codes, s5 witness codes).
+
+    Per batch of base codes, _extension_batch computes A^2 and A^3 once
+    and adds the new vertex by the extension identities:
+    c5 = tr(A^5)/5 + s^T A^3 u, the s5 arc terms of T^2 = A^2 + u s^T,
+    and out-degrees deg_A + u and |s|."""
+    import numpy as np
+
+    bases = 1 << comb(n - 1, 2)
+    visited = regular = 0
     best = [-1, -1]
     witnesses: list[list[int]] = [[], []]
-    for lo in range(0, total, batch):
-        codes = np.arange(lo, min(lo + batch, total), dtype=np.int64)
-        bits = (codes[:, None] >> shifts) & 1
-        b = len(codes)
-        adj = np.zeros((b, n, n), dtype=np.int64)
-        for k, (i, j) in enumerate(edges):
-            adj[:, i, j] = bits[:, k]
-            adj[:, j, i] = 1 - bits[:, k]
-        deg = adj.sum(axis=2)
-        regular += int((deg == half).all(axis=1).sum())
-        sq = adj @ adj
-        fourth = sq @ sq
-        tr5 = (fourth * np.swapaxes(adj, 1, 2)).sum(axis=(1, 2))
-        if (tr5 % 5).any():
-            raise VerificationFailedError("closed 5-walk total not 5-divisible")
-        c5 = tr5 // 5
-        s5 = (comb(n, 5)
-              - c4tab[deg].sum(axis=1)
-              - c4tab[n - 1 - deg].sum(axis=1)
-              + (adj * c3tab[sq]).sum(axis=(1, 2)))
+    for lo in range(0, bases, _SWEEP_BATCH):
+        codes, c5, s5, is_reg = _extension_batch(
+            n, np.arange(lo, min(lo + _SWEEP_BATCH, bases), dtype=np.int64))
+        visited += codes.size
+        regular += int(is_reg.sum())
         for q, values in enumerate((c5, s5)):
-            bmax = int(values.max())
+            bmax = int(values.max(initial=-1))
             if bmax > best[q]:
                 best[q] = bmax
                 witnesses[q] = []
             if bmax == best[q]:
                 witnesses[q].extend(int(c) for c in codes[values == bmax])
-    return regular, *best, *witnesses
+    return visited, regular, *best, *witnesses
 
 
 def _classes_of_codes(n: int, codes: list[int]) -> tuple[str, ...]:
@@ -349,7 +424,10 @@ def verify_c5_max(n: int) -> SweepExtremes:
     """
     if n not in (5, 7):
         raise TooLargeError(f"the exhaustive sweep runs at n in {{5, 7}}, got {n}")
-    regular, best_c5, best_s5, c5_codes, s5_codes = _sweep_stats(n)
+    total, regular, best_c5, best_s5, c5_codes, s5_codes = _sweep_stats(n)
+    if total != 1 << comb(n, 2):
+        raise VerificationFailedError(
+            f"sweep visited {total} codes, not 2^{comb(n, 2)}")
     c5_witnesses = _classes_of_codes(n, c5_codes)
     s5_witnesses = _classes_of_codes(n, s5_codes)
     bound = c5_max_bound(n)
@@ -369,8 +447,7 @@ def verify_c5_max(n: int) -> SweepExtremes:
         tight=best_s5 == s5_of_rlt(n),
         witnesses=s5_witnesses,
     )
-    result = SweepExtremes(n, 1 << (n * (n - 1) // 2), regular,
-                           c5_report, s5_report)
+    result = SweepExtremes(n, total, regular, c5_report, s5_report)
     _check_sweep_claims(result)
     return result
 

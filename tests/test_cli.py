@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from tourney import (TRACE_MAX_M, enumerate_regular, format_tour, gen_qr,
                      gen_random, gen_rlt, parse_tour, write_corpus,
                      write_tour)
-from tourney.cli import main
+from tourney.cli import _emit, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -472,6 +472,14 @@ def test_golden_stdout(capsys, golden_inputs, argv, digest):
     code, out = run(capsys, *(a.format(**golden_inputs) for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_golden_thm1_order7(capsys, sweep7):
+    # `verify thm1 --n 7` emits verify_c5_max(7); encoding the shared
+    # sweep7 fixture pins its stdout without a second 2^21-code sweep
+    _emit(sweep7)
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "31c7c642c7e55a864ca68ceb64fddafd52171f6e2cd9f6890935ed604cb38002")
 
 
 class TestEntryPoint:

@@ -7,7 +7,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tourney import (
     BoundReport,
@@ -45,8 +48,9 @@ from tourney.errors import (
     TooLargeError,
     VerificationFailedError,
 )
-from tourney.extremal import (_classes_of_codes, delta_tt3_copies_in_rlt,
-                              rlt5_copies_in_rlt)
+from tourney import extremal
+from tourney.extremal import (_classes_of_codes, _extension_batch,
+                              delta_tt3_copies_in_rlt, rlt5_copies_in_rlt)
 
 
 class TestClosedForms:
@@ -210,6 +214,42 @@ class TestSweepDrivers:
             canonical_form(gen_rlt(5)).hex(),)
         with pytest.raises(VerificationFailedError):
             _classes_of_codes(5, codes[1:])
+
+
+class TestExtensionKernel:
+    """The sweep's per-code counts against the counting oracles on the
+    labeled tournament each code names."""
+
+    @staticmethod
+    def assert_matches_oracles(n, codes, c5, s5, regular):
+        for code, c, s, r in zip(codes.ravel().tolist(), c5.ravel().tolist(),
+                                 s5.ravel().tolist(), regular.ravel().tolist()):
+            t = tournament_from_code(n, code)
+            assert (c, s, r) == (oracle_cycles(t, 5),
+                                 oracle_strong_subs(t, 5), is_regular(t)), code
+
+    def test_every_order5_code(self):
+        codes, c5, s5, regular = _extension_batch(5, np.arange(64))
+        assert codes.tolist() == np.arange(1 << 10).reshape(64, 16).tolist()
+        self.assert_matches_oracles(5, codes, c5, s5, regular)
+
+    @given(st.integers(0, (1 << 21) - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_order7_codes(self, code):
+        # the sampled code's base, with all 64 out-sets of vertex 0
+        codes, c5, s5, regular = _extension_batch(7, np.array([code >> 6]))
+        assert codes[0, code & 63] == code
+        self.assert_matches_oracles(7, codes, c5, s5, regular)
+
+    def test_dropped_batch_raises(self, monkeypatch):
+        kernel = extremal._extension_batch
+
+        def drop_first(n, base):
+            return kernel(n, base[:0] if base[0] == 0 else base)
+
+        monkeypatch.setattr(extremal, "_extension_batch", drop_first)
+        with pytest.raises(VerificationFailedError, match="visited 0 codes"):
+            verify_c5_max(5)
 
 
 class TestRegular9Driver:
