@@ -13,8 +13,24 @@ Quantities, for a tournament of order n:
   tr_m  trace of the m-th power of the adjacency matrix; tr_m = m * c_m
         for m in {3, 4, 5} and tr_1 = tr_2 = 0
 
-The 5-cycle formula accumulates, over all arcs (i, j), a quartic form in
-the four intersection counts of the pair, and the total plus six times
+The formulas for c4, c5 and w_m take one integer product A A^T per call,
+where A is the 0/1 adjacency matrix.  For an arc i -> j with out-degrees
+d, dpp = |N+(i) & N+(j)| = (A A^T)[i, j], and the other three
+intersection counts of the arc follow from the degrees:
+
+  dpm = |N+(i) & N-(j)| = d_i - 1 - dpp
+  dmp = |N-(i) & N+(j)| = d_j - dpp
+  dmm = |N-(i) & N-(j)| = n - 1 - d_i - d_j + dpp
+
+so that, with in_i = n - 1 - d_i and sums over vertices and arcs,
+
+  c4  = C(n, 4) - sum C(in_i, 3) - sum C(d_i, 3) + sum_arcs C(dpp, 2)
+  w_m = C(n, m) - sum C(d_i, m-1) - sum C(in_i, m-1) + sum_arcs C(dpm, m-2)
+
+Every binomial sum is a Python-int sum over a histogram of its int64
+arguments, so it is exact where an int64 sum would overflow (w_32 at
+order 64).  The 5-cycle formula accumulates, over all arcs, a quartic
+form in the four intersection counts, and the total plus six times
 binomial(n, 5) is divisible by 8; that parity is asserted on every call.
 """
 
@@ -91,14 +107,50 @@ def c3_formula(t: Tournament) -> int:
     return _c3_within(t, t.full_mask())
 
 
+def _adjacency(t: Tournament):
+    """The 0/1 adjacency matrix as int64: A[i, j] = 1 exactly when i -> j.
+    The rows are shifted as uint64, which holds bit 63 at order 64."""
+    import numpy as np
+
+    rows = np.array(t.out_rows, dtype=np.uint64)
+    bits = (rows[:, None] >> np.arange(t.n, dtype=np.uint64)) & np.uint64(1)
+    return bits.astype(np.int64)
+
+
+def _binomial_sum(values, r: int) -> int:
+    """sum of C(x, r) over non-negative int64 values, as a Python int:
+    sum over x of hist[x] * C(x, r), which no int64 sum can overflow."""
+    import numpy as np
+
+    hist = np.bincount(values).tolist()
+    return sum(h * comb(x, r) for x, h in enumerate(hist) if h)
+
+
+def _arc_profiles(t: Tournament):
+    """(d, dpp, dmm, dpm, dmp) as int64 arrays: the out-degrees, and the
+    four intersection counts of each arc i -> j in row-major order, from
+    dpp = (A A^T)[i, j] and the degree identities."""
+    import numpy as np
+
+    a = _adjacency(t)
+    d = a.sum(axis=1)
+    i, j = np.nonzero(a)
+    dpp = (a @ a.T)[i, j]
+    return d, dpp, t.n - 1 - d[i] - d[j] + dpp, d[i] - 1 - dpp, d[j] - dpp
+
+
 def c4_formula(t: Tournament) -> int:
-    """4-cycles: binomial(n, 4) - sum_i C(in_deg(i), 3) - sum_i c3(N+(i))."""
+    """4-cycles: binomial(n, 4) - sum_i C(in_deg(i), 3) - sum_i c3(N+(i)).
+
+    c3(N+(i)) is C(d_i, 3) less, for each arc i -> j, the C(dpp, 2)
+    transitive triples in N+(i) whose source is j, so
+    c4 = C(n, 4) - sum_i C(in_i, 3) - sum_i C(d_i, 3) + sum_arcs C(dpp, 2)
+    with dpp = (A A^T)[i, j].
+    """
     n = t.n
-    total = comb(n, 4)
-    for i in range(n):
-        total -= comb(t.in_degree(i), 3)
-        total -= _c3_within(t, t.out_rows[i])
-    return total
+    d, dpp, _, _, _ = _arc_profiles(t)
+    return (comb(n, 4) - _binomial_sum(n - 1 - d, 3)
+            - _binomial_sum(d, 3) + _binomial_sum(dpp, 2))
 
 
 def c5_formula(t: Tournament) -> int:
@@ -106,31 +158,21 @@ def c5_formula(t: Tournament) -> int:
 
     8 * c5 = 6 * C(n, 5) + sum over arcs of
       -(dpm + dmp)(dpp - dmm)^2 - (dpp + dmm)(dpm - dmp)^2
-      + 2 (dpp + dmm)(dpm + dmp).
+      + 2 (dpp + dmm)(dpm + dmp),
+    where, for an arc i -> j with out-degrees d and dpp = (A A^T)[i, j],
+    dpm = d_i - 1 - dpp, dmp = d_j - dpp and dmm = n - 1 - d_i - d_j + dpp.
+    With s1 = dpp + dmm and s2 = dpm + dmp, which sum to n - 2, a term
+    is at most s1 s2 (s1 + s2 + 2) < 2^16 in size, and there are fewer
+    than 2^11 arcs, so the int64 sum is exact.
     """
     n = t.n
-    full = t.full_mask()
-    rows = t.out_rows
-    acc = 6 * comb(n, 5)
-    for i in range(n):
-        oi = rows[i]
-        mi = full & ~oi & ~(1 << i)
-        row = oi
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
-            row ^= low
-            oj = rows[j]
-            mj = full & ~oj & ~(1 << j)
-            dpp = (oi & oj).bit_count()
-            dmm = (mi & mj).bit_count()
-            dpm = (oi & mj).bit_count()
-            dmp = (mi & oj).bit_count()
-            s1 = dpp + dmm
-            s2 = dpm + dmp
-            d1 = dpp - dmm
-            d2 = dpm - dmp
-            acc += -s2 * d1 * d1 - s1 * d2 * d2 + 2 * s1 * s2
+    _, dpp, dmm, dpm, dmp = _arc_profiles(t)
+    s1 = dpp + dmm
+    s2 = dpm + dmp
+    d1 = dpp - dmm
+    d2 = dpm - dmp
+    acc = 6 * comb(n, 5) + int((-s2 * d1 * d1 - s1 * d2 * d2
+                                + 2 * s1 * s2).sum())
     if acc % 8 != 0:
         raise InternalParityError(
             f"5-cycle accumulator {acc} not divisible by 8")
@@ -140,29 +182,17 @@ def c5_formula(t: Tournament) -> int:
 def w_formula(t: Tournament, m: int) -> int:
     """m-subsets with neither sink nor source:
     C(n, m) - sum_i C(in_deg(i), m-1) - sum_i C(out_deg(i), m-1)
-    + sum over arcs (i, j) of C(|N+(i) & N-(j)|, m-2).
+    + sum over arcs i -> j of C(dpm, m-2), where
+    dpm = |N+(i) & N-(j)| = d_i - 1 - (A A^T)[i, j].
     Returns 0 for m > n."""
     if m < 3:
         raise BadMError(f"w_m needs m >= 3, got {m}")
     n = t.n
     if m > n:
         return 0
-    full = t.full_mask()
-    rows = t.out_rows
-    total = comb(n, m)
-    for i in range(n):
-        deg = rows[i].bit_count()
-        total -= comb(deg, m - 1) + comb(n - 1 - deg, m - 1)
-    for i in range(n):
-        oi = rows[i]
-        row = oi
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
-            row ^= low
-            mj = full & ~rows[j] & ~(1 << j)
-            total += comb((oi & mj).bit_count(), m - 2)
-    return total
+    d, _, _, dpm, _ = _arc_profiles(t)
+    return (comb(n, m) - _binomial_sum(d, m - 1)
+            - _binomial_sum(n - 1 - d, m - 1) + _binomial_sum(dpm, m - 2))
 
 
 def s_formula(t: Tournament, m: int) -> int:
@@ -192,9 +222,9 @@ def trace_m(t: Tournament, m: int) -> int:
         raise BadMError(f"trace needs 1 <= m <= {TRACE_MAX_M}, got {m}")
     import numpy as np
 
-    n = t.n
-    a = np.array([[(row >> j) & 1 for j in range(n)] for row in t.out_rows],
-                 dtype=np.int64 if n ** m < (1 << 62) else object)
+    a = _adjacency(t)
+    if t.n ** m >= 1 << 62:
+        a = a.astype(object)
     return int(np.trace(np.linalg.matrix_power(a, m)))
 
 

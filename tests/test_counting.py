@@ -5,6 +5,7 @@ ride on top."""
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from math import comb
 
 import pytest
@@ -24,6 +25,7 @@ from tourney import (
     count_copies,
     count_report,
     gen_named,
+    gen_qr,
     gen_random,
     gen_rlt,
     gen_transitive,
@@ -37,6 +39,7 @@ from tourney import (
     trace_m,
     w_formula,
 )
+from tourney.counting import _arc_profiles, _cycles_by_trace
 from tourney.errors import BadMError, NotAnArcError, TooLargeError
 
 
@@ -49,6 +52,33 @@ def trace_by_repeated_products(t, m: int) -> int:
         power = [[sum(power[i][k] * a[k][j] for k in range(n))
                   for j in range(n)] for i in range(n)]
     return sum(power[i][i] for i in range(n))
+
+
+def w_by_arc_loop(t, m: int) -> int:
+    """Reference route for w_m: the subset formula with every arc's
+    |N+(i) & N-(j)| counted by a popcount, one arc at a time."""
+    n = t.n
+    if m > n:
+        return 0
+    full = t.full_mask()
+    rows = t.out_rows
+    total = comb(n, m)
+    for i in range(n):
+        deg = rows[i].bit_count()
+        total -= comb(deg, m - 1) + comb(n - 1 - deg, m - 1)
+    for i, j in t.arcs():
+        mj = full & ~rows[j] & ~(1 << j)
+        total += comb((rows[i] & mj).bit_count(), m - 2)
+    return total
+
+
+def assert_arc_profiles(t) -> None:
+    """The kernel's degrees and per-arc counts equal the per-pair route:
+    for an arc i -> j, (dpp, n-1-d_i-d_j+dpp, d_i-1-dpp, d_j-dpp)."""
+    d, *per_arc = _arc_profiles(t)
+    assert d.tolist() == list(scores(t)[0])
+    assert list(zip(*(x.tolist() for x in per_arc))) == [
+        astuple(arc_intersections(t, i, j)) for i, j in t.arcs()]
 
 
 def assert_formulas_match_oracles(t) -> None:
@@ -93,7 +123,33 @@ class TestRandomOracleEquivalence:
                 assert s_formula(t, m) == s_formula(c, m)
 
 
+# one seeded random tournament per order above the oracle cap, plus the
+# two orders with no arc or one arc; TT_64 sets bit 63 of a row
+_ABOVE_CAP = {f"random{n}": gen_random(n, n) for n in (1, 2, *range(13, 65))}
+_ABOVE_CAP.update(rlt63=gen_rlt(63), qr59=gen_qr(59), tt64=gen_transitive(64))
+
+
+class TestAboveOracleCap:
+    @pytest.mark.parametrize("t", _ABOVE_CAP.values(), ids=_ABOVE_CAP.keys())
+    def test_formulas_match_trace_and_arc_loop(self, t):
+        assert c3_formula(t) == _cycles_by_trace(t, 3)
+        assert c4_formula(t) == _cycles_by_trace(t, 4)
+        assert c5_formula(t) == _cycles_by_trace(t, 5)
+        n = t.n
+        for m in {3, 4, 5, n // 2, n - 1, n} - {0, 1, 2}:
+            assert w_formula(t, m) == w_by_arc_loop(t, m)
+
+
 class TestArcIntersections:
+    def test_degree_identities_order5(self):
+        for code in range(1 << 10):
+            assert_arc_profiles(tournament_from_code(5, code))
+
+    @given(st.integers(6, 64), st.integers(0, (1 << 64) - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_degree_identities(self, n, seed):
+        assert_arc_profiles(gen_random(n, seed))
+
     def test_sum_rule(self):
         # the four neighbourhood intersections of an arc partition the rest
         for seed in range(30):
@@ -103,7 +159,6 @@ class TestArcIntersections:
                 assert x.dpp + x.dmm + x.dpm + x.dmp == t.n - 2
 
     def test_known_qr7(self):
-        from tourney import gen_qr
         t = gen_qr(7)
         for i, j in t.arcs():
             assert arc_intersections(t, i, j) == ArcIntersection(1, 1, 1, 2)
