@@ -17,7 +17,9 @@ keys are equal.
 The same search gives |Aut|.  Every relabeling that attains the minimal
 key is a leaf of it, so the leaves tied with the final minimum are
 exactly the relabelings that give the canonical key.  Those form one
-coset of the automorphism group, so their number is |Aut|.
+coset of the automorphism group, so their number is |Aut|.  The last
+search is kept, so canonical_form followed by automorphism_count on one
+tournament searches once.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     ArityMismatchError,
@@ -253,9 +256,12 @@ class CanonicalForm:
         return tuple(rows)
 
 
+@lru_cache(maxsize=1)
 def _minimal_relabelings(t: Tournament) -> tuple[CanonicalForm, int]:
     """The canonical form of t and the number of relabelings that attain
-    it, by one ordered-partition search.
+    it, by one ordered-partition search.  The last result is kept, keyed
+    by (n, out_rows), so automorphism_count right after canonical_form
+    on an equal tournament reuses the search.
 
     Positions of the new labeling are filled left to right.  The unplaced
     vertices form an ordered list of cells; the vertex for the next

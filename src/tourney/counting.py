@@ -13,10 +13,12 @@ Quantities, for a tournament of order n:
   tr_m  trace of the m-th power of the adjacency matrix; tr_m = m * c_m
         for m in {3, 4, 5} and tr_1 = tr_2 = 0
 
-The formulas for c4, c5 and w_m take one integer product A A^T per call,
-where A is the 0/1 adjacency matrix.  For an arc i -> j with out-degrees
-d, dpp = |N+(i) & N+(j)| = (A A^T)[i, j], and the other three
-intersection counts of the arc follow from the degrees:
+The formulas for c4, c5 and w_m share one integer product A A^T per
+tournament, where A is the 0/1 adjacency matrix: _arc_profiles keeps
+its last result, keyed by the tournament's value, so consecutive
+formula calls on one tournament form the product once.  For an arc
+i -> j with out-degrees d, dpp = |N+(i) & N+(j)| = (A A^T)[i, j], and
+the other three intersection counts of the arc follow from the degrees:
 
   dpm = |N+(i) & N-(j)| = d_i - 1 - dpp
   dmp = |N-(i) & N+(j)| = d_j - dpp
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Sequence
@@ -126,17 +129,24 @@ def _binomial_sum(values, r: int) -> int:
     return sum(h * comb(x, r) for x, h in enumerate(hist) if h)
 
 
+@lru_cache(maxsize=1)
 def _arc_profiles(t: Tournament):
-    """(d, dpp, dmm, dpm, dmp) as int64 arrays: the out-degrees, and the
-    four intersection counts of each arc i -> j in row-major order, from
-    dpp = (A A^T)[i, j] and the degree identities."""
+    """(d, dpp, dmm, dpm, dmp) as read-only int64 arrays: the out-degrees,
+    and the four intersection counts of each arc i -> j in row-major
+    order, from dpp = (A A^T)[i, j] and the degree identities.  The last
+    result is kept, keyed by (n, out_rows), for the next formula call on
+    an equal tournament, so no caller may write to it."""
     import numpy as np
 
     a = _adjacency(t)
     d = a.sum(axis=1)
     i, j = np.nonzero(a)
     dpp = (a @ a.T)[i, j]
-    return d, dpp, t.n - 1 - d[i] - d[j] + dpp, d[i] - 1 - dpp, d[j] - dpp
+    profiles = (d, dpp, t.n - 1 - d[i] - d[j] + dpp, d[i] - 1 - dpp,
+                d[j] - dpp)
+    for x in profiles:
+        x.setflags(write=False)
+    return profiles
 
 
 def c4_formula(t: Tournament) -> int:
@@ -212,11 +222,19 @@ def s5_formula(t: Tournament) -> int:
 def trace_m(t: Tournament, m: int) -> int:
     """Trace of the m-th adjacency power: closed walks of length m.
 
-    Exact for 1 <= m <= TRACE_MAX_M.  numpy squares and multiplies in
-    int64 when n**m < 2**62, which bounds every entry of every power it
-    forms and the trace, and in Python ints (object dtype) otherwise.
-    The cap bounds the work: entries grow to about m log2(n) bits, and
-    m = TRACE_MAX_M at n = 64 takes seconds.
+    One split for every m: with p = m // 2 and q = m - p,
+    tr(A^m) = sum over i, j of (A^p)[i, j] (A^q)[j, i], the entrywise
+    product of A^p with the transpose of A^q, where A^q is A^p or
+    A^p A.  tr3 and tr4 form A A, and tr5 forms A A and A^2 A: 4 matrix
+    products in all, and no full product for the final power.
+
+    Exact for 1 <= m <= TRACE_MAX_M.  numpy works in int64 when
+    n**m < 2**62 and in Python ints (object dtype) otherwise.  Every
+    entry of A^p and A^q is at most n**m, and every summand and every
+    partial sum of the trace is a non-negative part of tr(A^m) <= n**m,
+    so the int64 route cannot overflow.  The cap bounds the work:
+    entries grow to about m log2(n) bits, and m = TRACE_MAX_M at n = 64
+    takes seconds.
     """
     if m < 1 or m > TRACE_MAX_M:
         raise BadMError(f"trace needs 1 <= m <= {TRACE_MAX_M}, got {m}")
@@ -225,7 +243,10 @@ def trace_m(t: Tournament, m: int) -> int:
     a = _adjacency(t)
     if t.n ** m >= 1 << 62:
         a = a.astype(object)
-    return int(np.trace(np.linalg.matrix_power(a, m)))
+    p = m // 2
+    ap = np.linalg.matrix_power(a, p)
+    aq = ap if m - p == p else ap @ a
+    return int((ap * aq.T).sum())
 
 
 # -- oracles -----------------------------------------------------------------

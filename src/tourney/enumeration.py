@@ -437,18 +437,3 @@ def verify_corpus(corpus: EnumCorpus) -> None:
             f"labeled count {corpus.labeled_count} fails orbit counting "
             f"(sum n!/|Aut| = {orbit_sum})")
 
-
-def load_or_enumerate(n: int, path: str | os.PathLike[str],
-                      **kwargs) -> EnumCorpus:
-    """Read and verify a cached corpus if the file exists, else enumerate
-    and write it."""
-    if os.path.exists(path):
-        corpus = read_corpus(path)
-        if corpus.n != n:
-            raise CorpusMissingError(
-                f"cached corpus at {path} is for a different run")
-        verify_corpus(corpus)
-        return corpus
-    corpus = enumerate_regular(n, **kwargs)
-    write_corpus(corpus, path)
-    return corpus

@@ -85,14 +85,26 @@ def _require_odd(n: int, least: int) -> None:
 def c5_max_bound(n: int) -> Fraction:
     """Upper bound for the 5-cycle count of any tournament of odd order n:
     (n+1) n (n-1)(n-2)(n-3) / 160.  Attained exactly by the doubly regular
-    tournaments (n = 3 mod 4); strict otherwise."""
+    tournaments (n = 3 mod 4); strict otherwise.
+
+    Where each part is checked: over all tournaments, verify_c5_max finds
+    it strict at n = 5 and attained by QR_7 alone at n = 7;
+    verify_regular9 finds it strict among the regular tournaments of
+    order 9, but no check covers the irregular ones there.  The tests
+    find it attained by QR_p for every prime p = 3 (mod 4) from 7 to 59
+    and by the doubly regular gen_qr_power(3, 3) of order 27.  Nothing
+    checks "strict otherwise" above order 9."""
     _require_odd(n, 5)
     return Fraction((n + 1) * n * (n - 1) * (n - 2) * (n - 3), 160)
 
 
 def c5_regular_max(n: int) -> int:
     """Maximum 5-cycle count over regular tournaments of order
-    n = 1 (mod 4): n (n-1)(n^3 - 4 n^2 + n - 14) / 160."""
+    n = 1 (mod 4): n (n-1)(n^3 - 4 n^2 + n - 14) / 160.
+
+    verify_regular9 checks the maximum over the order-9 regular corpus.
+    At n = 5 it holds because RLT_5 is the only regular class.  Nothing
+    checks it at n = 13 or above."""
     _require_odd(n, 5)
     if n % 4 != 1:
         raise BadResidueError(f"need n = 1 (mod 4), got {n}")

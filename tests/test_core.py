@@ -32,7 +32,7 @@ from tourney import (
     validate,
     vertices_of,
 )
-from tourney.core import key_for_permutation
+from tourney.core import _minimal_relabelings, key_for_permutation
 from tourney.counting import _strong_within
 from tourney.errors import (
     LoopArcError,
@@ -277,6 +277,43 @@ class TestCanonicalForm:
         from tourney import tournament_from_code
         t = tournament_from_code(5, code)
         assert canonical_form(t) == canonical_form_bruteforce(t)
+
+
+class TestSearchMemo:
+    """_minimal_relabelings keeps its last search.  Every call must give
+    what a search with an empty memo gives, whichever tournament the
+    memo holds."""
+
+    @pytest.mark.parametrize("n", [7, 11, 15])
+    def test_alternating_and_equal_tournaments(self, n):
+        t1, t2 = gen_rlt(n), gen_random(n, n)
+        copy = Tournament(n, tuple(list(t1.out_rows)))
+        twin = relabel(t1, [(2 * v + 1) % n for v in range(n)])
+        assert copy == t1 and copy is not t1
+        assert copy.out_rows is not t1.out_rows
+        assert twin != t1
+
+        def fresh(t):
+            _minimal_relabelings.cache_clear()
+            return canonical_form(t), automorphism_count(t)
+
+        want = {t: fresh(t) for t in (t1, t2, twin)}
+        assert want[t1] != want[t2]
+        assert want[t1] == want[twin]
+        for a, b in [(t1, t2), (t2, t1), (t1, copy), (copy, t1),
+                     (twin, t1), (t2, twin)]:
+            assert canonical_form(a) == want[a][0]
+            assert automorphism_count(b) == want[b][1]
+            assert automorphism_count(a) == want[a][1]
+            assert canonical_form(b) == want[b][0]
+
+    def test_equal_copy_reuses_the_search(self):
+        t = gen_rlt(9)
+        canonical_form(t)
+        hits = _minimal_relabelings.cache_info().hits
+        assert automorphism_count(
+            Tournament(9, tuple(list(t.out_rows)))) == 9
+        assert _minimal_relabelings.cache_info().hits == hits + 1
 
 
 class TestIsomorphism:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from tourney import (
     TRACE_MAX_M,
     ArcIntersection,
+    Tournament,
     CountEntry,
     arc_intersections,
     c3_formula,
@@ -140,6 +141,52 @@ class TestAboveOracleCap:
             assert w_formula(t, m) == w_by_arc_loop(t, m)
 
 
+class TestArcProfileMemo:
+    """_arc_profiles keeps its last result.  Every formula must give what
+    it gives with an empty memo, whichever tournament the memo holds."""
+
+    _FORMULAS = (c4_formula, c5_formula, s5_formula,
+                 lambda t: s_formula(t, 4), lambda t: w_formula(t, 6))
+
+    @pytest.mark.parametrize("n", [6, 12, 40, 64])
+    def test_alternating_and_equal_tournaments(self, n):
+        t1, t2 = gen_random(n, 1), gen_random(n, 2)
+        copy = Tournament(n, tuple(list(t1.out_rows)))
+        assert copy == t1 and copy is not t1
+        assert copy.out_rows is not t1.out_rows
+
+        def fresh(t):
+            values = []
+            for f in self._FORMULAS:
+                _arc_profiles.cache_clear()
+                values.append(f(t))
+            return values
+
+        want = {t: fresh(t) for t in (t1, t2)}
+        assert want[t1] != want[t2]
+        for t in (t1, t2, t1, copy, t2, copy):
+            assert [f(t) for f in self._FORMULAS] == want[t]
+        if n <= 12:
+            assert want[t1] == [oracle_cycles(t1, 4), oracle_cycles(t1, 5),
+                                oracle_strong_subs(t1, 5),
+                                oracle_strong_subs(t1, 4), oracle_w(t1, 6)]
+
+    def test_equal_copy_reuses_the_product(self):
+        t = gen_random(20, 3)
+        c4_formula(t)
+        hits = _arc_profiles.cache_info().hits
+        assert c5_formula(Tournament(20, tuple(list(t.out_rows)))) == \
+            _cycles_by_trace(t, 5)
+        assert _arc_profiles.cache_info().hits == hits + 1
+
+    def test_profiles_are_read_only(self):
+        for x in _arc_profiles(gen_random(9, 4)):
+            with pytest.raises(ValueError):
+                x[0] = 0
+            with pytest.raises(ValueError):
+                x += 1
+
+
 class TestArcIntersections:
     def test_degree_identities_order5(self):
         for code in range(1 << 10):
@@ -214,6 +261,15 @@ class TestEdgeCases:
         t = gen_random(8, 3)
         assert (t.n ** m < 1 << 62) == (m == 20)
         assert trace_m(t, m) == trace_by_repeated_products(t, m)
+
+    @pytest.mark.parametrize("n", range(5, 17))
+    def test_trace_split_matches_repeated_products(self, n):
+        # m = 1..12 run in int64 (16**12 = 2**48); m0 - 1 and m0 are the
+        # last int64 power and the first Python-int power of this order
+        t = gen_random(n, 100 + n)
+        m0 = next(m for m in range(1, 64) if n ** m >= 1 << 62)
+        for m in [*range(1, 13), m0 - 1, m0]:
+            assert trace_m(t, m) == trace_by_repeated_products(t, m)
 
     def test_trace_cap(self):
         t = gen_transitive(5)

@@ -24,7 +24,6 @@ from tourney import (
     enumeration,
     gen_rlt,
     is_regular,
-    load_or_enumerate,
     read_corpus,
     sweep_all,
     tournament_from_code,
@@ -33,7 +32,6 @@ from tourney import (
 )
 from tourney.errors import (
     BadOrderError,
-    CorpusMissingError,
     EvenOrderError,
     InvalidInput,
     TimeBudgetExceededError,
@@ -320,17 +318,3 @@ class TestCorpusFiles:
     def test_verify_rejects_unknown_order(self):
         with pytest.raises(BadOrderError, match="1, 3, 5, 7, 9, 11"):
             verify_corpus(EnumCorpus(13, "regular", 0, ()))
-
-    def test_load_or_enumerate(self, tmp_path):
-        path = tmp_path / "r5.corpus"
-        built = load_or_enumerate(5, path)
-        assert path.exists()
-        loaded = load_or_enumerate(5, path)
-        assert [cf.key for cf, _ in built.classes] == \
-            [cf.key for cf, _ in loaded.classes]
-
-    def test_load_rejects_mismatched_order(self, tmp_path):
-        path = tmp_path / "r.corpus"
-        write_corpus(enumerate_regular(5), path)
-        with pytest.raises(CorpusMissingError):
-            load_or_enumerate(7, path)

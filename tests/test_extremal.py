@@ -5,6 +5,7 @@ corpora built in this run."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from tourney import (
     BoundReport,
+    RotationalSymbol,
     balanced_sequence,
     binomial_sum_min,
     c4_formula,
@@ -25,8 +27,11 @@ from tourney import (
     expected_cycles,
     gen_named,
     gen_qr,
+    gen_qr_power,
     gen_rlt,
+    gen_rotational,
     gen_transitive,
+    is_doubly_regular,
     is_regular,
     oracle_cycles,
     oracle_strong_subs,
@@ -49,6 +54,7 @@ from tourney.errors import (
     VerificationFailedError,
 )
 from tourney import extremal
+from tourney.counting import _cycles_by_trace
 from tourney.extremal import (_classes_of_codes, _extension_batch,
                               delta_tt3_copies_in_rlt, rlt5_copies_in_rlt)
 
@@ -101,6 +107,45 @@ class TestClosedForms:
     def test_expected_cycles_values(self):
         assert expected_cycles(5, 5) == Fraction(120, 160)
         assert expected_cycles(4, 5) == 0
+
+
+def seeded_rotational(n: int, seed: int):
+    """A rotational tournament of odd order n whose symbol takes d or
+    n - d for each d in 1..(n-1)/2 by a seeded coin."""
+    rng = random.Random(seed)
+    diffs = {d if rng.getrandbits(1) else n - d for d in range(1, n // 2 + 1)}
+    return gen_rotational(RotationalSymbol(n, frozenset(diffs)))
+
+
+_DOUBLY_REGULAR = {f"qr{p}": gen_qr(p) for p in (7, 11, 19, 23, 31, 43, 47, 59)}
+_DOUBLY_REGULAR["qr_power_3_3"] = gen_qr_power(3, 3)
+
+
+class TestFamiliesToTheBitmaskCap:
+    """Each closed form on its family at every order up to 63, by the
+    formula route and, for c5, the trace route."""
+
+    @pytest.mark.parametrize("n", range(5, 64, 2))
+    def test_rlt(self, n):
+        t = gen_rlt(n)
+        assert s5_formula(t) == s5_of_rlt(n)
+        assert c5_formula(t) == _cycles_by_trace(t, 5) == c5_of_rlt(n)
+
+    @pytest.mark.parametrize("t", _DOUBLY_REGULAR.values(),
+                             ids=_DOUBLY_REGULAR.keys())
+    def test_doubly_regular_attains_the_bound(self, t):
+        assert is_doubly_regular(t)
+        assert s5_formula(t) == s5_of_dr(t.n)
+        assert c5_formula(t) == _cycles_by_trace(t, 5) == c5_max_bound(t.n)
+
+    @pytest.mark.parametrize("n", range(3, 64, 2))
+    def test_regular_identity_on_rotational(self, n):
+        t = seeded_rotational(n, n)
+        lhs, rhs = regular_identity(t)
+        assert lhs == rhs == c5_formula(t) + 2 * c4_formula(t)
+        tl, tr = regular_identity_trace(t)
+        assert tl == tr == 5 * rhs
+        assert tl == Fraction(trace_m(t, 5)) + Fraction(5, 2) * trace_m(t, 4)
 
 
 class TestRegularIdentity:
