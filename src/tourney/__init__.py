@@ -66,12 +66,9 @@ from .counting import (
 )
 from .enumeration import (
     ENUM_MAX_ORDER,
-    SWEEP_MAX_ORDER,
     EnumCorpus,
-    all_tournaments,
     enumerate_regular,
     read_corpus,
-    sweep_all,
     tournament_from_code,
     verify_corpus,
     write_corpus,
@@ -121,7 +118,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MAX_ORDER", "MAX_CANONICAL_ORDER", "ORACLE_MAX_ORDER", "TRACE_MAX_M",
-    "SWEEP_MAX_ORDER", "ENUM_MAX_ORDER",
+    "ENUM_MAX_ORDER",
     "Tournament", "CanonicalForm", "StrongDecomposition",
     "validate", "mask_of", "vertices_of", "induced", "converse", "compose",
     "strong_decomposition", "is_strong", "canonical_form",
@@ -137,7 +134,7 @@ __all__ = [
     "is_locally_transitive", "is_locally_regular", "is_doubly_regular",
     "is_nearly_doubly_regular", "is_rldr", "is_rlndr", "aat_positive",
     "landau_feasible", "ClassificationReport", "classification_report",
-    "tournament_from_code", "all_tournaments", "sweep_all", "EnumCorpus",
+    "tournament_from_code", "EnumCorpus",
     "enumerate_regular", "write_corpus", "read_corpus", "verify_corpus",
     "c5_max_bound", "c5_regular_max", "s5_of_rlt", "c5_of_rlt", "s5_of_dr",
     "s5_of_ndr", "rlt5_copies_in_rlt", "delta_tt3_copies_in_rlt",

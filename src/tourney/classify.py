@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 from .core import Tournament, induced, is_strong
 from .counting import _c3_within
-from .errors import BadMError, NotSortedError
+from .errors import BadMError, NotRegularError, NotSortedError
 
 _SIDES = ("plus", "minus", "both")
 
@@ -66,8 +66,6 @@ def is_near_regular(t: Tournament) -> bool:
 
 def semi_degree(t: Tournament) -> int:
     """(n-1)/2 for a regular tournament."""
-    from .errors import NotRegularError
-
     if not is_regular(t):
         raise NotRegularError("semi-degree is defined for regular tournaments")
     return (t.n - 1) // 2

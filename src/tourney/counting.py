@@ -45,7 +45,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Sequence
 
-from .core import Tournament, canonical_form
+from .core import Tournament, canonical_form, induced
 from .errors import (
     BadMError,
     InternalParityError,
@@ -385,8 +385,6 @@ def count_copies(t: Tournament, pattern: Tournament) -> int:
     if m > t.n:
         return 0
     target = canonical_form(pattern).key
-    from .core import induced  # local import keeps module top minimal
-
     count = 0
     for combo in combinations(range(t.n), m):
         sub = induced(t, combo)

@@ -1,15 +1,27 @@
 """Exhaustive generation of small tournaments.
 
-Two drivers:
+Two engines, both certified by orbit mass (certified_classes below):
 
-  sweep_all          folds a visitor over every labeled tournament of
-                     order n <= 7, one per upper-triangle edge code
-                     (bit k of the code orients the k-th pair i < j in
-                     lexicographic order: 1 means i -> j).
+  _classes           grows every isomorphism class of order h from the
+                     classes of order h - 1 plus one new vertex.
   enumerate_regular  joins two classes of half order through a 0/1
                      cross matrix into every regular tournament whose
                      vertex 0 beats exactly 1..h, then sorts them into
-                     isomorphism classes under an orbit-mass certificate.
+                     isomorphism classes.
+
+The extension.  A labeled tournament of order k is a labeled tournament
+T' on the vertices 1..k-1 plus the out-set s of vertex 0 among them.
+_extensions takes each class rep R of order k-1 and each of the 2^(k-1)
+out-sets s, and weights the candidate (R, s) by R's orbit (k-1)!/|Aut R|.
+The weight is exact: for each of the (k-1)!/|Aut R| labeled T'
+isomorphic to R choose one relabeling of 1..k-1 that carries R onto T';
+it carries (R, s) onto (T', its image of s), one to one over s.  So
+every labeled tournament of order k is the image of exactly one
+candidate under exactly one chosen relabeling, and is isomorphic to it.
+The weights add up to 2^C(k,2), and the certificate holds unchanged.
+This is isomorph-free generation by one-vertex extension (McKay 1998),
+with the certificate in place of a canonical-parent test; the class
+counts are OEIS A000568.
 
 The join.  Let n = 2h + 1 and fix vertex 0's out-set to P = {1..h}; it
 loses to Q = {h+1..2h}.  A regular tournament with that first row is
@@ -18,9 +30,9 @@ M, where M[a][b] = 1 means that the a-th vertex of P beats the b-th of Q.
 Every vertex has out-degree h exactly when the margins of M are fixed
 (Gale 1957; Ryser 1957): row a sums to h - score of a on P, and column b
 to 1 + score of b on Q.  So enumerate_regular takes one canonical
-representative R of every class of order h (certified below over at
-most 1,024 labeled codes, since h <= 5), and for each ordered pair
-(R+, R-) lists every cross matrix with those margins, row by row.
+representative R of every class of order h <= 5 from _classes, and for
+each ordered pair (R+, R-) lists every cross matrix with those margins,
+row by row.
 
 The weight of a completion (R+, R-, M) is the number of labeled regular
 tournaments of order n it stands for:
@@ -60,8 +72,8 @@ VerificationFailedError; no corpus is returned.  At order 9 the 16
 half-order pairs give 157 completions and 16 canonicalizations; at order
 11 the 144 pairs give 31,405 completions in 1,223 classes.
 certified_classes certifies any relabeling-closed set of labeled
-tournaments the same way: _half_classes passes every labeled tournament
-of order h with weight 1, and extremal the sweep's witness codes.
+tournaments the same way: _classes passes the one-vertex extensions,
+and extremal the sweep's witness codes.
 enumerate_regular's time budget is checked inside certified_classes,
 once per member of the walk and after every canonicalization, so it
 bounds the certify phase as well as the join.
@@ -80,8 +92,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
+from .classify import is_regular
 from .core import CanonicalForm, Tournament, _minimal_relabelings, validate
 from .counting import _c3_within
 from .errors import (
@@ -91,15 +104,11 @@ from .errors import (
     InvalidInput,
     ParseError,
     TimeBudgetExceededError,
-    TooLargeError,
     VerificationFailedError,
 )
 from .io import _decimal, format_tour, parse_tour, read_text
 
-SWEEP_MAX_ORDER = 7
 ENUM_MAX_ORDER = 11
-
-A = TypeVar("A")
 
 
 def _edges(n: int) -> list[tuple[int, int]]:
@@ -107,7 +116,9 @@ def _edges(n: int) -> list[tuple[int, int]]:
 
 
 def tournament_from_code(n: int, code: int) -> Tournament:
-    """Labeled tournament of an upper-triangle edge code."""
+    """Labeled tournament of an upper-triangle edge code: bit k of the
+    code orients the k-th pair i < j in lexicographic order, 1 meaning
+    i -> j."""
     rows = [0] * n
     for k, (i, j) in enumerate(_edges(n)):
         if (code >> k) & 1:
@@ -117,44 +128,37 @@ def tournament_from_code(n: int, code: int) -> Tournament:
     return Tournament(n, tuple(rows))
 
 
-def all_tournaments(n: int) -> Iterator[Tournament]:
-    """Every labeled tournament of order n, in code order."""
-    if n > SWEEP_MAX_ORDER:
-        raise TooLargeError(
-            f"full sweeps are capped at order {SWEEP_MAX_ORDER}, got {n}")
-    if n < 1:
-        raise BadOrderError(f"order must be >= 1, got {n}")
-    for code in range(1 << (n * (n - 1) // 2)):
-        yield tournament_from_code(n, code)
-
-
-def sweep_all(n: int, visitor: Callable[[A, Tournament], A], init: A) -> A:
-    """Pure fold of the visitor over every labeled tournament of order n."""
-    acc = init
-    for t in all_tournaments(n):
-        acc = visitor(acc, t)
-    return acc
-
-
-# -- regular enumeration -----------------------------------------------------
+# -- class engines -----------------------------------------------------------
 
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise TimeBudgetExceededError("enumeration ran past its budget")
 
 
-def _half_classes(h: int, deadline: float | None
-                  ) -> list[tuple[Tournament, int]]:
-    """(canonical representative, labeled count) of every class of order
-    h, in key order.  The labeled count is the class's orbit h!/|Aut|
-    from certified_classes over every labeled tournament of order h.
-    Order 0 has the one empty tournament."""
-    if h == 0:
-        return [(Tournament(0, ()), 1)]
-    _, orbits = certified_classes(
-        h, ((t, 1) for t in all_tournaments(h)), deadline)
-    return [(Tournament(h, CanonicalForm(h, key).rows()), orbits[key])
-            for key in sorted(orbits)]
+def _extensions(k: int, classes: list[tuple[Tournament, int]]
+                ) -> Iterator[tuple[Tournament, int]]:
+    """Every tournament of order k whose vertices 1..k-1 span a class rep
+    R of order k-1, one per (R, out-set s of vertex 0), with the number
+    of labeled tournaments of order k it stands for: R's orbit."""
+    for rep, orbit in classes:
+        for s in range(1 << (k - 1)):
+            rows = [s << 1]
+            rows += [row << 1 | (~s >> v & 1)
+                     for v, row in enumerate(rep.out_rows)]
+            yield Tournament(k, tuple(rows)), orbit
+
+
+def _classes(h: int, deadline: float | None
+             ) -> list[tuple[Tournament, int]]:
+    """(canonical representative, orbit h!/|Aut|) of every class of
+    order h, in key order, grown from the one empty tournament by
+    certifying each order's one-vertex extensions."""
+    classes = [(Tournament(0, ()), 1)]
+    for k in range(1, h + 1):
+        _, orbits = certified_classes(k, _extensions(k, classes), deadline)
+        classes = [(Tournament(k, CanonicalForm(k, key).rows()), orbits[key])
+                   for key in sorted(orbits)]
+    return classes
 
 
 def _cross_matrices(row_sums: list[int], col_sums: list[int]
@@ -297,7 +301,7 @@ def enumerate_regular(n: int, *, threads: int = 1,
                            f"seconds, got {time_budget}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     labeled, orbits = certified_classes(
-        n, _completions(n, _half_classes((n - 1) // 2, deadline)), deadline)
+        n, _completions(n, _classes((n - 1) // 2, deadline)), deadline)
     return _corpus_from_keys(n, labeled, orbits)
 
 
@@ -402,8 +406,6 @@ def verify_corpus(corpus: EnumCorpus) -> None:
     orbit-counting identity sum(n!/|Aut|), and the class count matches
     the known table.  Raises BadOrderError for an order outside the
     table and VerificationFailedError on any mismatch."""
-    from .classify import is_regular
-
     known = KNOWN_REGULAR_CLASSES.get(corpus.n)
     if known is None:
         raise BadOrderError(

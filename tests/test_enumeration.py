@@ -1,7 +1,7 @@
-"""Exhaustive generation: labeled sweeps, the regular-tournament join
-with its orbit-mass certificate, and the corpus file format.  Counts are
-cross-validated against the plain labeled sweep and a plain labeled arc
-backtracker where that is affordable."""
+"""Exhaustive generation: the class engine by one-vertex extension, the
+regular-tournament join with its orbit-mass certificate, and the corpus
+file format.  Counts are cross-validated against a plain labeled sweep
+and a plain labeled arc backtracker where that is affordable."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from tourney import (
     CanonicalForm,
     EnumCorpus,
     Tournament,
-    all_tournaments,
     automorphism_count,
     canonical_form,
     enumerate_regular,
@@ -25,7 +24,6 @@ from tourney import (
     gen_rlt,
     is_regular,
     read_corpus,
-    sweep_all,
     tournament_from_code,
     verify_corpus,
     write_corpus,
@@ -39,6 +37,13 @@ from tourney.errors import (
 )
 
 
+def all_tournaments(n: int):
+    """Reference route: every labeled tournament of order n, one per
+    upper-triangle edge code."""
+    for code in range(1 << math.comb(n, 2)):
+        yield tournament_from_code(n, code)
+
+
 class TestLabeledSweep:
     def test_code_bijection(self):
         seen = {tournament_from_code(4, code).out_rows
@@ -48,9 +53,28 @@ class TestLabeledSweep:
     def test_all_tournaments_count(self):
         assert sum(1 for _ in all_tournaments(4)) == 1 << 6
 
-    def test_sweep_fold(self):
-        total = sweep_all(5, lambda acc, t: acc + 1, 0)
-        assert total == 1 << 10
+
+class TestClassEngine:
+    @pytest.mark.parametrize("k,count", enumerate([1, 1, 2, 4, 12, 56, 456],
+                                                  start=1))
+    def test_class_counts_and_orbits(self, k, count):
+        # OEIS A000568; the orbits add up to every labeled tournament
+        classes = enumeration._classes(k, None)
+        assert len(classes) == count
+        assert sum(orbit for _, orbit in classes) == 1 << math.comb(k, 2)
+        for rep, orbit in classes:
+            assert orbit == math.factorial(k) // automorphism_count(rep)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_every_labeled_tournament(self, k):
+        labeled = list(all_tournaments(k))
+        _, orbits = enumeration.certified_classes(k, ((t, 1) for t in labeled))
+        assert sorted(orbits) == sorted(
+            {canonical_form(t).key for t in labeled})
+        assert [(rep.out_rows, orbit)
+                for rep, orbit in enumeration._classes(k, None)] == \
+            [(CanonicalForm(k, key).rows(), orbits[key])
+             for key in sorted(orbits)]
 
 
 class TestEnumerateRegular:
@@ -65,7 +89,7 @@ class TestEnumerateRegular:
     @pytest.mark.parametrize("n", [3, 5])
     def test_matches_plain_sweep(self, n):
         # count regular tournaments in the full labeled space
-        expect = sweep_all(n, lambda acc, t: acc + is_regular(t), 0)
+        expect = sum(is_regular(t) for t in all_tournaments(n))
         assert enumerate_regular(n).labeled_count == expect
 
     def test_orbit_counting_identity(self):
@@ -235,12 +259,13 @@ class TestOrbitMassCertificate:
         with pytest.raises(VerificationFailedError, match=failure):
             enumeration.certified_classes(5, [(gen_rlt(5), mass)])
 
-    @pytest.mark.parametrize("n,searches", [(7, 6), (9, 22)])
+    @pytest.mark.parametrize("n,searches", [(7, 8), (9, 27)])
     def test_one_walk_and_searches_only_while_short(self, monkeypatch, n,
                                                     searches):
-        # the join's 3 (order 7) or 16 (order 9) searches plus 3 or 6 for
-        # the half-order reps; canonicalizing every member would take
-        # 13 + 8 or 157 + 64
+        # the join's 3 (order 7) or 16 (order 9) searches plus the
+        # half-order reps grown one vertex at a time, 1 + 1 + 3 for order
+        # 3 and 1 + 1 + 3 + 6 for order 4; canonicalizing every member
+        # would take 13 + 7 or 157 + 23
         calls = Counter()
 
         def count_calls(name):
