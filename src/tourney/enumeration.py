@@ -73,7 +73,7 @@ half-order pairs give 157 completions and 16 canonicalizations; at order
 11 the 144 pairs give 31,405 completions in 1,223 classes.
 certified_classes certifies any relabeling-closed set of labeled
 tournaments the same way: _classes passes the one-vertex extensions,
-and extremal the sweep's witness codes.
+and extremal the class scan's maximizing extensions, weighted by orbit.
 enumerate_regular's time budget is checked inside certified_classes,
 once per member of the walk and after every canonicalization, so it
 bounds the certify phase as well as the join.
@@ -126,6 +126,13 @@ def tournament_from_code(n: int, code: int) -> Tournament:
         else:
             rows[j] |= 1 << i
     return Tournament(n, tuple(rows))
+
+
+def _tournament_code(t: Tournament) -> int:
+    """The upper-triangle edge code of t, the inverse of
+    tournament_from_code."""
+    return sum((t.out_rows[i] >> j & 1) << k
+               for k, (i, j) in enumerate(_edges(t.n)))
 
 
 # -- class engines -----------------------------------------------------------

@@ -80,8 +80,9 @@ class TooLargeError(InvalidInput):
 
 
 class InternalParityError(TourneyError):
-    """The 5-cycle accumulator failed its divisibility-by-8 check.  This
-    indicates a bug, never a property of the input."""
+    """A division that must be exact left a remainder: the 5-cycle
+    accumulator by 8, a trace by its cycle length, or a closed form by its
+    denominator.  This indicates a bug, never a property of the input."""
 
 
 # -- classification ----------------------------------------------------------

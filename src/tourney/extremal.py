@@ -19,12 +19,30 @@ for the flagship families:
                         non-negative sequences with the tournament total
                         n (n-1)/2; attained at the balanced sequence
 
-verify_c5_max sweeps every labeled tournament of order 5 or 7 and pins
-down the maximizers of c5 and s5 up to isomorphism; verify_regular9
-audits the enumerated order-9 regular corpus.  Both raise
-VerificationFailedError the moment a claimed fact fails.
+verify_c5_max finds the maxima of c5 and s5 over every tournament of
+order 5 or 7 and pins down their maximizers up to isomorphism;
+verify_regular9 audits the enumerated order-9 regular corpus.  Both
+raise VerificationFailedError the moment a claimed fact fails.
 
-The sweep adds one vertex to every labeled tournament of order n - 1.
+verify_c5_max runs one reducer, _extremes, over two routes that add one
+vertex to the tournaments of order n - 1:
+
+  labeled sweep  every labeled base code, weight 1: all 2^C(n,2) codes
+  class scan     the code of every class rep R of order n - 1 from the
+                 class engine (enumeration._classes), weighted by R's
+                 orbit (n-1)!/|Aut R|; each extension stands for that
+                 many labeled tournaments, one to one (the weight
+                 argument in enumeration's docstring)
+
+Both give (mass, regular mass, max c5, c5 witness mass, max s5, s5
+witness mass), and the two must agree.  At order 7 the scan has 56 reps
+and 3,584 extensions against the sweep's 2,097,152 codes.  The scan's
+maximizing extensions, weighted by orbit, then go to certified_classes,
+whose classes must add up to the labeled witness mass: 1 and 5
+extensions at order 7 for 240 and 2,640 labeled maximizers of c5 and s5,
+3 and 32 at order 5 for 40 and 544.
+
+Both routes score their extensions with one kernel, _extension_batch.
 With A the adjacency of vertices 1..n-1, s the 0/1 out-set of vertex 0
 and u = 1 - s, the order-n tournament is T = [[0, s^T], [u, A]], and
 
@@ -50,17 +68,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import CanonicalForm, Tournament, canonical_form
 from .counting import c4_formula, c5_formula, s5_formula, trace_m
 from .classify import is_nearly_doubly_regular, is_regular, aat_positive
-from .enumeration import (EnumCorpus, _edges, certified_classes,
-                          enumerate_regular, tournament_from_code)
+from .enumeration import (EnumCorpus, _classes, _edges, _tournament_code,
+                          certified_classes, enumerate_regular,
+                          tournament_from_code)
 from .errors import (
     BadOrderError,
     BadResidueError,
     CorpusMissingError,
+    InternalParityError,
     NotRegularError,
     TooLargeError,
     VerificationFailedError,
@@ -73,7 +93,8 @@ if TYPE_CHECKING:
 
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
-    assert r == 0, f"{num} not divisible by {den}"
+    if r:
+        raise InternalParityError(f"{num} not divisible by {den}")
     return q
 
 
@@ -88,7 +109,8 @@ def c5_max_bound(n: int) -> Fraction:
     tournaments (n = 3 mod 4); strict otherwise.
 
     Where each part is checked: over all tournaments, verify_c5_max finds
-    it strict at n = 5 and attained by QR_7 alone at n = 7;
+    it strict at n = 5 and attained by QR_7 alone at n = 7, by the
+    labeled sweep and the class scan;
     verify_regular9 finds it strict among the regular tournaments of
     order 9, but no check covers the irregular ones there.  The tests
     find it attained by QR_p for every prime p = 3 (mod 4) from 7 to 59
@@ -114,8 +136,8 @@ def c5_regular_max(n: int) -> int:
 def s5_of_rlt(n: int) -> int:
     """(n+1) n (n-1)(n-3)(11 n - 47) / 1920, the strong-5-subset count of
     RLT_n.  That it is the maximum over all tournaments of order n is
-    checked exhaustively by verify_c5_max at n = 5 and 7 only; above
-    order 7 nothing checks it."""
+    checked exhaustively by verify_c5_max at n = 5 and 7 only, by the
+    labeled sweep and the class scan; above order 7 nothing checks it."""
     _require_odd(n, 3)
     return _exact_div((n + 1) * n * (n - 1) * (n - 3) * (11 * n - 47), 1920)
 
@@ -221,7 +243,9 @@ class MinimizationReport:
 
 @dataclass(frozen=True)
 class SweepExtremes:
-    """Extremes of one exhaustive labeled sweep."""
+    """Extremes of every tournament of order n, on which the labeled
+    sweep and the class scan agree; total_codes and regular_codes count
+    labeled tournaments."""
 
     n: int
     total_codes: int
@@ -310,7 +334,7 @@ def verify_binomial_sum_min(n: int, p: int) -> MinimizationReport:
     )
 
 
-# -- exhaustive labeled sweeps -----------------------------------------------
+# -- exhaustive sweeps: labeled codes and class reps ------------------------
 
 # Base codes per numpy batch.  The per-code arrays of one batch hold
 # 256 * 2^(n-1) * (n-1) int64 entries, under 1 MiB at n = 7, so the
@@ -380,51 +404,80 @@ def _extension_batch(
     return codes, c5, s5, regular
 
 
-def _sweep_stats(n: int) -> tuple[int, int, int, int, list[int], list[int]]:
-    """One pass over every labeled tournament of order n, as an order-(n-1)
-    base code a plus the out-set s of vertex 0, in ascending code order
-    s + (a << (n-1)).  Returns (codes visited, regular code count, max c5,
-    max s5, c5 witness codes, s5 witness codes).
-
-    Per batch of base codes, _extension_batch computes A^2 and A^3 once
-    and adds the new vertex by the extension identities:
-    c5 = tr(A^5)/5 + s^T A^3 u, the s5 arc terms of T^2 = A^2 + u s^T,
-    and out-degrees deg_A + u and |s|."""
+def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, int]]:
+    """Every labeled base code of order n - 1 in ascending order, in
+    batches of _SWEEP_BATCH, each code with weight 1."""
     import numpy as np
 
     bases = 1 << comb(n - 1, 2)
-    visited = regular = 0
-    best = [-1, -1]
-    witnesses: list[list[int]] = [[], []]
     for lo in range(0, bases, _SWEEP_BATCH):
-        codes, c5, s5, is_reg = _extension_batch(
-            n, np.arange(lo, min(lo + _SWEEP_BATCH, bases), dtype=np.int64))
-        visited += codes.size
-        regular += int(is_reg.sum())
+        yield np.arange(lo, min(lo + _SWEEP_BATCH, bases), dtype=np.int64), 1
+
+
+def _class_batches(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The code of every class rep R of order n - 1, in key order and in
+    batches of _SWEEP_BATCH, with its orbit (n-1)!/|Aut R| as a column."""
+    import numpy as np
+
+    reps = _classes(n - 1, None)
+    codes = np.array([_tournament_code(r) for r, _ in reps], dtype=np.int64)
+    orbits = np.array([[orbit] for _, orbit in reps], dtype=np.int64)
+    for lo in range(0, len(reps), _SWEEP_BATCH):
+        yield codes[lo:lo + _SWEEP_BATCH], orbits[lo:lo + _SWEEP_BATCH]
+
+
+def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int]]
+              ) -> tuple[tuple[int, ...], list[list[tuple[int, int]]]]:
+    """Extremes of the order-n extensions s + (a << (n-1)) of weighted
+    order-(n-1) base codes a.  batches yields (base codes, weight); the
+    weight, a scalar or a column, is broadcast over the rows of
+    _extension_batch(n, base codes), so every extension of a carries a's
+    weight.  Returns the summary (mass, regular mass, max c5, c5 witness
+    mass, max s5, s5 witness mass), each mass a weight total, and the
+    argmax extensions [(code, weight)] of c5 and of s5."""
+    import numpy as np
+
+    mass = regular = 0
+    best = [-1, -1]
+    argmax: list[list[tuple[int, int]]] = [[], []]
+    for base, weight in batches:
+        codes, c5, s5, is_reg = _extension_batch(n, base)
+        w = np.broadcast_to(weight, codes.shape)
+        mass += int(w.sum())
+        regular += int(w[is_reg].sum())
         for q, values in enumerate((c5, s5)):
             bmax = int(values.max(initial=-1))
             if bmax > best[q]:
                 best[q] = bmax
-                witnesses[q] = []
+                argmax[q] = []
             if bmax == best[q]:
-                witnesses[q].extend(int(c) for c in codes[values == bmax])
-    return visited, regular, *best, *witnesses
+                hit = values == bmax
+                argmax[q].extend(zip(codes[hit].tolist(), w[hit].tolist()))
+    c5_mass, s5_mass = (sum(w for _, w in a) for a in argmax)
+    return (mass, regular, best[0], c5_mass, best[1], s5_mass), argmax
 
 
-def _classes_of_codes(n: int, codes: list[int]) -> tuple[str, ...]:
-    """Classes among the witness codes of a full sweep.  The codes are
-    every labeled tournament attaining an isomorphism-invariant maximum,
-    so they are closed under relabeling and their orbit masses add up to
-    len(codes); certified_classes raises VerificationFailedError
-    otherwise."""
-    _, orbits = certified_classes(
-        n, ((tournament_from_code(n, c), 1) for c in codes))
+def _witness_classes(n: int, argmax: list[tuple[int, int]],
+                     mass: int) -> tuple[str, ...]:
+    """Classes of the class scan's argmax extensions [(code, orbit
+    weight)].  They stand for every labeled tournament attaining an
+    isomorphism-invariant maximum, a relabeling-closed set, so
+    certified_classes certifies them, and the orbits of the classes must
+    add up to mass, the number of labeled maximizers; both raise
+    VerificationFailedError otherwise."""
+    total, orbits = certified_classes(
+        n, ((tournament_from_code(n, c), w) for c, w in argmax))
+    if total != mass:
+        raise VerificationFailedError(
+            f"witness classes hold {total} labeled tournaments, the sweep "
+            f"counted {mass} maximizers")
     return tuple(CanonicalForm(n, k).hex() for k in sorted(orbits))
 
 
 def verify_c5_max(n: int) -> SweepExtremes:
-    """Sweep every labeled tournament of order n in {5, 7}; report the
-    maxima of c5 and s5 with their classes, and check the claims:
+    """Find the maxima of c5 and s5 over every tournament of order n in
+    {5, 7} by two routes that must agree, report them with their classes,
+    and check the claims:
 
       n = 7: max c5 = 42, attained exactly by the quadratic-residue
              tournament; max s5 = 21 = C(7, 5), attained exactly by the
@@ -436,12 +489,17 @@ def verify_c5_max(n: int) -> SweepExtremes:
     """
     if n not in (5, 7):
         raise TooLargeError(f"the exhaustive sweep runs at n in {{5, 7}}, got {n}")
-    total, regular, best_c5, best_s5, c5_codes, s5_codes = _sweep_stats(n)
+    labeled, _ = _extremes(n, _labeled_batches(n))
+    total, regular, best_c5, c5_mass, best_s5, s5_mass = labeled
     if total != 1 << comb(n, 2):
         raise VerificationFailedError(
             f"sweep visited {total} codes, not 2^{comb(n, 2)}")
-    c5_witnesses = _classes_of_codes(n, c5_codes)
-    s5_witnesses = _classes_of_codes(n, s5_codes)
+    scan, (c5_argmax, s5_argmax) = _extremes(n, _class_batches(n))
+    if scan != labeled:
+        raise VerificationFailedError(
+            f"the labeled sweep {labeled} and the class scan {scan} disagree")
+    c5_witnesses = _witness_classes(n, c5_argmax, c5_mass)
+    s5_witnesses = _witness_classes(n, s5_argmax, s5_mass)
     bound = c5_max_bound(n)
     c5_report = BoundReport(
         bound_name="c5_max",

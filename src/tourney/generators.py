@@ -21,7 +21,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .classify import is_doubly_regular, is_locally_transitive
 from .core import MAX_ORDER, Tournament, compose, validate
+from .enumeration import enumerate_regular
 from .errors import (
     BadResidueClassError,
     BadSymbolError,
@@ -30,6 +32,7 @@ from .errors import (
     OrderTooLargeError,
     SizeMismatchError,
     UnknownNameError,
+    VerificationFailedError,
 )
 from .io import parse_tour
 
@@ -229,13 +232,12 @@ def _delta() -> Tournament:
 def _kz7() -> Tournament:
     """The regular order-7 class that is neither locally transitive nor
     doubly regular, filtered out of the enumerated corpus."""
-    from .classify import is_doubly_regular, is_locally_transitive
-    from .enumeration import enumerate_regular
-
     corpus = enumerate_regular(7)
     picks = [rep for _, rep in corpus.classes
              if not is_locally_transitive(rep) and not is_doubly_regular(rep)]
-    assert len(picks) == 1, "expected exactly one such order-7 class"
+    if len(picks) != 1:
+        raise VerificationFailedError(
+            f"expected exactly one such order-7 class, got {len(picks)}")
     return picks[0]
 
 

@@ -53,6 +53,15 @@ class TestLabeledSweep:
     def test_all_tournaments_count(self):
         assert sum(1 for _ in all_tournaments(4)) == 1 << 6
 
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_code_inverse_round_trip(self, data):
+        n = data.draw(st.integers(1, 8))
+        code = data.draw(st.integers(0, (1 << math.comb(n, 2)) - 1))
+        t = tournament_from_code(n, code)
+        assert enumeration._tournament_code(t) == code
+        assert tournament_from_code(n, enumeration._tournament_code(t)) == t
+
 
 class TestClassEngine:
     @pytest.mark.parametrize("k,count", enumerate([1, 1, 2, 4, 12, 56, 456],

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from tourney import (
     BoundReport,
     RotationalSymbol,
+    automorphism_count,
     balanced_sequence,
     binomial_sum_min,
     c4_formula,
@@ -47,15 +49,18 @@ from tourney import (
     verify_c5_max,
     verify_regular9,
 )
+from tourney.core import CanonicalForm, Tournament
 from tourney.errors import (
     BadResidueError,
+    InternalParityError,
     NotRegularError,
     TooLargeError,
     VerificationFailedError,
 )
 from tourney import extremal
 from tourney.counting import _cycles_by_trace
-from tourney.extremal import (_classes_of_codes, _extension_batch,
+from tourney.extremal import (_class_batches, _exact_div, _extension_batch,
+                              _extremes, _labeled_batches, _witness_classes,
                               delta_tt3_copies_in_rlt, rlt5_copies_in_rlt)
 
 
@@ -107,6 +112,13 @@ class TestClosedForms:
     def test_expected_cycles_values(self):
         assert expected_cycles(5, 5) == Fraction(120, 160)
         assert expected_cycles(4, 5) == 0
+
+    def test_inexact_division_is_a_bug(self):
+        # a closed form whose numerator misses its denominator must raise
+        # even under python -O, never floor
+        assert _exact_div(8, 2) == 4
+        with pytest.raises(InternalParityError):
+            _exact_div(7, 2)
 
 
 def seeded_rotational(n: int, seed: int):
@@ -251,14 +263,97 @@ class TestSweepDrivers:
             verify_c5_max(9)
 
     def test_witness_classes_need_a_relabeling_closed_set(self):
-        # the 24 regular codes of order 5 are one class; dropping one
-        # leaves that class short of its orbit mass
-        codes = [c for c in range(1 << 10)
-                 if is_regular(tournament_from_code(5, c))]
-        assert _classes_of_codes(5, codes) == (
+        # RLT_5 is the one regular class of order 5, and the class scan
+        # reaches it by one extension of weight 5!/|Aut RLT_5| = 24; any
+        # other weight leaves the certificate over or short of its orbit
+        _, (_, s5_argmax) = _extremes(5, _class_batches(5))
+        regular = [(c, w) for c, w in s5_argmax
+                   if is_regular(tournament_from_code(5, c))]
+        assert [w for _, w in regular] == [24]
+        (code, _), = regular
+        assert _witness_classes(5, regular, 24) == (
             canonical_form(gen_rlt(5)).hex(),)
+        for weight in (1, 48):
+            with pytest.raises(VerificationFailedError):
+                _witness_classes(5, [(code, weight)], weight)
         with pytest.raises(VerificationFailedError):
-            _classes_of_codes(5, codes[1:])
+            _witness_classes(5, regular, 48)
+
+
+def rep_of(n: int, key: str) -> Tournament:
+    """The canonical representative decoded from a hex class key."""
+    return Tournament(n, CanonicalForm(n, int(key, 16)).rows())
+
+
+def orbit_mass(report: BoundReport) -> int:
+    """Labeled tournaments in the report's witness classes: the sum of
+    n!/|Aut| over their reps."""
+    return sum(factorial(report.n) // automorphism_count(rep_of(report.n, k))
+               for k in report.witnesses)
+
+
+class TestTwoRoutes:
+    """verify_c5_max reduces every labeled code of order n and the orbit-
+    weighted extensions of every class rep of order n - 1 by one reducer,
+    and raises unless the two summaries agree."""
+
+    def test_routes_agree_at_order5(self, sweep5):
+        labeled, _ = _extremes(5, _labeled_batches(5))
+        scan, (c5_argmax, s5_argmax) = _extremes(5, _class_batches(5))
+        assert labeled == scan == (
+            1 << 10, 24, 3, orbit_mass(sweep5.c5), 1, orbit_mass(sweep5.s5))
+        assert (scan[3], scan[5]) == (40, 544)
+        assert (len(c5_argmax), len(s5_argmax)) == (3, 32)
+
+    def test_routes_agree_at_order7(self, sweep7, corpus7):
+        # sweep7 ran the labeled route and compared it with this scan
+        scan, (c5_argmax, s5_argmax) = _extremes(7, _class_batches(7))
+        assert scan == (sweep7.total_codes, sweep7.regular_codes,
+                        sweep7.c5.observed, orbit_mass(sweep7.c5),
+                        sweep7.s5.observed, orbit_mass(sweep7.s5))
+        assert scan == (1 << 21, corpus7.labeled_count, 42, 240, 21, 2640)
+        assert [w for _, w in c5_argmax] == [240]
+        assert len(s5_argmax) == 5
+
+    def test_scaled_orbit_disagrees(self, monkeypatch):
+        classes = extremal._classes
+
+        def double_first(h, deadline):
+            (rep, orbit), *rest = classes(h, deadline)
+            return [(rep, 2 * orbit), *rest]
+
+        monkeypatch.setattr(extremal, "_classes", double_first)
+        with pytest.raises(VerificationFailedError, match="disagree"):
+            verify_c5_max(5)
+
+    def test_dropped_candidate_leaves_the_certificate_short(self,
+                                                            monkeypatch):
+        # RLT_5's class has one s5 argmax candidate; without it the
+        # classes found hold 24 fewer labeled tournaments than the sweep
+        # counted
+        reduce = extremal._extremes
+
+        def drop_regular(n, batches):
+            summary, (c5_argmax, s5_argmax) = reduce(n, batches)
+            kept = [(c, w) for c, w in s5_argmax
+                    if not is_regular(tournament_from_code(n, c))]
+            return summary, [c5_argmax, kept]
+
+        monkeypatch.setattr(extremal, "_extremes", drop_regular)
+        with pytest.raises(VerificationFailedError,
+                           match="hold 520 labeled tournaments, the sweep "
+                                 "counted 544"):
+            verify_c5_max(5)
+
+    @pytest.mark.parametrize("sweep", ["sweep5", "sweep7"])
+    def test_witness_reps_attain_the_maxima(self, sweep, request):
+        # a third route: the formulas on each witness rep decoded from
+        # its key
+        result = request.getfixturevalue(sweep)
+        for report, formula in ((result.c5, c5_formula),
+                                (result.s5, s5_formula)):
+            for key in report.witnesses:
+                assert formula(rep_of(result.n, key)) == report.observed, key
 
 
 class TestExtensionKernel:

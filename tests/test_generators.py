@@ -9,6 +9,7 @@ import hashlib
 import pytest
 
 from tourney import (
+    EnumCorpus,
     RotationalSymbol,
     arc_intersections,
     c3_formula,
@@ -37,7 +38,9 @@ from tourney.errors import (
     EvenOrderError,
     NotPrimeError,
     UnknownNameError,
+    VerificationFailedError,
 )
+from tourney import generators
 
 
 class TestTransitive:
@@ -159,6 +162,22 @@ class TestNamed:
         assert is_regular(t)
         assert not is_locally_transitive(t)
         assert not is_doubly_regular(t)
+
+    def test_kz7_needs_exactly_one_leftover_class(self, corpus7,
+                                                  monkeypatch):
+        # a corpus with the leftover class twice gives two candidates;
+        # the check must raise even under python -O
+        kz7 = [c for c in corpus7.classes if c[1] == gen_named("kz7")]
+        doubled = EnumCorpus(7, "regular", corpus7.labeled_count,
+                             corpus7.classes + tuple(kz7))
+        monkeypatch.setattr(generators, "enumerate_regular",
+                            lambda n: doubled)
+        generators._kz7.cache_clear()
+        try:
+            with pytest.raises(VerificationFailedError, match="got 2"):
+                gen_named("kz7")
+        finally:
+            generators._kz7.cache_clear()
 
     @pytest.mark.parametrize("name", ["prop2_a", "prop2_b"])
     def test_order9_fixture_properties(self, name):
