@@ -33,7 +33,27 @@ Every binomial sum is a Python-int sum over a histogram of its int64
 arguments, so it is exact where an int64 sum would overflow (w_32 at
 order 64).  The 5-cycle formula accumulates, over all arcs, a quartic
 form in the four intersection counts, and the total plus six times
-binomial(n, 5) is divisible by 8; that parity is asserted on every call.
+binomial(n, 5) is divisible by 8; every call checks that parity and
+raises InternalParityError when it fails.
+
+The oracles, for orders up to ORACLE_MAX_ORDER, apply the definitions to
+every candidate, as numpy passes over int64 vertex bitmasks:
+
+  oracle_strong_subs  every m-subset mask; the forward and the backward
+                      closure of its lowest vertex, m - 1 gather rounds
+                      over a table of the OR of the out-rows (in-rows) of
+                      every vertex set, must both cover the subset
+  oracle_w            every m-subset mask; no member has 0 or m - 1
+                      out-arcs inside it
+  oracle_cycles       every simple path that starts at its smallest vertex
+                      and steps to larger ones, grown one level at a time;
+                      after m - 1 steps a path whose end has an arc back to
+                      its start closes a cycle, counted once
+
+They read only the out-rows and in-masks of the tournament, and share no
+helper with the formulas (no degrees, no A A^T, no _arc_profiles) or
+with trace_m (no matrix powers), so an agreement of two routes is a
+check of each.
 """
 
 from __future__ import annotations
@@ -257,124 +277,110 @@ def _check_oracle_order(t: Tournament) -> None:
             f"oracles are capped at order {ORACLE_MAX_ORDER}, got {t.n}")
 
 
+@lru_cache(maxsize=1)
+def _subset_sizes():
+    """sizes[S] = |S| for every vertex mask S below 2^ORACLE_MAX_ORDER,
+    as a read-only int64 table built one vertex at a time."""
+    import numpy as np
+
+    sizes = np.zeros(1 << ORACLE_MAX_ORDER, dtype=np.int64)
+    for k in range(ORACLE_MAX_ORDER):
+        sizes[1 << k:2 << k] = sizes[:1 << k] + 1
+    sizes.setflags(write=False)
+    return sizes
+
+
+@lru_cache(maxsize=None)
+def _subset_masks(n: int, m: int):
+    """The m-subsets of the vertices 0..n-1 as a read-only int64 array of
+    bitmasks in increasing order; callers keep 1 <= m <= n <=
+    ORACLE_MAX_ORDER, so the cache holds at most 78 entries."""
+    import numpy as np
+
+    masks = np.flatnonzero(_subset_sizes()[:1 << n] == m).astype(np.int64)
+    masks.setflags(write=False)
+    return masks
+
+
+def _union_table(rows: Sequence[int]):
+    """u[S] = the OR of rows[v] over the vertices v in S, for every vertex
+    mask S, built in len(rows) slice steps."""
+    import numpy as np
+
+    u = np.zeros(1 << len(rows), dtype=np.int64)
+    for k, row in enumerate(rows):
+        u[1 << k:2 << k] = u[:1 << k] | row
+    return u
+
+
 def oracle_cycles(t: Tournament, m: int) -> int:
-    """Directed m-cycles by DFS.  Each cycle is counted exactly once: the
-    walk starts at the cycle's smallest vertex and only visits larger
-    ones, and a directed cycle has a single traversal direction."""
+    """Directed m-cycles by walking every simple path, one level at a time
+    for all paths at once.  Each cycle is counted exactly once: a path
+    starts at the cycle's smallest vertex and only steps to larger ones,
+    and a directed cycle has a single traversal direction."""
     _check_oracle_order(t)
     if m < 3:
         raise BadMError(f"cycles need m >= 3, got {m}")
     n = t.n
     if m > n:
         return 0
-    rows = t.out_rows
-    count = 0
-    for s in range(n):
-        allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)
-        start_bit = 1 << s
+    import numpy as np
 
-        def walk(v: int, visited: int, depth: int) -> None:
-            nonlocal count
-            if depth == m - 1:
-                if rows[v] & start_bit:
-                    count += 1
-                return
-            opts = rows[v] & allowed & ~visited
-            while opts:
-                low = opts & -opts
-                opts ^= low
-                w = low.bit_length() - 1
-                walk(w, visited | low, depth + 1)
-
-        walk(s, 0, 0)
-    return count
-
-
-def _strong_within(rows: Sequence[int], mask: int) -> bool:
-    low = mask & -mask
-    v0 = low.bit_length() - 1
-    # forward closure from v0 inside mask
-    reach = low
-    frontier = rows[v0] & mask
-    while frontier:
-        reach |= frontier
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= rows[b.bit_length() - 1]
-            f ^= b
-        frontier = nxt & mask & ~reach
-    if reach != mask:
-        return False
-    # backward closure from v0 inside mask
-    reach = low
-    frontier = 0
-    m = mask ^ low
-    while m:
-        b = m & -m
-        if rows[b.bit_length() - 1] & low:
-            frontier |= b
-        m ^= b
-    while frontier:
-        reach |= frontier
-        nxt = 0
-        m = mask & ~reach
-        while m:
-            b = m & -m
-            if rows[b.bit_length() - 1] & frontier:
-                nxt |= b
-            m ^= b
-        frontier = nxt
-    return reach == mask
+    rows = np.array(t.out_rows, dtype=np.int64)
+    start = end = np.arange(n, dtype=np.int64)
+    bit = visited = 1 << start
+    above = ((1 << n) - 1) & ~(2 * bit - 1)  # above[s]: the vertices > s
+    for _ in range(m - 1):
+        steps = rows[end] & above[start] & ~visited
+        path, end = np.nonzero(steps[:, None] & bit)
+        start = start[path]
+        visited = visited[path] | bit[end]
+    return int(np.count_nonzero(rows[end] & bit[start]))
 
 
 def oracle_strong_subs(t: Tournament, m: int) -> int:
-    """Strong m-subsets by exhausting subsets (m = 1 counts vertices)."""
+    """Strong m-subsets by exhausting subsets (m = 1 counts vertices).  A
+    subset is strong when the forward and the backward closure of its
+    lowest vertex inside it both cover it.  Each closure takes m - 1
+    rounds of reach <- (reach | union[reach]) & subset, where union[S] is
+    the OR of the out-rows (in-rows) over S, and no vertex of an m-subset
+    is more than m - 1 steps from another inside it."""
     _check_oracle_order(t)
     if m < 1:
         raise BadMError(f"subset order must be >= 1, got {m}")
     n = t.n
     if m > n:
         return 0
-    if m == 1:
-        return n
-    if m == 2:
-        return 0
-    rows = t.out_rows
-    count = 0
-    for combo in combinations(range(n), m):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        if _strong_within(rows, mask):
-            count += 1
-    return count
+    import numpy as np
+
+    masks = _subset_masks(n, m)
+    strong = np.ones(len(masks), dtype=bool)
+    for rows in (t.out_rows, [t.in_mask(v) for v in range(n)]):
+        union = _union_table(rows)
+        reach = masks & -masks
+        for _ in range(m - 1):
+            reach = (reach | union[reach]) & masks
+        strong &= reach == masks
+    return int(np.count_nonzero(strong))
 
 
 def oracle_w(t: Tournament, m: int) -> int:
-    """Sink-free source-free m-subsets by exhausting subsets."""
+    """Sink-free source-free m-subsets by exhausting subsets: no member
+    has 0 or m - 1 out-arcs inside the subset."""
     _check_oracle_order(t)
     if m < 3:
         raise BadMError(f"w oracle needs m >= 3, got {m}")
     n = t.n
     if m > n:
         return 0
-    rows = t.out_rows
-    count = 0
-    for combo in combinations(range(n), m):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        ok = True
-        for v in combo:
-            d = (rows[v] & mask).bit_count()
-            if d == 0 or d == m - 1:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    import numpy as np
+
+    masks = _subset_masks(n, m)[:, None]
+    rows = np.array(t.out_rows, dtype=np.int64)
+    inside = (masks & (1 << np.arange(n, dtype=np.int64))) != 0
+    degree = _subset_sizes()[rows & masks]
+    extreme = inside & ((degree == 0) | (degree == m - 1))
+    return int(np.count_nonzero(~extreme.any(axis=1)))
 
 
 def count_copies(t: Tournament, pattern: Tournament) -> int:
@@ -463,7 +469,8 @@ def count_report(t: Tournament, names: Sequence[str],
     Names: c3 c4 c5 s3 s4 s5, wM, trM.  Methods: formula, oracle, trace,
     or all (every method applicable to the quantity).  A quantity with a
     single route (trM) is reported under every method.  Oracle and trace
-    requests honour the order caps of the underlying ops.
+    requests honour the order caps of the underlying ops; all leaves the
+    oracle out above ORACLE_MAX_ORDER.
     """
     if method not in ("formula", "oracle", "trace", "all"):
         raise BadMError(f"unknown method {method!r}")
@@ -472,6 +479,8 @@ def count_report(t: Tournament, names: Sequence[str],
     for name in names:
         routes = _routes(name)
         if len(routes) > 1:
+            if method == "all" and t.n > ORACLE_MAX_ORDER:
+                routes = [r for r in routes if r[0] != "oracle"]
             routes = [r for r in routes if method in (r[0], "all")]
             if not routes:
                 raise BadMError(f"method {method!r} does not apply to {name}")

@@ -1,0 +1,107 @@
+"""Reference routes for the brute-force oracles of tourney.counting: a
+depth-first walk over simple paths and plain loops over
+itertools.combinations, one Python statement per bit.  They are slow
+and obviously correct, so the tests hold the library's array oracles
+equal to them."""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Sequence
+
+from tourney import Tournament
+from tourney.errors import BadMError
+
+
+def cycles_by_dfs(t: Tournament, m: int) -> int:
+    """Directed m-cycles by DFS.  Each cycle is counted exactly once: the
+    walk starts at the cycle's smallest vertex and only visits larger
+    ones, and a directed cycle has a single traversal direction."""
+    if m < 3:
+        raise BadMError(f"cycles need m >= 3, got {m}")
+    n = t.n
+    if m > n:
+        return 0
+    rows = t.out_rows
+    count = 0
+    for s in range(n):
+        allowed = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)
+        start_bit = 1 << s
+
+        def walk(v: int, visited: int, depth: int) -> None:
+            nonlocal count
+            if depth == m - 1:
+                if rows[v] & start_bit:
+                    count += 1
+                return
+            opts = rows[v] & allowed & ~visited
+            while opts:
+                low = opts & -opts
+                opts ^= low
+                w = low.bit_length() - 1
+                walk(w, visited | low, depth + 1)
+
+        walk(s, 0, 0)
+    return count
+
+
+def _strong_within(rows: Sequence[int], mask: int) -> bool:
+    """Whether the subtournament on a vertex mask is strong: breadth-first
+    forward and backward closures of its lowest vertex inside the mask."""
+    low = mask & -mask
+    v0 = low.bit_length() - 1
+    # forward closure from v0 inside mask
+    reach = low
+    frontier = rows[v0] & mask
+    while frontier:
+        reach |= frontier
+        nxt = 0
+        f = frontier
+        while f:
+            b = f & -f
+            nxt |= rows[b.bit_length() - 1]
+            f ^= b
+        frontier = nxt & mask & ~reach
+    if reach != mask:
+        return False
+    # backward closure from v0 inside mask
+    reach = low
+    frontier = 0
+    m = mask ^ low
+    while m:
+        b = m & -m
+        if rows[b.bit_length() - 1] & low:
+            frontier |= b
+        m ^= b
+    while frontier:
+        reach |= frontier
+        nxt = 0
+        m = mask & ~reach
+        while m:
+            b = m & -m
+            if rows[b.bit_length() - 1] & frontier:
+                nxt |= b
+            m ^= b
+        frontier = nxt
+    return reach == mask
+
+
+def _masks(n: int, m: int):
+    for combo in combinations(range(n), m):
+        yield combo, sum(1 << v for v in combo)
+
+
+def strong_subs_by_combinations(t: Tournament, m: int) -> int:
+    """Strong m-subsets by exhausting subsets (m = 1 counts vertices)."""
+    if m < 1:
+        raise BadMError(f"subset order must be >= 1, got {m}")
+    return sum(_strong_within(t.out_rows, mask) for _, mask in _masks(t.n, m))
+
+
+def w_by_combinations(t: Tournament, m: int) -> int:
+    """Sink-free source-free m-subsets by exhausting subsets."""
+    if m < 3:
+        raise BadMError(f"w oracle needs m >= 3, got {m}")
+    return sum(all(0 < (t.out_rows[v] & mask).bit_count() < m - 1
+                   for v in combo)
+               for combo, mask in _masks(t.n, m))

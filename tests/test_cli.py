@@ -117,6 +117,19 @@ class TestCount:
                       "--c3", "--method", "oracle")
         assert code == 2
 
+    def test_default_above_oracle_cap(self, capsys, tmp_path):
+        # --method all reports the formula and trace routes at order 13
+        path = tmp_path / "rlt13.tour"
+        write_tour(gen_rlt(13), path)
+        code, out = run(capsys, "count", "--input", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["n"] == 13 and doc["cross_checked"]
+        assert {(e["name"], e["method"]) for e in doc["quantities"]} == {
+            *((c, how) for c in ("c3", "c4", "c5")
+              for how in ("formula", "trace")),
+            *((s, "formula") for s in ("s3", "s4", "s5"))}
+
     @pytest.mark.parametrize("data", [
         b"2\n01\n01\n",    # structurally bad: row 1 has its own bit set
         b"2\n0\xe9\n10\n",  # a non-ASCII byte

@@ -33,13 +33,14 @@ from tourney import (
     vertices_of,
 )
 from tourney.core import _minimal_relabelings, key_for_permutation
-from tourney.counting import _strong_within
 from tourney.errors import (
     LoopArcError,
     MissingOrDoubleArcError,
     OrderTooLargeError,
     SizeMismatchError,
 )
+
+from oracle_reference import _strong_within
 
 
 def random_tournament(rng: random.Random, n: int) -> Tournament:
@@ -212,9 +213,10 @@ class TestStrongDecomposition:
                             assert t.has_arc(i, j)
 
     def test_matches_breadth_first_reference_on_every_subset(self):
-        # the score cut against the two-closure reference that s_formula
-        # is checked by; each component must itself be strong, so a
-        # decomposition that merges two adjacent components fails here
+        # the score cut against the two-closure reference that the
+        # strong-subset oracle is checked by; each component must itself
+        # be strong, so a decomposition that merges two adjacent
+        # components fails here
         rng = random.Random(37)
         for n in range(1, 9):
             for _ in range(6):

@@ -43,6 +43,12 @@ from tourney import (
 from tourney.counting import _arc_profiles, _cycles_by_trace
 from tourney.errors import BadMError, NotAnArcError, TooLargeError
 
+from oracle_reference import (
+    cycles_by_dfs,
+    strong_subs_by_combinations,
+    w_by_combinations,
+)
+
 
 def trace_by_repeated_products(t, m: int) -> int:
     """Trace of A**m from m - 1 products of Python-int matrices."""
@@ -103,6 +109,47 @@ class TestExhaustiveOrder5:
             assert s5_formula(t) == oracle_strong_subs(t, 5)
             for m in (3, 4, 5):
                 assert trace_m(t, m) == m * oracle_cycles(t, m)
+
+
+def outcome(oracle, t, m):
+    """An oracle's value, or BadMError for an order it rejects."""
+    try:
+        return oracle(t, m)
+    except BadMError:
+        return BadMError
+
+
+ORACLE_PAIRS = [(oracle_cycles, cycles_by_dfs),
+                (oracle_strong_subs, strong_subs_by_combinations),
+                (oracle_w, w_by_combinations)]
+
+
+def assert_oracles_match_references(t) -> None:
+    for m in range(1, t.n + 2):
+        for oracle, reference in ORACLE_PAIRS:
+            assert outcome(oracle, t, m) == outcome(reference, t, m), (
+                oracle.__name__, t, m)
+
+
+class TestArrayOracles:
+    """The array oracles against the scalar walks and subset loops, for
+    every m from 1 to n + 1: equal counts, and BadMError for the same m."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_labeled_tournament(self, n):
+        for code in range(1 << comb(n, 2)):
+            assert_oracles_match_references(tournament_from_code(n, code))
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_seeded_and_named_families(self, n):
+        family = [gen_random(n, seed) for seed in range(2)]
+        family.append(gen_transitive(n))
+        if n % 2:
+            family.append(gen_rlt(n))
+        if n in (7, 11):
+            family.append(gen_qr(n))
+        for t in family:
+            assert_oracles_match_references(t)
 
 
 class TestRandomOracleEquivalence:
@@ -360,6 +407,16 @@ class TestCountReport:
             ("w4", "formula"), ("w4", "oracle"),
             ("c3", "formula"), ("c3", "oracle"), ("c3", "trace"),
         ]
+
+    def test_all_leaves_the_oracle_out_above_its_cap(self):
+        t = gen_random(13, 2)
+        rep = count_report(t, ["c3", "s4", "w5"], "all")
+        assert rep.cross_checked
+        assert [(e.name, e.method) for e in rep.quantities] == [
+            ("c3", "formula"), ("c3", "trace"),
+            ("s4", "formula"), ("w5", "formula")]
+        with pytest.raises(TooLargeError):
+            count_report(t, ["s4"], "oracle")
 
     @pytest.mark.parametrize("method", ["formula", "oracle", "trace", "all"])
     def test_single_route_reported_under_every_method(self, method):
