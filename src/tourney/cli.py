@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 a mathematical claim failed its check, 2 usage,
 parse, or input errors.  JSON output never contains floats; exact
 rationals are {"num": ..., "den": ...}.  A printed report's JSON is
 exactly its dataclass fields, in declaration order (see _exact).
-TOURNEY_THREADS seeds the default worker count; --threads overrides it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -158,7 +156,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         if args.constraint != "regular":
             raise InvalidInput("only --constraint regular is supported")
         corpus = enumeration.enumerate_regular(
-            args.n, threads=args.threads, time_budget=args.time_budget)
+            args.n, time_budget=args.time_budget)
         if args.out is not None:
             enumeration.write_corpus(corpus, args.out)
     _emit({
@@ -174,22 +172,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    env_threads = os.environ.get("TOURNEY_THREADS", "1")
-    try:
-        default_threads = int(env_threads)
-    except ValueError:
-        raise InvalidInput(f"TOURNEY_THREADS must be an integer, "
-                           f"got {env_threads!r}") from None
-    if default_threads < 1:
-        raise InvalidInput(f"TOURNEY_THREADS must be at least 1, "
-                           f"got {default_threads}")
     parser = argparse.ArgumentParser(
         prog="tourney",
         description="Construct, count, classify and verify small tournaments.")
-    parser.add_argument("--threads", type=int, default=default_threads,
-                        help="worker-process cap for enumeration, which "
-                             "runs in this process and so starts none "
-                             "(default TOURNEY_THREADS or 1)")
     parser.add_argument("--time-budget", type=float, default=None,
                         help="wall-clock budget in seconds for enumeration")
     sub = parser.add_subparsers(dest="command", required=True)

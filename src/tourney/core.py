@@ -11,7 +11,9 @@ Caps: order <= 64 (one word per row), canonicalization order <= 16.
 The canonical form is the lexicographically minimal row-major adjacency
 bit-string over all relabelings, computed by an ordered-partition search
 that is exact (the pruning never discards a permutation that could still
-attain the minimum).  Two tournaments are isomorphic iff their canonical
+attain the minimum).  Its cells are vertex masks like every other vertex
+set here, and the rows it has written so far are a prefix of the key,
+held as one int.  Two tournaments are isomorphic iff their canonical
 keys are equal.
 
 The same search gives |Aut|.  Every relabeling that attains the minimal
@@ -264,14 +266,20 @@ def _minimal_relabelings(t: Tournament) -> tuple[CanonicalForm, int]:
     on an equal tournament reuses the search.
 
     Positions of the new labeling are filled left to right.  The unplaced
-    vertices form an ordered list of cells; the vertex for the next
-    position must come from the first cell.  For a candidate w the row it
-    would write is forced except for the order inside later cells, where
-    non-out-neighbours (0 bits) must precede out-neighbours (1 bits) in any
-    minimal completion; that split refines the cells for the recursion.
-    Only candidates attaining the minimal row at their level can lead to
-    the global minimum, and a best-so-far prefix comparison prunes
-    dominated subtrees.
+    vertices form an ordered list of cells, each a vertex mask; the vertex
+    for the next position must come from the first cell.  For a candidate
+    w the row it would write is forced except for the order inside later
+    cells, where non-out-neighbours (0 bits) must precede out-neighbours
+    (1 bits) in any minimal completion; that split refines the cells for
+    the recursion.  Every placed vertex has split every cell, so the
+    candidates agree on the columns already placed.  Only candidates
+    attaining the minimal row at their level can lead to the global
+    minimum.
+
+    The rows written at the first a positions are the partial key, an
+    int of a * n bits; a subtree is cut when it exceeds the leading a
+    rows of the best key so far.  Before the first leaf best is
+    1 << n * n, whose leading rows exceed every partial key.
 
     Every relabeling that attains the minimal key survives the pruning:
     the search cuts only prefixes strictly larger than the best so far
@@ -279,80 +287,59 @@ def _minimal_relabelings(t: Tournament) -> tuple[CanonicalForm, int]:
     are interchangeable for every row already written.  So the leaves
     equal to the final minimum are exactly the relabelings that give the
     canonical key, and their count restarts at 1 whenever a strictly
-    smaller leaf appears.
+    smaller leaf appears.  For the same reason the order in which the
+    candidates are tried changes neither the key nor the count, only how
+    early the pruning bites.
     """
     n = t.n
     if n > MAX_CANONICAL_ORDER:
         raise OrderTooLargeError(
             f"canonicalization capped at order {MAX_CANONICAL_ORDER}, got {n}")
     rows = t.out_rows
-    best: list[int] | None = None
+    best = 1 << n * n
     ties = 0
 
-    def dfs(assigned: list[int], cells: list[list[int]], prefix: list[int]) -> None:
+    def dfs(placed: list[int], cells: list[VertexSet], key: int) -> None:
         nonlocal best, ties
-        a = len(assigned)
-        tied = False
-        if best is not None:
-            bp = best[:a]
-            if prefix > bp:
-                return
-            tied = prefix == bp
+        a = len(placed)
+        if key > best >> (n - a) * n:
+            return
         if a == n:
-            if tied:
+            if key == best:
                 ties += 1
             else:
-                best = prefix[:]
+                best = key
                 ties = 1
             return
-        first = cells[0]
-        rest = cells[1:]
+        first, rest = cells[0], cells[1:]
+        any_row = rows[(first & -first).bit_length() - 1]
+        head = 0
+        for v in placed:
+            head = head << 1 | any_row >> v & 1
         cands = []
-        for w in first:
-            rw = rows[w]
-            r = 0
-            for v in assigned:
-                r = (r << 1) | ((rw >> v) & 1)
-            r <<= 1  # w's own position, diagonal zero
-            fc = [v for v in first if v != w]
-            if fc:
-                ones = 0
-                for v in fc:
-                    ones += (rw >> v) & 1
-                r = (r << len(fc)) | ((1 << ones) - 1)
-            for cell in rest:
-                ones = 0
-                for v in cell:
-                    ones += (rw >> v) & 1
-                r = (r << len(cell)) | ((1 << ones) - 1)
-            cands.append((r, w, fc))
-        rmin = min(c[0] for c in cands)
-        if best is not None and tied and rmin > best[a]:
-            return
-        for r, w, fc in cands:
-            if r != rmin:
-                continue
-            rw = rows[w]
-            nc = []
-            for cell in [fc] + rest:
-                zeros = [v for v in cell if not (rw >> v) & 1]
-                ones = [v for v in cell if (rw >> v) & 1]
-                if zeros:
-                    nc.append(zeros)
-                if ones:
-                    nc.append(ones)
-            assigned.append(w)
-            prefix.append(rmin)
-            dfs(assigned, nc, prefix)
-            assigned.pop()
-            prefix.pop()
+        m = first
+        while m:
+            low = m & -m
+            m ^= low
+            rw = rows[low.bit_length() - 1]
+            r = head << 1  # the candidate's own position, diagonal zero
+            for cell in [first ^ low] + rest:
+                r = r << cell.bit_count() | (1 << (rw & cell).bit_count()) - 1
+            cands.append((r, low))
+        rmin = min(cands)[0]
+        for r, low in cands:
+            if r == rmin:
+                w = low.bit_length() - 1
+                rw = rows[w]
+                placed.append(w)
+                dfs(placed,
+                    [p for c in [first ^ low] + rest
+                     for p in (c & ~rw, c & rw) if p],
+                    key << n | r)
+                placed.pop()
 
-    dfs([], [list(range(n))], [])
-    assert best is not None
-    key = 0
-    for row in best:
-        key = (key << n) | row
-    return CanonicalForm(n, key), ties
+    dfs([], [(1 << n) - 1], 0)
+    return CanonicalForm(n, best), ties
 
 
 def canonical_form(t: Tournament) -> CanonicalForm:

@@ -296,16 +296,15 @@ def verify_binomial_sum_min(n: int, p: int) -> MinimizationReport:
     if n < 1 or n > 12:
         raise TooLargeError(f"sequence sweeps are capped at n = 12, got {n}")
     total = n * (n - 1) // 2
-    best: int | None = None
+    best = 0
     argmin: list[tuple[int, ...]] = []
     for seq in _sequences(n, 0, total):
         value = sum(comb(d, p) for d in seq)
-        if best is None or value < best:
+        if not argmin or value < best:
             best = value
             argmin = [seq]
         elif value == best:
             argmin.append(seq)
-    assert best is not None
     closed = binomial_sum_min(n, p)
     balanced = balanced_sequence(n)
     in_range = n >= 2 * p - 1

@@ -1,7 +1,12 @@
 """The public API: every name in tourney.__all__ resolves on the package,
-so `from tourney import *` works, and removed names stay removed."""
+so `from tourney import *` works, and removed names stay removed.  The
+library checks its claims with raises, not asserts, which `python -O`
+strips."""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +24,11 @@ def test_labeled_walkers_are_gone(name):
     assert name not in tourney.__all__
     assert not hasattr(tourney, name)
     assert not hasattr(tourney.enumeration, name)
+
+
+def test_library_has_no_assert():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(tourney.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -315,34 +315,25 @@ class TestEnumerate:
         err = assert_usage_error(capsys, "enumerate", "--verify", str(path))
         assert "(line 9, col 1)" in err
 
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("TOURNEY_THREADS", "2")
-        code, out = run(capsys, "enumerate", "--n", "5")
-        assert code == 0
-        assert json.loads(out)["labeled_count"] == 24
-
-    @pytest.mark.parametrize("flags", [["--threads", "0"],
-                                       ["--threads", "-3"],
-                                       ["--time-budget", "0"],
+    @pytest.mark.parametrize("flags", [["--time-budget", "0"],
                                        ["--time-budget", "nan"],
                                        ["--time-budget", "inf"],
                                        ["--time-budget", "-1"]],
-                             ids=["threads-0", "threads-neg", "budget-0",
-                                  "budget-nan", "budget-inf", "budget-neg"])
+                             ids=["budget-0", "budget-nan", "budget-inf",
+                                  "budget-neg"])
     def test_bad_run_limits_are_usage_errors(self, capsys, flags):
         assert_usage_error(capsys, *flags, "enumerate", "--n", "5")
 
-    def test_threads_env_below_one(self, capsys, monkeypatch):
-        monkeypatch.setenv("TOURNEY_THREADS", "0")
-        err = assert_usage_error(capsys, "enumerate", "--n", "5")
-        assert "TOURNEY_THREADS" in err
-
-    def test_threads_env_not_integer(self, capsys, monkeypatch, tmp_path):
-        path = tmp_path / "r.tour"
-        write_tour(gen_rlt(5), path)
+    def test_no_worker_count_knobs(self, capsys, monkeypatch):
+        # enumeration runs in this process, so the CLI has no worker cap
+        code = main(["--threads=2", "enumerate", "--n", "5"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unrecognized arguments: --threads=2" in err
+        _, plain = run(capsys, "enumerate", "--n", "5")
         monkeypatch.setenv("TOURNEY_THREADS", "abc")
-        err = assert_usage_error(capsys, "classify", "--input", str(path))
-        assert "TOURNEY_THREADS" in err
+        code, out = run(capsys, "enumerate", "--n", "5")
+        assert code == 0 and out == plain
 
 
 def mutated(seed: bytes) -> st.SearchStrategy[bytes]:

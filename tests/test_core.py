@@ -4,6 +4,7 @@ minimum; everything else against hand-checked small cases."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -19,6 +20,7 @@ from tourney import (
     canonical_form_bruteforce,
     compose,
     converse,
+    gen_named,
     gen_qr,
     gen_random,
     gen_rlt,
@@ -272,6 +274,19 @@ class TestCanonicalForm:
         assert validate(7, list(cf.rows())) is not None
         assert canonical_form(validate(7, list(cf.rows()))).key == cf.key
         assert int(cf.hex(), 16) == cf.key
+
+    def test_keys_pinned_above_bruteforce_range(self):
+        # sha256 of "n key |Aut|" lines, captured from the list-based
+        # search that the bitmask search replaced; orders 8-16 lie beyond
+        # the brute-force checks above
+        ts = ([gen_random(n, seed) for n in range(8, 17) for seed in (1, 2)]
+              + [gen_rlt(n) for n in range(9, 16, 2)]
+              + [gen_transitive(n) for n in range(8, 17)]
+              + [gen_qr(11), gen_named("delta_delta")])
+        text = "".join(f"{t.n} {canonical_form(t).hex()} "
+                       f"{automorphism_count(t)}\n" for t in ts)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b33e7595ac5360f7b1fe58757edb59932646fddf7b663b96007bc08035334fd4")
 
     @given(st.integers(0, (1 << 10) - 1))
     @settings(max_examples=60, deadline=None)
