@@ -11,8 +11,10 @@ Two engines, both certified by orbit mass (certified_classes below):
 
 The extension.  A labeled tournament of order k is a labeled tournament
 T' on the vertices 1..k-1 plus the out-set s of vertex 0 among them.
-_extensions takes each class rep R of order k-1 and each of the 2^(k-1)
+_classes takes each class rep R of order k-1 and each of the 2^(k-1)
 out-sets s, and weights the candidate (R, s) by R's orbit (k-1)!/|Aut R|.
+The edge code lists vertex 0's pairs first, so the candidate's code is
+(code of R << (k-1)) + s, the same code the extremal scan forms.
 The weight is exact: for each of the (k-1)!/|Aut R| labeled T'
 isomorphic to R choose one relabeling of 1..k-1 that carries R onto T';
 it carries (R, s) onto (T', its image of s), one to one over s.  So
@@ -52,16 +54,19 @@ of them.  Relabelings of 1..n-1 put the regular tournaments with each of
 the C(n-1, h) out-sets of vertex 0 in bijection, which gives the last
 factor.
 
-Classes come from one walk of the generator of (completion, weight),
-through certified_classes:
+Classes come from one walk of the generator of (completion code,
+weight), through certified_classes:
 
-  count    adds each weight to its c3 profile's bucket, a cheap
-           isomorphism invariant: the sorted pairs, over the vertices v,
-           of the 3-cycle counts inside v's out-set and in-set.  The
-           completion is kept in its bucket's list.
+  profile  takes the codes in batches and computes each one's c3
+           profile, a cheap isomorphism invariant, in one numpy pass
+           from A A^T and A^2 (_c3_profiles): the sorted pairs, over the
+           vertices v, of the 3-cycle counts inside v's out-set and
+           in-set.  Each weight goes to its profile's bucket, and the
+           code is kept in the bucket's list.
   certify  each bucket canonicalizes its completions in walk order, and
-           only while it is short of its mass.  Each new class adds its
-           orbit n!/|Aut| to the bucket.
+           only while it is short of its mass; only these become a
+           Tournament.  Each new class adds its orbit n!/|Aut| to the
+           bucket.
 
 The certificate is exact.  A class lies in one bucket, because the
 profile is an invariant, and by the weight argument above the classes of
@@ -72,11 +77,13 @@ VerificationFailedError; no corpus is returned.  At order 9 the 16
 half-order pairs give 157 completions and 16 canonicalizations; at order
 11 the 144 pairs give 31,405 completions in 1,223 classes.
 certified_classes certifies any relabeling-closed set of labeled
-tournaments the same way: _classes passes the one-vertex extensions,
-and extremal the class scan's maximizing extensions, weighted by orbit.
-enumerate_regular's time budget is checked inside certified_classes,
-once per member of the walk and after every canonicalization, so it
-bounds the certify phase as well as the join.
+tournaments of order at most 11 the same way, given as edge codes:
+_classes passes the one-vertex extensions, and extremal the class scan's
+maximizing extensions, weighted by orbit.  The one decoder of edge codes
+into adjacency arrays, _code_adjacency, serves the profile here and the
+extremal scan.  enumerate_regular's time budget is checked inside
+certified_classes, once per batch of the walk and after every
+canonicalization, so it bounds the certify phase as well as the join.
 
 Class representatives are decoded from the canonical key itself, so the
 corpus does not depend on the order of the join.  A .corpus file stores
@@ -90,13 +97,12 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .classify import is_regular
 from .core import CanonicalForm, Tournament, _minimal_relabelings, validate
-from .counting import _c3_within
 from .errors import (
     BadOrderError,
     CorpusMissingError,
@@ -108,7 +114,14 @@ from .errors import (
 )
 from .io import _decimal, format_tour, parse_tour, read_text
 
+if TYPE_CHECKING:
+    import numpy as np
+
 ENUM_MAX_ORDER = 11
+
+# Members per numpy pass of certified_classes' profile: 2,048 order-11
+# adjacency matrices are 2 MiB of int64 per array.
+_PROFILE_BATCH = 2048
 
 
 def _edges(n: int) -> list[tuple[int, int]]:
@@ -128,11 +141,16 @@ def tournament_from_code(n: int, code: int) -> Tournament:
     return Tournament(n, tuple(rows))
 
 
-def _tournament_code(t: Tournament) -> int:
-    """The upper-triangle edge code of t, the inverse of
-    tournament_from_code."""
-    return sum((t.out_rows[i] >> j & 1) << k
-               for k, (i, j) in enumerate(_edges(t.n)))
+def _tournament_code(rows: Sequence[int]) -> int:
+    """The upper-triangle edge code of the tournament with these out-rows,
+    the inverse of tournament_from_code: the pairs of vertex i are the
+    n-1-i bits after those of vertices 0..i-1, and bit j-i-1 of them is
+    bit j of row i."""
+    code = shift = 0
+    for i, row in enumerate(rows):
+        code |= row >> (i + 1) << shift
+        shift += len(rows) - 1 - i
+    return code
 
 
 # -- class engines -----------------------------------------------------------
@@ -142,27 +160,23 @@ def _check_deadline(deadline: float | None) -> None:
         raise TimeBudgetExceededError("enumeration ran past its budget")
 
 
-def _extensions(k: int, classes: list[tuple[Tournament, int]]
-                ) -> Iterator[tuple[Tournament, int]]:
-    """Every tournament of order k whose vertices 1..k-1 span a class rep
-    R of order k-1, one per (R, out-set s of vertex 0), with the number
-    of labeled tournaments of order k it stands for: R's orbit."""
-    for rep, orbit in classes:
-        for s in range(1 << (k - 1)):
-            rows = [s << 1]
-            rows += [row << 1 | (~s >> v & 1)
-                     for v, row in enumerate(rep.out_rows)]
-            yield Tournament(k, tuple(rows)), orbit
-
-
 def _classes(h: int, deadline: float | None
              ) -> list[tuple[Tournament, int]]:
     """(canonical representative, orbit h!/|Aut|) of every class of
     order h, in key order, grown from the one empty tournament by
-    certifying each order's one-vertex extensions."""
+    certifying each order's one-vertex extensions: the code
+    (R << (k-1)) + s of every class rep R of order k-1 and out-set s of
+    vertex 0, weighted by R's orbit."""
+    import numpy as np
+
     classes = [(Tournament(0, ()), 1)]
     for k in range(1, h + 1):
-        _, orbits = certified_classes(k, _extensions(k, classes), deadline)
+        reps = np.array([_tournament_code(rep.out_rows)
+                         for rep, _ in classes], dtype=np.int64)
+        codes = (reps[:, None] << (k - 1)) + np.arange(1 << (k - 1))
+        members = ((code, orbit) for (_, orbit), row
+                   in zip(classes, codes.tolist()) for code in row)
+        _, orbits = certified_classes(k, members, deadline)
         classes = [(Tournament(k, CanonicalForm(k, key).rows()), orbits[key])
                    for key in sorted(orbits)]
     return classes
@@ -192,10 +206,11 @@ def _cross_matrices(row_sums: list[int], col_sums: list[int]
 
 
 def _completions(n: int, classes: list[tuple[Tournament, int]]
-                 ) -> Iterator[tuple[Tournament, int]]:
-    """Every regular tournament of order n whose vertex 0 beats exactly
-    1..h, one per (R+, R-, cross matrix) over the classes of order h,
-    with the number of labeled regular tournaments it stands for."""
+                 ) -> Iterator[tuple[int, int]]:
+    """The edge code of every regular tournament of order n whose vertex
+    0 beats exactly 1..h, one per (R+, R-, cross matrix) over the classes
+    of order h, with the number of labeled regular tournaments it stands
+    for."""
     h = (n - 1) // 2
     full = (1 << h) - 1
     for plus, plus_count in classes:
@@ -211,48 +226,86 @@ def _completions(n: int, classes: list[tuple[Tournament, int]]
                     beats_b = sum((m[a] >> b & 1) << a for a in range(h))
                     rows.append(1 | (full ^ beats_b) << 1
                                 | minus.out_rows[b] << (h + 1))
-                yield Tournament(n, tuple(rows)), weight
+                yield _tournament_code(rows), weight
 
 
-def c3_profile(t: Tournament) -> tuple[tuple[int, int], ...]:
-    """Isomorphism invariant: the sorted pairs, over the vertices v, of
-    (3-cycles inside v's out-set, 3-cycles inside v's in-set)."""
-    full = t.full_mask()
-    return tuple(sorted(
-        (_c3_within(t, row), _c3_within(t, full ^ row ^ (1 << v)))
-        for v, row in enumerate(t.out_rows)))
+def _code_adjacency(n: int, codes: np.ndarray) -> np.ndarray:
+    """The 0/1 int64 adjacency matrices, shape (len(codes), n, n), of the
+    order-n edge codes in the int64 array codes, as tournament_from_code
+    reads them."""
+    import numpy as np
+
+    i, j = np.array(_edges(n), dtype=np.int64).reshape(-1, 2).T
+    bits = (codes[:, None] >> np.arange(len(i))) & 1
+    a = np.zeros((len(codes), n, n), dtype=np.int64)
+    a[:, i, j] = bits
+    a[:, j, i] = 1 - bits
+    return a
 
 
-def certified_classes(n: int, members: Iterable[tuple[Tournament, int]],
+def _c3_profiles(n: int, codes: np.ndarray) -> list[tuple[int, ...]]:
+    """The c3 profile of each order-n edge code in the int64 array codes:
+    the sorted pairs, over the vertices v, of (3-cycles inside v's
+    out-set, 3-cycles inside v's in-set), each pair written as
+    out * (C(n-1, 3) + 1) + in.  Both counts are at most C(n-1, 3), so
+    the sorted codes order the pairs as tuples do, one to one.
+
+    A set of d vertices holds C(d, 3) triples, and each transitive one
+    has exactly one vertex beating the other two.  Inside v's out-set,
+    u beats (A A^T)[v, u] of the others; inside v's in-set, u beats
+    (A^2)[u, v].  So
+
+      out_v = C(d_v, 3) - sum over v -> u of C((A A^T)[v, u], 2)
+      in_v  = C(n-1-d_v, 3) - sum over u -> v of C((A^2)[u, v], 2)."""
+    import numpy as np
+
+    a = _code_adjacency(n, codes)
+    c2, c3 = (np.array([comb(x, r) for x in range(n + 1)], dtype=np.int64)
+              for r in (2, 3))
+    deg = a.sum(axis=2)
+    out = c3[deg] - (a * c2[a @ np.swapaxes(a, 1, 2)]).sum(axis=2)
+    inside = c3[n - 1 - deg] - (a * c2[a @ a]).sum(axis=1)
+    pairs = out * (comb(n - 1, 3) + 1) + inside
+    return [tuple(sorted(row)) for row in pairs.tolist()]
+
+
+def certified_classes(n: int, members: Iterable[tuple[int, int]],
                       deadline: float | None = None
                       ) -> tuple[int, dict[int, int]]:
     """Classes of a relabeling-closed set of labeled tournaments of order
-    n, under the orbit-mass certificate.  members yields (tournament,
-    number of labeled tournaments it stands for).  Returns the labeled
-    total and {canonical key: n!/|Aut|} over the classes.
+    n, under the orbit-mass certificate.  members yields (edge code,
+    number of labeled tournaments it stands for); the codes are int64,
+    so n <= 11 (C(n, 2) <= 63 bits), which every caller meets.  Returns
+    the labeled total and {canonical key: n!/|Aut|} over the classes.
 
-    One pass adds each weight to its c3 profile's bucket and keeps the
-    member there.  Then each bucket canonicalizes its members in walk
-    order while it is short of its mass; a new class adds its orbit.
+    One pass takes the members in batches of _PROFILE_BATCH, profiles
+    each batch by _c3_profiles, adds each weight to its profile's bucket
+    and keeps the code there.  Then each bucket canonicalizes its members
+    in walk order while it is short of its mass; a new class adds its
+    orbit.  Only a member that is canonicalized becomes a Tournament.
     Raises VerificationFailedError if a bucket goes over its mass or is
     still short after its last member, and TimeBudgetExceededError once
-    the monotonic clock passes deadline, checked once per member of the
+    the monotonic clock passes deadline, checked once per batch of the
     walk and after every search."""
+    import numpy as np
+
     masses: Counter[tuple] = Counter()
-    buckets: dict[tuple, list[Tournament]] = {}
-    for t, weight in members:
+    buckets: dict[tuple, list[int]] = {}
+    members = iter(members)
+    while batch := list(islice(members, _PROFILE_BATCH)):
         _check_deadline(deadline)
-        profile = c3_profile(t)
-        masses[profile] += weight
-        buckets.setdefault(profile, []).append(t)
+        codes = np.array([code for code, _ in batch], dtype=np.int64)
+        for (code, weight), profile in zip(batch, _c3_profiles(n, codes)):
+            masses[profile] += weight
+            buckets.setdefault(profile, []).append(code)
     factorial = math.factorial(n)
     orbits: dict[int, int] = {}
     for profile, bucket in buckets.items():
         short = masses[profile]
-        for t in bucket:
+        for code in bucket:
             if not short:
                 break
-            cf, aut = _minimal_relabelings(t)
+            cf, aut = _minimal_relabelings(tournament_from_code(n, code))
             _check_deadline(deadline)
             if cf.key not in orbits:
                 orbits[cf.key] = factorial // aut

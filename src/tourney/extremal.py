@@ -43,6 +43,11 @@ extensions at order 7 for 240 and 2,640 labeled maximizers of c5 and s5,
 3 and 32 at order 5 for 40 and 544.
 
 Both routes score their extensions with one kernel, _extension_batch.
+The class engine forms the same candidates, codes (a << (n-1)) + s, and
+one decoder, enumeration._code_adjacency, turns codes into adjacency
+arrays for both: here for the base codes a, there for the candidates
+whose c3 profiles it buckets.  The witness classes go to
+certified_classes as the argmax codes themselves.
 With A the adjacency of vertices 1..n-1, s the 0/1 out-set of vertex 0
 and u = 1 - s, the order-n tournament is T = [[0, s^T], [u, A]], and
 
@@ -73,9 +78,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from .core import CanonicalForm, Tournament, canonical_form
 from .counting import c4_formula, c5_formula, s5_formula, trace_m
 from .classify import is_nearly_doubly_regular, is_regular, aat_positive
-from .enumeration import (EnumCorpus, _classes, _edges, _tournament_code,
-                          certified_classes, enumerate_regular,
-                          tournament_from_code)
+from .enumeration import (EnumCorpus, _classes, _code_adjacency,
+                          _tournament_code, certified_classes,
+                          enumerate_regular)
 from .errors import (
     BadOrderError,
     BadResidueError,
@@ -365,12 +370,7 @@ def _extension_batch(
 
     m = n - 1
     h = m // 2
-    edges = _edges(m)
-    bits = (base[:, None] >> np.arange(len(edges))) & 1
-    a = np.zeros((len(base), m, m), dtype=np.int64)
-    for k, (i, j) in enumerate(edges):
-        a[:, i, j] = bits[:, k]
-        a[:, j, i] = 1 - bits[:, k]
+    a = _code_adjacency(m, base)
     outsets = np.arange(1 << m, dtype=np.int64)
     s = (outsets[:, None] >> np.arange(m)) & 1
     u = 1 - s
@@ -419,7 +419,8 @@ def _class_batches(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     import numpy as np
 
     reps = _classes(n - 1, None)
-    codes = np.array([_tournament_code(r) for r, _ in reps], dtype=np.int64)
+    codes = np.array([_tournament_code(r.out_rows) for r, _ in reps],
+                     dtype=np.int64)
     orbits = np.array([[orbit] for _, orbit in reps], dtype=np.int64)
     for lo in range(0, len(reps), _SWEEP_BATCH):
         yield codes[lo:lo + _SWEEP_BATCH], orbits[lo:lo + _SWEEP_BATCH]
@@ -464,8 +465,7 @@ def _witness_classes(n: int, argmax: list[tuple[int, int]],
     certified_classes certifies them, and the orbits of the classes must
     add up to mass, the number of labeled maximizers; both raise
     VerificationFailedError otherwise."""
-    total, orbits = certified_classes(
-        n, ((tournament_from_code(n, c), w) for c, w in argmax))
+    total, orbits = certified_classes(n, argmax)
     if total != mass:
         raise VerificationFailedError(
             f"witness classes hold {total} labeled tournaments, the sweep "

@@ -104,13 +104,14 @@ def _is_prime(p: int) -> bool:
 
 def gen_qr(p: int) -> Tournament:
     """QR_p for a prime p = 3 (mod 4): i -> j iff j - i is a nonzero
-    quadratic residue mod p."""
+    quadratic residue mod p.  The order cap comes before the primality
+    test, whose trial division would run for ages on a large p."""
+    if p > MAX_ORDER:
+        raise OrderTooLargeError(f"order {p} exceeds {MAX_ORDER}")
     if not _is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if p % 4 != 3:
         raise BadResidueClassError(f"need p = 3 (mod 4), got {p} = {p % 4} (mod 4)")
-    if p > MAX_ORDER:
-        raise OrderTooLargeError(f"order {p} exceeds {MAX_ORDER}")
     squares = frozenset((x * x) % p for x in range(1, p))
     return gen_rotational(RotationalSymbol(p, squares))
 
@@ -158,7 +159,11 @@ def gen_qr_power(p: int, k: int) -> Tournament:
     """Quadratic-residue tournament over GF(p^k), p prime = 3 (mod 4) and
     k odd, so that -1 is a non-square and the orientation is total.
     Vertices are field elements indexed by base-p digit strings;
-    i -> j iff elem(j) - elem(i) is a nonzero square."""
+    i -> j iff elem(j) - elem(i) is a nonzero square.  The order cap
+    comes first, and bounds k before p ** k is computed: p^k >= 2^k,
+    which exceeds MAX_ORDER from k = 7 on."""
+    if p > 1 and (k > MAX_ORDER.bit_length() or p ** k > MAX_ORDER):
+        raise OrderTooLargeError(f"order {p}^{k} exceeds {MAX_ORDER}")
     if not _is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if p % 4 != 3:
@@ -166,8 +171,6 @@ def gen_qr_power(p: int, k: int) -> Tournament:
     if k < 1 or k % 2 == 0:
         raise BadResidueClassError(f"need odd extension degree, got k={k}")
     q = p ** k
-    if q > MAX_ORDER:
-        raise OrderTooLargeError(f"order {q} exceeds {MAX_ORDER}")
     if k == 1:
         return gen_qr(p)
     f = _find_irreducible(p, k)

@@ -1,10 +1,10 @@
 """Shared fixtures.
 
-The expensive artifacts (regular corpora, the exhaustive sweeps) are
-session-scoped so the acceptance tests and the unit tests share one
-computation each.  Build times land in the `timings` dict so the
-acceptance suite can assert its runtime budgets regardless of which
-test happened to build a fixture first.
+The expensive artifacts (the order-8 classes, regular corpora, the
+exhaustive sweeps) are session-scoped so the acceptance tests and the
+unit tests share one computation each.  Build times land in the
+`timings` dict so the acceptance suite can assert its runtime budgets
+regardless of which test happened to build a fixture first.
 """
 
 from __future__ import annotations
@@ -13,12 +13,21 @@ import time
 
 import pytest
 
-from tourney import enumeration, extremal
+from tourney import Tournament, enumeration, extremal
 
 
 @pytest.fixture(scope="session")
 def timings() -> dict[str, float]:
     return {}
+
+
+@pytest.fixture(scope="session")
+def classes8(timings) -> list[tuple[Tournament, int]]:
+    """(canonical rep, orbit 8!/|Aut|) of the 6,880 classes of order 8."""
+    start = time.perf_counter()
+    classes = enumeration._classes(8, None)
+    timings["classes8"] = time.perf_counter() - start
+    return classes
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
-"""Reference routes for the brute-force oracles of tourney.counting: a
-depth-first walk over simple paths and plain loops over
-itertools.combinations, one Python statement per bit.  They are slow
-and obviously correct, so the tests hold the library's array oracles
-equal to them."""
+"""Reference routes for the array kernels of tourney: for the
+brute-force oracles of tourney.counting, a depth-first walk over simple
+paths and plain loops over itertools.combinations, one Python statement
+per bit; for the class engine's bucket invariant
+(enumeration._c3_profiles), the c3 profile of one tournament from its
+bitmask rows.  They are slow and obviously correct, so the tests hold
+the library's array kernels equal to them."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from itertools import combinations
 from typing import Sequence
 
 from tourney import Tournament
+from tourney.counting import _c3_within
 from tourney.errors import BadMError
 
 
@@ -105,3 +108,12 @@ def w_by_combinations(t: Tournament, m: int) -> int:
     return sum(all(0 < (t.out_rows[v] & mask).bit_count() < m - 1
                    for v in combo)
                for combo, mask in _masks(t.n, m))
+
+
+def c3_profile(t: Tournament) -> tuple[tuple[int, int], ...]:
+    """Isomorphism invariant: the sorted pairs, over the vertices v, of
+    (3-cycles inside v's out-set, 3-cycles inside v's in-set)."""
+    full = t.full_mask()
+    return tuple(sorted(
+        (_c3_within(t, row), _c3_within(t, full ^ row ^ (1 << v)))
+        for v, row in enumerate(t.out_rows)))

@@ -10,6 +10,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -77,6 +78,17 @@ class TestGen:
     def test_bad_prime_is_usage_error(self, capsys):
         code, _ = run(capsys, "gen", "qr", "--p", "8")
         assert code == 2
+
+    @pytest.mark.parametrize("power", ["1", "3"])
+    def test_huge_prime_is_refused_before_trial_division(self, capsys,
+                                                         power):
+        # a 20-digit prime: trial division up to its square root would
+        # run for hours, so the order cap must come first
+        start = time.perf_counter()
+        err = assert_usage_error(capsys, "gen", "qr", "--p",
+                                 "100000000000000000039", "--power", power)
+        assert time.perf_counter() - start < 1.0
+        assert "exceeds 64" in err
 
 
 class TestCount:

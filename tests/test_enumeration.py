@@ -1,7 +1,8 @@
 """Exhaustive generation: the class engine by one-vertex extension, the
 regular-tournament join with its orbit-mass certificate, and the corpus
 file format.  Counts are cross-validated against a plain labeled sweep
-and a plain labeled arc backtracker where that is affordable."""
+and a plain labeled arc backtracker where that is affordable, and the
+certificate's array profile against the scalar c3_profile."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import math
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,8 @@ from tourney.errors import (
     VerificationFailedError,
 )
 
+from oracle_reference import c3_profile
+
 
 def all_tournaments(n: int):
     """Reference route: every labeled tournament of order n, one per
@@ -59,16 +63,18 @@ class TestLabeledSweep:
         n = data.draw(st.integers(1, 8))
         code = data.draw(st.integers(0, (1 << math.comb(n, 2)) - 1))
         t = tournament_from_code(n, code)
-        assert enumeration._tournament_code(t) == code
-        assert tournament_from_code(n, enumeration._tournament_code(t)) == t
+        assert enumeration._tournament_code(t.out_rows) == code
+        assert tournament_from_code(
+            n, enumeration._tournament_code(t.out_rows)) == t
 
 
 class TestClassEngine:
-    @pytest.mark.parametrize("k,count", enumerate([1, 1, 2, 4, 12, 56, 456],
-                                                  start=1))
-    def test_class_counts_and_orbits(self, k, count):
+    @pytest.mark.parametrize("k,count", enumerate(
+        [1, 1, 2, 4, 12, 56, 456, 6880], start=1))
+    def test_class_counts_and_orbits(self, request, k, count):
         # OEIS A000568; the orbits add up to every labeled tournament
-        classes = enumeration._classes(k, None)
+        classes = (request.getfixturevalue("classes8") if k == 8
+                   else enumeration._classes(k, None))
         assert len(classes) == count
         assert sum(orbit for _, orbit in classes) == 1 << math.comb(k, 2)
         for rep, orbit in classes:
@@ -76,10 +82,10 @@ class TestClassEngine:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_every_labeled_tournament(self, k):
-        labeled = list(all_tournaments(k))
-        _, orbits = enumeration.certified_classes(k, ((t, 1) for t in labeled))
+        codes = range(1 << math.comb(k, 2))
+        _, orbits = enumeration.certified_classes(k, ((c, 1) for c in codes))
         assert sorted(orbits) == sorted(
-            {canonical_form(t).key for t in labeled})
+            {canonical_form(t).key for t in all_tournaments(k)})
         assert [(rep.out_rows, orbit)
                 for rep, orbit in enumeration._classes(k, None)] == \
             [(CanonicalForm(k, key).rows(), orbits[key])
@@ -207,6 +213,26 @@ def regular_completions(n: int, fixed_row: bool = True):
     yield from walk(0)
 
 
+def decoded(n: int, keys: list[tuple[int, ...]]
+            ) -> list[tuple[tuple[int, int], ...]]:
+    """The profile keys of _c3_profiles as sorted (out, in) pairs."""
+    base = math.comb(n - 1, 3) + 1
+    return [tuple(divmod(c, base) for c in key) for key in keys]
+
+
+def reference_profiles(n: int, codes: list[int]
+                       ) -> list[tuple[tuple[int, int], ...]]:
+    return [c3_profile(tournament_from_code(n, code)) for code in codes]
+
+
+def assert_same_profile(t: Tournament, u: Tournament) -> None:
+    codes = np.array([enumeration._tournament_code(t.out_rows),
+                      enumeration._tournament_code(u.out_rows)],
+                     dtype=np.int64)
+    first, second = enumeration._c3_profiles(t.n, codes)
+    assert first == second
+
+
 def canonicalize_every_completion(n: int, fixed_row: bool
                                   ) -> tuple[int, list[int]]:
     """Reference route: every completion of the plain backtracker
@@ -228,16 +254,44 @@ class TestOrbitMassCertificate:
         corpus = {5: enumerate_regular(5), 7: corpus7, 9: corpus9}[n]
         t = data.draw(st.sampled_from([rep for _, rep in corpus.classes]))
         perm = data.draw(st.permutations(range(n)))
-        assert enumeration.c3_profile(relabel(t, perm)) == \
-            enumeration.c3_profile(t)
+        assert_same_profile(t, relabel(t, perm))
 
     @given(code=st.integers(0, (1 << 21) - 1),
            perm=st.permutations(range(7)))
     @settings(max_examples=100, deadline=None)
     def test_profile_invariant_on_order7(self, code, perm):
         t = tournament_from_code(7, code)
-        assert enumeration.c3_profile(relabel(t, perm)) == \
-            enumeration.c3_profile(t)
+        assert_same_profile(t, relabel(t, perm))
+
+    def test_profile_of_every_extension_candidate(self, monkeypatch):
+        # every batch the class engine profiles up to order 7, against
+        # the scalar reference: the 1 + 2 + 4 + 16 + 64 + 384 + 3584
+        # candidates (R << (k-1)) + s
+        kernel = enumeration._c3_profiles
+        seen = Counter()
+
+        def checked(n, codes):
+            keys = kernel(n, codes)
+            assert decoded(n, keys) == reference_profiles(n, codes.tolist())
+            seen[n] += len(codes)
+            return keys
+
+        monkeypatch.setattr(enumeration, "_c3_profiles", checked)
+        enumeration._classes(7, None)
+        assert seen == {1: 1, 2: 2, 3: 4, 4: 16, 5: 64, 6: 384, 7: 3584}
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_profile_of_drawn_codes(self, data):
+        # orders 8..11, almost all irregular: the regular completions of
+        # the join alone miss an (A^2)[v, u] for (A^2)[u, v] in the
+        # in-set term
+        n = data.draw(st.integers(8, 11))
+        codes = data.draw(st.lists(
+            st.integers(0, (1 << math.comb(n, 2)) - 1), min_size=1,
+            max_size=16))
+        keys = enumeration._c3_profiles(n, np.array(codes, dtype=np.int64))
+        assert decoded(n, keys) == reference_profiles(n, codes)
 
     @pytest.mark.parametrize("fixed_row", [True, False])
     @pytest.mark.parametrize("n", [1, 3, 5, 7])
@@ -254,7 +308,7 @@ class TestOrbitMassCertificate:
 
     def test_certified_classes_of_order4(self):
         labeled, orbits = enumeration.certified_classes(
-            4, ((t, 1) for t in all_tournaments(4)))
+            4, ((code, 1) for code in range(1 << 6)))
         assert labeled == 64 and sum(orbits.values()) == 64
         assert sorted(orbits) == sorted(
             {canonical_form(t).key for t in all_tournaments(4)})
@@ -266,7 +320,9 @@ class TestOrbitMassCertificate:
     def test_bucket_off_its_mass_raises(self, mass, failure):
         # the regular tournaments of order 5 are one class of orbit 24
         with pytest.raises(VerificationFailedError, match=failure):
-            enumeration.certified_classes(5, [(gen_rlt(5), mass)])
+            enumeration.certified_classes(
+                5, [(enumeration._tournament_code(gen_rlt(5).out_rows),
+                     mass)])
 
     @pytest.mark.parametrize("n,searches", [(7, 8), (9, 27)])
     def test_one_walk_and_searches_only_while_short(self, monkeypatch, n,
