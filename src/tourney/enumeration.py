@@ -131,13 +131,21 @@ def _edges(n: int) -> list[tuple[int, int]]:
 def tournament_from_code(n: int, code: int) -> Tournament:
     """Labeled tournament of an upper-triangle edge code: bit k of the
     code orients the k-th pair i < j in lexicographic order, 1 meaning
-    i -> j."""
+    i -> j.  The inverse of _tournament_code: row i's bits above i are
+    the next n-1-i bits of the code, and each j > i left out of them
+    beats i, so bit i of row j is set."""
     rows = [0] * n
-    for k, (i, j) in enumerate(_edges(n)):
-        if (code >> k) & 1:
-            rows[i] |= 1 << j
-        else:
-            rows[j] |= 1 << i
+    shift = 0
+    for i in range(n):
+        full = (1 << (n - 1 - i)) - 1
+        upper = (code >> shift) & full
+        rows[i] |= upper << (i + 1)
+        beaten_by = full ^ upper
+        while beaten_by:
+            low = beaten_by & -beaten_by
+            rows[i + low.bit_length()] |= 1 << i
+            beaten_by ^= low
+        shift += n - 1 - i
     return Tournament(n, tuple(rows))
 
 

@@ -66,12 +66,22 @@ sum over arcs i -> j of C((T^2)_ij, 3) then takes its arc term as
     + sum_i u_i C((A u)_i, 3) + sum_j s_j C((s^T A)_j, 3)
 
 by C(x + 1, 3) = C(x, 3) + C(x, 2), where o is the entrywise product.
+Besides C(n,5), vertex 0's degree terms and the arcs among old
+vertices, s5 splits into one share per old vertex i,
+C(p_i, 3) - C(out_i, 4) - C(n - 1 - out_i, 4) with p_i the 2-paths along
+i's arc with vertex 0.  In A, vertex i has deg_i = n - 2 - |in_i|, where
+in_i is its in-mask (bit k set when k -> i), so the share depends only
+on i, in_i and s.  _vertex_table(n) lists it once per order as
+F[i, in_i, s], 6 * 64 * 64 int64 entries (192 KiB) at n = 7, and a
+batch reads the shares of its extensions from the rows F[i, in_i]
+instead of computing a degree and a path count for each one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -340,9 +350,10 @@ def verify_binomial_sum_min(n: int, p: int) -> MinimizationReport:
 
 # -- exhaustive sweeps: labeled codes and class reps ------------------------
 
-# Base codes per numpy batch.  The per-code arrays of one batch hold
-# 256 * 2^(n-1) * (n-1) int64 entries, under 1 MiB at n = 7, so the
-# sweep's peak memory stays near that of importing numpy.
+# Base codes per numpy batch.  The largest arrays of one batch, the
+# gathered vertex shares, hold 256 * (n-1) * 2^(n-1) int64 entries,
+# under 1 MiB at n = 7, so the sweep's peak memory stays near that of
+# importing numpy.
 _SWEEP_BATCH = 256
 
 
@@ -356,6 +367,31 @@ def _bilinear(x: np.ndarray, left: np.ndarray,
     return x.reshape(len(x), m * m) @ outer.T
 
 
+@cache
+def _vertex_table(n: int) -> np.ndarray:
+    """F[i, in_i, s], read-only, of shape (n-1, 2^(n-1), 2^(n-1)): old
+    vertex i's part of s5 besides the arcs among old vertices, when its
+    in-mask is in_i (bit k set when k -> i) and vertex 0's out-set is s.
+    That part is C(p, 3) - C(o, 4) - C(n - 1 - o, 4), with o = deg_i + u_i
+    its out-degree and p the 2-paths along its arc with vertex 0:
+    (s^T A)_i = |in_i & s| when 0 -> i, and
+    (A u)_i = deg_i - |s| + |in_i & s| when i -> 0.  Entries whose in_i
+    holds bit i name no tournament and are never read."""
+    import numpy as np
+
+    m = n - 1
+    masks = np.arange(1 << m, dtype=np.int64)
+    size = ((masks[:, None] >> np.arange(m)) & 1).sum(axis=1)
+    u = 1 - ((masks >> np.arange(m)[:, None, None]) & 1)  # [i, 1, s]
+    deg = (m - 1 - size)[:, None]  # [in_i, 1]
+    paths = size[masks[:, None] & masks] + u * (deg - size)
+    c3, c4 = (np.array([comb(v, r) for v in range(n + 1)], dtype=np.int64)
+              for r in (3, 4))
+    table = c3[paths] - c4[deg + u] - c4[n - 1 - deg - u]
+    table.flags.writeable = False
+    return table
+
+
 def _extension_batch(
         n: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
     """(codes, c5, s5, regular) of every order-n code s + (a << (n-1))
@@ -365,14 +401,16 @@ def _extension_batch(
     _edges(n) lists vertex 0's arcs first, so a is the order-(n-1) code
     A of vertices 1..n-1 and bit k of s means 0 -> k+1.  With u = 1 - s
     and old out-degrees deg_A + u, the counts follow from A^2 and A^3
-    once per base code, by the identities in the module docstring."""
+    once per base code, by the identities in the module docstring, and
+    each old vertex's share of s5 from _vertex_table."""
     import numpy as np
 
     m = n - 1
     h = m // 2
     a = _code_adjacency(m, base)
+    bit = np.arange(m)
     outsets = np.arange(1 << m, dtype=np.int64)
-    s = (outsets[:, None] >> np.arange(m)) & 1
+    s = (outsets[:, None] >> bit) & 1
     u = 1 - s
     size = s.sum(axis=1)
     sq = a @ a
@@ -384,21 +422,16 @@ def _extension_batch(
 
     c2, c3, c4 = (np.array([comb(v, r) for v in range(n + 1)], dtype=np.int64)
                   for r in (2, 3, 4))
-    # [b, i, s]: out-degree of old vertex i, and the 2-paths along its
-    # arc with the new vertex: (A u)_i when i -> 0, (s^T A)_i when 0 -> i,
-    # where (A u)_i = deg_i - |s| + (s^T A)_i
-    deg = a.sum(axis=2)[:, :, None]
-    out = deg + u.T
-    paths = ((np.swapaxes(a, 1, 2).reshape(-1, m) @ s.T).reshape(out.shape)
-             + u.T * (deg - size))
-    # share[o, p] = C(p, 3) - C(o, 4) - C(n - 1 - o, 4): an old vertex's
-    # part of s5 besides the arcs among old vertices
-    share = c3[None, :] - c4[:n, None] - c4[n - 1::-1, None]
+    inmask = (a << bit[:, None]).sum(axis=1)
     s5 = (comb(n, 5) - c4[size] - c4[n - 1 - size]
           + (a * c3[sq]).sum(axis=(1, 2))[:, None]
           + _bilinear(a * c2[sq], u, s)
-          + share[out, paths].sum(axis=1))
-    regular = (out == h).all(axis=1) & (size == h)
+          + _vertex_table(n)[bit, inmask].sum(axis=1))
+    # regular means deg_i + u_i = h for every old i and |s| = h, so the
+    # one regular out-set of a base, if any, has s_i = deg_i - h + 1
+    want = a.sum(axis=2) - (h - 1)
+    regular = (((want == 0) | (want == 1)).all(axis=1)[:, None] & (size == h)
+               & (outsets == (want << bit).sum(axis=1)[:, None]))
     codes = (base[:, None] << m) + outsets
     return codes, c5, s5, regular
 

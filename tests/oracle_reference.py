@@ -3,12 +3,15 @@ brute-force oracles of tourney.counting, a depth-first walk over simple
 paths and plain loops over itertools.combinations, one Python statement
 per bit; for the class engine's bucket invariant
 (enumeration._c3_profiles), the c3 profile of one tournament from its
-bitmask rows.  They are slow and obviously correct, so the tests hold
+bitmask rows; for the extremal sweep's vertex table
+(extremal._vertex_table), one old vertex's share of s5 by a walk over
+its neighbours.  They are slow and obviously correct, so the tests hold
 the library's array kernels equal to them."""
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from tourney import Tournament
@@ -117,3 +120,21 @@ def c3_profile(t: Tournament) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(
         (_c3_within(t, row), _c3_within(t, full ^ row ^ (1 << v)))
         for v, row in enumerate(t.out_rows)))
+
+
+def vertex_share(n: int, i: int, in_i: int, s: int) -> int:
+    """Old vertex i's part of s5 in an order-n one-vertex extension,
+    besides the arcs among old vertices 0..n-2: C(p, 3) - C(o, 4) -
+    C(n - 1 - o, 4), where k -> i for each bit k of in_i, vertex 0 beats
+    the old vertices in s, o is i's out-degree and p counts the 2-paths
+    0 -> k -> i when 0 -> i, or i -> k -> 0 when i -> 0."""
+    m = n - 1
+    beats_i = [k for k in range(m) if (in_i >> k) & 1]
+    beaten = [k for k in range(m) if k != i and k not in beats_i]
+    if (s >> i) & 1:
+        out = len(beaten)
+        paths = sum(1 for k in beats_i if (s >> k) & 1)
+    else:
+        out = len(beaten) + 1
+        paths = sum(1 for k in beaten if not (s >> k) & 1)
+    return comb(paths, 3) - comb(out, 4) - comb(n - 1 - out, 4)

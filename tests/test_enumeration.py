@@ -27,6 +27,7 @@ from tourney import (
     is_regular,
     read_corpus,
     tournament_from_code,
+    validate,
     verify_corpus,
     write_corpus,
 )
@@ -60,9 +61,10 @@ class TestLabeledSweep:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_code_inverse_round_trip(self, data):
-        n = data.draw(st.integers(1, 8))
+        n = data.draw(st.integers(1, 11))
         code = data.draw(st.integers(0, (1 << math.comb(n, 2)) - 1))
         t = tournament_from_code(n, code)
+        assert validate(n, t.out_rows) == t
         assert enumeration._tournament_code(t.out_rows) == code
         assert tournament_from_code(
             n, enumeration._tournament_code(t.out_rows)) == t

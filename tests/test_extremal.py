@@ -62,6 +62,7 @@ from tourney.counting import _cycles_by_trace
 from tourney.extremal import (_class_batches, _exact_div, _extension_batch,
                               _extremes, _labeled_batches, _witness_classes,
                               delta_tt3_copies_in_rlt, rlt5_copies_in_rlt)
+from oracle_reference import vertex_share
 
 
 class TestClosedForms:
@@ -380,6 +381,36 @@ class TestExtensionKernel:
         codes, c5, s5, regular = _extension_batch(7, np.array([code >> 6]))
         assert codes[0, code & 63] == code
         self.assert_matches_oracles(7, codes, c5, s5, regular)
+
+    def test_every_extension_of_the_order6_classes(self):
+        # the drawn order-7 codes above are almost never regular; these
+        # 3,584 extensions include every regular class of order 7
+        checked = regular_seen = 0
+        for base, _ in _class_batches(7):
+            codes, c5, s5, regular = _extension_batch(7, base)
+            for code, c, s, r in zip(
+                    codes.ravel().tolist(), c5.ravel().tolist(),
+                    s5.ravel().tolist(), regular.ravel().tolist()):
+                t = tournament_from_code(7, code)
+                assert (c, s, r) == (c5_formula(t), s5_formula(t),
+                                     is_regular(t)), code
+                checked += 1
+                regular_seen += r
+        # the five extensions that the module docstring counts as the
+        # s5 maximizers: their orbits add up to the 2,640 regular codes
+        assert (checked, regular_seen) == (56 * 64, 5)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_vertex_table(self, n):
+        table = extremal._vertex_table(n)
+        m = n - 1
+        assert table.shape == (m, 1 << m, 1 << m)
+        for i in range(m):
+            for in_i in range(1 << m):
+                if not (in_i >> i) & 1:
+                    assert table[i, in_i].tolist() == [
+                        vertex_share(n, i, in_i, s) for s in range(1 << m)
+                    ], (i, in_i)
 
     def test_dropped_batch_raises(self, monkeypatch):
         kernel = extremal._extension_batch
