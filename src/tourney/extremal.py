@@ -66,6 +66,11 @@ sum over arcs i -> j of C((T^2)_ij, 3) then takes its arc term as
     + sum_i u_i C((A u)_i, 3) + sum_j s_j C((s^T A)_j, 3)
 
 by C(x + 1, 3) = C(x, 3) + C(x, 2), where o is the entrywise product.
+The two out-set terms are cut forms s^T X u: X = A^3 for c5 and
+X = (A o C(A^2, 2))^T for the arcs, as u^T Y s = s^T Y^T u.  _cut_forms
+builds each over all 2^(n-1) out-sets by adding one bit of s at a time,
+in 258 int64 multiply-adds per base at n = 7 against 2,304 for the
+dense product vec(X) . vec(s u^T).
 Besides C(n,5), vertex 0's degree terms and the arcs among old
 vertices, s5 splits into one share per old vertex i,
 C(p_i, 3) - C(out_i, 4) - C(n - 1 - out_i, 4) with p_i the 2-paths along
@@ -352,19 +357,47 @@ def verify_binomial_sum_min(n: int, p: int) -> MinimizationReport:
 
 # Base codes per numpy batch.  The largest arrays of one batch, the
 # gathered vertex shares, hold 256 * (n-1) * 2^(n-1) int64 entries,
-# under 1 MiB at n = 7, so the sweep's peak memory stays near that of
-# importing numpy.
+# 768 KiB at n = 7; each cut form holds 256 * 2^(n-1), 128 KiB, so the
+# sweep's peak memory stays near that of importing numpy.
 _SWEEP_BATCH = 256
 
 
-def _bilinear(x: np.ndarray, left: np.ndarray,
-              right: np.ndarray) -> np.ndarray:
-    """left_q^T X_b right_q for every matrix X_b of the stack x and every
-    row q of left and right, as the (len(x), len(left)) product of
-    vec(X_b) with vec(left_q right_q^T)."""
+def _cut_forms(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """s_q^T X_b (1 - s_q) for every matrix X_b of the int64 stack x and
+    every row s_q of s, the 2^m out-sets in ascending order (bit t of q
+    is s[q, t]), as an array of shape (len(x), 2^m).  It grows the form
+    one bit at a time: for an out-set S of the bits below t,
+
+      f(S + t) = f(S) + sum_{j != t} X_tj - sum_{j in S} (X_tj + X_jt),
+
+    so columns 2^t .. 2^(t+1) - 1 take one product of row t of X + X^T,
+    cut to its first t entries, with the first 2^t rows of s: sum t 2^t
+    multiply-adds per matrix, 258 at m = 6, where the dense form
+    vec(X_b) . vec(s_q u_q^T) takes m^2 2^m = 2,304."""
+    import numpy as np
+
     m = x.shape[1]
-    outer = (left[:, :, None] * right[:, None, :]).reshape(-1, m * m)
-    return x.reshape(len(x), m * m) @ outer.T
+    y = x + np.swapaxes(x, 1, 2)
+    gain = x.sum(axis=2) - np.diagonal(x, axis1=1, axis2=2)
+    f = np.zeros((len(x), 1 << m), dtype=np.int64)
+    for t in range(m):
+        lo = 1 << t
+        f[:, lo:2 * lo] = (f[:, :lo] + gain[:, t, None]
+                           - y[:, t, :t] @ s[:lo, :t].T)
+    return f
+
+
+@cache
+def _binomials(n: int) -> tuple[np.ndarray, ...]:
+    """C(v, 2), C(v, 3) and C(v, 4) for 0 <= v <= n as read-only int64
+    arrays, built once per order for the kernel and its vertex table."""
+    import numpy as np
+
+    tables = tuple(np.array([comb(v, r) for v in range(n + 1)],
+                            dtype=np.int64) for r in (2, 3, 4))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 @cache
@@ -385,8 +418,7 @@ def _vertex_table(n: int) -> np.ndarray:
     u = 1 - ((masks >> np.arange(m)[:, None, None]) & 1)  # [i, 1, s]
     deg = (m - 1 - size)[:, None]  # [in_i, 1]
     paths = size[masks[:, None] & masks] + u * (deg - size)
-    c3, c4 = (np.array([comb(v, r) for v in range(n + 1)], dtype=np.int64)
-              for r in (3, 4))
+    _, c3, c4 = _binomials(n)
     table = c3[paths] - c4[deg + u] - c4[n - 1 - deg - u]
     table.flags.writeable = False
     return table
@@ -401,8 +433,9 @@ def _extension_batch(
     _edges(n) lists vertex 0's arcs first, so a is the order-(n-1) code
     A of vertices 1..n-1 and bit k of s means 0 -> k+1.  With u = 1 - s
     and old out-degrees deg_A + u, the counts follow from A^2 and A^3
-    once per base code, by the identities in the module docstring, and
-    each old vertex's share of s5 from _vertex_table."""
+    once per base code, by the identities in the module docstring, with
+    the out-set terms from _cut_forms and each old vertex's share of s5
+    from _vertex_table."""
     import numpy as np
 
     m = n - 1
@@ -411,21 +444,20 @@ def _extension_batch(
     bit = np.arange(m)
     outsets = np.arange(1 << m, dtype=np.int64)
     s = (outsets[:, None] >> bit) & 1
-    u = 1 - s
     size = s.sum(axis=1)
     sq = a @ a
     cube = sq @ a
     tr5 = (cube * np.swapaxes(sq, 1, 2)).sum(axis=(1, 2))
     if (tr5 % 5).any():
         raise VerificationFailedError("closed 5-walk total not 5-divisible")
-    c5 = (tr5 // 5)[:, None] + _bilinear(cube, s, u)
+    c5 = (tr5 // 5)[:, None] + _cut_forms(cube, s)
 
-    c2, c3, c4 = (np.array([comb(v, r) for v in range(n + 1)], dtype=np.int64)
-                  for r in (2, 3, 4))
+    c2, c3, c4 = _binomials(n)
     inmask = (a << bit[:, None]).sum(axis=1)
     s5 = (comb(n, 5) - c4[size] - c4[n - 1 - size]
           + (a * c3[sq]).sum(axis=(1, 2))[:, None]
-          + _bilinear(a * c2[sq], u, s)
+          # u^T Y s = s^T Y^T u for the arc term's Y = A o C(A^2, 2)
+          + _cut_forms(np.swapaxes(a * c2[sq], 1, 2), s)
           + _vertex_table(n)[bit, inmask].sum(axis=1))
     # regular means deg_i + u_i = h for every old i and |s| = h, so the
     # one regular out-set of a base, if any, has s_i = deg_i - h + 1

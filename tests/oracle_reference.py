@@ -5,8 +5,10 @@ per bit; for the class engine's bucket invariant
 (enumeration._c3_profiles), the c3 profile of one tournament from its
 bitmask rows; for the extremal sweep's vertex table
 (extremal._vertex_table), one old vertex's share of s5 by a walk over
-its neighbours.  They are slow and obviously correct, so the tests hold
-the library's array kernels equal to them."""
+its neighbours; for the sweep's out-set terms (extremal._cut_forms), the
+cut form of one matrix and one out-set by a double loop.  They are slow
+and obviously correct, so the tests hold the library's array kernels
+equal to them."""
 
 from __future__ import annotations
 
@@ -138,3 +140,11 @@ def vertex_share(n: int, i: int, in_i: int, s: int) -> int:
         out = len(beaten) + 1
         paths = sum(1 for k in beaten if not (s >> k) & 1)
     return comb(paths, 3) - comb(out, 4) - comb(n - 1 - out, 4)
+
+
+def cut_form(x: Sequence[Sequence[int]], s: Sequence[int]) -> int:
+    """sum over i != j of x_ij s_i (1 - s_j) for a square matrix x and
+    a 0/1 vector s: the weight of the entries from s to its complement."""
+    m = len(s)
+    return sum(x[i][j] * s[i] * (1 - s[j])
+               for i in range(m) for j in range(m) if i != j)

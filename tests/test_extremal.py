@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -62,7 +62,7 @@ from tourney.counting import _cycles_by_trace
 from tourney.extremal import (_class_batches, _exact_div, _extension_batch,
                               _extremes, _labeled_batches, _witness_classes,
                               delta_tt3_copies_in_rlt, rlt5_copies_in_rlt)
-from oracle_reference import vertex_share
+from oracle_reference import cut_form, vertex_share
 
 
 class TestClosedForms:
@@ -411,6 +411,54 @@ class TestExtensionKernel:
                     assert table[i, in_i].tolist() == [
                         vertex_share(n, i, in_i, s) for s in range(1 << m)
                     ], (i, in_i)
+
+    @staticmethod
+    def outsets(m):
+        return (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_cut_forms(self, m):
+        # random entries with a non-zero diagonal, as A^3 has: the
+        # recursion must leave X_tt out of the gain of bit t
+        rng = np.random.default_rng(m)
+        x = rng.integers(-50, 51, (3, m, m))
+        x[:, range(m), range(m)] = rng.integers(1, 51, (3, m))
+        s = self.outsets(m)
+        assert extremal._cut_forms(x, s).tolist() == [
+            [cut_form(xb.tolist(), sq.tolist()) for sq in s] for xb in x]
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_cut_forms_of_the_kernel_operands(self, n):
+        # every order-5 base; at order 7 the 56 order-6 class reps and
+        # 256 labeled bases spread over all 2^15
+        m = n - 1
+        if n == 5:
+            base = np.arange(64)
+        else:
+            base = np.concatenate([b for b, _ in _class_batches(7)]
+                                  + [np.arange(256) * 127])
+        a = extremal._code_adjacency(m, base)
+        sq = a @ a
+        s = self.outsets(m)
+        u = 1 - s
+
+        def dense(x, left, right):
+            outer = (left[:, :, None] * right[:, None, :]).reshape(-1, m * m)
+            return x.reshape(len(x), m * m) @ outer.T
+
+        c2 = extremal._binomials(n)[0]
+        cube, arcs = sq @ a, a * c2[sq]
+        assert (np.diagonal(cube, axis1=1, axis2=2) != 0).any()
+        assert (extremal._cut_forms(cube, s) == dense(cube, s, u)).all()
+        assert (extremal._cut_forms(np.swapaxes(arcs, 1, 2), s)
+                == dense(arcs, u, s)).all()
+
+    def test_binomials(self):
+        tables = extremal._binomials(7)
+        assert extremal._binomials(7) is tables
+        assert [t.tolist() for t in tables] == [
+            [comb(v, r) for v in range(8)] for r in (2, 3, 4)]
+        assert not any(t.flags.writeable for t in tables)
 
     def test_dropped_batch_raises(self, monkeypatch):
         kernel = extremal._extension_batch
