@@ -244,18 +244,12 @@ class CanonicalForm:
 
     def rows(self) -> tuple[int, ...]:
         """Decode the key back into out-row bitmasks (the canonical
-        representative's adjacency)."""
+        representative's adjacency).  Reversing the n*n-bit string puts
+        entry (i, j) at bit i*n + j, so row i is the i-th n-bit chunk."""
         n = self.n
-        rows = []
-        for i in range(n):
-            chunk = (self.key >> ((n - 1 - i) * n)) & ((1 << n) - 1)
-            # chunk holds row i most-significant-column-first; mirror it.
-            r = 0
-            for j in range(n):
-                if (chunk >> (n - 1 - j)) & 1:
-                    r |= 1 << j
-            rows.append(r)
-        return tuple(rows)
+        rev = int(format(self.key, f"0{n * n}b")[::-1], 2)
+        full = (1 << n) - 1
+        return tuple(rev >> i * n & full for i in range(n))
 
 
 @lru_cache(maxsize=1)

@@ -34,7 +34,11 @@ Every vertex has out-degree h exactly when the margins of M are fixed
 to 1 + score of b on Q.  So enumerate_regular takes one canonical
 representative R of every class of order h <= 5 from _classes, and for
 each ordered pair (R+, R-) lists every cross matrix with those margins,
-row by row.
+row by row.  The code of a completion is composed, not encoded: the
+pair's code with M = 0 (Q beats all of P) is computed once, and row a
+of M holds exactly the code's bits for the pairs of the a-th vertex of
+P with Q, which are consecutive, so each matrix adds its rows at those
+offsets.
 
 The weight of a completion (R+, R-, M) is the number of labeled regular
 tournaments of order n it stands for:
@@ -97,6 +101,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, islice
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -124,10 +129,6 @@ ENUM_MAX_ORDER = 11
 _PROFILE_BATCH = 2048
 
 
-def _edges(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def tournament_from_code(n: int, code: int) -> Tournament:
     """Labeled tournament of an upper-triangle edge code: bit k of the
     code orients the k-th pair i < j in lexicographic order, 1 meaning
@@ -153,7 +154,9 @@ def _tournament_code(rows: Sequence[int]) -> int:
     """The upper-triangle edge code of the tournament with these out-rows,
     the inverse of tournament_from_code: the pairs of vertex i are the
     n-1-i bits after those of vertices 0..i-1, and bit j-i-1 of them is
-    bit j of row i."""
+    bit j of row i.  Only the bits above the diagonal are read, so the
+    pair i, j with i < j is set by row i alone, which lets _completions
+    add a vertex's pairs to a code without rebuilding the rows."""
     code = shift = 0
     for i, row in enumerate(rows):
         code |= row >> (i + 1) << shift
@@ -218,23 +221,26 @@ def _completions(n: int, classes: list[tuple[Tournament, int]]
     """The edge code of every regular tournament of order n whose vertex
     0 beats exactly 1..h, one per (R+, R-, cross matrix) over the classes
     of order h, with the number of labeled regular tournaments it stands
-    for."""
+    for.
+
+    A pair's code with M = 0 is fixed: vertex 0 beats P, R+ and R- sit
+    on P and Q, and Q beats P.  Row a of M sets only the pairs of vertex
+    a+1 with Q, which are consecutive bits of the code from at[a] on;
+    so each completion's code is the pair's code plus the rows of M
+    shifted there."""
     h = (n - 1) // 2
     full = (1 << h) - 1
+    at = [(a + 1) * (n - 1) - a * (a + 1) // 2 + h - 1 - a for a in range(h)]
     for plus, plus_count in classes:
         row_sums = [h - plus.out_degree(a) for a in range(h)]
         for minus, minus_count in classes:
             col_sums = [1 + minus.out_degree(b) for b in range(h)]
             weight = plus_count * minus_count * comb(n - 1, h)
+            fixed = _tournament_code(
+                [full << 1, *(r << 1 for r in plus.out_rows),
+                 *(1 | full << 1 | r << h + 1 for r in minus.out_rows)])
             for m in _cross_matrices(row_sums, col_sums):
-                rows = [full << 1]
-                rows += [plus.out_rows[a] << 1 | m[a] << (h + 1)
-                         for a in range(h)]
-                for b in range(h):
-                    beats_b = sum((m[a] >> b & 1) << a for a in range(h))
-                    rows.append(1 | (full ^ beats_b) << 1
-                                | minus.out_rows[b] << (h + 1))
-                yield _tournament_code(rows), weight
+                yield fixed | sum(row << k for row, k in zip(m, at)), weight
 
 
 def _code_adjacency(n: int, codes: np.ndarray) -> np.ndarray:
@@ -243,12 +249,26 @@ def _code_adjacency(n: int, codes: np.ndarray) -> np.ndarray:
     reads them."""
     import numpy as np
 
-    i, j = np.array(_edges(n), dtype=np.int64).reshape(-1, 2).T
+    i, j = np.triu_indices(n, 1)
     bits = (codes[:, None] >> np.arange(len(i))) & 1
     a = np.zeros((len(codes), n, n), dtype=np.int64)
     a[:, i, j] = bits
     a[:, j, i] = 1 - bits
     return a
+
+
+@cache
+def _binomials(n: int) -> tuple[np.ndarray, ...]:
+    """C(v, 2), C(v, 3) and C(v, 4) for 0 <= v <= n as read-only int64
+    arrays, built once per order for the profile pass and the extremal
+    kernel."""
+    import numpy as np
+
+    tables = tuple(np.array([comb(v, r) for v in range(n + 1)],
+                            dtype=np.int64) for r in (2, 3, 4))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _c3_profiles(n: int, codes: np.ndarray) -> list[tuple[int, ...]]:
@@ -268,8 +288,7 @@ def _c3_profiles(n: int, codes: np.ndarray) -> list[tuple[int, ...]]:
     import numpy as np
 
     a = _code_adjacency(n, codes)
-    c2, c3 = (np.array([comb(x, r) for x in range(n + 1)], dtype=np.int64)
-              for r in (2, 3))
+    c2, c3, _ = _binomials(n)
     deg = a.sum(axis=2)
     out = c3[deg] - (a * c2[a @ np.swapaxes(a, 1, 2)]).sum(axis=2)
     inside = c3[n - 1 - deg] - (a * c2[a @ a]).sum(axis=1)

@@ -93,9 +93,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from .core import CanonicalForm, Tournament, canonical_form
 from .counting import c4_formula, c5_formula, s5_formula, trace_m
 from .classify import is_nearly_doubly_regular, is_regular, aat_positive
-from .enumeration import (EnumCorpus, _classes, _code_adjacency,
-                          _tournament_code, certified_classes,
-                          enumerate_regular)
+from .enumeration import (EnumCorpus, _binomials, _classes,
+                          _code_adjacency, _tournament_code,
+                          certified_classes, enumerate_regular)
 from .errors import (
     BadOrderError,
     BadResidueError,
@@ -388,19 +388,6 @@ def _cut_forms(x: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _binomials(n: int) -> tuple[np.ndarray, ...]:
-    """C(v, 2), C(v, 3) and C(v, 4) for 0 <= v <= n as read-only int64
-    arrays, built once per order for the kernel and its vertex table."""
-    import numpy as np
-
-    tables = tuple(np.array([comb(v, r) for v in range(n + 1)],
-                            dtype=np.int64) for r in (2, 3, 4))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-@cache
 def _vertex_table(n: int) -> np.ndarray:
     """F[i, in_i, s], read-only, of shape (n-1, 2^(n-1), 2^(n-1)): old
     vertex i's part of s5 besides the arcs among old vertices, when its
@@ -430,8 +417,8 @@ def _extension_batch(
     with a in the int64 array ``base`` and 0 <= s < 2^(n-1); each result
     has shape (len(base), 2^(n-1)) with the code of row a, column s.
 
-    _edges(n) lists vertex 0's arcs first, so a is the order-(n-1) code
-    A of vertices 1..n-1 and bit k of s means 0 -> k+1.  With u = 1 - s
+    The edge code lists vertex 0's pairs first, so a is the order-(n-1)
+    code A of vertices 1..n-1 and bit k of s means 0 -> k+1.  With u = 1 - s
     and old out-degrees deg_A + u, the counts follow from A^2 and A^3
     once per base code, by the identities in the module docstring, with
     the out-set terms from _cut_forms and each old vertex's share of s5

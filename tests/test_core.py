@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tourney import (
+    CanonicalForm,
     Tournament,
     automorphism_count,
     canonical_form,
@@ -274,6 +275,15 @@ class TestCanonicalForm:
         assert validate(7, list(cf.rows())) is not None
         assert canonical_form(validate(7, list(cf.rows()))).key == cf.key
         assert int(cf.hex(), 16) == cf.key
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_rows_invert_the_identity_key(self, n):
+        # the row-major key of t under the identity labeling decodes
+        # back to t's rows, for seeded random t of every order to 16
+        for seed in range(5):
+            t = gen_random(n, seed)
+            key = key_for_permutation(t, range(n))
+            assert CanonicalForm(n, key).rows() == t.out_rows
 
     def test_keys_pinned_above_bruteforce_range(self):
         # sha256 of "n key |Aut|" lines, captured from the list-based

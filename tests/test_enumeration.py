@@ -24,6 +24,7 @@ from tourney import (
     enumerate_regular,
     enumeration,
     gen_rlt,
+    induced,
     is_regular,
     read_corpus,
     tournament_from_code,
@@ -168,6 +169,36 @@ class TestEnumerateRegular:
     def test_threads_must_be_positive(self, threads):
         with pytest.raises(InvalidInput):
             enumerate_regular(5, threads=threads)
+
+
+class TestJoin:
+    @pytest.mark.parametrize("n", [3, 5, 7, 9])
+    def test_completion_codes_decode_to_pair_and_cross_rows(self, n):
+        # each code is the pair's code plus the cross rows: decoded, it
+        # is regular, vertex 0 beats exactly P = 1..h, R+ and R- sit on P
+        # and Q, and the cross rows are _cross_matrices' in walk order
+        h = (n - 1) // 2
+        full = (1 << h) - 1
+        classes = enumeration._classes(h, None)
+        expected = [
+            (plus.out_rows, minus.out_rows, m,
+             plus_count * minus_count * math.comb(n - 1, h))
+            for plus, plus_count in classes
+            for minus, minus_count in classes
+            for m in enumeration._cross_matrices(
+                [h - plus.out_degree(a) for a in range(h)],
+                [1 + minus.out_degree(b) for b in range(h)])]
+        completions = list(enumeration._completions(n, classes))
+        assert len(completions) == len(expected)
+        for (code, weight), (plus, minus, m, want) in zip(completions,
+                                                          expected):
+            t = tournament_from_code(n, code)
+            assert is_regular(t)
+            assert t.out_rows[0] == full << 1
+            assert induced(t, range(1, h + 1)).out_rows == plus
+            assert induced(t, range(h + 1, n)).out_rows == minus
+            assert tuple(row >> h + 1 for row in t.out_rows[1:h + 1]) == m
+            assert weight == want
 
 
 def relabel(t: Tournament, perm: list[int]) -> Tournament:
