@@ -120,14 +120,15 @@ def validate(n: int, rows: Sequence[int]) -> Tournament:
         if row < 0 or row & ~full:
             raise SizeMismatchError(f"row {i} has bits outside vertices 0..{n - 1}")
         if (row >> i) & 1:
-            raise LoopArcError(f"vertex {i} has an arc to itself")
+            raise LoopArcError(f"vertex {i} has an arc to itself", (i, i))
     for i in range(n):
         for j in range(i + 1, n):
             forward = (rows[i] >> j) & 1
             backward = (rows[j] >> i) & 1
             if forward == backward:
                 kind = "no arc" if forward == 0 else "both arcs"
-                raise MissingOrDoubleArcError(f"pair ({i}, {j}) has {kind}")
+                raise MissingOrDoubleArcError(f"pair ({i}, {j}) has {kind}",
+                                              (i, j))
     return Tournament(n, tuple(rows))
 
 

@@ -434,7 +434,8 @@ def read_corpus(path: str | os.PathLike[str]) -> EnumCorpus:
 
     def take_key() -> int:
         """The class key on the next line, exactly as CanonicalForm.hex()
-        writes it: (n*n + 3)//4 lowercase hex digits."""
+        writes it: (n*n + 3)//4 lowercase hex digits of a value below
+        2^(n*n)."""
         text = take("class ")
         width = (n * n + 3) // 4
         bad = next((k for k, ch in enumerate(text)
@@ -443,7 +444,11 @@ def read_corpus(path: str | os.PathLike[str]) -> EnumCorpus:
         if bad is not None:
             raise ParseError(f"class key must be {width} lowercase hex "
                              f"digits", line=pos, col=len("class ") + 1 + bad)
-        return int(text, 16)
+        key = int(text, 16)
+        if key >> n * n:
+            raise ParseError(f"class key must be below 2^{n * n}",
+                             line=pos, col=len("class ") + 1)
+        return key
 
     if pos >= len(lines) or lines[pos] != _MAGIC:
         raise ParseError(f"expected header {_MAGIC!r}", line=1)

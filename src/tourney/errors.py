@@ -18,12 +18,24 @@ class InvalidInput(TourneyError, ValueError):
 
 # -- structural validation ---------------------------------------------------
 
-class LoopArcError(InvalidInput):
-    """A diagonal adjacency bit is set (an arc from a vertex to itself)."""
+class _CellError(InvalidInput):
+    """A structural error that names its adjacency cell (i, j), row i and
+    column j, when known."""
+
+    def __init__(self, message: str,
+                 cell: tuple[int, int] | None = None) -> None:
+        super().__init__(message)
+        self.cell = cell
 
 
-class MissingOrDoubleArcError(InvalidInput):
-    """Some vertex pair has zero or two arcs instead of exactly one."""
+class LoopArcError(_CellError):
+    """A diagonal adjacency bit is set (an arc from a vertex to itself);
+    the cell is (i, i)."""
+
+
+class MissingOrDoubleArcError(_CellError):
+    """Some vertex pair has zero or two arcs instead of exactly one; the
+    cell is (i, j) with i < j."""
 
 
 class SizeMismatchError(InvalidInput):

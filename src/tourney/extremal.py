@@ -68,9 +68,11 @@ sum over arcs i -> j of C((T^2)_ij, 3) then takes its arc term as
 by C(x + 1, 3) = C(x, 3) + C(x, 2), where o is the entrywise product.
 The two out-set terms are cut forms s^T X u: X = A^3 for c5 and
 X = (A o C(A^2, 2))^T for the arcs, as u^T Y s = s^T Y^T u.  _cut_forms
-builds each over all 2^(n-1) out-sets by adding one bit of s at a time,
-in 258 int64 multiply-adds per base at n = 7 against 2,304 for the
-dense product vec(X) . vec(s u^T).
+takes each over all 2^(n-1) out-sets as one product vec(X) . vec(s u^T)
+in float64, the one place where a counted value passes through a float.
+It is exact because every term and partial sum is a non-negative
+integer below 2^17, far below float64's 2^53: codes are int64, so
+n - 1 <= 10, and each of the (n-1)^2 terms is at most (n-1)^3.
 Besides C(n,5), vertex 0's degree terms and the arcs among old
 vertices, s5 splits into one share per old vertex i,
 C(p_i, 3) - C(out_i, 4) - C(n - 1 - out_i, 4) with p_i the 2-paths along
@@ -357,34 +359,27 @@ def verify_binomial_sum_min(n: int, p: int) -> MinimizationReport:
 
 # Base codes per numpy batch.  The largest arrays of one batch, the
 # gathered vertex shares, hold 256 * (n-1) * 2^(n-1) int64 entries,
-# 768 KiB at n = 7; each cut form holds 256 * 2^(n-1), 128 KiB, so the
+# 768 KiB at n = 7; each cut form holds 256 * 2^(n-1) entries, 128 KiB,
+# and its float64 operands 256 * (n-1)^2 and (n-1)^2 * 2^(n-1), so the
 # sweep's peak memory stays near that of importing numpy.
 _SWEEP_BATCH = 256
 
 
 def _cut_forms(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """s_q^T X_b (1 - s_q) for every matrix X_b of the int64 stack x and
-    every row s_q of s, the 2^m out-sets in ascending order (bit t of q
-    is s[q, t]), as an array of shape (len(x), 2^m).  It grows the form
-    one bit at a time: for an out-set S of the bits below t,
-
-      f(S + t) = f(S) + sum_{j != t} X_tj - sum_{j in S} (X_tj + X_jt),
-
-    so columns 2^t .. 2^(t+1) - 1 take one product of row t of X + X^T,
-    cut to its first t entries, with the first 2^t rows of s: sum t 2^t
-    multiply-adds per matrix, 258 at m = 6, where the dense form
-    vec(X_b) . vec(s_q u_q^T) takes m^2 2^m = 2,304."""
+    """s_q^T X_b (1 - s_q) for every m x m matrix X_b of the int64 stack
+    x and every 0/1 row s_q of s, as an int64 array of shape
+    (len(x), len(s)): the product vec(X_b) . vec(s_q u_q^T), u = 1 - s,
+    of the (B, m m) and (m m, len(s)) matrices, taken in float64 so that
+    numpy hands it to BLAS.  It is exact: codes are int64, so m <= 10,
+    the kernel's X entries are non-negative integers, and each of the
+    m^2 terms is at most m^3, so every partial sum is an integer below
+    2^17, far inside float64's 2^53."""
     import numpy as np
 
     m = x.shape[1]
-    y = x + np.swapaxes(x, 1, 2)
-    gain = x.sum(axis=2) - np.diagonal(x, axis1=1, axis2=2)
-    f = np.zeros((len(x), 1 << m), dtype=np.int64)
-    for t in range(m):
-        lo = 1 << t
-        f[:, lo:2 * lo] = (f[:, :lo] + gain[:, t, None]
-                           - y[:, t, :t] @ s[:lo, :t].T)
-    return f
+    outer = (s[:, :, None] * (1 - s)[:, None, :]).reshape(len(s), m * m)
+    return (x.reshape(len(x), m * m).astype(np.float64)
+            @ outer.T.astype(np.float64)).astype(np.int64)
 
 
 @cache

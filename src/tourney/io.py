@@ -3,10 +3,12 @@
 Line 1 is the order n in decimal; the next n lines are rows of exactly n
 characters from {0, 1}, row i listing the out-arcs of vertex i (character
 j is 1 iff the arc i -> j is present).  A single trailing newline is
-allowed.  Textual problems raise ParseError with 1-based line/column;
-structural problems (loops, missing or doubled arcs) surface as the
-usual validation errors.  This format is the bit-exact ground truth for
-fixtures.
+allowed.  Every problem raises ParseError with its 1-based line and,
+where one character is at fault, its column: textual ones as the text
+is read, structural ones as validate finds them.  An order outside
+1..64 is at line 1, a loop at vertex i at line i + 2, col i + 1, and a
+pair (i, j), i < j, with no arc or both arcs at line i + 2, col j + 1.
+This format is the bit-exact ground truth for fixtures.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import os
 
 from .core import Tournament, validate
-from .errors import ParseError
+from .errors import (LoopArcError, MissingOrDoubleArcError,
+                     OrderTooLargeError, ParseError, SizeMismatchError)
 
 
 def _decimal(text: str, what: str, line: int, col: int = 1) -> int:
@@ -60,7 +63,14 @@ def parse_tour(text: str) -> Tournament:
                 raise ParseError("rows may contain only 0 and 1",
                                  line=i + 2, col=j + 1)
         rows.append(r)
-    return validate(n, rows)
+    try:
+        return validate(n, rows)
+    except (LoopArcError, MissingOrDoubleArcError) as exc:
+        i, j = exc.cell
+        raise ParseError(str(exc), line=i + 2, col=j + 1) from None
+    except (SizeMismatchError, OrderTooLargeError) as exc:
+        # the rows match n in count and width, so only the order is wrong
+        raise ParseError(str(exc), line=1) from None
 
 
 def format_tour(t: Tournament) -> str:

@@ -268,10 +268,12 @@ class TestEnumerate:
         (b"class 038e186", b"class 0038e186"),
         (b"class 038e186", b"class 038E186"),
         (b"class 038e186", b"class 038e186 "),
+        (b"class 038e186", b"class 838e186"),
+        (b"5\n00011\n", b"5\n10011\n"),
     ], ids=["n", "class-key", "non-ascii", "n-underscore", "n-plus",
             "n-space", "labeled-underscore", "classes-space", "constraint",
             "class-0x", "class-plus", "class-underscore", "class-leading-zero",
-            "class-upper", "class-space"])
+            "class-upper", "class-space", "class-too-wide", "block-loop"])
     @pytest.mark.parametrize("command", [["enumerate", "--verify"],
                                          ["verify", "prop2", "--corpus"]],
                              ids=["enumerate", "prop2"])

@@ -419,7 +419,7 @@ class TestExtensionKernel:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_cut_forms(self, m):
         # random entries with a non-zero diagonal, as A^3 has: the
-        # recursion must leave X_tt out of the gain of bit t
+        # weight vec(s u^T) is 0 there, so X_tt must not reach the form
         rng = np.random.default_rng(m)
         x = rng.integers(-50, 51, (3, m, m))
         x[:, range(m), range(m)] = rng.integers(1, 51, (3, m))
@@ -427,16 +427,19 @@ class TestExtensionKernel:
         assert extremal._cut_forms(x, s).tolist() == [
             [cut_form(xb.tolist(), sq.tolist()) for sq in s] for xb in x]
 
-    @pytest.mark.parametrize("n", [5, 7])
+    @pytest.mark.parametrize("n", [5, 7, 9, 11])
     def test_cut_forms_of_the_kernel_operands(self, n):
         # every order-5 base; at order 7 the 56 order-6 class reps and
-        # 256 labeled bases spread over all 2^15
+        # 256 labeled bases spread over all 2^15; at orders 9 and 11
+        # random bases, m = 10 being the most that int64 codes admit
         m = n - 1
         if n == 5:
             base = np.arange(64)
-        else:
+        elif n == 7:
             base = np.concatenate([b for b, _ in _class_batches(7)]
                                   + [np.arange(256) * 127])
+        else:
+            base = np.random.default_rng(n).integers(0, 1 << comb(m, 2), 64)
         a = extremal._code_adjacency(m, base)
         sq = a @ a
         s = self.outsets(m)

@@ -58,9 +58,24 @@ class TestParseErrors:
         assert e.line == 3 and e.col == 2
 
     def test_diagonal_bit(self):
-        # structurally bad but textually fine: the validator reports it
+        # structurally bad but textually fine: the validator finds it,
+        # and parse_tour names the loop's line and column
         with pytest.raises(InvalidInput):
             parse_tour("2\n01\n01\n")
+
+    @pytest.mark.parametrize("text,line,col", [
+        ("3\n110\n001\n100\n", 2, 1),
+        ("3\n010\n011\n100\n", 3, 2),
+        ("3\n000\n001\n100\n", 2, 2),
+        ("3\n011\n101\n100\n", 2, 2),
+        ("3\n010\n000\n100\n", 3, 3),
+        ("0\n", 1, None),
+        ("65\n" + ("0" * 65 + "\n") * 65, 1, None),
+    ], ids=["loop-0", "loop-1", "no-arc", "both-arcs", "no-arc-1-2",
+            "order-zero", "order-65"])
+    def test_structural_errors_name_their_line(self, text, line, col):
+        e = self.err(text)
+        assert (e.line, e.col) == (line, col)
 
     def test_double_arc(self):
         with pytest.raises(InvalidInput):
