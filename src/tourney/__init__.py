@@ -32,7 +32,6 @@ from .core import (
     Tournament,
     automorphism_count,
     canonical_form,
-    canonical_form_bruteforce,
     compose,
     converse,
     induced,
@@ -53,7 +52,6 @@ from .counting import (
     c3_formula,
     c4_formula,
     c5_formula,
-    count_copies,
     count_report,
     oracle_cycles,
     oracle_strong_subs,
@@ -69,7 +67,6 @@ from .enumeration import (
     EnumCorpus,
     enumerate_regular,
     read_corpus,
-    tournament_from_code,
     verify_corpus,
     write_corpus,
 )
@@ -122,19 +119,19 @@ __all__ = [
     "Tournament", "CanonicalForm", "StrongDecomposition",
     "validate", "mask_of", "vertices_of", "induced", "converse", "compose",
     "strong_decomposition", "is_strong", "canonical_form",
-    "canonical_form_bruteforce", "is_isomorphic", "automorphism_count",
+    "is_isomorphic", "automorphism_count",
     "parse_tour", "format_tour", "read_tour", "write_tour",
     "scores", "ArcIntersection", "arc_intersections",
     "c3_formula", "c4_formula", "c5_formula", "w_formula", "s_formula",
     "s5_formula", "trace_m", "oracle_cycles", "oracle_strong_subs",
-    "oracle_w", "count_copies", "CountEntry", "CountReport", "count_report",
+    "oracle_w", "CountEntry", "CountReport", "count_report",
     "gen_transitive", "RotationalSymbol", "gen_rotational", "gen_rlt",
     "gen_qr", "gen_qr_power", "gen_named", "gen_random",
     "is_transitive", "is_regular", "is_near_regular", "semi_degree",
     "is_locally_transitive", "is_locally_regular", "is_doubly_regular",
     "is_nearly_doubly_regular", "is_rldr", "is_rlndr", "aat_positive",
     "landau_feasible", "ClassificationReport", "classification_report",
-    "tournament_from_code", "EnumCorpus",
+    "EnumCorpus",
     "enumerate_regular", "write_corpus", "read_corpus", "verify_corpus",
     "c5_max_bound", "c5_regular_max", "s5_of_rlt", "c5_of_rlt", "s5_of_dr",
     "s5_of_ndr", "rlt5_copies_in_rlt", "delta_tt3_copies_in_rlt",

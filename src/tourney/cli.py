@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -238,6 +239,10 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # numpy reads this when it is first imported, which the library does
+    # lazily; its products are small, so more BLAS threads cost more CPU
+    # than they save in wall time.  An explicit value is left alone.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)

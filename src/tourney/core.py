@@ -26,7 +26,6 @@ tournament searches once.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,6 +101,15 @@ class Tournament:
                 row ^= low
 
 
+def _check_order(n: int) -> None:
+    """Raise SizeMismatchError for n < 1 and OrderTooLargeError for
+    n > MAX_ORDER."""
+    if n < 1:
+        raise SizeMismatchError(f"order must be >= 1, got {n}")
+    if n > MAX_ORDER:
+        raise OrderTooLargeError(f"order {n} exceeds the cap of {MAX_ORDER}")
+
+
 def validate(n: int, rows: Sequence[int]) -> Tournament:
     """Check the tournament axioms and build a Tournament.
 
@@ -109,10 +117,7 @@ def validate(n: int, rows: Sequence[int]) -> Tournament:
     vertex range), LoopArcError (diagonal bit), MissingOrDoubleArcError
     (some pair without exactly one arc), OrderTooLargeError (n > 64).
     """
-    if n < 1:
-        raise SizeMismatchError(f"order must be >= 1, got {n}")
-    if n > MAX_ORDER:
-        raise OrderTooLargeError(f"order {n} exceeds the cap of {MAX_ORDER}")
+    _check_order(n)
     if len(rows) != n:
         raise SizeMismatchError(f"expected {n} rows, got {len(rows)}")
     full = (1 << n) - 1
@@ -342,28 +347,6 @@ def canonical_form(t: Tournament) -> CanonicalForm:
     adjacency over all relabelings, by the ordered-partition search of
     _minimal_relabelings."""
     return _minimal_relabelings(t)[0]
-
-
-def key_for_permutation(t: Tournament, perm: Sequence[int]) -> int:
-    """Row-major adjacency key after relabeling: position a of perm names
-    the original vertex placed at new index a.  Used by the brute-force
-    canonicalization oracle and by tests."""
-    n = t.n
-    key = 0
-    for a in range(n):
-        row_old = t.out_rows[perm[a]]
-        r = 0
-        for b in range(n):
-            r = (r << 1) | ((row_old >> perm[b]) & 1 if a != b else 0)
-        key = (key << n) | r
-    return key
-
-
-def canonical_form_bruteforce(t: Tournament) -> CanonicalForm:
-    """Reference canonicalization: minimum over all n! relabelings."""
-    best = min(key_for_permutation(t, p)
-               for p in itertools.permutations(range(t.n)))
-    return CanonicalForm(t.n, best)
 
 
 def is_isomorphic(a: Tournament, b: Tournament) -> bool:

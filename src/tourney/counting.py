@@ -61,11 +61,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Callable, Sequence
 
-from .core import Tournament, canonical_form, induced
+from .core import Tournament
 from .errors import (
     BadMError,
     InternalParityError,
@@ -130,14 +129,19 @@ def c3_formula(t: Tournament) -> int:
     return _c3_within(t, t.full_mask())
 
 
-def _adjacency(t: Tournament):
-    """The 0/1 adjacency matrix as int64: A[i, j] = 1 exactly when i -> j.
-    The rows are shifted as uint64, which holds bit 63 at order 64."""
+def _row_bits(rows, n: int):
+    """The 0/1 int64 array of shape (*rows.shape, n) whose last axis
+    holds bits 0..n-1 of each out-row mask in rows, an array or nested
+    sequence of non-negative ints: for the n out-rows of a tournament,
+    its adjacency matrix, A[i, j] = 1 exactly when i -> j.  The rows are
+    shifted as uint64, which holds bit 63 at order 64.  This is the
+    package's one unpack of out-rows into arrays."""
     import numpy as np
 
-    rows = np.array(t.out_rows, dtype=np.uint64)
-    bits = (rows[:, None] >> np.arange(t.n, dtype=np.uint64)) & np.uint64(1)
-    return bits.astype(np.int64)
+    rows = np.asarray(rows, dtype=np.uint64)
+    bits = rows[..., None] >> np.arange(n, dtype=np.uint64)
+    bits &= np.uint64(1)
+    return bits.view(np.int64)  # 0 and 1 read the same in both types
 
 
 def _binomial_sum(values, r: int) -> int:
@@ -158,7 +162,7 @@ def _arc_profiles(t: Tournament):
     an equal tournament, so no caller may write to it."""
     import numpy as np
 
-    a = _adjacency(t)
+    a = _row_bits(t.out_rows, t.n)
     d = a.sum(axis=1)
     i, j = np.nonzero(a)
     dpp = (a @ a.T)[i, j]
@@ -260,7 +264,7 @@ def trace_m(t: Tournament, m: int) -> int:
         raise BadMError(f"trace needs 1 <= m <= {TRACE_MAX_M}, got {m}")
     import numpy as np
 
-    a = _adjacency(t)
+    a = _row_bits(t.out_rows, t.n)
     if t.n ** m >= 1 << 62:
         a = a.astype(object)
     p = m // 2
@@ -381,22 +385,6 @@ def oracle_w(t: Tournament, m: int) -> int:
     degree = _subset_sizes()[rows & masks]
     extreme = inside & ((degree == 0) | (degree == m - 1))
     return int(np.count_nonzero(~extreme.any(axis=1)))
-
-
-def count_copies(t: Tournament, pattern: Tournament) -> int:
-    """Subtournaments isomorphic to a pattern, by canonical-key comparison
-    of every induced subset of the pattern's order."""
-    _check_oracle_order(t)
-    m = pattern.n
-    if m > t.n:
-        return 0
-    target = canonical_form(pattern).key
-    count = 0
-    for combo in combinations(range(t.n), m):
-        sub = induced(t, combo)
-        if canonical_form(sub).key == target:
-            count += 1
-    return count
 
 
 # -- reports -----------------------------------------------------------------

@@ -9,12 +9,16 @@ Two engines, both certified by orbit mass (certified_classes below):
                      vertex 0 beats exactly 1..h, then sorts them into
                      isomorphism classes.
 
+Both hand their members to certified_classes as out-rows, the member
+type of Tournament: bit j of row i is set when i -> j.
+
 The extension.  A labeled tournament of order k is a labeled tournament
 T' on the vertices 1..k-1 plus the out-set s of vertex 0 among them.
 _classes takes each class rep R of order k-1 and each of the 2^(k-1)
 out-sets s, and weights the candidate (R, s) by R's orbit (k-1)!/|Aut R|.
-The edge code lists vertex 0's pairs first, so the candidate's code is
-(code of R << (k-1)) + s, the same code the extremal scan forms.
+Its rows (_extend) are s << 1 for vertex 0 and R[i] << 1 | (1 - s_i)
+for vertex i + 1, which beats vertex 0 exactly when bit i of s is clear;
+the extremal class scan builds its maximizing extensions the same way.
 The weight is exact: for each of the (k-1)!/|Aut R| labeled T'
 isomorphic to R choose one relabeling of 1..k-1 that carries R onto T';
 it carries (R, s) onto (T', its image of s), one to one over s.  So
@@ -34,11 +38,16 @@ Every vertex has out-degree h exactly when the margins of M are fixed
 to 1 + score of b on Q.  So enumerate_regular takes one canonical
 representative R of every class of order h <= 5 from _classes, and for
 each ordered pair (R+, R-) lists every cross matrix with those margins,
-row by row.  The code of a completion is composed, not encoded: the
-pair's code with M = 0 (Q beats all of P) is computed once, and row a
-of M holds exactly the code's bits for the pairs of the a-th vertex of
-P with Q, which are consecutive, so each matrix adds its rows at those
-offsets.
+row by row.  A completion's rows are composed from its pair's rows and
+M.  On P and Q renumbered from 0, with P's mask p = (1 << h) - 1,
+
+    a-th vertex of P   R+[a] | M[a] << h
+    b-th vertex of Q   (p ^ col_b(M)) | R-[b] << h
+
+where M[a] is row a of M as a mask over Q and col_b(M) column b as a
+mask over P: the b-th vertex of Q beats the vertices of P that do not
+beat it.  _extend then adds vertex 0 with out-set P, as in the
+extension above.
 
 The weight of a completion (R+, R-, M) is the number of labeled regular
 tournaments of order n it stands for:
@@ -58,15 +67,17 @@ of them.  Relabelings of 1..n-1 put the regular tournaments with each of
 the C(n-1, h) out-sets of vertex 0 in bijection, which gives the last
 factor.
 
-Classes come from one walk of the generator of (completion code,
+Classes come from one walk of the generator of (completion rows,
 weight), through certified_classes:
 
-  profile  takes the codes in batches and computes each one's c3
-           profile, a cheap isomorphism invariant, in one numpy pass
-           from A A^T and A^2 (_c3_profiles): the sorted pairs, over the
-           vertices v, of the 3-cycle counts inside v's out-set and
-           in-set.  Each weight goes to its profile's bucket, and the
-           code is kept in the bucket's list.
+  profile  takes the rows in batches, unpacks them into adjacency
+           arrays by the one shared unpack (counting._row_bits), and
+           computes each one's c3 profile, a cheap isomorphism
+           invariant, in one numpy pass from A A^T and A^2
+           (_c3_profiles): the sorted pairs, over the vertices v, of
+           the 3-cycle counts inside v's out-set and in-set.  Each
+           weight goes to its profile's bucket, which lists its
+           members in walk order; the batch's rows are kept.
   certify  each bucket canonicalizes its completions in walk order, and
            only while it is short of its mass; only these become a
            Tournament.  Each new class adds its orbit n!/|Aut| to the
@@ -81,13 +92,12 @@ VerificationFailedError; no corpus is returned.  At order 9 the 16
 half-order pairs give 157 completions and 16 canonicalizations; at order
 11 the 144 pairs give 31,405 completions in 1,223 classes.
 certified_classes certifies any relabeling-closed set of labeled
-tournaments of order at most 11 the same way, given as edge codes:
-_classes passes the one-vertex extensions, and extremal the class scan's
-maximizing extensions, weighted by orbit.  The one decoder of edge codes
-into adjacency arrays, _code_adjacency, serves the profile here and the
-extremal scan.  enumerate_regular's time budget is checked inside
-certified_classes, once per batch of the walk and after every
-canonicalization, so it bounds the certify phase as well as the join.
+tournaments the same way, up to MAX_CANONICAL_ORDER = 16: _classes
+passes the one-vertex extensions, and extremal the class scan's
+maximizing extensions, weighted by orbit.  enumerate_regular's time
+budget is checked inside certified_classes, once per batch of the walk
+and after every canonicalization, so it bounds the certify phase as
+well as the join.
 
 Class representatives are decoded from the canonical key itself, so the
 corpus does not depend on the order of the join.  A .corpus file stores
@@ -99,6 +109,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -107,12 +118,15 @@ from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .classify import is_regular
-from .core import CanonicalForm, Tournament, _minimal_relabelings, validate
+from .core import (MAX_CANONICAL_ORDER, CanonicalForm, Tournament,
+                   _minimal_relabelings, validate)
+from .counting import _row_bits
 from .errors import (
     BadOrderError,
     CorpusMissingError,
     EvenOrderError,
     InvalidInput,
+    OrderTooLargeError,
     ParseError,
     TimeBudgetExceededError,
     VerificationFailedError,
@@ -124,44 +138,9 @@ if TYPE_CHECKING:
 
 ENUM_MAX_ORDER = 11
 
-# Members per numpy pass of certified_classes' profile: 2,048 order-11
-# adjacency matrices are 2 MiB of int64 per array.
+# Members per numpy pass of certified_classes' profile: 2,048 order-16
+# adjacency matrices are 4 MiB of int64 per array.
 _PROFILE_BATCH = 2048
-
-
-def tournament_from_code(n: int, code: int) -> Tournament:
-    """Labeled tournament of an upper-triangle edge code: bit k of the
-    code orients the k-th pair i < j in lexicographic order, 1 meaning
-    i -> j.  The inverse of _tournament_code: row i's bits above i are
-    the next n-1-i bits of the code, and each j > i left out of them
-    beats i, so bit i of row j is set."""
-    rows = [0] * n
-    shift = 0
-    for i in range(n):
-        full = (1 << (n - 1 - i)) - 1
-        upper = (code >> shift) & full
-        rows[i] |= upper << (i + 1)
-        beaten_by = full ^ upper
-        while beaten_by:
-            low = beaten_by & -beaten_by
-            rows[i + low.bit_length()] |= 1 << i
-            beaten_by ^= low
-        shift += n - 1 - i
-    return Tournament(n, tuple(rows))
-
-
-def _tournament_code(rows: Sequence[int]) -> int:
-    """The upper-triangle edge code of the tournament with these out-rows,
-    the inverse of tournament_from_code: the pairs of vertex i are the
-    n-1-i bits after those of vertices 0..i-1, and bit j-i-1 of them is
-    bit j of row i.  Only the bits above the diagonal are read, so the
-    pair i, j with i < j is set by row i alone, which lets _completions
-    add a vertex's pairs to a code without rebuilding the rows."""
-    code = shift = 0
-    for i, row in enumerate(rows):
-        code |= row >> (i + 1) << shift
-        shift += len(rows) - 1 - i
-    return code
 
 
 # -- class engines -----------------------------------------------------------
@@ -171,22 +150,33 @@ def _check_deadline(deadline: float | None) -> None:
         raise TimeBudgetExceededError("enumeration ran past its budget")
 
 
+def _extend(reps: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The out-rows of rep R plus the out-set s of a new vertex 0, for
+    int64 arrays reps (..., m) of order-m out-rows and s (...) of
+    out-sets, broadcast against each other: row 0 is s << 1, and old
+    row i becomes R[i] << 1 | (1 - s_i), as vertex i + 1 beats vertex 0
+    exactly when bit i of s is clear."""
+    import numpy as np
+
+    old = reps << 1 | 1 - _row_bits(s, reps.shape[-1])
+    first = np.broadcast_to((s << 1)[..., None], (*old.shape[:-1], 1))
+    return np.concatenate([first, old], axis=-1)
+
+
 def _classes(h: int, deadline: float | None
              ) -> list[tuple[Tournament, int]]:
     """(canonical representative, orbit h!/|Aut|) of every class of
     order h, in key order, grown from the one empty tournament by
-    certifying each order's one-vertex extensions: the code
-    (R << (k-1)) + s of every class rep R of order k-1 and out-set s of
-    vertex 0, weighted by R's orbit."""
+    certifying each order's one-vertex extensions: rep R of order k-1
+    plus every out-set s of vertex 0, weighted by R's orbit."""
     import numpy as np
 
     classes = [(Tournament(0, ()), 1)]
     for k in range(1, h + 1):
-        reps = np.array([_tournament_code(rep.out_rows)
-                         for rep, _ in classes], dtype=np.int64)
-        codes = (reps[:, None] << (k - 1)) + np.arange(1 << (k - 1))
-        members = ((code, orbit) for (_, orbit), row
-                   in zip(classes, codes.tolist()) for code in row)
+        s = np.arange(1 << (k - 1))
+        members = ((rows, orbit) for rep, orbit in classes
+                   for rows in _extend(np.array(rep.out_rows, dtype=np.int64),
+                                       s))
         _, orbits = certified_classes(k, members, deadline)
         classes = [(Tournament(k, CanonicalForm(k, key).rows()), orbits[key])
                    for key in sorted(orbits)]
@@ -217,44 +207,37 @@ def _cross_matrices(row_sums: list[int], col_sums: list[int]
 
 
 def _completions(n: int, classes: list[tuple[Tournament, int]]
-                 ) -> Iterator[tuple[int, int]]:
-    """The edge code of every regular tournament of order n whose vertex
-    0 beats exactly 1..h, one per (R+, R-, cross matrix) over the classes
-    of order h, with the number of labeled regular tournaments it stands
-    for.
+                 ) -> Iterator[tuple[np.ndarray, int]]:
+    """The out-rows of every regular tournament of order n whose vertex
+    0 beats exactly 1..h, one per (R+, R-, cross matrix M) over the
+    classes of order h, with the number of labeled regular tournaments
+    it stands for.
 
-    A pair's code with M = 0 is fixed: vertex 0 beats P, R+ and R- sit
-    on P and Q, and Q beats P.  Row a of M sets only the pairs of vertex
-    a+1 with Q, which are consecutive bits of the code from at[a] on;
-    so each completion's code is the pair's code plus the rows of M
-    shifted there."""
+    On P and Q, renumbered from 0, the a-th vertex of P has R+[a] on P
+    and row a of M on Q, and the b-th vertex of Q has R-[b] on Q and
+    beats the vertices of P that column b of M leaves out; _extend then
+    adds vertex 0 with out-set P.  Each pair's matrices are composed in
+    one numpy batch, in walk order."""
+    import numpy as np
+
     h = (n - 1) // 2
-    full = (1 << h) - 1
-    at = [(a + 1) * (n - 1) - a * (a + 1) // 2 + h - 1 - a for a in range(h)]
+    full = np.array((1 << h) - 1)
+    shift = np.arange(h)[:, None]
     for plus, plus_count in classes:
         row_sums = [h - plus.out_degree(a) for a in range(h)]
+        p_side = np.array(plus.out_rows, dtype=np.int64)
         for minus, minus_count in classes:
             col_sums = [1 + minus.out_degree(b) for b in range(h)]
             weight = plus_count * minus_count * comb(n - 1, h)
-            fixed = _tournament_code(
-                [full << 1, *(r << 1 for r in plus.out_rows),
-                 *(1 | full << 1 | r << h + 1 for r in minus.out_rows)])
-            for m in _cross_matrices(row_sums, col_sums):
-                yield fixed | sum(row << k for row, k in zip(m, at)), weight
-
-
-def _code_adjacency(n: int, codes: np.ndarray) -> np.ndarray:
-    """The 0/1 int64 adjacency matrices, shape (len(codes), n, n), of the
-    order-n edge codes in the int64 array codes, as tournament_from_code
-    reads them."""
-    import numpy as np
-
-    i, j = np.triu_indices(n, 1)
-    bits = (codes[:, None] >> np.arange(len(i))) & 1
-    a = np.zeros((len(codes), n, n), dtype=np.int64)
-    a[:, i, j] = bits
-    a[:, j, i] = 1 - bits
-    return a
+            q_side = np.array(minus.out_rows, dtype=np.int64) << h
+            ms = list(_cross_matrices(row_sums, col_sums))
+            m = np.array(ms, dtype=np.int64).reshape(len(ms), h)
+            # column b of M as a mask over P: bit a is entry (a, b)
+            cols = (_row_bits(m, h) << shift).sum(axis=1)
+            pair = np.concatenate([p_side | m << h, full ^ cols | q_side],
+                                  axis=1)
+            for rows in _extend(pair, full):
+                yield rows, weight
 
 
 @cache
@@ -271,12 +254,13 @@ def _binomials(n: int) -> tuple[np.ndarray, ...]:
     return tables
 
 
-def _c3_profiles(n: int, codes: np.ndarray) -> list[tuple[int, ...]]:
-    """The c3 profile of each order-n edge code in the int64 array codes:
-    the sorted pairs, over the vertices v, of (3-cycles inside v's
-    out-set, 3-cycles inside v's in-set), each pair written as
+def _c3_profiles(n: int, rows: Sequence[Sequence[int]]
+                 ) -> list[tuple[int, ...]]:
+    """The c3 profile of each order-n tournament whose n out-rows are
+    a row of rows: the sorted pairs, over the vertices v, of (3-cycles
+    inside v's out-set, 3-cycles inside v's in-set), each pair written as
     out * (C(n-1, 3) + 1) + in.  Both counts are at most C(n-1, 3), so
-    the sorted codes order the pairs as tuples do, one to one.
+    the sorted values order the pairs as tuples do, one to one.
 
     A set of d vertices holds C(d, 3) triples, and each transitive one
     has exactly one vertex beating the other two.  Inside v's out-set,
@@ -287,7 +271,7 @@ def _c3_profiles(n: int, codes: np.ndarray) -> list[tuple[int, ...]]:
       in_v  = C(n-1-d_v, 3) - sum over u -> v of C((A^2)[u, v], 2)."""
     import numpy as np
 
-    a = _code_adjacency(n, codes)
+    a = _row_bits(rows, n)
     c2, c3, _ = _binomials(n)
     deg = a.sum(axis=2)
     out = c3[deg] - (a * c2[a @ np.swapaxes(a, 1, 2)]).sum(axis=2)
@@ -296,43 +280,52 @@ def _c3_profiles(n: int, codes: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(sorted(row)) for row in pairs.tolist()]
 
 
-def certified_classes(n: int, members: Iterable[tuple[int, int]],
+def certified_classes(n: int, members: Iterable[tuple[Sequence[int], int]],
                       deadline: float | None = None
                       ) -> tuple[int, dict[int, int]]:
     """Classes of a relabeling-closed set of labeled tournaments of order
-    n, under the orbit-mass certificate.  members yields (edge code,
-    number of labeled tournaments it stands for); the codes are int64,
-    so n <= 11 (C(n, 2) <= 63 bits), which every caller meets.  Returns
-    the labeled total and {canonical key: n!/|Aut|} over the classes.
+    n <= MAX_CANONICAL_ORDER, under the orbit-mass certificate.  members
+    yields (out-rows, number of labeled tournaments they stand for), the
+    rows as n non-negative ints in a tuple, list or array.  Returns the
+    labeled total and {canonical key: n!/|Aut|} over the classes.
 
     One pass takes the members in batches of _PROFILE_BATCH, profiles
     each batch by _c3_profiles, adds each weight to its profile's bucket
-    and keeps the code there.  Then each bucket canonicalizes its members
+    and keeps the rows.  Then each bucket canonicalizes its members
     in walk order while it is short of its mass; a new class adds its
     orbit.  Only a member that is canonicalized becomes a Tournament.
-    Raises VerificationFailedError if a bucket goes over its mass or is
-    still short after its last member, and TimeBudgetExceededError once
-    the monotonic clock passes deadline, checked once per batch of the
-    walk and after every search."""
+    Raises OrderTooLargeError for n > MAX_CANONICAL_ORDER,
+    VerificationFailedError if a bucket goes over its mass or is still
+    short after its last member, and TimeBudgetExceededError once the
+    monotonic clock passes deadline, checked once per batch of the walk
+    and after every search."""
     import numpy as np
 
+    if n > MAX_CANONICAL_ORDER:
+        raise OrderTooLargeError(f"classes are certified up to order "
+                                 f"{MAX_CANONICAL_ORDER}, got {n}")
     masses: Counter[tuple] = Counter()
-    buckets: dict[tuple, list[int]] = {}
+    buckets: dict[tuple, array[int]] = {}  # member numbers, in walk order
+    stored: list[np.ndarray] = []  # each batch's rows; uint16 holds n <= 16
     members = iter(members)
     while batch := list(islice(members, _PROFILE_BATCH)):
         _check_deadline(deadline)
-        codes = np.array([code for code, _ in batch], dtype=np.int64)
-        for (code, weight), profile in zip(batch, _c3_profiles(n, codes)):
+        rows = np.array([r for r, _ in batch], dtype=np.uint16)
+        first = len(stored) * _PROFILE_BATCH
+        for k, ((_, weight), profile) in enumerate(
+                zip(batch, _c3_profiles(n, rows)), first):
             masses[profile] += weight
-            buckets.setdefault(profile, []).append(code)
+            buckets.setdefault(profile, array("q")).append(k)
+        stored.append(rows)
     factorial = math.factorial(n)
     orbits: dict[int, int] = {}
     for profile, bucket in buckets.items():
         short = masses[profile]
-        for code in bucket:
+        for k in bucket:
             if not short:
                 break
-            cf, aut = _minimal_relabelings(tournament_from_code(n, code))
+            rows = stored[k // _PROFILE_BATCH][k % _PROFILE_BATCH].tolist()
+            cf, aut = _minimal_relabelings(Tournament(n, tuple(rows)))
             _check_deadline(deadline)
             if cf.key not in orbits:
                 orbits[cf.key] = factorial // aut

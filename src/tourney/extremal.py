@@ -27,27 +27,30 @@ raise VerificationFailedError the moment a claimed fact fails.
 verify_c5_max runs one reducer, _extremes, over two routes that add one
 vertex to the tournaments of order n - 1:
 
-  labeled sweep  every labeled base code, weight 1: all 2^C(n,2) codes
-  class scan     the code of every class rep R of order n - 1 from the
-                 class engine (enumeration._classes), weighted by R's
-                 orbit (n-1)!/|Aut R|; each extension stands for that
-                 many labeled tournaments, one to one (the weight
+  labeled sweep  every labeled base, weight 1: all 2^C(n-1,2) upper-
+                 triangle edge codes, decoded by _code_adjacency, the
+                 one reader of edge codes; the code is only the sweep's
+                 index, so its extensions number 2^C(n,2)
+  class scan     the out-rows of every class rep R of order n - 1 from
+                 the class engine (enumeration._classes), weighted by
+                 R's orbit (n-1)!/|Aut R|; each extension stands for
+                 that many labeled tournaments, one to one (the weight
                  argument in enumeration's docstring)
 
 Both give (mass, regular mass, max c5, c5 witness mass, max s5, s5
 witness mass), and the two must agree.  At order 7 the scan has 56 reps
-and 3,584 extensions against the sweep's 2,097,152 codes.  The scan's
-maximizing extensions, weighted by orbit, then go to certified_classes,
-whose classes must add up to the labeled witness mass: 1 and 5
-extensions at order 7 for 240 and 2,640 labeled maximizers of c5 and s5,
-3 and 32 at order 5 for 40 and 544.
+and 3,584 extensions against the sweep's 2,097,152.  The scan's
+maximizing extensions, weighted by orbit, then go to certified_classes
+as out-rows, and their classes must add up to the labeled witness mass:
+1 and 5 extensions at order 7 for 240 and 2,640 labeled maximizers of
+c5 and s5, 3 and 32 at order 5 for 40 and 544.  The sweep keeps no
+maximizers; it only counts their mass.
 
-Both routes score their extensions with one kernel, _extension_batch.
-The class engine forms the same candidates, codes (a << (n-1)) + s, and
-one decoder, enumeration._code_adjacency, turns codes into adjacency
-arrays for both: here for the base codes a, there for the candidates
-whose c3 profiles it buckets.  The witness classes go to
-certified_classes as the argmax codes themselves.
+Both routes score their extensions with one kernel, _extension_batch,
+on adjacency arrays: the sweep's from its codes, the scan's from its
+reps' out-rows by the one shared unpack, counting._row_bits.  Only the
+scan's argmax hits become out-rows, by enumeration._extend, the helper
+that forms the class engine's candidates.
 With A the adjacency of vertices 1..n-1, s the 0/1 out-set of vertex 0
 and u = 1 - s, the order-n tournament is T = [[0, s^T], [u, A]], and
 
@@ -71,8 +74,9 @@ X = (A o C(A^2, 2))^T for the arcs, as u^T Y s = s^T Y^T u.  _cut_forms
 takes each over all 2^(n-1) out-sets as one product vec(X) . vec(s u^T)
 in float64, the one place where a counted value passes through a float.
 It is exact because every term and partial sum is a non-negative
-integer below 2^17, far below float64's 2^53: codes are int64, so
-n - 1 <= 10, and each of the (n-1)^2 terms is at most (n-1)^3.
+integer below 2^53: the sum has (n-1)^2 terms of at most (n-1)^3 each,
+so it stays below (n-1)^5 < 64^5 = 2^30 for any order the package
+admits.
 Besides C(n,5), vertex 0's degree terms and the arcs among old
 vertices, s5 splits into one share per old vertex i,
 C(p_i, 3) - C(out_i, 4) - C(n - 1 - out_i, 4) with p_i the 2-paths along
@@ -93,10 +97,9 @@ from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import CanonicalForm, Tournament, canonical_form
-from .counting import c4_formula, c5_formula, s5_formula, trace_m
+from .counting import _row_bits, c4_formula, c5_formula, s5_formula, trace_m
 from .classify import is_nearly_doubly_regular, is_regular, aat_positive
-from .enumeration import (EnumCorpus, _binomials, _classes,
-                          _code_adjacency, _tournament_code,
+from .enumeration import (EnumCorpus, _binomials, _classes, _extend,
                           certified_classes, enumerate_regular)
 from .errors import (
     BadOrderError,
@@ -357,7 +360,7 @@ def verify_binomial_sum_min(n: int, p: int) -> MinimizationReport:
 
 # -- exhaustive sweeps: labeled codes and class reps ------------------------
 
-# Base codes per numpy batch.  The largest arrays of one batch, the
+# Bases per numpy batch.  The largest arrays of one batch, the
 # gathered vertex shares, hold 256 * (n-1) * 2^(n-1) int64 entries,
 # 768 KiB at n = 7; each cut form holds 256 * 2^(n-1) entries, 128 KiB,
 # and its float64 operands 256 * (n-1)^2 and (n-1)^2 * 2^(n-1), so the
@@ -370,10 +373,11 @@ def _cut_forms(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     x and every 0/1 row s_q of s, as an int64 array of shape
     (len(x), len(s)): the product vec(X_b) . vec(s_q u_q^T), u = 1 - s,
     of the (B, m m) and (m m, len(s)) matrices, taken in float64 so that
-    numpy hands it to BLAS.  It is exact: codes are int64, so m <= 10,
-    the kernel's X entries are non-negative integers, and each of the
-    m^2 terms is at most m^3, so every partial sum is an integer below
-    2^17, far inside float64's 2^53."""
+    numpy hands it to BLAS.  It is exact for the kernel's operands:
+    their entries are non-negative integers, and each of the m^2 terms
+    is at most m^3, so every partial sum is an integer below m^5, and
+    m < 64 = MAX_ORDER keeps that below 2^30, far inside float64's
+    2^53."""
     import numpy as np
 
     m = x.shape[1]
@@ -396,8 +400,9 @@ def _vertex_table(n: int) -> np.ndarray:
 
     m = n - 1
     masks = np.arange(1 << m, dtype=np.int64)
-    size = ((masks[:, None] >> np.arange(m)) & 1).sum(axis=1)
-    u = 1 - ((masks >> np.arange(m)[:, None, None]) & 1)  # [i, 1, s]
+    bits = _row_bits(masks, m)  # [mask, i]
+    size = bits.sum(axis=1)
+    u = 1 - bits.T[:, None, :]  # [i, 1, s]
     deg = (m - 1 - size)[:, None]  # [in_i, 1]
     paths = size[masks[:, None] & masks] + u * (deg - size)
     _, c3, c4 = _binomials(n)
@@ -406,26 +411,24 @@ def _vertex_table(n: int) -> np.ndarray:
     return table
 
 
-def _extension_batch(
-        n: int, base: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(codes, c5, s5, regular) of every order-n code s + (a << (n-1))
-    with a in the int64 array ``base`` and 0 <= s < 2^(n-1); each result
-    has shape (len(base), 2^(n-1)) with the code of row a, column s.
+def _extension_batch(n: int, a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(c5, s5, regular) of every order-n one-vertex extension of the
+    order-(n-1) tournaments whose 0/1 int64 adjacency matrices are the
+    stack a: each result has shape (len(a), 2^(n-1)), with the extension
+    of base b by out-set s in row b, column s.
 
-    The edge code lists vertex 0's pairs first, so a is the order-(n-1)
-    code A of vertices 1..n-1 and bit k of s means 0 -> k+1.  With u = 1 - s
-    and old out-degrees deg_A + u, the counts follow from A^2 and A^3
-    once per base code, by the identities in the module docstring, with
-    the out-set terms from _cut_forms and each old vertex's share of s5
-    from _vertex_table."""
+    The base's vertices become 1..n-1 and bit k of s means 0 -> k+1, as
+    in enumeration._extend.  With u = 1 - s and old out-degrees
+    deg_A + u, the counts follow from A^2 and A^3 once per base, by the
+    identities in the module docstring, with the out-set terms from
+    _cut_forms and each old vertex's share of s5 from _vertex_table."""
     import numpy as np
 
     m = n - 1
     h = m // 2
-    a = _code_adjacency(m, base)
     bit = np.arange(m)
     outsets = np.arange(1 << m, dtype=np.int64)
-    s = (outsets[:, None] >> bit) & 1
+    s = _row_bits(outsets, m)
     size = s.sum(axis=1)
     sq = a @ a
     cube = sq @ a
@@ -446,67 +449,94 @@ def _extension_batch(
     want = a.sum(axis=2) - (h - 1)
     regular = (((want == 0) | (want == 1)).all(axis=1)[:, None] & (size == h)
                & (outsets == (want << bit).sum(axis=1)[:, None]))
-    codes = (base[:, None] << m) + outsets
-    return codes, c5, s5, regular
+    return c5, s5, regular
 
 
-def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, int]]:
-    """Every labeled base code of order n - 1 in ascending order, in
-    batches of _SWEEP_BATCH, each code with weight 1."""
+def _code_adjacency(n: int, codes: np.ndarray) -> np.ndarray:
+    """The labeled sweep's decoder, and the one reader of edge codes:
+    the 0/1 int64 adjacency matrices, shape (len(codes), n, n), of the
+    order-n edge codes in the int64 array codes.  Bit k of a code
+    orients the k-th pair i < j in lexicographic order, 1 meaning
+    i -> j; C(n, 2) <= 63 bits for the sweep's n <= 6."""
+    import numpy as np
+
+    i, j = np.triu_indices(n, 1)
+    bits = (codes[:, None] >> np.arange(len(i))) & 1
+    a = np.zeros((len(codes), n, n), dtype=np.int64)
+    a[:, i, j] = bits
+    a[:, j, i] = 1 - bits
+    return a
+
+
+def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, int, None]]:
+    """Every labeled tournament of order n - 1 as an adjacency matrix,
+    in ascending order of its edge code and in batches of _SWEEP_BATCH,
+    each with weight 1 and no out-rows: the labeled sweep keeps no
+    maximizers."""
     import numpy as np
 
     bases = 1 << comb(n - 1, 2)
     for lo in range(0, bases, _SWEEP_BATCH):
-        yield np.arange(lo, min(lo + _SWEEP_BATCH, bases), dtype=np.int64), 1
+        codes = np.arange(lo, min(lo + _SWEEP_BATCH, bases), dtype=np.int64)
+        yield _code_adjacency(n - 1, codes), 1, None
 
 
-def _class_batches(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The code of every class rep R of order n - 1, in key order and in
-    batches of _SWEEP_BATCH, with its orbit (n-1)!/|Aut R| as a column."""
+def _class_batches(n: int
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every class rep R of order n - 1, in key order and in batches of
+    _SWEEP_BATCH, as (adjacency matrices, orbit (n-1)!/|Aut R| as a
+    column, out-rows)."""
     import numpy as np
 
     reps = _classes(n - 1, None)
-    codes = np.array([_tournament_code(r.out_rows) for r, _ in reps],
-                     dtype=np.int64)
+    rows = np.array([r.out_rows for r, _ in reps], dtype=np.int64)
     orbits = np.array([[orbit] for _, orbit in reps], dtype=np.int64)
     for lo in range(0, len(reps), _SWEEP_BATCH):
-        yield codes[lo:lo + _SWEEP_BATCH], orbits[lo:lo + _SWEEP_BATCH]
+        batch = rows[lo:lo + _SWEEP_BATCH]
+        yield _row_bits(batch, n - 1), orbits[lo:lo + _SWEEP_BATCH], batch
 
 
-def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int]]
-              ) -> tuple[tuple[int, ...], list[list[tuple[int, int]]]]:
-    """Extremes of the order-n extensions s + (a << (n-1)) of weighted
-    order-(n-1) base codes a.  batches yields (base codes, weight); the
-    weight, a scalar or a column, is broadcast over the rows of
-    _extension_batch(n, base codes), so every extension of a carries a's
-    weight.  Returns the summary (mass, regular mass, max c5, c5 witness
-    mass, max s5, s5 witness mass), each mass a weight total, and the
-    argmax extensions [(code, weight)] of c5 and of s5."""
+def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int,
+                                              np.ndarray | None]]
+              ) -> tuple[tuple[int, ...], list[list[tuple[np.ndarray, int]]]]:
+    """Extremes of the order-n one-vertex extensions of weighted
+    order-(n-1) bases.  batches yields (adjacency matrices, weight,
+    out-rows or None); the weight, a scalar or a column, is broadcast
+    over the rows of _extension_batch(n, adjacency matrices), so every
+    extension of a base carries its weight.  Returns the summary (mass,
+    regular mass, max c5, c5 witness mass, max s5, s5 witness mass),
+    each mass a weight total, and the argmax extensions
+    [(out-rows, weight)] of c5 and of s5, built by enumeration._extend
+    from the batches that carry out-rows."""
     import numpy as np
 
     mass = regular = 0
     best = [-1, -1]
-    argmax: list[list[tuple[int, int]]] = [[], []]
-    for base, weight in batches:
-        codes, c5, s5, is_reg = _extension_batch(n, base)
-        w = np.broadcast_to(weight, codes.shape)
+    hit_mass = [0, 0]
+    argmax: list[list[tuple[np.ndarray, int]]] = [[], []]
+    for a, weight, rows in batches:
+        c5, s5, is_reg = _extension_batch(n, a)
+        w = np.broadcast_to(weight, c5.shape)
         mass += int(w.sum())
         regular += int(w[is_reg].sum())
         for q, values in enumerate((c5, s5)):
             bmax = int(values.max(initial=-1))
             if bmax > best[q]:
-                best[q] = bmax
-                argmax[q] = []
+                best[q], hit_mass[q], argmax[q] = bmax, 0, []
             if bmax == best[q]:
                 hit = values == bmax
-                argmax[q].extend(zip(codes[hit].tolist(), w[hit].tolist()))
-    c5_mass, s5_mass = (sum(w for _, w in a) for a in argmax)
-    return (mass, regular, best[0], c5_mass, best[1], s5_mass), argmax
+                hit_weight = w[hit]
+                hit_mass[q] += int(hit_weight.sum())
+                if rows is not None:
+                    b, s = np.nonzero(hit)
+                    argmax[q].extend(zip(_extend(rows[b], s),
+                                         hit_weight.tolist()))
+    return (mass, regular, best[0], hit_mass[0], best[1], hit_mass[1]), argmax
 
 
-def _witness_classes(n: int, argmax: list[tuple[int, int]],
+def _witness_classes(n: int, argmax: list[tuple[np.ndarray, int]],
                      mass: int) -> tuple[str, ...]:
-    """Classes of the class scan's argmax extensions [(code, orbit
+    """Classes of the class scan's argmax extensions [(out-rows, orbit
     weight)].  They stand for every labeled tournament attaining an
     isomorphism-invariant maximum, a relabeling-closed set, so
     certified_classes certifies them, and the orbits of the classes must

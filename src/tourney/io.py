@@ -6,8 +6,9 @@ j is 1 iff the arc i -> j is present).  A single trailing newline is
 allowed.  Every problem raises ParseError with its 1-based line and,
 where one character is at fault, its column: textual ones as the text
 is read, structural ones as validate finds them.  An order outside
-1..64 is at line 1, a loop at vertex i at line i + 2, col i + 1, and a
-pair (i, j), i < j, with no arc or both arcs at line i + 2, col j + 1.
+1..64 is at line 1, checked before the rows are counted; a loop at
+vertex i at line i + 2, col i + 1; and a pair (i, j), i < j, with no
+arc or both arcs at line i + 2, col j + 1.
 This format is the bit-exact ground truth for fixtures.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import os
 
-from .core import Tournament, validate
+from .core import Tournament, _check_order, validate
 from .errors import (LoopArcError, MissingOrDoubleArcError,
                      OrderTooLargeError, ParseError, SizeMismatchError)
 
@@ -45,6 +46,10 @@ def parse_tour(text: str) -> Tournament:
     if not lines:
         raise ParseError("empty input", line=1)
     n = _decimal(lines[0], "order line", line=1)
+    try:
+        _check_order(n)
+    except (SizeMismatchError, OrderTooLargeError) as exc:
+        raise ParseError(str(exc), line=1) from None
     if len(lines) - 1 != n:
         # point at the first missing or first extra line
         where = len(lines) + 1 if len(lines) - 1 < n else n + 2
@@ -66,11 +71,10 @@ def parse_tour(text: str) -> Tournament:
     try:
         return validate(n, rows)
     except (LoopArcError, MissingOrDoubleArcError) as exc:
+        # the order is in range and the rows match it in count and
+        # width, so only a cell can be wrong
         i, j = exc.cell
         raise ParseError(str(exc), line=i + 2, col=j + 1) from None
-    except (SizeMismatchError, OrderTooLargeError) as exc:
-        # the rows match n in count and width, so only the order is wrong
-        raise ParseError(str(exc), line=1) from None
 
 
 def format_tour(t: Tournament) -> str:

@@ -6,19 +6,75 @@ per bit; for the class engine's bucket invariant
 bitmask rows; for the extremal sweep's vertex table
 (extremal._vertex_table), one old vertex's share of s5 by a walk over
 its neighbours; for the sweep's out-set terms (extremal._cut_forms), the
-cut form of one matrix and one out-set by a double loop.  They are slow
-and obviously correct, so the tests hold the library's array kernels
-equal to them."""
+cut form of one matrix and one out-set by a double loop; for the
+labeled sweep's decoder (extremal._code_adjacency), the tournament of
+one edge code by a loop over its pairs; for canonical_form, the minimum
+over all n! relabelings; and subtournament copies by canonical key.
+They are slow and obviously correct, so the tests hold the library's
+array kernels equal to them."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from typing import Sequence
 
-from tourney import Tournament
-from tourney.counting import _c3_within
+from tourney import CanonicalForm, Tournament, canonical_form, induced
+from tourney.counting import _c3_within, _check_oracle_order
 from tourney.errors import BadMError
+
+
+def tournament_from_code(n: int, code: int) -> Tournament:
+    """Labeled tournament of an upper-triangle edge code: bit k of the
+    code orients the k-th pair i < j in lexicographic order, 1 meaning
+    i -> j.  Row i's bits above i are the next n-1-i bits of the code,
+    and each j > i left out of them beats i, so bit i of row j is set."""
+    rows = [0] * n
+    shift = 0
+    for i in range(n):
+        full = (1 << (n - 1 - i)) - 1
+        upper = (code >> shift) & full
+        rows[i] |= upper << (i + 1)
+        beaten_by = full ^ upper
+        while beaten_by:
+            low = beaten_by & -beaten_by
+            rows[i + low.bit_length()] |= 1 << i
+            beaten_by ^= low
+        shift += n - 1 - i
+    return Tournament(n, tuple(rows))
+
+
+def key_for_permutation(t: Tournament, perm: Sequence[int]) -> int:
+    """Row-major adjacency key after relabeling: position a of perm names
+    the original vertex placed at new index a."""
+    n = t.n
+    key = 0
+    for a in range(n):
+        row_old = t.out_rows[perm[a]]
+        r = 0
+        for b in range(n):
+            r = (r << 1) | ((row_old >> perm[b]) & 1 if a != b else 0)
+        key = (key << n) | r
+    return key
+
+
+def canonical_form_bruteforce(t: Tournament) -> CanonicalForm:
+    """Reference canonicalization: minimum over all n! relabelings."""
+    best = min(key_for_permutation(t, p)
+               for p in permutations(range(t.n)))
+    return CanonicalForm(t.n, best)
+
+
+def count_copies(t: Tournament, pattern: Tournament) -> int:
+    """Subtournaments isomorphic to a pattern, by canonical-key comparison
+    of every induced subset of the pattern's order."""
+    _check_oracle_order(t)
+    m = pattern.n
+    if m > t.n:
+        return 0
+    target = canonical_form(pattern).key
+    return sum(canonical_form(induced(t, combo)).key == target
+               for combo in combinations(range(t.n), m))
 
 
 def cycles_by_dfs(t: Tournament, m: int) -> int:

@@ -30,9 +30,11 @@ from tourney import (
     landau_feasible,
     scores,
     semi_degree,
-    tournament_from_code,
 )
+
 from tourney.errors import NotRegularError, NotSortedError
+
+from oracle_reference import tournament_from_code
 
 
 class TestBasicPredicates:

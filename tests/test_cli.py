@@ -8,6 +8,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -157,6 +158,15 @@ class TestCount:
         err = assert_usage_error(capsys, "count", "--input", str(path))
         assert "(line 1)" in err
 
+    @pytest.mark.parametrize("order", ["65", "100000"])
+    def test_order_out_of_range_names_line_1(self, capsys, tmp_path, order):
+        # the order is checked before the rows after it are counted
+        path = tmp_path / "big.tour"
+        path.write_text(order + "\n")
+        err = assert_usage_error(capsys, "count", "--input", str(path))
+        assert err == (f"error: order {order} exceeds the cap of 64 "
+                       f"(line 1)\n")
+
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "count", "--input", "/nonexistent.tour")
         assert code == 2
@@ -167,6 +177,22 @@ class TestCount:
         err = assert_usage_error(capsys, "count", "--input", str(path),
                                  "--trace", "100000")
         assert str(TRACE_MAX_M) in err
+
+
+class TestBlasThreads:
+    """main gives numpy's BLAS one thread unless the caller chose."""
+
+    def test_set_when_absent(self, capsys, monkeypatch):
+        # setenv first, so that the teardown removes the value main sets
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert main(["gen", "transitive", "--n", "3"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_explicit_value_is_left_alone(self, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main(["gen", "transitive", "--n", "3"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
 class TestClassify:

@@ -18,7 +18,6 @@ from tourney import (
     Tournament,
     automorphism_count,
     canonical_form,
-    canonical_form_bruteforce,
     compose,
     converse,
     gen_named,
@@ -31,11 +30,10 @@ from tourney import (
     is_strong,
     mask_of,
     strong_decomposition,
-    tournament_from_code,
     validate,
     vertices_of,
 )
-from tourney.core import _minimal_relabelings, key_for_permutation
+from tourney.core import _minimal_relabelings
 from tourney.errors import (
     LoopArcError,
     MissingOrDoubleArcError,
@@ -43,7 +41,12 @@ from tourney.errors import (
     SizeMismatchError,
 )
 
-from oracle_reference import _strong_within
+from oracle_reference import (
+    _strong_within,
+    canonical_form_bruteforce,
+    key_for_permutation,
+    tournament_from_code,
+)
 
 
 def random_tournament(rng: random.Random, n: int) -> Tournament:
@@ -301,7 +304,6 @@ class TestCanonicalForm:
     @given(st.integers(0, (1 << 10) - 1))
     @settings(max_examples=60, deadline=None)
     def test_code_canonical_matches_bruteforce(self, code: int):
-        from tourney import tournament_from_code
         t = tournament_from_code(5, code)
         assert canonical_form(t) == canonical_form_bruteforce(t)
 

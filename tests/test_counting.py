@@ -23,7 +23,6 @@ from tourney import (
     c5_formula,
     compose,
     converse,
-    count_copies,
     count_report,
     gen_named,
     gen_qr,
@@ -36,7 +35,6 @@ from tourney import (
     s5_formula,
     s_formula,
     scores,
-    tournament_from_code,
     trace_m,
     w_formula,
 )
@@ -44,8 +42,10 @@ from tourney.counting import _arc_profiles, _cycles_by_trace
 from tourney.errors import BadMError, NotAnArcError, TooLargeError
 
 from oracle_reference import (
+    count_copies,
     cycles_by_dfs,
     strong_subs_by_combinations,
+    tournament_from_code,
     w_by_combinations,
 )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,24 +24,27 @@ from tourney import (
     canonical_form,
     enumerate_regular,
     enumeration,
+    extremal,
     gen_rlt,
+    gen_transitive,
     induced,
     is_regular,
     read_corpus,
-    tournament_from_code,
     validate,
     verify_corpus,
     write_corpus,
 )
+from tourney.counting import _row_bits
 from tourney.errors import (
     BadOrderError,
     EvenOrderError,
     InvalidInput,
+    OrderTooLargeError,
     TimeBudgetExceededError,
     VerificationFailedError,
 )
 
-from oracle_reference import c3_profile
+from oracle_reference import c3_profile, tournament_from_code
 
 
 def all_tournaments(n: int):
@@ -62,13 +66,16 @@ class TestLabeledSweep:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_code_inverse_round_trip(self, data):
+        # the scalar decoder, the labeled sweep's array decoder and the
+        # shared row unpack agree, and the pairs re-encode to the code
         n = data.draw(st.integers(1, 11))
         code = data.draw(st.integers(0, (1 << math.comb(n, 2)) - 1))
         t = tournament_from_code(n, code)
         assert validate(n, t.out_rows) == t
-        assert enumeration._tournament_code(t.out_rows) == code
-        assert tournament_from_code(
-            n, enumeration._tournament_code(t.out_rows)) == t
+        a = extremal._code_adjacency(n, np.array([code], dtype=np.int64))
+        assert a[0].tolist() == _row_bits(t.out_rows, n).tolist()
+        assert sum(int(a[0, i, j]) << k for k, (i, j)
+                   in enumerate(combinations(range(n), 2))) == code
 
 
 class TestClassEngine:
@@ -85,14 +92,26 @@ class TestClassEngine:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_every_labeled_tournament(self, k):
-        codes = range(1 << math.comb(k, 2))
-        _, orbits = enumeration.certified_classes(k, ((c, 1) for c in codes))
+        _, orbits = enumeration.certified_classes(
+            k, ((t.out_rows, 1) for t in all_tournaments(k)))
         assert sorted(orbits) == sorted(
             {canonical_form(t).key for t in all_tournaments(k)})
         assert [(rep.out_rows, orbit)
                 for rep, orbit in enumeration._classes(k, None)] == \
             [(CanonicalForm(k, key).rows(), orbits[key])
              for key in sorted(orbits)]
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5])
+    def test_extend_matches_the_code_layout(self, m):
+        # rep R plus out-set s is the tournament whose edge code lists
+        # vertex 0's pairs first, then R's: (code of R << m) + s
+        s = np.arange(1 << m)
+        for base in range(1 << math.comb(m, 2)):
+            rep = np.array(tournament_from_code(m, base).out_rows,
+                           dtype=np.int64).reshape(m)
+            assert enumeration._extend(rep, s).tolist() == [
+                list(tournament_from_code(m + 1, (base << m) + q).out_rows)
+                for q in range(1 << m)]
 
 
 class TestEnumerateRegular:
@@ -174,9 +193,10 @@ class TestEnumerateRegular:
 class TestJoin:
     @pytest.mark.parametrize("n", [3, 5, 7, 9])
     def test_completion_codes_decode_to_pair_and_cross_rows(self, n):
-        # each code is the pair's code plus the cross rows: decoded, it
-        # is regular, vertex 0 beats exactly P = 1..h, R+ and R- sit on P
-        # and Q, and the cross rows are _cross_matrices' in walk order
+        # each completion's rows are the pair's rows plus the cross
+        # matrix: they are a regular tournament, vertex 0 beats exactly
+        # P = 1..h, R+ and R- sit on P and Q, and the cross rows are
+        # _cross_matrices' in walk order
         h = (n - 1) // 2
         full = (1 << h) - 1
         classes = enumeration._classes(h, None)
@@ -190,9 +210,9 @@ class TestJoin:
                 [1 + minus.out_degree(b) for b in range(h)])]
         completions = list(enumeration._completions(n, classes))
         assert len(completions) == len(expected)
-        for (code, weight), (plus, minus, m, want) in zip(completions,
+        for (rows, weight), (plus, minus, m, want) in zip(completions,
                                                           expected):
-            t = tournament_from_code(n, code)
+            t = validate(n, rows.tolist())
             assert is_regular(t)
             assert t.out_rows[0] == full << 1
             assert induced(t, range(1, h + 1)).out_rows == plus
@@ -253,16 +273,12 @@ def decoded(n: int, keys: list[tuple[int, ...]]
     return [tuple(divmod(c, base) for c in key) for key in keys]
 
 
-def reference_profiles(n: int, codes: list[int]
-                       ) -> list[tuple[tuple[int, int], ...]]:
-    return [c3_profile(tournament_from_code(n, code)) for code in codes]
+def reference_profiles(n: int, rows) -> list[tuple[tuple[int, int], ...]]:
+    return [c3_profile(validate(n, r)) for r in np.asarray(rows).tolist()]
 
 
 def assert_same_profile(t: Tournament, u: Tournament) -> None:
-    codes = np.array([enumeration._tournament_code(t.out_rows),
-                      enumeration._tournament_code(u.out_rows)],
-                     dtype=np.int64)
-    first, second = enumeration._c3_profiles(t.n, codes)
+    first, second = enumeration._c3_profiles(t.n, [t.out_rows, u.out_rows])
     assert first == second
 
 
@@ -299,14 +315,14 @@ class TestOrbitMassCertificate:
     def test_profile_of_every_extension_candidate(self, monkeypatch):
         # every batch the class engine profiles up to order 7, against
         # the scalar reference: the 1 + 2 + 4 + 16 + 64 + 384 + 3584
-        # candidates (R << (k-1)) + s
+        # candidates, rep R plus out-set s
         kernel = enumeration._c3_profiles
         seen = Counter()
 
-        def checked(n, codes):
-            keys = kernel(n, codes)
-            assert decoded(n, keys) == reference_profiles(n, codes.tolist())
-            seen[n] += len(codes)
+        def checked(n, rows):
+            keys = kernel(n, rows)
+            assert decoded(n, keys) == reference_profiles(n, rows)
+            seen[n] += len(rows)
             return keys
 
         monkeypatch.setattr(enumeration, "_c3_profiles", checked)
@@ -316,15 +332,17 @@ class TestOrbitMassCertificate:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_profile_of_drawn_codes(self, data):
-        # orders 8..11, almost all irregular: the regular completions of
+        # orders 8..16, almost all irregular: the regular completions of
         # the join alone miss an (A^2)[v, u] for (A^2)[u, v] in the
         # in-set term
-        n = data.draw(st.integers(8, 11))
+        n = data.draw(st.integers(8, 16))
         codes = data.draw(st.lists(
             st.integers(0, (1 << math.comb(n, 2)) - 1), min_size=1,
             max_size=16))
-        keys = enumeration._c3_profiles(n, np.array(codes, dtype=np.int64))
-        assert decoded(n, keys) == reference_profiles(n, codes)
+        rows = [list(tournament_from_code(n, code).out_rows)
+                for code in codes]
+        keys = enumeration._c3_profiles(n, rows)
+        assert decoded(n, keys) == reference_profiles(n, rows)
 
     @pytest.mark.parametrize("fixed_row", [True, False])
     @pytest.mark.parametrize("n", [1, 3, 5, 7])
@@ -341,7 +359,7 @@ class TestOrbitMassCertificate:
 
     def test_certified_classes_of_order4(self):
         labeled, orbits = enumeration.certified_classes(
-            4, ((code, 1) for code in range(1 << 6)))
+            4, ((t.out_rows, 1) for t in all_tournaments(4)))
         assert labeled == 64 and sum(orbits.values()) == 64
         assert sorted(orbits) == sorted(
             {canonical_form(t).key for t in all_tournaments(4)})
@@ -353,9 +371,26 @@ class TestOrbitMassCertificate:
     def test_bucket_off_its_mass_raises(self, mass, failure):
         # the regular tournaments of order 5 are one class of orbit 24
         with pytest.raises(VerificationFailedError, match=failure):
-            enumeration.certified_classes(
-                5, [(enumeration._tournament_code(gen_rlt(5).out_rows),
-                     mass)])
+            enumeration.certified_classes(5, [(gen_rlt(5).out_rows, mass)])
+
+    # orders whose C(n, 2) arcs no int64 edge code holds; RLT_13 has 13
+    # automorphisms, and the transitive tournament only the identity
+    @pytest.mark.parametrize("t", [gen_rlt(13), gen_transitive(16)],
+                             ids=["rlt13", "transitive16"])
+    def test_certifies_above_order_11(self, t):
+        orbit = math.factorial(t.n) // automorphism_count(t)
+        labeled, orbits = enumeration.certified_classes(
+            t.n, [(t.out_rows, orbit)])
+        assert labeled == orbit
+        assert orbits == {canonical_form(t).key: orbit}
+        for mass, failure in ((orbit - 1, "exceed"), (orbit + 1, "short")):
+            with pytest.raises(VerificationFailedError, match=failure):
+                enumeration.certified_classes(t.n, [(t.out_rows, mass)])
+
+    def test_refuses_orders_it_cannot_canonicalize(self):
+        with pytest.raises(OrderTooLargeError):
+            enumeration.certified_classes(17, [(gen_transitive(17).out_rows,
+                                                0)])
 
     @pytest.mark.parametrize("n,searches", [(7, 8), (9, 27)])
     def test_one_walk_and_searches_only_while_short(self, monkeypatch, n,

@@ -43,8 +43,8 @@ from tourney import (
     s5_of_dr,
     s5_of_ndr,
     s5_of_rlt,
-    tournament_from_code,
     trace_m,
+    validate,
     verify_binomial_sum_min,
     verify_c5_max,
     verify_regular9,
@@ -59,10 +59,12 @@ from tourney.errors import (
 )
 from tourney import extremal
 from tourney.counting import _cycles_by_trace
-from tourney.extremal import (_class_batches, _exact_div, _extension_batch,
-                              _extremes, _labeled_batches, _witness_classes,
-                              delta_tt3_copies_in_rlt, rlt5_copies_in_rlt)
-from oracle_reference import cut_form, vertex_share
+from tourney.enumeration import _extend
+from tourney.extremal import (_class_batches, _code_adjacency, _exact_div,
+                              _extension_batch, _extremes, _labeled_batches,
+                              _witness_classes, delta_tt3_copies_in_rlt,
+                              rlt5_copies_in_rlt)
+from oracle_reference import cut_form, tournament_from_code, vertex_share
 
 
 class TestClosedForms:
@@ -268,15 +270,15 @@ class TestSweepDrivers:
         # reaches it by one extension of weight 5!/|Aut RLT_5| = 24; any
         # other weight leaves the certificate over or short of its orbit
         _, (_, s5_argmax) = _extremes(5, _class_batches(5))
-        regular = [(c, w) for c, w in s5_argmax
-                   if is_regular(tournament_from_code(5, c))]
+        regular = [(rows, w) for rows, w in s5_argmax
+                   if is_regular(validate(5, rows.tolist()))]
         assert [w for _, w in regular] == [24]
-        (code, _), = regular
+        (rows, _), = regular
         assert _witness_classes(5, regular, 24) == (
             canonical_form(gen_rlt(5)).hex(),)
         for weight in (1, 48):
             with pytest.raises(VerificationFailedError):
-                _witness_classes(5, [(code, weight)], weight)
+                _witness_classes(5, [(rows, weight)], weight)
         with pytest.raises(VerificationFailedError):
             _witness_classes(5, regular, 48)
 
@@ -336,8 +338,8 @@ class TestTwoRoutes:
 
         def drop_regular(n, batches):
             summary, (c5_argmax, s5_argmax) = reduce(n, batches)
-            kept = [(c, w) for c, w in s5_argmax
-                    if not is_regular(tournament_from_code(n, c))]
+            kept = [(rows, w) for rows, w in s5_argmax
+                    if not is_regular(validate(n, rows.tolist()))]
             return summary, [c5_argmax, kept]
 
         monkeypatch.setattr(extremal, "_extremes", drop_regular)
@@ -369,8 +371,16 @@ class TestExtensionKernel:
             assert (c, s, r) == (oracle_cycles(t, 5),
                                  oracle_strong_subs(t, 5), is_regular(t)), code
 
+    @staticmethod
+    def extension_codes(n, base):
+        """The code of base b's extension by out-set s, at row b, column
+        s: vertex 0's pairs come first in the edge code."""
+        return (base[:, None] << n - 1) + np.arange(1 << n - 1)
+
     def test_every_order5_code(self):
-        codes, c5, s5, regular = _extension_batch(5, np.arange(64))
+        base = np.arange(64)
+        c5, s5, regular = _extension_batch(5, _code_adjacency(4, base))
+        codes = self.extension_codes(5, base)
         assert codes.tolist() == np.arange(1 << 10).reshape(64, 16).tolist()
         self.assert_matches_oracles(5, codes, c5, s5, regular)
 
@@ -378,22 +388,26 @@ class TestExtensionKernel:
     @settings(max_examples=40, deadline=None)
     def test_order7_codes(self, code):
         # the sampled code's base, with all 64 out-sets of vertex 0
-        codes, c5, s5, regular = _extension_batch(7, np.array([code >> 6]))
+        base = np.array([code >> 6])
+        c5, s5, regular = _extension_batch(7, _code_adjacency(6, base))
+        codes = self.extension_codes(7, base)
         assert codes[0, code & 63] == code
         self.assert_matches_oracles(7, codes, c5, s5, regular)
 
     def test_every_extension_of_the_order6_classes(self):
         # the drawn order-7 codes above are almost never regular; these
-        # 3,584 extensions include every regular class of order 7
+        # 3,584 extensions include every regular class of order 7, built
+        # from the reps' out-rows as the class scan builds its hits
         checked = regular_seen = 0
-        for base, _ in _class_batches(7):
-            codes, c5, s5, regular = _extension_batch(7, base)
-            for code, c, s, r in zip(
-                    codes.ravel().tolist(), c5.ravel().tolist(),
+        for a, _, reps in _class_batches(7):
+            c5, s5, regular = _extension_batch(7, a)
+            rows = _extend(reps[:, None, :], np.arange(64))
+            for t_rows, c, s, r in zip(
+                    rows.reshape(-1, 7).tolist(), c5.ravel().tolist(),
                     s5.ravel().tolist(), regular.ravel().tolist()):
-                t = tournament_from_code(7, code)
+                t = validate(7, t_rows)
                 assert (c, s, r) == (c5_formula(t), s5_formula(t),
-                                     is_regular(t)), code
+                                     is_regular(t)), t_rows
                 checked += 1
                 regular_seen += r
         # the five extensions that the module docstring counts as the
@@ -431,16 +445,16 @@ class TestExtensionKernel:
     def test_cut_forms_of_the_kernel_operands(self, n):
         # every order-5 base; at order 7 the 56 order-6 class reps and
         # 256 labeled bases spread over all 2^15; at orders 9 and 11
-        # random bases, m = 10 being the most that int64 codes admit
+        # random bases
         m = n - 1
         if n == 5:
-            base = np.arange(64)
+            a = _code_adjacency(m, np.arange(64))
         elif n == 7:
-            base = np.concatenate([b for b, _ in _class_batches(7)]
-                                  + [np.arange(256) * 127])
+            a = np.concatenate([a for a, _, _ in _class_batches(7)]
+                               + [_code_adjacency(m, np.arange(256) * 127)])
         else:
-            base = np.random.default_rng(n).integers(0, 1 << comb(m, 2), 64)
-        a = extremal._code_adjacency(m, base)
+            a = _code_adjacency(m, np.random.default_rng(n).integers(
+                0, 1 << comb(m, 2), 64))
         sq = a @ a
         s = self.outsets(m)
         u = 1 - s
@@ -464,10 +478,14 @@ class TestExtensionKernel:
         assert not any(t.flags.writeable for t in tables)
 
     def test_dropped_batch_raises(self, monkeypatch):
+        # the labeled sweep's one order-5 batch is the first the kernel
+        # sees
         kernel = extremal._extension_batch
+        calls = []
 
-        def drop_first(n, base):
-            return kernel(n, base[:0] if base[0] == 0 else base)
+        def drop_first(n, a):
+            calls.append(n)
+            return kernel(n, a[:0] if len(calls) == 1 else a)
 
         monkeypatch.setattr(extremal, "_extension_batch", drop_first)
         with pytest.raises(VerificationFailedError, match="visited 0 codes"):

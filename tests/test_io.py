@@ -71,8 +71,11 @@ class TestParseErrors:
         ("3\n010\n000\n100\n", 3, 3),
         ("0\n", 1, None),
         ("65\n" + ("0" * 65 + "\n") * 65, 1, None),
+        ("65\n", 1, None),
+        ("100000\n", 1, None),
     ], ids=["loop-0", "loop-1", "no-arc", "both-arcs", "no-arc-1-2",
-            "order-zero", "order-65"])
+            "order-zero", "order-65", "order-65-no-rows",
+            "order-100000-no-rows"])
     def test_structural_errors_name_their_line(self, text, line, col):
         e = self.err(text)
         assert (e.line, e.col) == (line, col)
