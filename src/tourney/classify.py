@@ -18,11 +18,16 @@ induce a doubly regular / nearly doubly regular tournament.
 aat_positive asks every vertex pair for a common out-neighbour (all
 off-diagonal entries of A A^T positive), and landau_feasible checks the
 classic prefix-sum criterion for a non-decreasing score sequence.
+tournaments_with_scores counts the labeled tournaments with a given
+score vector; it is positive exactly when Landau's criterion holds, and
+it gives the labeled regular totals without the enumeration's join.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Iterator, Sequence
 
@@ -163,6 +168,40 @@ def landau_feasible(seq: Sequence[int]) -> bool:
         if total < comb(k, 2):
             return False
     return total == comb(n, 2)
+
+
+def tournaments_with_scores(scores: Sequence[int]) -> int:
+    """Number of labeled tournaments on vertices 0..n-1 in which vertex i
+    has out-degree scores[i]; 0 when no tournament has these scores.
+
+    A memoized DP over the sorted remaining out-degrees, as the count
+    does not depend on the order of the entries.  A vertex v of the
+    smallest score d beats exactly d of the others.  Of the c others
+    that still need x out-arcs, v beats some k, in C(c, k) ways; those
+    still need x, and the c - k that beat v need x - 1 more among the
+    rest.  Summing over the choices of k with total d, each choice
+    leaves a tournament on the others with the reduced scores, counted
+    by the same DP.  Every tournament of order m has C(m, 2) arcs, so a
+    vector with another total counts 0 at once."""
+
+    @cache
+    def count(left: tuple[int, ...]) -> int:
+        if sum(left) != comb(len(left), 2):
+            return 0
+        if not left:
+            return 1
+        owed, *rest = left
+        # (scores the others still need, out-arcs v still owes, ways)
+        states = [((), owed, 1)]
+        for x, c in sorted(Counter(rest).items()):
+            states = [(kept + (x,) * k + (x - 1,) * (c - k), due - k,
+                       ways * comb(c, k))
+                      for kept, due, ways in states
+                      for k in range(min(c, due) + 1) if x or k == c]
+        return sum(ways * count(tuple(sorted(kept)))
+                   for kept, due, ways in states if not due)
+
+    return count(tuple(sorted(scores)))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,14 @@ The canonical form is the lexicographically minimal row-major adjacency
 bit-string over all relabelings, computed by an ordered-partition search
 that is exact (the pruning never discards a permutation that could still
 attain the minimum).  Its cells are vertex masks like every other vertex
-set here, and the rows it has written so far are a prefix of the key,
-held as one int.  Two tournaments are isomorphic iff their canonical
-keys are equal.
+set here, each carrying the row bits its members share over the placed
+positions, and the rows it has written so far are a prefix of the key,
+held as one int.  A node finds its minimal next row once and cuts all
+its children together: they share that row, so a leaf under one of
+them never makes a sibling's prefix exceed the best key.  Once every
+cell is a singleton the remaining rows are forced and are written and
+compared as one leaf.  Two tournaments are isomorphic iff their
+canonical keys are equal.
 
 The same search gives |Aut|.  Every relabeling that attains the minimal
 key is a leaf of it, so the leaves tied with the final minimum are
@@ -271,15 +276,35 @@ def _minimal_relabelings(t: Tournament) -> tuple[CanonicalForm, int]:
     w the row it would write is forced except for the order inside later
     cells, where non-out-neighbours (0 bits) must precede out-neighbours
     (1 bits) in any minimal completion; that split refines the cells for
-    the recursion.  Every placed vertex has split every cell, so the
-    candidates agree on the columns already placed.  Only candidates
-    attaining the minimal row at their level can lead to the global
-    minimum.
+    the recursion.  Only candidates attaining the minimal row at their
+    level can lead to the global minimum; one pass over the first cell
+    finds that row and its candidates, in increasing vertex order.
+
+    Carried heads.  Every placed vertex has split every cell, so the
+    members of a cell agree on every column already placed.  Each cell
+    carries those bits, its head: when w is placed, the members of a
+    cell that beat w gain a 1 bit and the others a 0 bit.  A candidate's
+    row is its cell's head, its own 0 on the diagonal, then its 1 bits
+    packed at the end of each later cell.
 
     The rows written at the first a positions are the partial key, an
-    int of a * n bits; a subtree is cut when it exceeds the leading a
-    rows of the best key so far.  Before the first leaf best is
-    1 << n * n, whose leading rows exceed every partial key.
+    int of a * n bits.  Before the first leaf best is 1 << n * n, whose
+    leading rows exceed every partial key.
+
+    One cut per node.  Every child of a node writes the minimal row
+    next, so all children share the prefix key << n | rmin.  The node
+    returns before building any child's cells when that prefix exceeds
+    the leading a + 1 rows of the best key.  This cuts exactly the
+    children that a check on entering each child would cut: a leaf found
+    under one child carries the shared prefix, so if it becomes the new
+    best, the next sibling's prefix equals best's and is not cut.
+
+    Forced tail.  Once every cell is a singleton the rest of the
+    labeling is the cell order, so the remaining rows are written
+    directly and the whole key is compared as a leaf: equal to best is
+    one more tie, smaller becomes the new best with one tie, larger is
+    dropped.  No leaf is found in between, so a level-by-level descent
+    would cut at the first larger row and reach the same leaf otherwise.
 
     Every relabeling that attains the minimal key survives the pruning:
     the search cuts only prefixes strictly larger than the best so far
@@ -299,46 +324,56 @@ def _minimal_relabelings(t: Tournament) -> tuple[CanonicalForm, int]:
     best = 1 << n * n
     ties = 0
 
-    def dfs(placed: list[int], cells: list[VertexSet], key: int) -> None:
+    def dfs(cells: list[VertexSet], heads: list[int], key: int,
+            a: int) -> None:
         nonlocal best, ties
-        a = len(placed)
-        if key > best >> (n - a) * n:
-            return
-        if a == n:
-            if key == best:
-                ties += 1
-            else:
+        if len(cells) == n - a:
+            for cell, head in zip(cells, heads):
+                rw = rows[cell.bit_length() - 1]
+                for other in cells:
+                    head = head << 1 | (rw & other != 0)
+                key = key << n | head
+            if key < best:
                 best = key
                 ties = 1
+            elif key == best:
+                ties += 1
             return
         first, rest = cells[0], cells[1:]
-        any_row = rows[(first & -first).bit_length() - 1]
-        head = 0
-        for v in placed:
-            head = head << 1 | any_row >> v & 1
+        rmin = 0
         cands = []
         m = first
         while m:
             low = m & -m
             m ^= low
             rw = rows[low.bit_length() - 1]
-            r = head << 1  # the candidate's own position, diagonal zero
-            for cell in [first ^ low] + rest:
+            # w has no loop, so its 1 bits in first ^ low are rw & first
+            r = (1 << (rw & first).bit_count()) - 1
+            for cell in rest:
                 r = r << cell.bit_count() | (1 << (rw & cell).bit_count()) - 1
-            cands.append((r, low))
-        rmin = min(cands)[0]
-        for r, low in cands:
-            if r == rmin:
-                w = low.bit_length() - 1
-                rw = rows[w]
-                placed.append(w)
-                dfs(placed,
-                    [p for c in [first ^ low] + rest
-                     for p in (c & ~rw, c & rw) if p],
-                    key << n | r)
-                placed.pop()
+            if not cands or r < rmin:
+                rmin = r
+                cands = [low]
+            elif r == rmin:
+                cands.append(low)
+        key = key << n | heads[0] << n - a | rmin
+        if key > best >> (n - a - 1) * n:
+            return
+        for low in cands:
+            rw = rows[low.bit_length() - 1]
+            sub_cells = []
+            sub_heads = []
+            for cell, head in zip([first ^ low] + rest, heads):
+                head <<= 1
+                if cell & ~rw:
+                    sub_cells.append(cell & ~rw)
+                    sub_heads.append(head | 1)
+                if cell & rw:
+                    sub_cells.append(cell & rw)
+                    sub_heads.append(head)
+            dfs(sub_cells, sub_heads, key, a + 1)
 
-    dfs([], [(1 << n) - 1], 0)
+    dfs([(1 << n) - 1] if n else [], [0], 0, 0)
     return CanonicalForm(n, best), ties
 
 

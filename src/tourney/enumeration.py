@@ -186,24 +186,42 @@ def _classes(h: int, deadline: float | None
 def _cross_matrices(row_sums: list[int], col_sums: list[int]
                     ) -> Iterator[tuple[int, ...]]:
     """Every 0/1 matrix with the given row and column sums, as a tuple of
-    row masks (bit b of row a is entry (a, b)), filled row by row."""
+    row masks (bit b of row a is entry (a, b)), filled row by row; each
+    row sum lies in 0..h and each column sum in 0..len(row_sums).
+
+    Row a takes the masks of weight row_sums[a] in combinations order.
+    With k rows left, including row a, a column whose remaining sum is k
+    must take a 1 in every one of them (must), and a column whose
+    remaining sum is 0 can take no more (forbid).  A row mask is kept
+    when it covers must and misses forbid: exactly when every remaining
+    column sum stays in 0..k - 1 for the rows after a.  So each walk
+    ends with every column sum spent, and each matrix with these
+    margins is met once."""
     h = len(col_sums)
+    masks = {k: [sum(1 << b for b in chosen)
+                 for chosen in combinations(range(h), k)]
+             for k in set(row_sums)}
+    path: list[int] = []
 
     def fill(a: int, cols: list[int]) -> Iterator[tuple[int, ...]]:
         if a == len(row_sums):
-            yield ()
+            yield tuple(path)
             return
-        rows_after = len(row_sums) - a - 1
-        for chosen in combinations(range(h), row_sums[a]):
-            left = list(cols)
-            for b in chosen:
-                left[b] -= 1
-            if all(0 <= c <= rows_after for c in left):
-                mask = sum(1 << b for b in chosen)
-                for rest in fill(a + 1, left):
-                    yield (mask, *rest)
+        rows_left = len(row_sums) - a
+        must = forbid = 0
+        for b, c in enumerate(cols):
+            if c == rows_left:
+                must |= 1 << b
+            elif not c:
+                forbid |= 1 << b
+        for mask in masks[row_sums[a]]:
+            if mask & must == must and not mask & forbid:
+                path.append(mask)
+                yield from fill(a + 1, [c - (mask >> b & 1)
+                                        for b, c in enumerate(cols)])
+                path.pop()
 
-    yield from fill(0, col_sums)
+    yield from fill(0, list(col_sums))
 
 
 def _completions(n: int, classes: list[tuple[Tournament, int]]

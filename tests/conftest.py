@@ -47,6 +47,14 @@ def corpus9(timings) -> enumeration.EnumCorpus:
 
 
 @pytest.fixture(scope="session")
+def corpus11(timings) -> enumeration.EnumCorpus:
+    start = time.perf_counter()
+    corpus = enumeration.enumerate_regular(11)
+    timings["corpus11"] = time.perf_counter() - start
+    return corpus
+
+
+@pytest.fixture(scope="session")
 def sweep5(timings) -> extremal.SweepExtremes:
     start = time.perf_counter()
     result = extremal.verify_c5_max(5)

@@ -8,8 +8,11 @@ bitmask rows; for the extremal sweep's vertex table
 its neighbours; for the sweep's out-set terms (extremal._cut_forms), the
 cut form of one matrix and one out-set by a double loop; for the
 labeled sweep's decoder (extremal._code_adjacency), the tournament of
-one edge code by a loop over its pairs; for canonical_form, the minimum
-over all n! relabelings; and subtournament copies by canonical key.
+one edge code by a loop over its pairs; for the join's cross matrices
+(enumeration._cross_matrices), a recursion that copies the column sums
+at every choice and checks each one against the rows left; for
+canonical_form, the minimum over all n! relabelings; and subtournament
+copies by canonical key.
 They are slow and obviously correct, so the tests hold the library's
 array kernels equal to them."""
 
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from tourney import CanonicalForm, Tournament, canonical_form, induced
 from tourney.counting import _c3_within, _check_oracle_order
@@ -204,3 +207,29 @@ def cut_form(x: Sequence[Sequence[int]], s: Sequence[int]) -> int:
     m = len(s)
     return sum(x[i][j] * s[i] * (1 - s[j])
                for i in range(m) for j in range(m) if i != j)
+
+
+def cross_matrices_by_recursion(row_sums: Sequence[int],
+                                col_sums: Sequence[int]
+                                ) -> Iterator[tuple[int, ...]]:
+    """Every 0/1 matrix with the given margins, as row masks, row by row:
+    each row tries every column set of its weight in combinations order
+    and keeps it when every column sum left lies between 0 and the
+    number of rows after it."""
+    h = len(col_sums)
+
+    def fill(a: int, cols: list[int]) -> Iterator[tuple[int, ...]]:
+        if a == len(row_sums):
+            yield ()
+            return
+        rows_after = len(row_sums) - a - 1
+        for chosen in combinations(range(h), row_sums[a]):
+            left = list(cols)
+            for b in chosen:
+                left[b] -= 1
+            if all(0 <= c <= rows_after for c in left):
+                mask = sum(1 << b for b in chosen)
+                for rest in fill(a + 1, left):
+                    yield (mask, *rest)
+
+    yield from fill(0, list(col_sums))

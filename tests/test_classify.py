@@ -4,6 +4,10 @@ balanced score lists) run over the full regular corpora."""
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +36,8 @@ from tourney import (
     semi_degree,
 )
 
+from tourney.classify import tournaments_with_scores
+from tourney.enumeration import enumerate_regular
 from tourney.errors import NotRegularError, NotSortedError
 
 from oracle_reference import tournament_from_code
@@ -190,6 +196,62 @@ class TestLandau:
     def test_requires_sorted(self):
         with pytest.raises(NotSortedError):
             landau_feasible((2, 1, 2, 2, 3))
+
+
+class TestScoreCount:
+    """tournaments_with_scores, the labeled count by a score-vector DP,
+    against every other route to a labeled count."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_labeled_walk(self, n):
+        # every labeled tournament of order n, tallied by score vector
+        walk = Counter(tuple(row.bit_count() for row in
+                             tournament_from_code(n, code).out_rows)
+                       for code in range(1 << math.comb(n, 2)))
+        for vector, count in walk.items():
+            assert tournaments_with_scores(vector) == count
+        assert sum(walk.values()) == 1 << math.comb(n, 2)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_score_vectors_add_up_to_every_tournament(self, n):
+        # each sorted vector stands for n! / prod(mult!) labeled vectors
+        total = 0
+        for vector in combinations_with_replacement(range(n), n):
+            arrangements = math.factorial(n)
+            for mult in Counter(vector).values():
+                arrangements //= math.factorial(mult)
+            total += arrangements * tournaments_with_scores(vector)
+        assert total == 1 << math.comb(n, 2)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_positive_exactly_when_landau_holds(self, n):
+        for vector in combinations_with_replacement(range(n + 1), n):
+            assert (tournaments_with_scores(vector) > 0) == \
+                landau_feasible(vector)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_small_regular_enumeration_totals(self, n):
+        assert enumerate_regular(n).labeled_count == \
+            tournaments_with_scores([(n - 1) // 2] * n)
+
+    def test_join_and_sweep_totals(self, corpus7, corpus9, corpus11,
+                                   sweep5, sweep7):
+        # the join's weights and the labeled sweeps' regular tallies;
+        # verify_corpus holds each corpus's orbit sum over |Aut| from the
+        # search equal to its labeled_count, so this pins those too
+        for total, n in ((corpus7.labeled_count, 7),
+                         (corpus9.labeled_count, 9),
+                         (corpus11.labeled_count, 11),
+                         (sweep5.regular_codes, 5),
+                         (sweep7.regular_codes, 7)):
+            assert total == tournaments_with_scores([(n - 1) // 2] * n)
+        assert tournaments_with_scores([5] * 11) == 48251508480
+
+    def test_order_of_entries_and_impossible_vectors(self):
+        assert tournaments_with_scores((2, 0, 1)) == 1
+        assert tournaments_with_scores(()) == 1
+        for vector in ((0, 0, 3), (-1, 1, 3), (1, 1), (0, 2, 2, 3)):
+            assert tournaments_with_scores(vector) == 0
 
 
 class TestReport:

@@ -44,7 +44,8 @@ from tourney.errors import (
     VerificationFailedError,
 )
 
-from oracle_reference import c3_profile, tournament_from_code
+from oracle_reference import (c3_profile, cross_matrices_by_recursion,
+                              tournament_from_code)
 
 
 def all_tournaments(n: int):
@@ -219,6 +220,36 @@ class TestJoin:
             assert induced(t, range(h + 1, n)).out_rows == minus
             assert tuple(row >> h + 1 for row in t.out_rows[1:h + 1]) == m
             assert weight == want
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
+    def test_cross_matrices_match_the_recursion_on_join_margins(self, n):
+        # every (R+, R-) margin pair of the order-n join, in walk order
+        h = (n - 1) // 2
+        classes = enumeration._classes(h, None)
+        margins = {(tuple(h - plus.out_degree(a) for a in range(h)),
+                    tuple(1 + minus.out_degree(b) for b in range(h)))
+                   for plus, _ in classes for minus, _ in classes}
+        for row_sums, col_sums in margins:
+            assert list(enumeration._cross_matrices(
+                list(row_sums), list(col_sums))) == list(
+                cross_matrices_by_recursion(row_sums, col_sums))
+
+    def test_cross_matrices_match_the_recursion_on_random_margins(self):
+        # the margins of seeded random 0/1 matrices with up to 6 rows
+        # and 6 columns, so every margin pair is feasible and the matrix
+        # itself is met; a random density keeps most of them far from
+        # the 297,200 matrices of a 6 x 6 one with every margin 3
+        rng = np.random.default_rng(2026)
+        for _ in range(150):
+            m = (rng.random(rng.integers(1, 7, size=2)) < rng.random()
+                 ).astype(int)
+            row_sums = m.sum(axis=1).tolist()
+            col_sums = m.sum(axis=0).tolist()
+            got = list(enumeration._cross_matrices(row_sums, col_sums))
+            assert got == list(cross_matrices_by_recursion(row_sums,
+                                                           col_sums))
+            assert tuple(sum(int(v) << b for b, v in enumerate(row))
+                         for row in m) in got
 
 
 def relabel(t: Tournament, perm: list[int]) -> Tournament:
@@ -462,12 +493,11 @@ class TestCorpusFiles:
         with pytest.raises(VerificationFailedError):
             verify_corpus(read_corpus(path))
 
-    def test_order11_round_trip(self, tmp_path):
+    def test_order11_round_trip(self, tmp_path, corpus11):
         # 1,223 classes (OEIS A096368) and 48,251,508,480 labeled regular
         # tournaments (OEIS A007079); verify_corpus checks the orbit sum
-        corpus = enumerate_regular(11)
         path = tmp_path / "r11.corpus"
-        write_corpus(corpus, path)
+        write_corpus(corpus11, path)
         again = read_corpus(path)
         verify_corpus(again)
         assert len(again.classes) == 1223
