@@ -245,6 +245,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
+        enumeration.check_time_budget(args.time_budget)
         return _HANDLERS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

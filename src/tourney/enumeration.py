@@ -9,8 +9,8 @@ Two engines, both certified by orbit mass (certified_classes below):
                      vertex 0 beats exactly 1..h, then sorts them into
                      isomorphism classes.
 
-Both hand their members to certified_classes as out-rows, the member
-type of Tournament: bit j of row i is set when i -> j.
+Both hand their members to certified_classes in blocks of out-rows,
+the member type of Tournament: bit j of row i is set when i -> j.
 
 The extension.  A labeled tournament of order k is a labeled tournament
 T' on the vertices 1..k-1 plus the out-set s of vertex 0 among them.
@@ -37,9 +37,9 @@ Every vertex has out-degree h exactly when the margins of M are fixed
 (Gale 1957; Ryser 1957): row a sums to h - score of a on P, and column b
 to 1 + score of b on Q.  So enumerate_regular takes one canonical
 representative R of every class of order h <= 5 from _classes, and for
-each ordered pair (R+, R-) lists every cross matrix with those margins,
-row by row.  A completion's rows are composed from its pair's rows and
-M.  On P and Q renumbered from 0, with P's mask p = (1 << h) - 1,
+each ordered pair (R+, R-) lists every cross matrix with those margins
+as one array of row masks, and composes the pair's completions from
+them.  On P and Q renumbered from 0, with P's mask p = (1 << h) - 1,
 
     a-th vertex of P   R+[a] | M[a] << h
     b-th vertex of Q   (p ^ col_b(M)) | R-[b] << h
@@ -67,17 +67,17 @@ of them.  Relabelings of 1..n-1 put the regular tournaments with each of
 the C(n-1, h) out-sets of vertex 0 in bijection, which gives the last
 factor.
 
-Classes come from one walk of the generator of (completion rows,
+Classes come from one walk of the pairs' blocks of (completion rows,
 weight), through certified_classes:
 
-  profile  takes the rows in batches, unpacks them into adjacency
-           arrays by the one shared unpack (counting._row_bits), and
-           computes each one's c3 profile, a cheap isomorphism
-           invariant, in one numpy pass from A A^T and A^2
-           (_c3_profiles): the sorted pairs, over the vertices v, of
-           the 3-cycle counts inside v's out-set and in-set.  Each
-           weight goes to its profile's bucket, which lists its
-           members in walk order; the batch's rows are kept.
+  profile  keeps every member's rows in one array by member number,
+           unpacks it slice by slice into adjacency arrays by the one
+           shared unpack (counting._row_bits), and computes each
+           member's c3 profile, a cheap isomorphism invariant, in one
+           numpy pass from A A^T and A^2 (_c3_profiles): the sorted
+           pairs, over the vertices v, of the 3-cycle counts inside
+           v's out-set and in-set.  Each weight goes to its profile's
+           bucket, which lists its members in walk order.
   certify  each bucket canonicalizes its completions in walk order, and
            only while it is short of its mass; only these become a
            Tournament.  Each new class adds its orbit n!/|Aut| to the
@@ -95,9 +95,9 @@ certified_classes certifies any relabeling-closed set of labeled
 tournaments the same way, up to MAX_CANONICAL_ORDER = 16: _classes
 passes the one-vertex extensions, and extremal the class scan's
 maximizing extensions, weighted by orbit.  enumerate_regular's time
-budget is checked inside certified_classes, once per batch of the walk
-and after every canonicalization, so it bounds the certify phase as
-well as the join.
+budget is checked inside certified_classes, once per block (each class
+rep's extensions, each pair's completions) and after every
+canonicalization, so it bounds the certify phase as well as the join.
 
 Class representatives are decoded from the canonical key itself, so the
 corpus does not depend on the order of the join.  A .corpus file stores
@@ -113,7 +113,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -145,6 +145,13 @@ _PROFILE_BATCH = 2048
 
 # -- class engines -----------------------------------------------------------
 
+def check_time_budget(time_budget: float | None) -> None:
+    """InvalidInput unless time_budget is None or positive and finite."""
+    if time_budget is not None and not 0 < time_budget < math.inf:
+        raise InvalidInput(f"time budget must be a positive finite number of "
+                           f"seconds, got {time_budget}")
+
+
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise TimeBudgetExceededError("enumeration ran past its budget")
@@ -164,98 +171,91 @@ def _extend(reps: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _classes(h: int, deadline: float | None
-             ) -> list[tuple[Tournament, int]]:
-    """(canonical representative, orbit h!/|Aut|) of every class of
-    order h, in key order, grown from the one empty tournament by
-    certifying each order's one-vertex extensions: rep R of order k-1
-    plus every out-set s of vertex 0, weighted by R's orbit."""
+             ) -> tuple[np.ndarray, list[int]]:
+    """The canonical reps of every class of order h in key order, as
+    int64 out-rows of shape (classes, h), and their orbits h!/|Aut|:
+    order k certifies one block per rep R of order k-1, R plus every
+    out-set s of vertex 0, weighted by R's orbit."""
     import numpy as np
 
-    classes = [(Tournament(0, ()), 1)]
+    reps, orbits = np.zeros((1, 0), dtype=np.int64), [1]
     for k in range(1, h + 1):
         s = np.arange(1 << (k - 1))
-        members = ((rows, orbit) for rep, orbit in classes
-                   for rows in _extend(np.array(rep.out_rows, dtype=np.int64),
-                                       s))
-        _, orbits = certified_classes(k, members, deadline)
-        classes = [(Tournament(k, CanonicalForm(k, key).rows()), orbits[key])
-                   for key in sorted(orbits)]
-    return classes
+        blocks = ((_extend(rep, s), orbit) for rep, orbit in zip(reps, orbits))
+        _, found = certified_classes(k, blocks, deadline)
+        keys = sorted(found)
+        reps = np.array([CanonicalForm(k, key).rows() for key in keys],
+                        dtype=np.int64)
+        orbits = [found[key] for key in keys]
+    return reps, orbits
 
 
-def _cross_matrices(row_sums: list[int], col_sums: list[int]
-                    ) -> Iterator[tuple[int, ...]]:
-    """Every 0/1 matrix with the given row and column sums, as a tuple of
-    row masks (bit b of row a is entry (a, b)), filled row by row; each
-    row sum lies in 0..h and each column sum in 0..len(row_sums).
+@cache
+def _weight_masks(h: int, weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of one weight over h bits, combinations order, and bits."""
+    import numpy as np
 
-    Row a takes the masks of weight row_sums[a] in combinations order.
-    With k rows left, including row a, a column whose remaining sum is k
-    must take a 1 in every one of them (must), and a column whose
-    remaining sum is 0 can take no more (forbid).  A row mask is kept
-    when it covers must and misses forbid: exactly when every remaining
-    column sum stays in 0..k - 1 for the rows after a.  So each walk
-    ends with every column sum spent, and each matrix with these
-    margins is met once."""
+    chosen = combinations(range(h), weight)
+    masks = np.array([sum(1 << b for b in c) for c in chosen], dtype=np.int64)
+    bits = _row_bits(masks, h)
+    masks.flags.writeable = bits.flags.writeable = False
+    return masks, bits
+
+
+def _cross_matrices(row_sums: Sequence[int], col_sums: Sequence[int]
+                    ) -> np.ndarray:
+    """Every 0/1 matrix with the given margins, as an int64 array of row
+    masks of shape (matrices, len(row_sums)); bit b of row a is entry
+    (a, b).  Every row but the last is expanded for all partial matrices
+    at once: row a takes the masks of weight row_sums[a] in combinations
+    order and keeps those that leave each column sum in 0..k, k the rows
+    after a; children follow their parent in mask order, as in a
+    depth-first walk.  The last row is forced to the columns that still
+    need a 1, and kept when the others need none and their number is its
+    sum, so unequal totals give no matrix; each matrix is met once."""
+    import numpy as np
+
     h = len(col_sums)
-    masks = {k: [sum(1 << b for b in chosen)
-                 for chosen in combinations(range(h), k)]
-             for k in set(row_sums)}
-    path: list[int] = []
-
-    def fill(a: int, cols: list[int]) -> Iterator[tuple[int, ...]]:
-        if a == len(row_sums):
-            yield tuple(path)
-            return
-        rows_left = len(row_sums) - a
-        must = forbid = 0
-        for b, c in enumerate(cols):
-            if c == rows_left:
-                must |= 1 << b
-            elif not c:
-                forbid |= 1 << b
-        for mask in masks[row_sums[a]]:
-            if mask & must == must and not mask & forbid:
-                path.append(mask)
-                yield from fill(a + 1, [c - (mask >> b & 1)
-                                        for b, c in enumerate(cols)])
-                path.pop()
-
-    yield from fill(0, list(col_sums))
+    matrices, left = np.zeros((1, 0), np.int64), np.array([col_sums], np.int64)
+    for a, weight in enumerate(row_sums[:-1]):
+        masks, bits = _weight_masks(h, weight)
+        rest = left[:, None, :] - bits
+        partial, mask = np.nonzero(
+            ((rest >= 0) & (rest < len(row_sums) - a)).all(axis=2))
+        matrices = np.column_stack([matrices[partial], masks[mask]])
+        left = rest[partial, mask]
+    if len(row_sums):
+        kept = (np.isin(left, (0, 1)).all(axis=1)
+                & (left.sum(axis=1) == row_sums[-1]))
+        last = (left[kept] << np.arange(h)).sum(axis=1)
+        matrices = np.column_stack([matrices[kept], last])
+    return matrices
 
 
-def _completions(n: int, classes: list[tuple[Tournament, int]]
+def _completions(n: int, reps: np.ndarray, orbits: Sequence[int]
                  ) -> Iterator[tuple[np.ndarray, int]]:
-    """The out-rows of every regular tournament of order n whose vertex
-    0 beats exactly 1..h, one per (R+, R-, cross matrix M) over the
-    classes of order h, with the number of labeled regular tournaments
-    it stands for.
-
-    On P and Q, renumbered from 0, the a-th vertex of P has R+[a] on P
-    and row a of M on Q, and the b-th vertex of Q has R-[b] on Q and
-    beats the vertices of P that column b of M leaves out; _extend then
-    adds vertex 0 with out-set P.  Each pair's matrices are composed in
-    one numpy batch, in walk order."""
+    """One block per ordered pair (R+, R-) of the class reps of order h
+    (int64 out-rows) with their orbits: the out-rows of the regular
+    tournaments of order n whose vertex 0 beats exactly 1..h, one per
+    cross matrix M in walk order, and the labeled count each stands for.
+    The a-th vertex of P has R+[a] on P and row a of M on Q; the b-th
+    vertex of Q has R-[b] on Q and beats the vertices of P that column b
+    of M leaves out; _extend then adds vertex 0 with out-set P."""
     import numpy as np
 
     h = (n - 1) // 2
     full = np.array((1 << h) - 1)
-    shift = np.arange(h)[:, None]
-    for plus, plus_count in classes:
-        row_sums = [h - plus.out_degree(a) for a in range(h)]
-        p_side = np.array(plus.out_rows, dtype=np.int64)
-        for minus, minus_count in classes:
-            col_sums = [1 + minus.out_degree(b) for b in range(h)]
-            weight = plus_count * minus_count * comb(n - 1, h)
-            q_side = np.array(minus.out_rows, dtype=np.int64) << h
-            ms = list(_cross_matrices(row_sums, col_sums))
-            m = np.array(ms, dtype=np.int64).reshape(len(ms), h)
+    scale = comb(n - 1, h)
+    degrees = _row_bits(reps, h).sum(axis=2)
+    plus = list(zip(reps, (h - degrees).tolist(), orbits))
+    minus = list(zip(reps << h, (1 + degrees).tolist(), orbits))
+    for p_side, row_sums, plus_count in plus:
+        for q_side, col_sums, minus_count in minus:
+            m = _cross_matrices(row_sums, col_sums)
             # column b of M as a mask over P: bit a is entry (a, b)
-            cols = (_row_bits(m, h) << shift).sum(axis=1)
-            pair = np.concatenate([p_side | m << h, full ^ cols | q_side],
-                                  axis=1)
-            for rows in _extend(pair, full):
-                yield rows, weight
+            cols = (_row_bits(m, h) << np.arange(h)[:, None]).sum(axis=1)
+            pair = np.hstack([p_side | m << h, full ^ cols | q_side])
+            yield _extend(pair, full), plus_count * minus_count * scale
 
 
 @cache
@@ -298,43 +298,46 @@ def _c3_profiles(n: int, rows: Sequence[Sequence[int]]
     return [tuple(sorted(row)) for row in pairs.tolist()]
 
 
-def certified_classes(n: int, members: Iterable[tuple[Sequence[int], int]],
+def certified_classes(n: int, blocks: Iterable[tuple[Sequence[Sequence[int]],
+                                                     int | Sequence[int]]],
                       deadline: float | None = None
                       ) -> tuple[int, dict[int, int]]:
     """Classes of a relabeling-closed set of labeled tournaments of order
-    n <= MAX_CANONICAL_ORDER, under the orbit-mass certificate.  members
-    yields (out-rows, number of labeled tournaments they stand for), the
-    rows as n non-negative ints in a tuple, list or array.  Returns the
+    n <= MAX_CANONICAL_ORDER, under the orbit-mass certificate.  blocks
+    yields (rows of shape (B, n), weight): B members' out-rows, and one
+    int for all of them or B ints below 2^63, the labeled tournaments
+    each stands for; t alone is ([t.out_rows], weight).  Returns the
     labeled total and {canonical key: n!/|Aut|} over the classes.
 
-    One pass takes the members in batches of _PROFILE_BATCH, profiles
-    each batch by _c3_profiles, adds each weight to its profile's bucket
-    and keeps the rows.  Then each bucket canonicalizes its members
-    in walk order while it is short of its mass; a new class adds its
-    orbit.  Only a member that is canonicalized becomes a Tournament.
-    Raises OrderTooLargeError for n > MAX_CANONICAL_ORDER,
-    VerificationFailedError if a bucket goes over its mass or is still
-    short after its last member, and TimeBudgetExceededError once the
-    monotonic clock passes deadline, checked once per batch of the walk
-    and after every search."""
+    One uint16 array keeps every member's rows by member number; one
+    pass profiles it in slices of _PROFILE_BATCH by _c3_profiles and
+    adds each weight to its profile's bucket, as exact ints.  Then each
+    bucket canonicalizes its members in walk order while it is short of
+    its mass; a new class adds its orbit, and only a member that is
+    canonicalized becomes a Tournament.  Raises OrderTooLargeError for
+    n > MAX_CANONICAL_ORDER, VerificationFailedError if a bucket goes
+    over its mass or is still short after its last member, and
+    TimeBudgetExceededError once the monotonic clock passes deadline,
+    checked once per block and after every search."""
     import numpy as np
 
     if n > MAX_CANONICAL_ORDER:
         raise OrderTooLargeError(f"classes are certified up to order "
                                  f"{MAX_CANONICAL_ORDER}, got {n}")
+    parts = [np.zeros((0, n), dtype=np.uint16)]  # uint16 holds n <= 16
+    weights: list[int] = []
+    for rows, weight in blocks:
+        _check_deadline(deadline)
+        parts.append(np.asarray(rows, dtype=np.uint16))
+        weights += np.broadcast_to(weight, len(rows)).tolist()
+    stored = np.concatenate(parts)
     masses: Counter[tuple] = Counter()
     buckets: dict[tuple, array[int]] = {}  # member numbers, in walk order
-    stored: list[np.ndarray] = []  # each batch's rows; uint16 holds n <= 16
-    members = iter(members)
-    while batch := list(islice(members, _PROFILE_BATCH)):
-        _check_deadline(deadline)
-        rows = np.array([r for r, _ in batch], dtype=np.uint16)
-        first = len(stored) * _PROFILE_BATCH
-        for k, ((_, weight), profile) in enumerate(
-                zip(batch, _c3_profiles(n, rows)), first):
-            masses[profile] += weight
+    for lo in range(0, len(stored), _PROFILE_BATCH):
+        profiles = _c3_profiles(n, stored[lo:lo + _PROFILE_BATCH])
+        for k, profile in enumerate(profiles, lo):
+            masses[profile] += weights[k]
             buckets.setdefault(profile, array("q")).append(k)
-        stored.append(rows)
     factorial = math.factorial(n)
     orbits: dict[int, int] = {}
     for profile, bucket in buckets.items():
@@ -342,8 +345,8 @@ def certified_classes(n: int, members: Iterable[tuple[Sequence[int], int]],
         for k in bucket:
             if not short:
                 break
-            rows = stored[k // _PROFILE_BATCH][k % _PROFILE_BATCH].tolist()
-            cf, aut = _minimal_relabelings(Tournament(n, tuple(rows)))
+            rows = tuple(stored[k].tolist())
+            cf, aut = _minimal_relabelings(Tournament(n, rows))
             _check_deadline(deadline)
             if cf.key not in orbits:
                 orbits[cf.key] = factorial // aut
@@ -386,7 +389,9 @@ def enumerate_regular(n: int, *, threads: int = 1,
     processes; the join runs in this process, so it starts none.
     threads must be at least 1, and time_budget None or a positive
     finite number of seconds; InvalidInput otherwise.  Raises
-    VerificationFailedError if the orbit-mass certificate fails."""
+    VerificationFailedError if the orbit-mass certificate fails, and
+    TimeBudgetExceededError past the budget, checked once per block of
+    members and after every search."""
     if n % 2 == 0:
         raise EvenOrderError(f"regular tournaments have odd order, got {n}")
     if n < 1 or n > ENUM_MAX_ORDER:
@@ -394,12 +399,10 @@ def enumerate_regular(n: int, *, threads: int = 1,
             f"order must be odd in 1..{ENUM_MAX_ORDER}, got {n}")
     if threads < 1:
         raise InvalidInput(f"worker count must be at least 1, got {threads}")
-    if time_budget is not None and not 0 < time_budget < math.inf:
-        raise InvalidInput(f"time budget must be a positive finite number of "
-                           f"seconds, got {time_budget}")
+    check_time_budget(time_budget)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     labeled, orbits = certified_classes(
-        n, _completions(n, _classes((n - 1) // 2, deadline)), deadline)
+        n, _completions(n, *_classes((n - 1) // 2, deadline)), deadline)
     return _corpus_from_keys(n, labeled, orbits)
 
 

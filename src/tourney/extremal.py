@@ -41,10 +41,10 @@ Both give (mass, regular mass, max c5, c5 witness mass, max s5, s5
 witness mass), and the two must agree.  At order 7 the scan has 56 reps
 and 3,584 extensions against the sweep's 2,097,152.  The scan's
 maximizing extensions, weighted by orbit, then go to certified_classes
-as out-rows, and their classes must add up to the labeled witness mass:
-1 and 5 extensions at order 7 for 240 and 2,640 labeled maximizers of
-c5 and s5, 3 and 32 at order 5 for 40 and 544.  The sweep keeps no
-maximizers; it only counts their mass.
+in one block per batch, and their classes must add up to the labeled
+witness mass: 1 and 5 extensions at order 7 for 240 and 2,640 labeled
+maximizers of c5 and s5, 3 and 32 at order 5 for 40 and 544.  The sweep
+keeps no maximizers; it only counts their mass.
 
 Both routes score their extensions with one kernel, _extension_batch,
 on adjacency arrays: the sweep's from its codes, the scan's from its
@@ -488,32 +488,31 @@ def _class_batches(n: int
     column, out-rows)."""
     import numpy as np
 
-    reps = _classes(n - 1, None)
-    rows = np.array([r.out_rows for r, _ in reps], dtype=np.int64)
-    orbits = np.array([[orbit] for _, orbit in reps], dtype=np.int64)
+    reps, orbits = _classes(n - 1, None)
+    orbits = np.array(orbits, dtype=np.int64)[:, None]
     for lo in range(0, len(reps), _SWEEP_BATCH):
-        batch = rows[lo:lo + _SWEEP_BATCH]
+        batch = reps[lo:lo + _SWEEP_BATCH]
         yield _row_bits(batch, n - 1), orbits[lo:lo + _SWEEP_BATCH], batch
 
 
 def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int,
                                               np.ndarray | None]]
-              ) -> tuple[tuple[int, ...], list[list[tuple[np.ndarray, int]]]]:
+              ) -> tuple[tuple[int, ...], list[list[tuple[np.ndarray, list]]]]:
     """Extremes of the order-n one-vertex extensions of weighted
     order-(n-1) bases.  batches yields (adjacency matrices, weight,
     out-rows or None); the weight, a scalar or a column, is broadcast
     over the rows of _extension_batch(n, adjacency matrices), so every
     extension of a base carries its weight.  Returns the summary (mass,
     regular mass, max c5, c5 witness mass, max s5, s5 witness mass),
-    each mass a weight total, and the argmax extensions
-    [(out-rows, weight)] of c5 and of s5, built by enumeration._extend
-    from the batches that carry out-rows."""
+    each mass a weight total, and the argmax extensions of c5 and of s5
+    as blocks (out-rows, weights), one per batch that carries out-rows
+    and attains the maximum, built by enumeration._extend."""
     import numpy as np
 
     mass = regular = 0
     best = [-1, -1]
     hit_mass = [0, 0]
-    argmax: list[list[tuple[np.ndarray, int]]] = [[], []]
+    argmax: list[list[tuple[np.ndarray, list[int]]]] = [[], []]
     for a, weight, rows in batches:
         c5, s5, is_reg = _extension_batch(n, a)
         w = np.broadcast_to(weight, c5.shape)
@@ -529,15 +528,15 @@ def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int,
                 hit_mass[q] += int(hit_weight.sum())
                 if rows is not None:
                     b, s = np.nonzero(hit)
-                    argmax[q].extend(zip(_extend(rows[b], s),
-                                         hit_weight.tolist()))
+                    argmax[q].append((_extend(rows[b], s),
+                                      hit_weight.tolist()))
     return (mass, regular, best[0], hit_mass[0], best[1], hit_mass[1]), argmax
 
 
-def _witness_classes(n: int, argmax: list[tuple[np.ndarray, int]],
+def _witness_classes(n: int, argmax: list[tuple[np.ndarray, list[int]]],
                      mass: int) -> tuple[str, ...]:
-    """Classes of the class scan's argmax extensions [(out-rows, orbit
-    weight)].  They stand for every labeled tournament attaining an
+    """Classes of the class scan's argmax extensions, blocks (out-rows,
+    orbit weights).  They stand for every labeled tournament attaining an
     isomorphism-invariant maximum, a relabeling-closed set, so
     certified_classes certifies them, and the orbits of the classes must
     add up to mass, the number of labeled maximizers; both raise

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
-from tourney import Tournament, enumeration, extremal
+from tourney import enumeration, extremal
 
 
 @pytest.fixture(scope="session")
@@ -22,8 +23,9 @@ def timings() -> dict[str, float]:
 
 
 @pytest.fixture(scope="session")
-def classes8(timings) -> list[tuple[Tournament, int]]:
-    """(canonical rep, orbit 8!/|Aut|) of the 6,880 classes of order 8."""
+def classes8(timings) -> tuple[np.ndarray, list[int]]:
+    """The canonical reps of the 6,880 classes of order 8 as an int64
+    array of out-rows, and their orbits 8!/|Aut|."""
     start = time.perf_counter()
     classes = enumeration._classes(8, None)
     timings["classes8"] = time.perf_counter() - start

@@ -361,8 +361,17 @@ class TestEnumerate:
                                        ["--time-budget", "-1"]],
                              ids=["budget-0", "budget-nan", "budget-inf",
                                   "budget-neg"])
-    def test_bad_run_limits_are_usage_errors(self, capsys, flags):
-        assert_usage_error(capsys, *flags, "enumerate", "--n", "5")
+    def test_bad_run_limits_are_usage_errors(self, capsys, tmp_path, flags):
+        # the budget is checked before any subcommand runs, so each of
+        # these would otherwise exit 0
+        path = str(tmp_path / "r5.corpus")
+        code, _ = run(capsys, "enumerate", "--n", "5", "--out", path)
+        assert code == 0
+        for command in (["enumerate", "--n", "5"], ["gen", "rlt", "--n", "5"],
+                        ["verify", "thm1", "--n", "5"],
+                        ["enumerate", "--verify", path]):
+            err = assert_usage_error(capsys, *flags, *command)
+            assert "time budget must be a positive finite number" in err
 
     def test_no_worker_count_knobs(self, capsys, monkeypatch):
         # enumeration runs in this process, so the CLI has no worker cap

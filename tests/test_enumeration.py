@@ -84,21 +84,24 @@ class TestClassEngine:
         [1, 1, 2, 4, 12, 56, 456, 6880], start=1))
     def test_class_counts_and_orbits(self, request, k, count):
         # OEIS A000568; the orbits add up to every labeled tournament
-        classes = (request.getfixturevalue("classes8") if k == 8
-                   else enumeration._classes(k, None))
-        assert len(classes) == count
-        assert sum(orbit for _, orbit in classes) == 1 << math.comb(k, 2)
-        for rep, orbit in classes:
+        reps, orbits = (request.getfixturevalue("classes8") if k == 8
+                        else enumeration._classes(k, None))
+        assert reps.dtype == np.int64 and reps.shape == (count, k)
+        assert len(orbits) == count
+        assert sum(orbits) == 1 << math.comb(k, 2)
+        for rows, orbit in zip(reps.tolist(), orbits):
+            rep = Tournament(k, tuple(rows))
             assert orbit == math.factorial(k) // automorphism_count(rep)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_every_labeled_tournament(self, k):
         _, orbits = enumeration.certified_classes(
-            k, ((t.out_rows, 1) for t in all_tournaments(k)))
+            k, (([t.out_rows], 1) for t in all_tournaments(k)))
         assert sorted(orbits) == sorted(
             {canonical_form(t).key for t in all_tournaments(k)})
-        assert [(rep.out_rows, orbit)
-                for rep, orbit in enumeration._classes(k, None)] == \
+        reps, rep_orbits = enumeration._classes(k, None)
+        assert [(tuple(rows), orbit)
+                for rows, orbit in zip(reps.tolist(), rep_orbits)] == \
             [(CanonicalForm(k, key).rows(), orbits[key])
              for key in sorted(orbits)]
 
@@ -197,19 +200,24 @@ class TestJoin:
         # each completion's rows are the pair's rows plus the cross
         # matrix: they are a regular tournament, vertex 0 beats exactly
         # P = 1..h, R+ and R- sit on P and Q, and the cross rows are
-        # _cross_matrices' in walk order
+        # the recursion's in walk order, one block per pair
         h = (n - 1) // 2
         full = (1 << h) - 1
-        classes = enumeration._classes(h, None)
+        reps, orbits = enumeration._classes(h, None)
+        classes = [(Tournament(h, tuple(rows)), orbit)
+                   for rows, orbit in zip(reps.tolist(), orbits)]
         expected = [
             (plus.out_rows, minus.out_rows, m,
              plus_count * minus_count * math.comb(n - 1, h))
             for plus, plus_count in classes
             for minus, minus_count in classes
-            for m in enumeration._cross_matrices(
+            for m in cross_matrices_by_recursion(
                 [h - plus.out_degree(a) for a in range(h)],
                 [1 + minus.out_degree(b) for b in range(h)])]
-        completions = list(enumeration._completions(n, classes))
+        blocks = list(enumeration._completions(n, reps, orbits))
+        assert len(blocks) == len(classes) ** 2
+        completions = [(rows, weight) for block, weight in blocks
+                       for rows in block]
         assert len(completions) == len(expected)
         for (rows, weight), (plus, minus, m, want) in zip(completions,
                                                           expected):
@@ -225,14 +233,13 @@ class TestJoin:
     def test_cross_matrices_match_the_recursion_on_join_margins(self, n):
         # every (R+, R-) margin pair of the order-n join, in walk order
         h = (n - 1) // 2
-        classes = enumeration._classes(h, None)
+        reps, _ = enumeration._classes(h, None)
+        classes = [Tournament(h, tuple(rows)) for rows in reps.tolist()]
         margins = {(tuple(h - plus.out_degree(a) for a in range(h)),
                     tuple(1 + minus.out_degree(b) for b in range(h)))
-                   for plus, _ in classes for minus, _ in classes}
+                   for plus in classes for minus in classes}
         for row_sums, col_sums in margins:
-            assert list(enumeration._cross_matrices(
-                list(row_sums), list(col_sums))) == list(
-                cross_matrices_by_recursion(row_sums, col_sums))
+            assert_walk_matches_the_recursion(row_sums, col_sums)
 
     def test_cross_matrices_match_the_recursion_on_random_margins(self):
         # the margins of seeded random 0/1 matrices with up to 6 rows
@@ -245,11 +252,37 @@ class TestJoin:
                  ).astype(int)
             row_sums = m.sum(axis=1).tolist()
             col_sums = m.sum(axis=0).tolist()
-            got = list(enumeration._cross_matrices(row_sums, col_sums))
-            assert got == list(cross_matrices_by_recursion(row_sums,
-                                                           col_sums))
-            assert tuple(sum(int(v) << b for b, v in enumerate(row))
-                         for row in m) in got
+            got = assert_walk_matches_the_recursion(row_sums, col_sums)
+            assert [sum(int(v) << b for b, v in enumerate(row))
+                    for row in m] in got
+
+    @pytest.mark.parametrize("row_sums,col_sums", [
+        ([1, 2], [1, 1]), ([0], [1]), ([2, 1, 1], [1, 1, 1]),
+        ([3, 3, 3], [3, 3, 2])], ids=["rows3-cols2", "rows0-cols1",
+                                      "rows4-cols3", "rows9-cols8"])
+    def test_unequal_totals_give_no_matrix(self, row_sums, col_sums):
+        assert assert_walk_matches_the_recursion(row_sums, col_sums) == []
+
+    def test_empty_margins_give_one_empty_matrix(self):
+        got = enumeration._cross_matrices([], [])
+        assert got.dtype == np.int64 and got.shape == (1, 0)
+        assert assert_walk_matches_the_recursion([], []) == [[]]
+
+    @pytest.mark.parametrize("row_sums,col_sums,want", [
+        ([2], [1, 0, 1], [[0b101]]), ([0], [0, 0], [[0]]),
+        ([1], [2, 0], []), ([1], [1, -1, 1], []), ([4], [1, 1, 1], [])])
+    def test_single_row_is_forced(self, row_sums, col_sums, want):
+        assert assert_walk_matches_the_recursion(row_sums, col_sums) == want
+
+
+def assert_walk_matches_the_recursion(row_sums, col_sums) -> list:
+    """_cross_matrices' array, as lists of row masks, after checking
+    that it is the recursion's matrices in the recursion's order."""
+    got = enumeration._cross_matrices(list(row_sums), list(col_sums))
+    assert got.dtype == np.int64 and got.shape[1:] == (len(row_sums),)
+    assert got.tolist() == [list(m) for m in cross_matrices_by_recursion(
+        row_sums, col_sums)]
+    return got.tolist()
 
 
 def relabel(t: Tournament, perm: list[int]) -> Tournament:
@@ -390,7 +423,7 @@ class TestOrbitMassCertificate:
 
     def test_certified_classes_of_order4(self):
         labeled, orbits = enumeration.certified_classes(
-            4, ((t.out_rows, 1) for t in all_tournaments(4)))
+            4, (([t.out_rows], 1) for t in all_tournaments(4)))
         assert labeled == 64 and sum(orbits.values()) == 64
         assert sorted(orbits) == sorted(
             {canonical_form(t).key for t in all_tournaments(4)})
@@ -402,7 +435,7 @@ class TestOrbitMassCertificate:
     def test_bucket_off_its_mass_raises(self, mass, failure):
         # the regular tournaments of order 5 are one class of orbit 24
         with pytest.raises(VerificationFailedError, match=failure):
-            enumeration.certified_classes(5, [(gen_rlt(5).out_rows, mass)])
+            enumeration.certified_classes(5, [([gen_rlt(5).out_rows], mass)])
 
     # orders whose C(n, 2) arcs no int64 edge code holds; RLT_13 has 13
     # automorphisms, and the transitive tournament only the identity
@@ -411,25 +444,28 @@ class TestOrbitMassCertificate:
     def test_certifies_above_order_11(self, t):
         orbit = math.factorial(t.n) // automorphism_count(t)
         labeled, orbits = enumeration.certified_classes(
-            t.n, [(t.out_rows, orbit)])
+            t.n, [([t.out_rows], orbit)])
         assert labeled == orbit
         assert orbits == {canonical_form(t).key: orbit}
         for mass, failure in ((orbit - 1, "exceed"), (orbit + 1, "short")):
             with pytest.raises(VerificationFailedError, match=failure):
-                enumeration.certified_classes(t.n, [(t.out_rows, mass)])
+                enumeration.certified_classes(t.n, [([t.out_rows], mass)])
 
     def test_refuses_orders_it_cannot_canonicalize(self):
         with pytest.raises(OrderTooLargeError):
-            enumeration.certified_classes(17, [(gen_transitive(17).out_rows,
-                                                0)])
+            enumeration.certified_classes(
+                17, [([gen_transitive(17).out_rows], 0)])
 
-    @pytest.mark.parametrize("n,searches", [(7, 8), (9, 27)])
+    @pytest.mark.parametrize("n,searches", [(7, 8), (9, 27), (11, 1562)])
     def test_one_walk_and_searches_only_while_short(self, monkeypatch, n,
                                                     searches):
-        # the join's 3 (order 7) or 16 (order 9) searches plus the
-        # half-order reps grown one vertex at a time, 1 + 1 + 3 for order
-        # 3 and 1 + 1 + 3 + 6 for order 4; canonicalizing every member
-        # would take 13 + 7 or 157 + 23
+        # the join's 3 (order 7), 16 (order 9) or 1,523 (order 11)
+        # searches plus the half-order reps grown one vertex at a time,
+        # 1 + 1 + 3 for order 3, 1 + 1 + 3 + 6 for order 4 and
+        # 1 + 1 + 3 + 6 + 28 for order 5; canonicalizing every member
+        # would take 13 + 7 or 157 + 23.  A bucket searches its members
+        # in walk order, so the order-11 count pins the order of the
+        # 144 pairs' blocks
         calls = Counter()
 
         def count_calls(name):

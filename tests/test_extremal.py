@@ -270,17 +270,24 @@ class TestSweepDrivers:
         # reaches it by one extension of weight 5!/|Aut RLT_5| = 24; any
         # other weight leaves the certificate over or short of its orbit
         _, (_, s5_argmax) = _extremes(5, _class_batches(5))
-        regular = [(rows, w) for rows, w in s5_argmax
+        regular = [(rows, w) for rows, w in members(s5_argmax)
                    if is_regular(validate(5, rows.tolist()))]
         assert [w for _, w in regular] == [24]
         (rows, _), = regular
-        assert _witness_classes(5, regular, 24) == (
+        assert _witness_classes(5, [([rows], [24])], 24) == (
             canonical_form(gen_rlt(5)).hex(),)
         for weight in (1, 48):
             with pytest.raises(VerificationFailedError):
-                _witness_classes(5, [(rows, weight)], weight)
+                _witness_classes(5, [([rows], weight)], weight)
         with pytest.raises(VerificationFailedError):
-            _witness_classes(5, regular, 48)
+            _witness_classes(5, [([rows], [24])], 48)
+
+
+def members(blocks) -> list:
+    """(out-rows, weight) of every member of the blocks (out-rows,
+    weights) that _extremes keeps, in order."""
+    return [(rows, w) for block, weights in blocks
+            for rows, w in zip(block, weights)]
 
 
 def rep_of(n: int, key: str) -> Tournament:
@@ -306,7 +313,7 @@ class TestTwoRoutes:
         assert labeled == scan == (
             1 << 10, 24, 3, orbit_mass(sweep5.c5), 1, orbit_mass(sweep5.s5))
         assert (scan[3], scan[5]) == (40, 544)
-        assert (len(c5_argmax), len(s5_argmax)) == (3, 32)
+        assert (len(members(c5_argmax)), len(members(s5_argmax))) == (3, 32)
 
     def test_routes_agree_at_order7(self, sweep7, corpus7):
         # sweep7 ran the labeled route and compared it with this scan
@@ -315,15 +322,15 @@ class TestTwoRoutes:
                         sweep7.c5.observed, orbit_mass(sweep7.c5),
                         sweep7.s5.observed, orbit_mass(sweep7.s5))
         assert scan == (1 << 21, corpus7.labeled_count, 42, 240, 21, 2640)
-        assert [w for _, w in c5_argmax] == [240]
-        assert len(s5_argmax) == 5
+        assert [w for _, w in members(c5_argmax)] == [240]
+        assert len(members(s5_argmax)) == 5
 
     def test_scaled_orbit_disagrees(self, monkeypatch):
         classes = extremal._classes
 
         def double_first(h, deadline):
-            (rep, orbit), *rest = classes(h, deadline)
-            return [(rep, 2 * orbit), *rest]
+            reps, (orbit, *rest) = classes(h, deadline)
+            return reps, [2 * orbit, *rest]
 
         monkeypatch.setattr(extremal, "_classes", double_first)
         with pytest.raises(VerificationFailedError, match="disagree"):
@@ -338,7 +345,7 @@ class TestTwoRoutes:
 
         def drop_regular(n, batches):
             summary, (c5_argmax, s5_argmax) = reduce(n, batches)
-            kept = [(rows, w) for rows, w in s5_argmax
+            kept = [([rows], [w]) for rows, w in members(s5_argmax)
                     if not is_regular(validate(n, rows.tolist()))]
             return summary, [c5_argmax, kept]
 
