@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -116,7 +117,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     target = args.target
     if target == "thm1":
-        _emit(extremal.verify_c5_max(_need(args, "n")))
+        _emit(extremal.verify_c5_max(_need(args, "n"),
+                                     time_budget=args.time_budget))
     elif target == "prop2":
         if args.corpus is None:
             raise InvalidInput("verify prop2 needs --corpus")
@@ -172,12 +174,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state in it between calls."""
     parser = argparse.ArgumentParser(
         prog="tourney",
         description="Construct, count, classify and verify small tournaments.")
     parser.add_argument("--time-budget", type=float, default=None,
-                        help="wall-clock budget in seconds for enumeration")
+                        help="wall-clock budget in seconds for "
+                             "enumerate --n and verify thm1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a tournament in .tour form")

@@ -131,14 +131,19 @@ def validate(n: int, rows: Sequence[int]) -> Tournament:
             raise SizeMismatchError(f"row {i} has bits outside vertices 0..{n - 1}")
         if (row >> i) & 1:
             raise LoopArcError(f"vertex {i} has an arc to itself", (i, i))
-    for i in range(n):
-        for j in range(i + 1, n):
-            forward = (rows[i] >> j) & 1
-            backward = (rows[j] >> i) & 1
-            if forward == backward:
-                kind = "no arc" if forward == 0 else "both arcs"
-                raise MissingOrDoubleArcError(f"pair ({i}, {j}) has {kind}",
-                                              (i, j))
+    # bit j of row i sits at flat[i * n + j], so column i, the in-arcs
+    # of vertex i, is flat[i::n]; pair (i, j) has exactly one arc when
+    # bit j of row i and of column i differ.  The mismatches are
+    # symmetric in i and j, so the lowest one in the first row that has
+    # any lies above the diagonal: the first bad pair in row-major order.
+    flat = "".join([format(row, f"0{n}b")[::-1] for row in rows])
+    for i, row in enumerate(rows):
+        bad = row ^ int(flat[i::n][::-1], 2) ^ full ^ (1 << i)
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            kind = "no arc" if (row >> j) & 1 == 0 else "both arcs"
+            raise MissingOrDoubleArcError(f"pair ({i}, {j}) has {kind}",
+                                          (i, j))
     return Tournament(n, tuple(rows))
 
 

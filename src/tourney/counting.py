@@ -13,10 +13,21 @@ Quantities, for a tournament of order n:
   tr_m  trace of the m-th power of the adjacency matrix; tr_m = m * c_m
         for m in {3, 4, 5} and tr_1 = tr_2 = 0
 
-The formulas for c4, c5 and w_m share one integer product A A^T per
-tournament, where A is the 0/1 adjacency matrix: _arc_profiles keeps
-its last result, keyed by the tournament's value, so consecutive
-formula calls on one tournament form the product once.  For an arc
+Each route keeps one table per tournament, built on its first call and
+kept for the next calls on an equal tournament: an lru_cache of size one
+keyed by (n, out_rows), holding read-only arrays or tuples, so no caller
+may write to it.
+
+  formula  _arc_profiles: the out-degrees and the four intersection
+           counts of every arc, from one product A A^T, where A is the
+           0/1 adjacency matrix; _histograms: the bincount histograms of
+           the out-degrees, the in-degrees, dpp and dpm
+  oracle   _union_tables: the OR of the out-rows (in-rows) over every
+           vertex set
+  trace    _adjacency_powers: A and A^2
+
+A formula report thus forms A A^T once, an oracle report builds the two
+2^n tables once, and a trace report forms A^2 once.  For an arc
 i -> j with out-degrees d, dpp = |N+(i) & N+(j)| = (A A^T)[i, j], and
 the other three intersection counts of the arc follow from the degrees:
 
@@ -53,7 +64,7 @@ every candidate, as numpy passes over int64 vertex bitmasks:
 They read only the out-rows and in-masks of the tournament, and share no
 helper with the formulas (no degrees, no A A^T, no _arc_profiles) or
 with trace_m (no matrix powers), so an agreement of two routes is a
-check of each.
+check of each.  No route reads another route's table.
 """
 
 from __future__ import annotations
@@ -144,12 +155,10 @@ def _row_bits(rows, n: int):
     return bits.view(np.int64)  # 0 and 1 read the same in both types
 
 
-def _binomial_sum(values, r: int) -> int:
-    """sum of C(x, r) over non-negative int64 values, as a Python int:
-    sum over x of hist[x] * C(x, r), which no int64 sum can overflow."""
-    import numpy as np
-
-    hist = np.bincount(values).tolist()
+def _binomial_sum(hist: Sequence[int], r: int) -> int:
+    """sum of C(x, r) over values with histogram hist (hist[x] values
+    equal x), as a Python int: sum over x of hist[x] * C(x, r), which no
+    int64 sum can overflow."""
     return sum(h * comb(x, r) for x, h in enumerate(hist) if h)
 
 
@@ -157,9 +166,13 @@ def _binomial_sum(values, r: int) -> int:
 def _arc_profiles(t: Tournament):
     """(d, dpp, dmm, dpm, dmp) as read-only int64 arrays: the out-degrees,
     and the four intersection counts of each arc i -> j in row-major
-    order, from dpp = (A A^T)[i, j] and the degree identities.  The last
-    result is kept, keyed by (n, out_rows), for the next formula call on
-    an equal tournament, so no caller may write to it."""
+    order, from dpp = (A A^T)[i, j] and the degree identities.  The
+    product stays in int64: a float64 one would be exact and faster,
+    but it would be the only BLAS call of a single-tournament script,
+    and OpenBLAS's buffers cost more resident memory than its time is
+    worth.  The last result is kept, keyed by (n, out_rows), for the
+    next formula call on an equal tournament, so no caller may write to
+    it."""
     import numpy as np
 
     a = _row_bits(t.out_rows, t.n)
@@ -173,6 +186,19 @@ def _arc_profiles(t: Tournament):
     return profiles
 
 
+@lru_cache(maxsize=1)
+def _histograms(t: Tournament) -> tuple[tuple[int, ...], ...]:
+    """The histograms, as tuples of Python ints, of the out-degrees, the
+    in-degrees n - 1 - d, and the dpp and dpm of every arc: everything
+    the binomial sums of c4_formula and w_formula read.  The last result
+    is kept, like _arc_profiles', for the next formula call."""
+    import numpy as np
+
+    d, dpp, _, dpm, _ = _arc_profiles(t)
+    return tuple(tuple(np.bincount(x).tolist())
+                 for x in (d, t.n - 1 - d, dpp, dpm))
+
+
 def c4_formula(t: Tournament) -> int:
     """4-cycles: binomial(n, 4) - sum_i C(in_deg(i), 3) - sum_i c3(N+(i)).
 
@@ -181,10 +207,9 @@ def c4_formula(t: Tournament) -> int:
     c4 = C(n, 4) - sum_i C(in_i, 3) - sum_i C(d_i, 3) + sum_arcs C(dpp, 2)
     with dpp = (A A^T)[i, j].
     """
-    n = t.n
-    d, dpp, _, _, _ = _arc_profiles(t)
-    return (comb(n, 4) - _binomial_sum(n - 1 - d, 3)
-            - _binomial_sum(d, 3) + _binomial_sum(dpp, 2))
+    outs, ins, dpp, _ = _histograms(t)
+    return (comb(t.n, 4) - _binomial_sum(ins, 3) - _binomial_sum(outs, 3)
+            + _binomial_sum(dpp, 2))
 
 
 def c5_formula(t: Tournament) -> int:
@@ -224,9 +249,9 @@ def w_formula(t: Tournament, m: int) -> int:
     n = t.n
     if m > n:
         return 0
-    d, _, _, dpm, _ = _arc_profiles(t)
-    return (comb(n, m) - _binomial_sum(d, m - 1)
-            - _binomial_sum(n - 1 - d, m - 1) + _binomial_sum(dpm, m - 2))
+    outs, ins, _, dpm = _histograms(t)
+    return (comb(n, m) - _binomial_sum(outs, m - 1)
+            - _binomial_sum(ins, m - 1) + _binomial_sum(dpm, m - 2))
 
 
 def s_formula(t: Tournament, m: int) -> int:
@@ -243,14 +268,28 @@ def s5_formula(t: Tournament) -> int:
     return w_formula(t, 5)
 
 
+@lru_cache(maxsize=1)
+def _adjacency_powers(t: Tournament):
+    """(A, A^2) as read-only int64 arrays.  The last result is kept,
+    keyed by (n, out_rows), for the next trace call on an equal
+    tournament, so no caller may write to it."""
+    a = _row_bits(t.out_rows, t.n)
+    a2 = a @ a
+    a.setflags(write=False)
+    a2.setflags(write=False)
+    return a, a2
+
+
 def trace_m(t: Tournament, m: int) -> int:
     """Trace of the m-th adjacency power: closed walks of length m.
 
     One split for every m: with p = m // 2 and q = m - p,
     tr(A^m) = sum over i, j of (A^p)[i, j] (A^q)[j, i], the entrywise
     product of A^p with the transpose of A^q, where A^q is A^p or
-    A^p A.  tr3 and tr4 form A A, and tr5 forms A A and A^2 A: 4 matrix
-    products in all, and no full product for the final power.
+    A^(p+1).  Both come from the cached A and A^2: A^p is
+    (A^2)^(p // 2), times A when p is odd, and A^(p+1) is A^p A, or A^2
+    itself when p = 1.  So tr3 and tr4 need no product beyond A^2 and
+    tr5 one, A^2 A, and no power is formed in full for the final step.
 
     Exact for 1 <= m <= TRACE_MAX_M.  numpy works in int64 when
     n**m < 2**62 and in Python ints (object dtype) otherwise.  Every
@@ -264,12 +303,22 @@ def trace_m(t: Tournament, m: int) -> int:
         raise BadMError(f"trace needs 1 <= m <= {TRACE_MAX_M}, got {m}")
     import numpy as np
 
-    a = _row_bits(t.out_rows, t.n)
+    a, a2 = _adjacency_powers(t)
     if t.n ** m >= 1 << 62:
-        a = a.astype(object)
+        a, a2 = a.astype(object), a2.astype(object)
     p = m // 2
-    ap = np.linalg.matrix_power(a, p)
-    aq = ap if m - p == p else ap @ a
+    if p == 0:  # tr(A): A has no loops
+        return int(a.trace())
+    if p == 1:
+        ap = a
+    else:
+        ap = np.linalg.matrix_power(a2, p // 2)
+        if p % 2:
+            ap = ap @ a
+    if m - p == p:
+        aq = ap
+    else:
+        aq = a2 if p == 1 else ap @ a
     return int((ap * aq.T).sum())
 
 
@@ -317,6 +366,19 @@ def _union_table(rows: Sequence[int]):
     return u
 
 
+@lru_cache(maxsize=1)
+def _union_tables(t: Tournament):
+    """The _union_table of the out-rows and of the in-rows of t, as
+    read-only int64 arrays.  The last result is kept, keyed by
+    (n, out_rows), for the next oracle call on an equal tournament, so
+    no caller may write to it."""
+    tables = (_union_table(t.out_rows),
+              _union_table([t.in_mask(v) for v in range(t.n)]))
+    for u in tables:
+        u.setflags(write=False)
+    return tables
+
+
 def oracle_cycles(t: Tournament, m: int) -> int:
     """Directed m-cycles by walking every simple path, one level at a time
     for all paths at once.  Each cycle is counted exactly once: a path
@@ -359,8 +421,7 @@ def oracle_strong_subs(t: Tournament, m: int) -> int:
 
     masks = _subset_masks(n, m)
     strong = np.ones(len(masks), dtype=bool)
-    for rows in (t.out_rows, [t.in_mask(v) for v in range(n)]):
-        union = _union_table(rows)
+    for union in _union_tables(t):
         reach = masks & -masks
         for _ in range(m - 1):
             reach = (reach | union[reach]) & masks

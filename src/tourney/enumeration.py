@@ -152,9 +152,23 @@ def check_time_budget(time_budget: float | None) -> None:
                            f"seconds, got {time_budget}")
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeBudgetExceededError("enumeration ran past its budget")
+def _deadline(time_budget: float | None) -> float | None:
+    """The monotonic time time_budget seconds from now, or None for no
+    budget; InvalidInput for a budget check_time_budget refuses."""
+    check_time_budget(time_budget)
+    return None if time_budget is None else time.monotonic() + time_budget
+
+
+def _check_deadline(deadline: float | None,
+                    what: str = "enumeration") -> float | None:
+    """The seconds left before deadline, or None for no deadline; raises
+    TimeBudgetExceededError, naming what ran, once it has passed."""
+    if deadline is None:
+        return None
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeBudgetExceededError(f"{what} ran past its budget")
+    return left
 
 
 def _extend(reps: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -399,8 +413,7 @@ def enumerate_regular(n: int, *, threads: int = 1,
             f"order must be odd in 1..{ENUM_MAX_ORDER}, got {n}")
     if threads < 1:
         raise InvalidInput(f"worker count must be at least 1, got {threads}")
-    check_time_budget(time_budget)
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    deadline = _deadline(time_budget)
     labeled, orbits = certified_classes(
         n, _completions(n, *_classes((n - 1) // 2, deadline)), deadline)
     return _corpus_from_keys(n, labeled, orbits)

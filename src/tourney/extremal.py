@@ -99,8 +99,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from .core import CanonicalForm, Tournament, canonical_form
 from .counting import _row_bits, c4_formula, c5_formula, s5_formula, trace_m
 from .classify import is_nearly_doubly_regular, is_regular, aat_positive
-from .enumeration import (EnumCorpus, _binomials, _classes, _extend,
-                          certified_classes, enumerate_regular)
+from .enumeration import (EnumCorpus, _binomials, _check_deadline,
+                          _classes, _deadline, _extend, certified_classes,
+                          enumerate_regular)
 from .errors import (
     BadOrderError,
     BadResidueError,
@@ -481,14 +482,15 @@ def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, int, None]]:
         yield _code_adjacency(n - 1, codes), 1, None
 
 
-def _class_batches(n: int
+def _class_batches(n: int, deadline: float | None = None
                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every class rep R of order n - 1, in key order and in batches of
     _SWEEP_BATCH, as (adjacency matrices, orbit (n-1)!/|Aut R| as a
-    column, out-rows)."""
+    column, out-rows); the class engine checks deadline as
+    enumerate_regular's does."""
     import numpy as np
 
-    reps, orbits = _classes(n - 1, None)
+    reps, orbits = _classes(n - 1, deadline)
     orbits = np.array(orbits, dtype=np.int64)[:, None]
     for lo in range(0, len(reps), _SWEEP_BATCH):
         batch = reps[lo:lo + _SWEEP_BATCH]
@@ -496,7 +498,8 @@ def _class_batches(n: int
 
 
 def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int,
-                                              np.ndarray | None]]
+                                              np.ndarray | None]],
+              deadline: float | None = None
               ) -> tuple[tuple[int, ...], list[list[tuple[np.ndarray, list]]]]:
     """Extremes of the order-n one-vertex extensions of weighted
     order-(n-1) bases.  batches yields (adjacency matrices, weight,
@@ -506,7 +509,9 @@ def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int,
     regular mass, max c5, c5 witness mass, max s5, s5 witness mass),
     each mass a weight total, and the argmax extensions of c5 and of s5
     as blocks (out-rows, weights), one per batch that carries out-rows
-    and attains the maximum, built by enumeration._extend."""
+    and attains the maximum, built by enumeration._extend.  Raises
+    TimeBudgetExceededError once the monotonic clock passes deadline,
+    checked once per batch."""
     import numpy as np
 
     mass = regular = 0
@@ -514,6 +519,7 @@ def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int,
     hit_mass = [0, 0]
     argmax: list[list[tuple[np.ndarray, list[int]]]] = [[], []]
     for a, weight, rows in batches:
+        _check_deadline(deadline, "the sweep")
         c5, s5, is_reg = _extension_batch(n, a)
         w = np.broadcast_to(weight, c5.shape)
         mass += int(w.sum())
@@ -534,14 +540,15 @@ def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int,
 
 
 def _witness_classes(n: int, argmax: list[tuple[np.ndarray, list[int]]],
-                     mass: int) -> tuple[str, ...]:
+                     mass: int, deadline: float | None = None
+                     ) -> tuple[str, ...]:
     """Classes of the class scan's argmax extensions, blocks (out-rows,
     orbit weights).  They stand for every labeled tournament attaining an
     isomorphism-invariant maximum, a relabeling-closed set, so
     certified_classes certifies them, and the orbits of the classes must
     add up to mass, the number of labeled maximizers; both raise
     VerificationFailedError otherwise."""
-    total, orbits = certified_classes(n, argmax)
+    total, orbits = certified_classes(n, argmax, deadline)
     if total != mass:
         raise VerificationFailedError(
             f"witness classes hold {total} labeled tournaments, the sweep "
@@ -549,7 +556,8 @@ def _witness_classes(n: int, argmax: list[tuple[np.ndarray, list[int]]],
     return tuple(CanonicalForm(n, k).hex() for k in sorted(orbits))
 
 
-def verify_c5_max(n: int) -> SweepExtremes:
+def verify_c5_max(n: int, *, time_budget: float | None = None
+                  ) -> SweepExtremes:
     """Find the maxima of c5 and s5 over every tournament of order n in
     {5, 7} by two routes that must agree, report them with their classes,
     and check the claims:
@@ -561,20 +569,27 @@ def verify_c5_max(n: int) -> SweepExtremes:
       n = 5: max c5 = 3 (the rational bound 9/2 is not attained), with
              the middle-blowup of the 3-cycle among the maximizers;
              max s5 = 1, attained exactly by the six strong classes.
+
+    time_budget is None or a positive finite number of seconds
+    (InvalidInput otherwise) for the whole run, the enumeration of the
+    regular classes included; TimeBudgetExceededError past it, checked
+    once per batch of either route and as enumerate_regular checks.
     """
     if n not in (5, 7):
         raise TooLargeError(f"the exhaustive sweep runs at n in {{5, 7}}, got {n}")
-    labeled, _ = _extremes(n, _labeled_batches(n))
+    deadline = _deadline(time_budget)
+    labeled, _ = _extremes(n, _labeled_batches(n), deadline)
     total, regular, best_c5, c5_mass, best_s5, s5_mass = labeled
     if total != 1 << comb(n, 2):
         raise VerificationFailedError(
             f"sweep visited {total} codes, not 2^{comb(n, 2)}")
-    scan, (c5_argmax, s5_argmax) = _extremes(n, _class_batches(n))
+    scan, (c5_argmax, s5_argmax) = _extremes(n, _class_batches(n, deadline),
+                                             deadline)
     if scan != labeled:
         raise VerificationFailedError(
             f"the labeled sweep {labeled} and the class scan {scan} disagree")
-    c5_witnesses = _witness_classes(n, c5_argmax, c5_mass)
-    s5_witnesses = _witness_classes(n, s5_argmax, s5_mass)
+    c5_witnesses = _witness_classes(n, c5_argmax, c5_mass, deadline)
+    s5_witnesses = _witness_classes(n, s5_argmax, s5_mass, deadline)
     bound = c5_max_bound(n)
     c5_report = BoundReport(
         bound_name="c5_max",
@@ -593,13 +608,15 @@ def verify_c5_max(n: int) -> SweepExtremes:
         witnesses=s5_witnesses,
     )
     result = SweepExtremes(n, total, regular, c5_report, s5_report)
-    _check_sweep_claims(result)
+    _check_sweep_claims(result, deadline)
     return result
 
 
-def _check_sweep_claims(result: SweepExtremes) -> None:
+def _check_sweep_claims(result: SweepExtremes,
+                        deadline: float | None = None) -> None:
     n = result.n
-    corpus = enumerate_regular(n)
+    corpus = enumerate_regular(
+        n, time_budget=_check_deadline(deadline, "the sweep"))
     if result.regular_codes != corpus.labeled_count:
         raise VerificationFailedError(
             f"sweep saw {result.regular_codes} regular codes, enumerator "

@@ -10,6 +10,11 @@ is read, structural ones as validate finds them.  An order outside
 vertex i at line i + 2, col i + 1; and a pair (i, j), i < j, with no
 arc or both arcs at line i + 2, col j + 1.
 This format is the bit-exact ground truth for fixtures.
+
+A row is read as one int, int(row[::-1], 2), only after it is checked
+to hold nothing but 0 and 1: int also takes underscores, surrounding
+spaces, a sign and non-ASCII digits (int("\u0661\u0660\u0661", 2) is
+5), so the check keeps such rows an error at their first bad column.
 """
 
 from __future__ import annotations
@@ -19,6 +24,11 @@ import os
 from .core import Tournament, _check_order, validate
 from .errors import (LoopArcError, MissingOrDoubleArcError,
                      OrderTooLargeError, ParseError, SizeMismatchError)
+
+
+# str.translate table that deletes 0 and 1: a row is binary exactly
+# when nothing is left of it
+_DROP_BITS = str.maketrans("", "", "01")
 
 
 def _decimal(text: str, what: str, line: int, col: int = 1) -> int:
@@ -60,14 +70,11 @@ def parse_tour(text: str) -> Tournament:
         if len(raw) != n:
             raise ParseError(f"row {i} must have exactly {n} characters",
                              line=i + 2, col=min(len(raw) + 1, n + 1))
-        r = 0
-        for j, ch in enumerate(raw):
-            if ch == "1":
-                r |= 1 << j
-            elif ch != "0":
-                raise ParseError("rows may contain only 0 and 1",
-                                 line=i + 2, col=j + 1)
-        rows.append(r)
+        if raw.translate(_DROP_BITS):
+            j = next(j for j, ch in enumerate(raw) if ch not in "01")
+            raise ParseError("rows may contain only 0 and 1",
+                             line=i + 2, col=j + 1)
+        rows.append(int(raw[::-1], 2))
     try:
         return validate(n, rows)
     except (LoopArcError, MissingOrDoubleArcError) as exc:

@@ -11,6 +11,7 @@ labeled sweep's decoder (extremal._code_adjacency), the tournament of
 one edge code by a loop over its pairs; for the join's cross matrices
 (enumeration._cross_matrices), a recursion that copies the column sums
 at every choice and checks each one against the rows left; for
+core.validate's column check, a loop over every pair i < j; for
 canonical_form, the minimum over all n! relabelings; and subtournament
 copies by canonical key.
 They are slow and obviously correct, so the tests hold the library's
@@ -23,8 +24,10 @@ from math import comb
 from typing import Iterator, Sequence
 
 from tourney import CanonicalForm, Tournament, canonical_form, induced
+from tourney.core import _check_order
 from tourney.counting import _c3_within, _check_oracle_order
-from tourney.errors import BadMError
+from tourney.errors import (BadMError, LoopArcError, MissingOrDoubleArcError,
+                            SizeMismatchError)
 
 
 def tournament_from_code(n: int, code: int) -> Tournament:
@@ -44,6 +47,29 @@ def tournament_from_code(n: int, code: int) -> Tournament:
             rows[i + low.bit_length()] |= 1 << i
             beaten_by ^= low
         shift += n - 1 - i
+    return Tournament(n, tuple(rows))
+
+
+def validate_by_pairs(n: int, rows: Sequence[int]) -> Tournament:
+    """Reference for core.validate: the same row checks, then every pair
+    i < j in row-major order, one bit of each row at a time."""
+    _check_order(n)
+    if len(rows) != n:
+        raise SizeMismatchError(f"expected {n} rows, got {len(rows)}")
+    full = (1 << n) - 1
+    for i, row in enumerate(rows):
+        if row < 0 or row & ~full:
+            raise SizeMismatchError(f"row {i} has bits outside vertices 0..{n - 1}")
+        if (row >> i) & 1:
+            raise LoopArcError(f"vertex {i} has an arc to itself", (i, i))
+    for i in range(n):
+        for j in range(i + 1, n):
+            forward = (rows[i] >> j) & 1
+            backward = (rows[j] >> i) & 1
+            if forward == backward:
+                kind = "no arc" if forward == 0 else "both arcs"
+                raise MissingOrDoubleArcError(f"pair ({i}, {j}) has {kind}",
+                                              (i, j))
     return Tournament(n, tuple(rows))
 
 

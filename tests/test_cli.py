@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from tourney import (TRACE_MAX_M, enumerate_regular, format_tour, gen_qr,
                      gen_random, gen_rlt, parse_tour, write_corpus,
                      write_tour)
-from tourney.cli import _emit, main
+from tourney.cli import _build_parser, _emit, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -177,6 +177,35 @@ class TestCount:
         err = assert_usage_error(capsys, "count", "--input", str(path),
                                  "--trace", "100000")
         assert str(TRACE_MAX_M) in err
+
+
+class TestParserReuse:
+    """main builds its parser once per process; parse_args keeps no
+    state in it from one call to the next."""
+
+    def test_one_parser(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_around_usage_errors_print_the_same(self, capsys,
+                                                       tmp_path):
+        path = str(tmp_path / "rlt7.tour")
+        write_tour(gen_rlt(7), path)
+        first = [run(capsys, "count", "--input", path, "--w", "4",
+                     "--w", "5"),
+                 run(capsys, "count", "--input", path),
+                 run(capsys, "gen", "qr", "--p", "7")]
+        for bad in (("gen", "nosuchfamily"), ("count",),
+                    ("--time-budget", "x", "gen", "rlt", "--n", "5")):
+            code, out = run(capsys, *bad)
+            assert code == 2 and out == ""
+            again = [run(capsys, "count", "--input", path, "--w", "4",
+                         "--w", "5"),
+                     run(capsys, "count", "--input", path),
+                     run(capsys, "gen", "qr", "--p", "7")]
+            assert again == first
+        # the appended --w values do not leak into the next call
+        names = [e["name"] for e in json.loads(first[1][1])["quantities"]]
+        assert not any(name.startswith("w") for name in names)
 
 
 class TestBlasThreads:
@@ -372,6 +401,18 @@ class TestEnumerate:
                         ["enumerate", "--verify", path]):
             err = assert_usage_error(capsys, *flags, *command)
             assert "time budget must be a positive finite number" in err
+
+    def test_thm1_honours_the_budget(self, capsys):
+        err = assert_usage_error(capsys, "--time-budget", "0.001",
+                                 "verify", "thm1", "--n", "7")
+        assert "ran past its budget" in err
+
+    def test_thm1_within_its_budget_prints_the_same(self, capsys):
+        code, out = run(capsys, "--time-budget", "600",
+                        "verify", "thm1", "--n", "5")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            GOLDEN["thm1-5"][1]
 
     def test_no_worker_count_knobs(self, capsys, monkeypatch):
         # enumeration runs in this process, so the CLI has no worker cap

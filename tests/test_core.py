@@ -39,6 +39,7 @@ from tourney.errors import (
     MissingOrDoubleArcError,
     OrderTooLargeError,
     SizeMismatchError,
+    TourneyError,
 )
 
 from oracle_reference import (
@@ -46,6 +47,7 @@ from oracle_reference import (
     canonical_form_bruteforce,
     key_for_permutation,
     tournament_from_code,
+    validate_by_pairs,
 )
 
 
@@ -101,6 +103,80 @@ class TestValidate:
     def test_order_zero_rejected(self):
         with pytest.raises(SizeMismatchError):
             validate(0, [])
+
+
+def validate_outcome(check, n: int, rows: list[int]):
+    """What check(n, rows) does: the Tournament it returns, or the type,
+    message and cell of the error it raises."""
+    try:
+        return check(n, rows)
+    except TourneyError as exc:
+        return type(exc), str(exc), getattr(exc, "cell", None)
+
+
+class TestValidateMatchesPairLoop:
+    """validate checks pairs by columns; validate_by_pairs walks every
+    pair i < j.  Both must accept the same rows and report the same first
+    fault, with the same type, message and cell."""
+
+    def same(self, n: int, rows: list[int]) -> None:
+        assert validate_outcome(validate, n, rows) == \
+            validate_outcome(validate_by_pairs, n, rows)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_random_tournaments(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            rows = list(random_tournament(rng, n).out_rows)
+            assert validate(n, rows) == validate_by_pairs(n, rows)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 17, 40, 63, 64])
+    def test_one_fault(self, n):
+        rng = random.Random(1000 + n)
+        for _ in range(30):
+            rows = list(random_tournament(rng, n).out_rows)
+            i, j = rng.sample(range(n), 2)
+            fault = rng.choice(["flip", "double", "clear", "reverse"])
+            if fault == "flip":
+                rows[i] ^= 1 << j
+            elif fault == "double":
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            elif fault == "clear":
+                rows[i] &= ~(1 << j)
+                rows[j] &= ~(1 << i)
+            else:  # still a tournament
+                rows[i] ^= 1 << j
+                rows[j] ^= 1 << i
+            self.same(n, rows)
+
+    @pytest.mark.parametrize("n", [3, 6, 11, 33, 64])
+    def test_several_faults(self, n):
+        rng = random.Random(2000 + n)
+        for _ in range(30):
+            rows = list(random_tournament(rng, n).out_rows)
+            for _ in range(rng.randrange(2, 2 * n)):
+                i, j = rng.sample(range(n), 2)
+                rows[i] ^= 1 << j
+            self.same(n, rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_loops_and_stray_bits(self, n):
+        rng = random.Random(3000 + n)
+        for _ in range(20):
+            rows = list(random_tournament(rng, n).out_rows)
+            i = rng.randrange(n)
+            kind = rng.randrange(4)
+            if kind == 0:
+                rows[i] |= 1 << i
+            elif kind == 1:
+                rows[i] |= 1 << (n + rng.randrange(3))
+            elif kind == 2:
+                rows[i] = -1 - rows[i]
+            else:  # a loop after a missing pair, and a stray bit after both
+                rows[i] |= 1 << i
+                rows[rng.randrange(n)] |= 1 << n
+            self.same(n, rows)
 
 
 class TestMasks:

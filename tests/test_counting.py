@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import astuple
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +39,8 @@ from tourney import (
     trace_m,
     w_formula,
 )
-from tourney.counting import _arc_profiles, _cycles_by_trace
+from tourney.counting import (_adjacency_powers, _arc_profiles,
+                              _cycles_by_trace, _histograms, _union_tables)
 from tourney.errors import BadMError, NotAnArcError, TooLargeError
 
 from oracle_reference import (
@@ -48,6 +50,15 @@ from oracle_reference import (
     tournament_from_code,
     w_by_combinations,
 )
+
+
+# every per-tournament table a counting route keeps
+ROUTE_CACHES = (_arc_profiles, _histograms, _union_tables, _adjacency_powers)
+
+
+def clear_route_caches() -> None:
+    for cache in ROUTE_CACHES:
+        cache.cache_clear()
 
 
 def trace_by_repeated_products(t, m: int) -> int:
@@ -205,7 +216,7 @@ class TestArcProfileMemo:
         def fresh(t):
             values = []
             for f in self._FORMULAS:
-                _arc_profiles.cache_clear()
+                clear_route_caches()
                 values.append(f(t))
             return values
 
@@ -232,6 +243,86 @@ class TestArcProfileMemo:
                 x[0] = 0
             with pytest.raises(ValueError):
                 x += 1
+
+
+class TestRouteCaches:
+    """Each route keeps one table per tournament, and no route reads
+    another's.  Whatever the tables hold, a report must equal the one
+    made from empty tables."""
+
+    _NAMES = {
+        "formula": ["c3", "c4", "c5", "s3", "s4", "s5", "w6", "w7"],
+        "oracle": ["c3", "c4", "c5", "s3", "s4", "s5", "w6", "w7"],
+        "trace": ["c3", "c4", "c5", "tr1", "tr2", "tr6", "tr7", "tr12"],
+    }
+
+    @staticmethod
+    def fresh(t, method: str):
+        clear_route_caches()
+        return count_report(t, TestRouteCaches._NAMES[method], method)
+
+    @pytest.mark.parametrize("n,seed", [(5, 23), (9, 21), (12, 21)])
+    def test_each_route_on_a_then_b_then_a(self, n, seed):
+        a, b = gen_random(n, seed), gen_random(n, seed + 1)
+        copy = Tournament(n, tuple(list(a.out_rows)))
+        want = {(t, how): self.fresh(t, how)
+                for t in (a, b) for how in self._NAMES}
+        assert want[a, "formula"] != want[b, "formula"]
+        clear_route_caches()
+        for how in self._NAMES:  # one route at a time
+            for t in (a, b, a, copy):
+                assert count_report(t, self._NAMES[how], how) == want[t, how]
+        for t in (a, b, a, copy):  # the routes interleaved
+            for how in self._NAMES:
+                assert count_report(t, self._NAMES[how], how) == want[t, how]
+        all_names = ["c3", "c4", "c5", "s3", "s4", "s5"]
+        report = count_report(a, all_names, "all")
+        assert report.cross_checked
+        assert report == count_report(copy, all_names, "all")
+
+    def test_the_cache_is_used(self):
+        t = gen_random(10, 5)
+        clear_route_caches()
+        count_report(t, ["c3", "c4", "c5", "s3", "s4", "s5"], "all")
+        # one build per route; every other call hits
+        for cache in ROUTE_CACHES:
+            assert cache.cache_info().misses == 1
+        assert _union_tables.cache_info().hits == 2
+        assert _adjacency_powers.cache_info().hits == 2
+
+    def test_tables_are_read_only(self):
+        t = gen_random(9, 4)
+        arrays = [*_arc_profiles(t), *_union_tables(t),
+                  *_adjacency_powers(t)]
+        for x in arrays:
+            with pytest.raises(ValueError):
+                x[(0,) * x.ndim] = 1
+            with pytest.raises(ValueError):
+                x += 1
+        hists = _histograms(t)
+        assert isinstance(hists, tuple)
+        assert all(isinstance(h, tuple) for h in hists)
+        assert [sum(h) for h in hists] == [9, 9, 36, 36]
+
+    @pytest.mark.parametrize("n", [7, 16])
+    def test_trace_after_a_cached_call(self, n):
+        t = gen_random(n, 300 + n)
+        clear_route_caches()
+        trace_m(t, 3)
+        for m in range(1, 13):
+            assert trace_m(t, m) == trace_by_repeated_products(t, m)
+        assert _adjacency_powers.cache_info().misses == 1
+
+    def test_trace_object_path_after_a_cached_call(self):
+        # 64**10 = 2**60 runs in int64, 64**11 = 2**66 in Python ints
+        t = gen_random(64, 7)
+        clear_route_caches()
+        assert trace_m(t, 5) == trace_by_repeated_products(t, 5)
+        for m in (10, 11, 12):
+            assert trace_m(t, m) == trace_by_repeated_products(t, m)
+        a, a2 = _adjacency_powers(t)
+        assert a.dtype == a2.dtype == np.int64
+        assert _adjacency_powers.cache_info().misses == 1
 
 
 class TestArcIntersections:

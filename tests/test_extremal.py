@@ -53,7 +53,9 @@ from tourney.core import CanonicalForm, Tournament
 from tourney.errors import (
     BadResidueError,
     InternalParityError,
+    InvalidInput,
     NotRegularError,
+    TimeBudgetExceededError,
     TooLargeError,
     VerificationFailedError,
 )
@@ -265,6 +267,34 @@ class TestSweepDrivers:
         with pytest.raises(TooLargeError):
             verify_c5_max(9)
 
+    def test_time_budget_stops_the_sweep(self):
+        # the labeled sweep alone runs 128 batches at order 7
+        with pytest.raises(TimeBudgetExceededError,
+                           match="the sweep ran past its budget"):
+            verify_c5_max(7, time_budget=0.001)
+
+    def test_time_budget_is_shared_with_the_enumeration(self, sweep5,
+                                                        monkeypatch):
+        # the claim check enumerates the regular classes within what is
+        # left of the one budget, and the result is as without one
+        budgets = []
+        enumerate_regular = extremal.enumerate_regular
+
+        def record(n, *, time_budget=None):
+            budgets.append(time_budget)
+            return enumerate_regular(n, time_budget=time_budget)
+
+        monkeypatch.setattr(extremal, "enumerate_regular", record)
+        assert verify_c5_max(5, time_budget=600.0) == sweep5
+        (budget,) = budgets
+        assert 0 < budget < 600.0
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"),
+                                        float("inf")])
+    def test_time_budget_must_be_positive_finite(self, budget):
+        with pytest.raises(InvalidInput, match="time budget"):
+            verify_c5_max(5, time_budget=budget)
+
     def test_witness_classes_need_a_relabeling_closed_set(self):
         # RLT_5 is the one regular class of order 5, and the class scan
         # reaches it by one extension of weight 5!/|Aut RLT_5| = 24; any
@@ -343,8 +373,8 @@ class TestTwoRoutes:
         # counted
         reduce = extremal._extremes
 
-        def drop_regular(n, batches):
-            summary, (c5_argmax, s5_argmax) = reduce(n, batches)
+        def drop_regular(n, batches, deadline):
+            summary, (c5_argmax, s5_argmax) = reduce(n, batches, deadline)
             kept = [([rows], [w]) for rows, w in members(s5_argmax)
                     if not is_regular(validate(n, rows.tolist()))]
             return summary, [c5_argmax, kept]

@@ -91,3 +91,55 @@ class TestParseErrors:
     def test_empty(self):
         with pytest.raises(ParseError):
             parse_tour("")
+
+
+class TestRowsIntWouldTake:
+    """int(row, 2) takes underscores, surrounding spaces, a sign and
+    non-ASCII digits; a row must hold ASCII 0 and 1 only, so each of
+    these is an error at its first bad column."""
+
+    def err(self, text: str) -> ParseError:
+        with pytest.raises(ParseError) as info:
+            parse_tour(text)
+        return info.value
+
+    @pytest.mark.parametrize("row,col", [
+        ("0_1", 2),
+        (" 01", 1),
+        ("01 ", 3),
+        ("+01", 1),
+        ("-01", 1),
+        ("\u0660\u0660\u0661", 1),  # Arabic-Indic 001
+        ("0\u0660\u0661", 2),
+        ("00\uff11", 3),  # full-width 1
+        ("\uff10\uff10\uff11", 1),
+        ("0b1", 2),
+    ])
+    def test_first_bad_column(self, row, col):
+        e = self.err(f"3\n010\n{row}\n100\n")
+        assert (e.line, e.col) == (3, col)
+        assert str(e).startswith("rows may contain only 0 and 1")
+
+    def test_row_length_wins_over_a_bad_character(self):
+        e = self.err("3\n010\n0_\n100\n")
+        assert (e.line, e.col) == (3, 3)
+        assert "must have exactly 3 characters" in str(e)
+        e = self.err("3\n010\n_0_1\n100\n")
+        assert (e.line, e.col) == (3, 4)
+
+    def test_errors_in_text_order(self):
+        # a bad character before a short row, and a short row before a
+        # bad character: the earlier line is reported
+        e = self.err("3\n010\n0_1\n10\n")
+        assert (e.line, e.col) == (3, 2)
+        e = self.err("3\n010\n00\n1_0\n")
+        assert (e.line, e.col) == (3, 3)
+        # a textual fault is found before a structural one above it
+        e = self.err("3\n110\n001\n1+0\n")
+        assert (e.line, e.col) == (4, 2)
+
+    def test_order_64_rows_read_bit_for_bit(self):
+        rng = random.Random(64)
+        for _ in range(10):
+            t = gen_random(64, rng.randrange(1 << 62))
+            assert parse_tour(format_tour(t)) == t
