@@ -8,12 +8,19 @@ Degree-based classes:
                          |N+(i) & N+(j)| = (n-3)/4
   nearly doubly regular  regular, n = 1 (mod 4), every out-set near regular
 
+The last two are one rule on a vertex mask (_doubly_balanced): the
+subtournament and every member's out-set inside it are balanced, that
+is regular or near regular by parity, at order 3 or 1 (mod 4).  For an
+arc i -> j the common-out-neighbour count is the score of j inside
+N+(i), so the arc condition says that every out-set is regular.
+
 Local classes look one level down: locally transitive means every out-set
 (plus side), in-set (minus side), or both induce a 3-cycle-free
 subtournament; locally regular asks the induced subtournament to be
 regular or near regular according to its parity.  The rotationally-local
 classes recurse exactly one level: rldr / rlndr ask every out-set to
-induce a doubly regular / nearly doubly regular tournament.
+induce a doubly regular / nearly doubly regular tournament, and apply
+that same rule to each out-set's mask.
 
 aat_positive asks every vertex pair for a common out-neighbour (all
 off-diagonal entries of A A^T positive), and landau_feasible checks the
@@ -31,7 +38,7 @@ from functools import cache
 from math import comb
 from typing import Iterator, Sequence
 
-from .core import Tournament, induced, is_strong
+from .core import Tournament, is_strong, vertices_of
 from .counting import _c3_within
 from .errors import BadMError, NotRegularError, NotSortedError
 
@@ -99,48 +106,47 @@ def is_locally_regular(t: Tournament, side: str = "both") -> bool:
     return all(_balanced(t, mask) for mask in _side_masks(t, side))
 
 
+def _doubly_balanced(t: Tournament, mask: int, residue: int) -> bool:
+    """The rule behind the doubly regular family: the subtournament on a
+    vertex mask has order k = residue (mod 4), is balanced, and every
+    member's out-set inside it is balanced too.
+
+    For an arc i -> j, |N+(i) & N+(j)| is the score of j inside N+(i).
+    So in a regular tournament of order k = 3 (mod 4), "every arc has
+    (k-3)/4 common out-neighbours" says that every out-set, of odd size
+    (k-1)/2, induces a regular tournament: doubly regular is this rule
+    with residue 3.  For k = 1 (mod 4) the out-sets have even size and
+    balanced means near regular: nearly doubly regular is residue 1."""
+    rows = t.out_rows
+    return (mask.bit_count() % 4 == residue and _balanced(t, mask)
+            and all(_balanced(t, rows[v] & mask) for v in vertices_of(mask)))
+
+
 def is_doubly_regular(t: Tournament) -> bool:
     """Regular with every arc's common-out-neighbour count (n-3)/4
     (forcing n = 3 mod 4).  Orders 0 and 1 count vacuously."""
-    n = t.n
-    if n <= 1:
-        return True
-    if n % 4 != 3 or not is_regular(t):
-        return False
-    want = (n - 3) // 4
-    rows = t.out_rows
-    for i in range(n):
-        oi = rows[i]
-        row = oi
-        while row:
-            low = row & -row
-            row ^= low
-            if (oi & rows[low.bit_length() - 1]).bit_count() != want:
-                return False
-    return True
+    return t.n <= 1 or _doubly_balanced(t, t.full_mask(), 3)
 
 
 def is_nearly_doubly_regular(t: Tournament) -> bool:
     """Regular with n = 1 (mod 4) and every out-set, of even size
     (n-1)/2, inducing a near-regular subtournament.  Order 1 counts: its
     one out-set is empty."""
-    return t.n % 4 == 1 and is_regular(t) and is_locally_regular(t, "plus")
+    return _doubly_balanced(t, t.full_mask(), 1)
 
 
 def is_rldr(t: Tournament) -> bool:
-    """Regular and every out-set induces a doubly regular tournament."""
-    if not is_regular(t):
-        return False
-    return all(is_doubly_regular(induced(t, t.out_mask(i))) for i in range(t.n))
+    """Regular and every out-set induces a doubly regular tournament,
+    tested on the out-set's mask; out-sets of order 0 and 1 count."""
+    return is_regular(t) and all(
+        r.bit_count() <= 1 or _doubly_balanced(t, r, 3) for r in t.out_rows)
 
 
 def is_rlndr(t: Tournament) -> bool:
     """Regular and every out-set induces a nearly doubly regular
-    tournament."""
-    if not is_regular(t):
-        return False
-    return all(is_nearly_doubly_regular(induced(t, t.out_mask(i)))
-               for i in range(t.n))
+    tournament, tested on the out-set's mask."""
+    return is_regular(t) and all(_doubly_balanced(t, r, 1)
+                                 for r in t.out_rows)
 
 
 def aat_positive(t: Tournament) -> bool:

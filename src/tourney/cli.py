@@ -67,10 +67,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.symbol is None:
             raise InvalidInput("gen rotational needs --symbol")
         try:
-            diffs = frozenset(int(part) for part in args.symbol.split(","))
-        except ValueError:
-            raise InvalidInput(f"--symbol must be comma-separated integers, "
-                               f"got {args.symbol!r}") from None
+            diffs = frozenset(map(_natural, args.symbol.split(",")))
+        except argparse.ArgumentTypeError:
+            raise InvalidInput(
+                f"--symbol must be comma-separated ASCII decimal integers, "
+                f"got {args.symbol!r}") from None
         t = generators.gen_rotational(generators.RotationalSymbol(n, diffs))
     elif family == "qr":
         if args.p is None:
@@ -174,6 +175,23 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 # -- parser ------------------------------------------------------------------
 
+def _natural(text: str) -> int:
+    """An integer argument of ASCII decimal digits only, the rule
+    io._decimal applies to file headers: int() alone would also take a
+    sign, spaces, underscores and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"must be ASCII decimal digits, got {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    """A seed: ASCII decimal digits after at most one leading '-'."""
+    if text.startswith("-"):
+        return -_natural(text[1:])
+    return _natural(text)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
@@ -190,22 +208,22 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("family",
                      choices=["transitive", "rlt", "rotational", "qr",
                               "named", "random"])
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--p", type=int, help="prime for the qr family")
-    gen.add_argument("--power", type=int, default=1,
+    gen.add_argument("--n", type=_natural)
+    gen.add_argument("--p", type=_natural, help="prime for the qr family")
+    gen.add_argument("--power", type=_natural, default=1,
                      help="odd extension degree for qr over a prime power")
     gen.add_argument("--symbol", help="comma-separated differences")
     gen.add_argument("--name", help="named family (see gen_named)")
-    gen.add_argument("--seed", type=int)
+    gen.add_argument("--seed", type=_seed)
     gen.add_argument("--out", help="output path (default stdout)")
 
     count = sub.add_parser("count", help="counting report as JSON")
     count.add_argument("--input", required=True)
     for q in counting._FIXED_QUANTITIES:
         count.add_argument(f"--{q}", action="store_true")
-    count.add_argument("--w", type=int, action="append", metavar="M",
+    count.add_argument("--w", type=_natural, action="append", metavar="M",
                        help="sink-and-source-free subset count of order M")
-    count.add_argument("--trace", type=int, action="append", metavar="M",
+    count.add_argument("--trace", type=_natural, action="append", metavar="M",
                        help="adjacency-power trace of order M, "
                             f"1 <= M <= {counting.TRACE_MAX_M}")
     count.add_argument("--method",
@@ -221,13 +239,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              "7; prop2: order-9 regular corpus extremes; "
                              "lemma1: score-sequence minimization; eq7: the "
                              "regular c5 + 2 c4 identity")
-    verify.add_argument("--n", type=int)
-    verify.add_argument("--p", type=int)
+    verify.add_argument("--n", type=_natural)
+    verify.add_argument("--p", type=_natural)
     verify.add_argument("--corpus")
     verify.add_argument("--input")
 
     enum = sub.add_parser("enumerate", help="regular corpus generation")
-    enum.add_argument("--n", type=int)
+    enum.add_argument("--n", type=_natural)
     enum.add_argument("--constraint", default="regular")
     enum.add_argument("--out", help="write a .corpus file")
     enum.add_argument("--verify", metavar="FILE",

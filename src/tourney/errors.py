@@ -126,7 +126,9 @@ class VerificationFailedError(TourneyError):
 
 
 class TimeBudgetExceededError(TourneyError):
-    """An enumeration ran past its wall-clock budget."""
+    """A budgeted run went past its wall-clock budget: the regular
+    enumeration (enumerate --n) or the exhaustive 5-cycle sweep with its
+    class engine and witness certificate (verify thm1)."""
 
 
 # -- file formats ------------------------------------------------------------

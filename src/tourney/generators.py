@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .classify import is_doubly_regular, is_locally_transitive
-from .core import MAX_ORDER, Tournament, compose, validate
+from .core import MAX_ORDER, Tournament, _check_order, compose, validate
 from .enumeration import enumerate_regular
 from .errors import (
     BadResidueClassError,
@@ -30,7 +30,6 @@ from .errors import (
     EvenOrderError,
     NotPrimeError,
     OrderTooLargeError,
-    SizeMismatchError,
     UnknownNameError,
     VerificationFailedError,
 )
@@ -39,8 +38,7 @@ from .io import parse_tour
 
 def gen_transitive(n: int) -> Tournament:
     """TT_n: i -> j iff i < j, so vertex 0 beats everyone."""
-    if n < 1 or n > MAX_ORDER:
-        raise SizeMismatchError(f"order must be in 1..{MAX_ORDER}, got {n}")
+    _check_order(n)
     full = (1 << n) - 1
     return validate(n, [full & ~((1 << (i + 1)) - 1) for i in range(n)])
 
@@ -55,8 +53,7 @@ class RotationalSymbol:
 
     def __post_init__(self) -> None:
         n = self.n
-        if n < 1 or n > MAX_ORDER:
-            raise BadSymbolError(f"order must be in 1..{MAX_ORDER}, got {n}")
+        _check_order(n)
         if n % 2 == 0:
             raise EvenOrderError(f"rotational tournaments need odd order, got {n}")
         diffs = frozenset(self.diffs)
@@ -285,8 +282,7 @@ def gen_named(name: str) -> Tournament:
 
 def gen_random(n: int, seed: int) -> Tournament:
     """Uniform random orientation of K_n, deterministic in the seed."""
-    if n < 1 or n > MAX_ORDER:
-        raise SizeMismatchError(f"order must be in 1..{MAX_ORDER}, got {n}")
+    _check_order(n)
     rng = random.Random(seed)
     rows = [0] * n
     for i in range(n):

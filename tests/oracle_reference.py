@@ -12,8 +12,10 @@ one edge code by a loop over its pairs; for the join's cross matrices
 (enumeration._cross_matrices), a recursion that copies the column sums
 at every choice and checks each one against the rows left; for
 core.validate's column check, a loop over every pair i < j; for
-canonical_form, the minimum over all n! relabelings; and subtournament
-copies by canonical key.
+canonical_form, the minimum over all n! relabelings; subtournament
+copies by canonical key; and for the doubly regular family of
+tourney.classify, the common out-neighbours of every arc by a pair loop
+and the rotationally-local classes on an induced copy of each out-set.
 They are slow and obviously correct, so the tests hold the library's
 array kernels equal to them."""
 
@@ -23,7 +25,8 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterator, Sequence
 
-from tourney import CanonicalForm, Tournament, canonical_form, induced
+from tourney import (CanonicalForm, Tournament, canonical_form, induced,
+                     is_locally_regular, is_regular)
 from tourney.core import _check_order
 from tourney.counting import _c3_within, _check_oracle_order
 from tourney.errors import (BadMError, LoopArcError, MissingOrDoubleArcError,
@@ -259,3 +262,46 @@ def cross_matrices_by_recursion(row_sums: Sequence[int],
                     yield (mask, *rest)
 
     yield from fill(0, list(col_sums))
+
+
+def doubly_regular_by_pairs(t: Tournament) -> bool:
+    """Regular with every arc's common-out-neighbour count (n-3)/4, by a
+    loop over the arcs (forcing n = 3 mod 4).  Orders 0 and 1 count
+    vacuously."""
+    n = t.n
+    if n <= 1:
+        return True
+    if n % 4 != 3 or not is_regular(t):
+        return False
+    want = (n - 3) // 4
+    rows = t.out_rows
+    for i in range(n):
+        oi = rows[i]
+        row = oi
+        while row:
+            low = row & -row
+            row ^= low
+            if (oi & rows[low.bit_length() - 1]).bit_count() != want:
+                return False
+    return True
+
+
+def nearly_doubly_regular_by_out_sets(t: Tournament) -> bool:
+    """Regular with n = 1 (mod 4) and every out-set near regular."""
+    return t.n % 4 == 1 and is_regular(t) and is_locally_regular(t, "plus")
+
+
+def rldr_by_induced(t: Tournament) -> bool:
+    """Regular and every out-set, copied out by induced, doubly regular
+    by the pair loop."""
+    return is_regular(t) and all(
+        doubly_regular_by_pairs(induced(t, t.out_mask(i)))
+        for i in range(t.n))
+
+
+def rlndr_by_induced(t: Tournament) -> bool:
+    """Regular and every out-set, copied out by induced, nearly doubly
+    regular."""
+    return is_regular(t) and all(
+        nearly_doubly_regular_by_out_sets(induced(t, t.out_mask(i)))
+        for i in range(t.n))

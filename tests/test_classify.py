@@ -5,6 +5,7 @@ balanced score lists) run over the full regular corpora."""
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -19,6 +20,7 @@ from tourney import (
     compose,
     gen_named,
     gen_qr,
+    gen_qr_power,
     gen_random,
     gen_rlt,
     gen_transitive,
@@ -34,13 +36,18 @@ from tourney import (
     landau_feasible,
     scores,
     semi_degree,
+    validate,
+    vertices_of,
 )
 
 from tourney.classify import tournaments_with_scores
 from tourney.enumeration import enumerate_regular
 from tourney.errors import NotRegularError, NotSortedError
 
-from oracle_reference import tournament_from_code
+from oracle_reference import (doubly_regular_by_pairs,
+                              nearly_doubly_regular_by_out_sets,
+                              rldr_by_induced, rlndr_by_induced,
+                              tournament_from_code)
 
 
 class TestBasicPredicates:
@@ -172,6 +179,84 @@ class TestRecursiveLocal:
         assert not is_rldr(gen_qr(31))
         assert not is_rldr(gen_qr(47))
         assert not is_rlndr(gen_qr(43))
+
+
+NAMED = ("delta", "st4", "delta_tt2", "delta_delta", "delta_o_tt3_o",
+         "delta_tt2_o_tt2", "delta_o_delta_o", "dr7", "kz7", "prop2_a",
+         "prop2_b")
+
+
+def family_hits(tournaments) -> list[int]:
+    """Hold is_doubly_regular, is_nearly_doubly_regular, is_rldr and
+    is_rlndr equal to their references in oracle_reference on every
+    tournament, and count how often each one holds."""
+    hits = [0, 0, 0, 0]
+    for t in tournaments:
+        flags = (is_doubly_regular(t), is_nearly_doubly_regular(t),
+                 is_rldr(t), is_rlndr(t))
+        assert flags == (doubly_regular_by_pairs(t),
+                         nearly_doubly_regular_by_out_sets(t),
+                         rldr_by_induced(t), rlndr_by_induced(t)), t
+        hits = [h + f for h, f in zip(hits, flags)]
+    return hits
+
+
+def three_cycle_walk(start, steps: int, seed: int):
+    """start, then the tournament after each of steps reversals of a
+    seeded random 3-cycle.  A reversal keeps every score, so a walk from
+    a regular tournament stays regular and roams its regular classes."""
+    rng = random.Random(seed)
+    n, rows = start.n, list(start.out_rows)
+    full = (1 << n) - 1
+    yield start
+    for _ in range(steps):
+        while True:
+            i = rng.randrange(n)
+            j = rng.choice(vertices_of(rows[i]))
+            # k with j -> k -> i closes the cycle i -> j -> k -> i
+            ks = vertices_of(rows[j] & (full ^ rows[i] ^ (1 << i)))
+            if ks:
+                break
+        k = rng.choice(ks)
+        rows[i] ^= (1 << j) | (1 << k)
+        rows[j] ^= (1 << k) | (1 << i)
+        rows[k] ^= (1 << i) | (1 << j)
+        yield validate(n, rows)
+
+
+class TestDoublyRegularFamilyReferences:
+    """The four predicates share one rule on vertex masks; the pair loop
+    and the induced copies they replaced stay in oracle_reference."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_tournament_of_order_up_to_6(self, n):
+        family_hits(tournament_from_code(n, code)
+                    for code in range(1 << math.comb(n, 2)))
+
+    def test_regular_corpora(self, corpus7, corpus9, corpus11):
+        hits = family_hits(rep for corpus in (corpus7, corpus9, corpus11)
+                           for _, rep in corpus.classes)
+        # DR at 7 and 11, NDR at 9, rldr at 7, rlndr at 11
+        assert all(hits)
+
+    def test_qr_and_rlt(self):
+        primes = [p for p in range(3, 60, 4)
+                  if all(p % d for d in range(2, p))]
+        assert primes == [3, 7, 11, 19, 23, 31, 43, 47, 59]
+        hits = family_hits([*map(gen_qr, primes), gen_qr_power(3, 3),
+                            *map(gen_rlt, range(1, 64, 2))])
+        assert all(hits)
+
+    def test_named_fixtures(self):
+        family_hits(map(gen_named, NAMED))
+
+    def test_random(self):
+        family_hits(gen_random(n, seed) for n in range(7, 65)
+                    for seed in range(3))
+
+    @pytest.mark.parametrize("n", [13, 15, 19, 21, 27])
+    def test_three_cycle_walks_from_rlt(self, n):
+        family_hits(three_cycle_walk(gen_rlt(n), 150, seed=n))
 
 
 class TestAat:

@@ -38,6 +38,27 @@ def assert_usage_error(capsys, *argv: str) -> str:
     return err
 
 
+# every integer flag, with X where the value goes and FILE for a .tour
+INTEGER_FLAGS = [
+    ["gen", "transitive", "--n", "X"],
+    ["gen", "qr", "--p", "X"],
+    ["gen", "qr", "--p", "3", "--power", "X"],
+    ["gen", "random", "--n", "7", "--seed", "X"],
+    ["count", "--input", "FILE", "--w", "X"],
+    ["count", "--input", "FILE", "--trace", "X"],
+    ["verify", "thm1", "--n", "X"],
+    ["verify", "lemma1", "--n", "7", "--p", "X"],
+    ["enumerate", "--n", "X"],
+]
+
+
+@pytest.fixture()
+def rlt7_file(tmp_path):
+    path = tmp_path / "rlt7.tour"
+    write_tour(gen_rlt(7), path)
+    return str(path)
+
+
 class TestGen:
     def test_stdout_tour(self, capsys):
         code, out = run(capsys, "gen", "rlt", "--n", "7")
@@ -80,6 +101,39 @@ class TestGen:
         code, _ = run(capsys, "gen", "qr", "--p", "8")
         assert code == 2
 
+    def test_order_above_the_cap(self, capsys):
+        err = assert_usage_error(capsys, "gen", "transitive", "--n", "65")
+        assert "order 65 exceeds the cap of 64" in err
+
+    def test_seed_may_be_negative(self, capsys):
+        code, out = run(capsys, "gen", "random", "--n", "6", "--seed", "-9")
+        assert code == 0
+        assert parse_tour(out) == gen_random(6, -9)
+
+    @pytest.mark.parametrize("value", ["١,٢,٣", "+1,2,3", "1,2,0_3",
+                                       " 1,2,3", "1,2,-4"],
+                             ids=["arabic-indic", "sign", "underscore",
+                                  "space", "minus"])
+    def test_symbol_parts_are_ascii_digits(self, capsys, value):
+        # int() reads the first four as 1, 2 and 3, the symbol of RLT_7
+        err = assert_usage_error(capsys, "gen", "rotational", "--n", "7",
+                                 "--symbol", value)
+        assert "--symbol must be comma-separated ASCII decimal" in err
+
+    @pytest.mark.parametrize("argv", INTEGER_FLAGS,
+                             ids=[" ".join(a) for a in INTEGER_FLAGS])
+    @pytest.mark.parametrize("bad", ["٧", "+7", "0_7"],
+                             ids=["arabic-indic", "sign", "underscore"])
+    def test_integers_are_ascii_digits(self, capsys, rlt7_file, argv, bad):
+        # int() reads each of these as 7
+        argv = [rlt7_file if a == "FILE" else bad if a == "X" else a
+                for a in argv]
+        flag = argv[argv.index(bad) - 1]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"argument {flag}: must be ASCII decimal digits" in err
+
     @pytest.mark.parametrize("power", ["1", "3"])
     def test_huge_prime_is_refused_before_trial_division(self, capsys,
                                                          power):
@@ -93,12 +147,6 @@ class TestGen:
 
 
 class TestCount:
-    @pytest.fixture()
-    def rlt7_file(self, tmp_path):
-        path = tmp_path / "rlt7.tour"
-        write_tour(gen_rlt(7), path)
-        return str(path)
-
     def test_default_quantities(self, capsys, rlt7_file):
         code, out = run(capsys, "count", "--input", rlt7_file)
         assert code == 0

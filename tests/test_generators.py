@@ -37,10 +37,29 @@ from tourney.errors import (
     BadSymbolError,
     EvenOrderError,
     NotPrimeError,
+    OrderTooLargeError,
+    SizeMismatchError,
     UnknownNameError,
     VerificationFailedError,
 )
 from tourney import generators
+
+
+class TestOrderCheck:
+    """Each generator that takes an order checks it as validate and
+    parse_tour do: SizeMismatchError below 1, OrderTooLargeError above
+    64."""
+
+    @pytest.mark.parametrize("make", [
+        gen_transitive,
+        lambda n: gen_random(n, 1),
+        lambda n: RotationalSymbol(n, frozenset(range(1, (n + 1) // 2))),
+    ], ids=["transitive", "random", "rotational-symbol"])
+    @pytest.mark.parametrize("n, error", [(0, SizeMismatchError),
+                                          (65, OrderTooLargeError)])
+    def test_order_outside_1_to_64(self, make, n, error):
+        with pytest.raises(error, match=str(n)):
+            make(n)
 
 
 class TestTransitive:
