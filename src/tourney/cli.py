@@ -185,6 +185,23 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+def _seconds(text: str | None) -> float | None:
+    """The --time-budget value, None when the flag is absent: ASCII
+    decimal digits with at most one '.', _natural's rule plus a decimal
+    point, where float() alone would also take a sign, spaces,
+    underscores, an exponent, nan, inf and non-ASCII digits.  Anything
+    else raises InvalidInput, as enumeration.check_time_budget does for
+    a budget out of range, so every refused budget prints one error
+    line; the range check stays in check_time_budget alone."""
+    if text is None:
+        return None
+    if not (text.isascii() and text.replace(".", "", 1).isdigit()):
+        raise InvalidInput(f"time budget must be a positive finite number "
+                           f"of seconds in ASCII decimal digits with at "
+                           f"most one '.', got {text!r}")
+    return float(text)
+
+
 def _seed(text: str) -> int:
     """A seed: ASCII decimal digits after at most one leading '-'."""
     if text.startswith("-"):
@@ -199,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tourney",
         description="Construct, count, classify and verify small tournaments.")
-    parser.add_argument("--time-budget", type=float, default=None,
+    parser.add_argument("--time-budget", default=None,
                         help="wall-clock budget in seconds for "
                              "enumerate --n and verify thm1")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -269,6 +286,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
+        args.time_budget = _seconds(args.time_budget)
         enumeration.check_time_budget(args.time_budget)
         return _HANDLERS[args.command](args)
     except SystemExit as exc:

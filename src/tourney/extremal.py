@@ -27,10 +27,16 @@ raise VerificationFailedError the moment a claimed fact fails.
 verify_c5_max runs one reducer, _extremes, over two routes that add one
 vertex to the tournaments of order n - 1:
 
-  labeled sweep  every labeled base, weight 1: all 2^C(n-1,2) upper-
-                 triangle edge codes, decoded by _code_adjacency, the
+  labeled sweep  one of each converse pair, weight 2: the labeled
+                 bases whose top upper-triangle edge-code bit is clear,
+                 2^(C(n-1,2)-1) codes, decoded by _code_adjacency, the
                  one reader of edge codes; the code is only the sweep's
-                 index, so its extensions number 2^C(n,2)
+                 index, so its extensions number 2^(C(n,2)-1) and stand
+                 for all 2^C(n,2).  The converse (every arc reversed)
+                 takes the extension of base c by out-set s to that of
+                 c ^ (2^C(n-1,2) - 1) by s ^ (2^(n-1) - 1), one to one
+                 from the scored half onto the rest, and keeps c5, s5
+                 and regularity
   class scan     the out-rows of every class rep R of order n - 1 from
                  the class engine (enumeration._classes), weighted by
                  R's orbit (n-1)!/|Aut R|; each extension stands for
@@ -39,9 +45,10 @@ vertex to the tournaments of order n - 1:
 
 Both give (mass, regular mass, max c5, c5 witness mass, max s5, s5
 witness mass), and the two must agree.  At order 7 the scan has 56 reps
-and 3,584 extensions against the sweep's 2,097,152.  The scan's
-maximizing extensions, weighted by orbit, then go to certified_classes
-in one block per batch, and their classes must add up to the labeled
+and 3,584 extensions against the sweep's 1,048,576, scored with weight
+2 for the 2,097,152 labeled tournaments.  The scan's maximizing
+extensions, weighted by orbit, then go to certified_classes in one
+block per batch, and their classes must add up to the labeled
 witness mass: 1 and 5 extensions at order 7 for 240 and 2,640 labeled
 maximizers of c5 and s5, 3 and 32 at order 5 for 40 and 544.  The sweep
 keeps no maximizers; it only counts their mass.
@@ -136,7 +143,8 @@ def c5_max_bound(n: int) -> Fraction:
 
     Where each part is checked: over all tournaments, verify_c5_max finds
     it strict at n = 5 and attained by QR_7 alone at n = 7, by the
-    labeled sweep and the class scan;
+    labeled sweep (one of each converse pair, weight 2) and the class
+    scan;
     verify_regular9 finds it strict among the regular tournaments of
     order 9, but no check covers the irregular ones there.  The tests
     find it attained by QR_p for every prime p = 3 (mod 4) from 7 to 59
@@ -163,7 +171,8 @@ def s5_of_rlt(n: int) -> int:
     """(n+1) n (n-1)(n-3)(11 n - 47) / 1920, the strong-5-subset count of
     RLT_n.  That it is the maximum over all tournaments of order n is
     checked exhaustively by verify_c5_max at n = 5 and 7 only, by the
-    labeled sweep and the class scan; above order 7 nothing checks it."""
+    labeled sweep (one of each converse pair, weight 2) and the class
+    scan; above order 7 nothing checks it."""
     _require_odd(n, 3)
     return _exact_div((n + 1) * n * (n - 1) * (n - 3) * (11 * n - 47), 1920)
 
@@ -271,7 +280,8 @@ class MinimizationReport:
 class SweepExtremes:
     """Extremes of every tournament of order n, on which the labeled
     sweep and the class scan agree; total_codes and regular_codes count
-    labeled tournaments."""
+    labeled tournaments, all 2^C(n,2) of them, though the labeled sweep
+    scores one of each converse pair with weight 2."""
 
     n: int
     total_codes: int
@@ -388,6 +398,23 @@ def _cut_forms(x: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 @cache
+def _outsets(m: int) -> tuple[np.ndarray, ...]:
+    """(bit, outsets, s, size), read-only, for the out-sets of a new
+    vertex over m old ones: the vertex indices 0..m-1, the out-set masks
+    0..2^m - 1 as int64, their 0/1 rows (bit k of s_q set when the new
+    vertex beats old vertex k) and their sizes |s_q|."""
+    import numpy as np
+
+    bit = np.arange(m)
+    outsets = np.arange(1 << m, dtype=np.int64)
+    s = _row_bits(outsets, m)
+    tables = bit, outsets, s, s.sum(axis=1)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@cache
 def _vertex_table(n: int) -> np.ndarray:
     """F[i, in_i, s], read-only, of shape (n-1, 2^(n-1), 2^(n-1)): old
     vertex i's part of s5 besides the arcs among old vertices, when its
@@ -427,10 +454,7 @@ def _extension_batch(n: int, a: np.ndarray) -> tuple[np.ndarray, ...]:
 
     m = n - 1
     h = m // 2
-    bit = np.arange(m)
-    outsets = np.arange(1 << m, dtype=np.int64)
-    s = _row_bits(outsets, m)
-    size = s.sum(axis=1)
+    bit, outsets, s, size = _outsets(m)
     sq = a @ a
     cube = sq @ a
     tr5 = (cube * np.swapaxes(sq, 1, 2)).sum(axis=(1, 2))
@@ -453,6 +477,19 @@ def _extension_batch(n: int, a: np.ndarray) -> tuple[np.ndarray, ...]:
     return c5, s5, regular
 
 
+@cache
+def _code_pairs(n: int) -> tuple[np.ndarray, ...]:
+    """(i, j, k), read-only: the pairs i < j of order n in lexicographic
+    order and their bit positions k = 0..C(n, 2) - 1 in an edge code."""
+    import numpy as np
+
+    i, j = np.triu_indices(n, 1)
+    tables = i, j, np.arange(len(i))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _code_adjacency(n: int, codes: np.ndarray) -> np.ndarray:
     """The labeled sweep's decoder, and the one reader of edge codes:
     the 0/1 int64 adjacency matrices, shape (len(codes), n, n), of the
@@ -461,8 +498,8 @@ def _code_adjacency(n: int, codes: np.ndarray) -> np.ndarray:
     i -> j; C(n, 2) <= 63 bits for the sweep's n <= 6."""
     import numpy as np
 
-    i, j = np.triu_indices(n, 1)
-    bits = (codes[:, None] >> np.arange(len(i))) & 1
+    i, j, shifts = _code_pairs(n)
+    bits = (codes[:, None] >> shifts) & 1
     a = np.zeros((len(codes), n, n), dtype=np.int64)
     a[:, i, j] = bits
     a[:, j, i] = 1 - bits
@@ -470,16 +507,23 @@ def _code_adjacency(n: int, codes: np.ndarray) -> np.ndarray:
 
 
 def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, int, None]]:
-    """Every labeled tournament of order n - 1 as an adjacency matrix,
-    in ascending order of its edge code and in batches of _SWEEP_BATCH,
-    each with weight 1 and no out-rows: the labeled sweep keeps no
-    maximizers."""
+    """One of each converse pair of labeled tournaments of order n: the
+    bases of order n - 1 whose top edge-code bit is clear, codes 0 ..
+    2^(C(n-1,2)-1) - 1, as adjacency matrices in ascending order of code
+    and in batches of _SWEEP_BATCH, each with weight 2 and no out-rows:
+    the labeled sweep keeps no maximizers.
+
+    The converse, which reverses every arc, maps the extension of base c
+    by out-set s to that of c ^ (2^C(n-1,2) - 1) by s ^ (2^(n-1) - 1),
+    so it pairs the extensions scored here one to one with those left
+    out.  It keeps c5, s5 and regularity, so each mass and maximum of
+    the weighted half is that of every labeled tournament."""
     import numpy as np
 
-    bases = 1 << comb(n - 1, 2)
+    bases = 1 << (comb(n - 1, 2) - 1)
     for lo in range(0, bases, _SWEEP_BATCH):
         codes = np.arange(lo, min(lo + _SWEEP_BATCH, bases), dtype=np.int64)
-        yield _code_adjacency(n - 1, codes), 1, None
+        yield _code_adjacency(n - 1, codes), 2, None
 
 
 def _class_batches(n: int, deadline: float | None = None

@@ -8,10 +8,12 @@ bitmask rows; for the extremal sweep's vertex table
 its neighbours; for the sweep's out-set terms (extremal._cut_forms), the
 cut form of one matrix and one out-set by a double loop; for the
 labeled sweep's decoder (extremal._code_adjacency), the tournament of
-one edge code by a loop over its pairs; for the join's cross matrices
-(enumeration._cross_matrices), a recursion that copies the column sums
-at every choice and checks each one against the rows left; for
-core.validate's column check, a loop over every pair i < j; for
+one edge code by a loop over its pairs; for the labeled sweep
+(extremal._labeled_batches), which scores one of each converse pair
+with weight 2, every edge code with weight 1; for the join's cross
+matrices (enumeration._cross_matrices), a recursion that copies the
+column sums at every choice and checks each one against the rows left;
+for core.validate's column check, a loop over every pair i < j; for
 canonical_form, the minimum over all n! relabelings; subtournament
 copies by canonical key; and for the doubly regular family of
 tourney.classify, the common out-neighbours of every arc by a pair loop
@@ -236,6 +238,20 @@ def cut_form(x: Sequence[Sequence[int]], s: Sequence[int]) -> int:
     m = len(s)
     return sum(x[i][j] * s[i] * (1 - s[j])
                for i in range(m) for j in range(m) if i != j)
+
+
+def every_code_batches(n: int) -> Iterator[tuple]:
+    """The labeled sweep without its converse halving: every labeled
+    base of order n - 1, all 2^C(n-1,2) edge codes in ascending order
+    and in batches of extremal._SWEEP_BATCH, each with weight 1 and no
+    out-rows, decoded by extremal._code_adjacency."""
+    import numpy as np
+    from tourney.extremal import _SWEEP_BATCH, _code_adjacency
+
+    bases = 1 << comb(n - 1, 2)
+    for lo in range(0, bases, _SWEEP_BATCH):
+        codes = np.arange(lo, min(lo + _SWEEP_BATCH, bases), dtype=np.int64)
+        yield _code_adjacency(n - 1, codes), 1, None
 
 
 def cross_matrices_by_recursion(row_sums: Sequence[int],

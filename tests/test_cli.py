@@ -450,6 +450,25 @@ class TestEnumerate:
             err = assert_usage_error(capsys, *flags, *command)
             assert "time budget must be a positive finite number" in err
 
+    @pytest.mark.parametrize("budget", ["٥", "1_0", " 1", "+1", "1e3"],
+                             ids=["arabic-indic", "underscore", "space",
+                                  "sign", "exponent"])
+    def test_budget_is_ascii_decimal(self, capsys, budget):
+        # float() reads each of these as a positive finite number
+        err = assert_usage_error(capsys, "--time-budget", budget,
+                                 "gen", "rlt", "--n", "5")
+        assert f"ASCII decimal digits with at most one '.', got " \
+               f"{budget!r}" in err
+
+    @pytest.mark.parametrize("budget", ["0.5", "30"])
+    def test_decimal_budgets_run(self, capsys, budget):
+        code, out = run(capsys, "--time-budget", budget,
+                        "gen", "rlt", "--n", "5")
+        assert code == 0 and parse_tour(out) == gen_rlt(5)
+        code, out = run(capsys, "--time-budget", budget,
+                        "enumerate", "--n", "5")
+        assert code == 0 and json.loads(out)["classes"] == 1
+
     def test_thm1_honours_the_budget(self, capsys):
         err = assert_usage_error(capsys, "--time-budget", "0.001",
                                  "verify", "thm1", "--n", "7")

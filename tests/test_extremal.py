@@ -66,7 +66,8 @@ from tourney.extremal import (_class_batches, _code_adjacency, _exact_div,
                               _extension_batch, _extremes, _labeled_batches,
                               _witness_classes, delta_tt3_copies_in_rlt,
                               rlt5_copies_in_rlt)
-from oracle_reference import cut_form, tournament_from_code, vertex_share
+from oracle_reference import (cut_form, every_code_batches,
+                              tournament_from_code, vertex_share)
 
 
 class TestClosedForms:
@@ -268,7 +269,7 @@ class TestSweepDrivers:
             verify_c5_max(9)
 
     def test_time_budget_stops_the_sweep(self):
-        # the labeled sweep alone runs 128 batches at order 7
+        # the labeled sweep alone runs 64 batches at order 7
         with pytest.raises(TimeBudgetExceededError,
                            match="the sweep ran past its budget"):
             verify_c5_max(7, time_budget=0.001)
@@ -333,9 +334,10 @@ def orbit_mass(report: BoundReport) -> int:
 
 
 class TestTwoRoutes:
-    """verify_c5_max reduces every labeled code of order n and the orbit-
-    weighted extensions of every class rep of order n - 1 by one reducer,
-    and raises unless the two summaries agree."""
+    """verify_c5_max reduces one of each converse pair of labeled codes
+    of order n, with weight 2, and the orbit-weighted extensions of every
+    class rep of order n - 1 by one reducer, and raises unless the two
+    summaries agree."""
 
     def test_routes_agree_at_order5(self, sweep5):
         labeled, _ = _extremes(5, _labeled_batches(5))
@@ -394,6 +396,49 @@ class TestTwoRoutes:
                                 (result.s5, s5_formula)):
             for key in report.witnesses:
                 assert formula(rep_of(result.n, key)) == report.observed, key
+
+
+class TestConverseHalving:
+    """The labeled sweep scores one of each converse pair of labeled
+    tournaments with weight 2.  Reversing every arc takes the extension
+    of base c by out-set s to that of c ^ full by s ^ full and keeps c5,
+    s5 and regularity, so each summary entry is the every-code sweep's."""
+
+    @pytest.mark.parametrize("n,sample", [(5, None), (6, None), (7, 256)])
+    def test_kernel_agrees_on_converse_extensions(self, n, sample):
+        # every base of order n - 1 below order 6; at order 7 a seeded
+        # sample of 256 of the 2^15 bases.  Column s ^ full is column s
+        # read backwards
+        m = n - 1
+        full = (1 << comb(m, 2)) - 1
+        base = np.arange(full + 1)
+        if sample:
+            base = np.random.default_rng(n).choice(base, sample,
+                                                   replace=False)
+        scores = _extension_batch(n, _code_adjacency(m, base))
+        converse = _extension_batch(n, _code_adjacency(m, base ^ full))
+        if n % 2:
+            assert scores[2].any()  # the regular flags are not all False
+        for score, image in zip(scores, converse):
+            assert (image[:, ::-1] == score).all()
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_one_of_each_converse_pair_with_weight_2(self, n):
+        m = n - 1
+        i, j = np.triu_indices(m, 1)
+        full = (1 << len(i)) - 1
+        codes = []
+        for a, weight, rows in _labeled_batches(n):
+            assert (weight, rows) == (2, None)
+            codes += (a[:, i, j] << np.arange(len(i))).sum(axis=1).tolist()
+        assert len(codes) == len(set(codes)) == 1 << (len(i) - 1)
+        assert set(codes) | {c ^ full for c in codes} == set(range(full + 1))
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_halved_sweep_equals_every_code(self, n):
+        labeled, argmax = _extremes(n, _labeled_batches(n))
+        assert (labeled, argmax) == _extremes(n, every_code_batches(n))
+        assert labeled[0] == 1 << comb(n, 2)
 
 
 class TestExtensionKernel:
@@ -513,6 +558,22 @@ class TestExtensionKernel:
         assert [t.tolist() for t in tables] == [
             [comb(v, r) for v in range(8)] for r in (2, 3, 4)]
         assert not any(t.flags.writeable for t in tables)
+
+    def test_per_order_constants(self):
+        # built once per order and shared by every batch, so read-only
+        bit, outsets, s, size = extremal._outsets(6)
+        assert extremal._outsets(6) is extremal._outsets(6)
+        assert bit.tolist() == list(range(6))
+        assert outsets.tolist() == list(range(64))
+        assert s.tolist() == self.outsets(6).tolist()
+        assert size.tolist() == [bin(q).count("1") for q in range(64)]
+        i, j, shifts = extremal._code_pairs(6)
+        assert extremal._code_pairs(6) is extremal._code_pairs(6)
+        assert list(zip(i.tolist(), j.tolist())) == [
+            (p, q) for p in range(6) for q in range(p + 1, 6)]
+        assert shifts.tolist() == list(range(15))
+        assert not any(table.flags.writeable for table in
+                       (bit, outsets, s, size, i, j, shifts))
 
     def test_dropped_batch_raises(self, monkeypatch):
         # the labeled sweep's one order-5 batch is the first the kernel
