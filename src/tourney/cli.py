@@ -157,8 +157,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise InvalidInput("enumerate needs --n (or --verify FILE)")
-        if args.constraint != "regular":
-            raise InvalidInput("only --constraint regular is supported")
         corpus = enumeration.enumerate_regular(
             args.n, time_budget=args.time_budget)
         if args.out is not None:
@@ -263,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enum = sub.add_parser("enumerate", help="regular corpus generation")
     enum.add_argument("--n", type=_natural)
-    enum.add_argument("--constraint", default="regular")
     enum.add_argument("--out", help="write a .corpus file")
     enum.add_argument("--verify", metavar="FILE",
                       help="verify an existing .corpus instead")

@@ -14,9 +14,10 @@ Quantities, for a tournament of order n:
         for m in {3, 4, 5} and tr_1 = tr_2 = 0
 
 Each route keeps one table per tournament, built on its first call and
-kept for the next calls on an equal tournament: an lru_cache of size one
-keyed by (n, out_rows), holding read-only arrays or tuples, so no caller
-may write to it.
+kept, keyed by (n, out_rows), for the next calls on an equal tournament.
+Every numpy table the package caches, one per tournament as here or
+one per order, is built under _table, which marks its arrays read-only
+before the cache shares them: no caller may write to a cached table.
 
   formula  _arc_profiles: the out-degrees and the four intersection
            counts of every arc, from one product A A^T, where A is the
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import comb
 from typing import Callable, Sequence
 
@@ -155,6 +156,27 @@ def _row_bits(rows, n: int):
     return bits.view(np.int64)  # 0 and 1 read the same in both types
 
 
+def _table(maxsize: int | None) -> Callable[[Callable], Callable]:
+    """lru_cache(maxsize) for a builder of numpy tables, which returns
+    one array or a tuple of arrays.  Each array is marked read-only
+    before it is cached, since every later call with equal arguments
+    shares it; this is the package's one place that sets the flag.  A
+    cache hit returns the frozen result without running the builder or
+    the freeze, and cache_info and cache_clear work as on any
+    lru_cache.  Per-tournament tables use maxsize=1, per-order ones
+    maxsize=None."""
+    def decorate(build: Callable) -> Callable:
+        @lru_cache(maxsize)
+        @wraps(build)
+        def frozen(*args):
+            tables = build(*args)
+            for x in tables if isinstance(tables, tuple) else (tables,):
+                x.setflags(write=False)
+            return tables
+        return frozen
+    return decorate
+
+
 def _binomial_sum(hist: Sequence[int], r: int) -> int:
     """sum of C(x, r) over values with histogram hist (hist[x] values
     equal x), as a Python int: sum over x of hist[x] * C(x, r), which no
@@ -162,28 +184,24 @@ def _binomial_sum(hist: Sequence[int], r: int) -> int:
     return sum(h * comb(x, r) for x, h in enumerate(hist) if h)
 
 
-@lru_cache(maxsize=1)
+@_table(maxsize=1)
 def _arc_profiles(t: Tournament):
-    """(d, dpp, dmm, dpm, dmp) as read-only int64 arrays: the out-degrees,
+    """(d, dpp, dmm, dpm, dmp) as int64 arrays: the out-degrees,
     and the four intersection counts of each arc i -> j in row-major
     order, from dpp = (A A^T)[i, j] and the degree identities.  The
     product stays in int64: a float64 one would be exact and faster,
     but it would be the only BLAS call of a single-tournament script,
     and OpenBLAS's buffers cost more resident memory than its time is
     worth.  The last result is kept, keyed by (n, out_rows), for the
-    next formula call on an equal tournament, so no caller may write to
-    it."""
+    next formula call on an equal tournament."""
     import numpy as np
 
     a = _row_bits(t.out_rows, t.n)
     d = a.sum(axis=1)
     i, j = np.nonzero(a)
     dpp = (a @ a.T)[i, j]
-    profiles = (d, dpp, t.n - 1 - d[i] - d[j] + dpp, d[i] - 1 - dpp,
-                d[j] - dpp)
-    for x in profiles:
-        x.setflags(write=False)
-    return profiles
+    return (d, dpp, t.n - 1 - d[i] - d[j] + dpp, d[i] - 1 - dpp,
+            d[j] - dpp)
 
 
 @lru_cache(maxsize=1)
@@ -268,16 +286,12 @@ def s5_formula(t: Tournament) -> int:
     return w_formula(t, 5)
 
 
-@lru_cache(maxsize=1)
+@_table(maxsize=1)
 def _adjacency_powers(t: Tournament):
-    """(A, A^2) as read-only int64 arrays.  The last result is kept,
-    keyed by (n, out_rows), for the next trace call on an equal
-    tournament, so no caller may write to it."""
+    """(A, A^2) as int64 arrays.  The last result is kept, keyed by
+    (n, out_rows), for the next trace call on an equal tournament."""
     a = _row_bits(t.out_rows, t.n)
-    a2 = a @ a
-    a.setflags(write=False)
-    a2.setflags(write=False)
-    return a, a2
+    return a, a @ a
 
 
 def trace_m(t: Tournament, m: int) -> int:
@@ -330,29 +344,26 @@ def _check_oracle_order(t: Tournament) -> None:
             f"oracles are capped at order {ORACLE_MAX_ORDER}, got {t.n}")
 
 
-@lru_cache(maxsize=1)
+@_table(maxsize=None)
 def _subset_sizes():
     """sizes[S] = |S| for every vertex mask S below 2^ORACLE_MAX_ORDER,
-    as a read-only int64 table built one vertex at a time."""
+    as an int64 table built one vertex at a time."""
     import numpy as np
 
     sizes = np.zeros(1 << ORACLE_MAX_ORDER, dtype=np.int64)
     for k in range(ORACLE_MAX_ORDER):
         sizes[1 << k:2 << k] = sizes[:1 << k] + 1
-    sizes.setflags(write=False)
     return sizes
 
 
-@lru_cache(maxsize=None)
+@_table(maxsize=None)
 def _subset_masks(n: int, m: int):
-    """The m-subsets of the vertices 0..n-1 as a read-only int64 array of
+    """The m-subsets of the vertices 0..n-1 as an int64 array of
     bitmasks in increasing order; callers keep 1 <= m <= n <=
     ORACLE_MAX_ORDER, so the cache holds at most 78 entries."""
     import numpy as np
 
-    masks = np.flatnonzero(_subset_sizes()[:1 << n] == m).astype(np.int64)
-    masks.setflags(write=False)
-    return masks
+    return np.flatnonzero(_subset_sizes()[:1 << n] == m).astype(np.int64)
 
 
 def _union_table(rows: Sequence[int]):
@@ -366,17 +377,13 @@ def _union_table(rows: Sequence[int]):
     return u
 
 
-@lru_cache(maxsize=1)
+@_table(maxsize=1)
 def _union_tables(t: Tournament):
-    """The _union_table of the out-rows and of the in-rows of t, as
-    read-only int64 arrays.  The last result is kept, keyed by
-    (n, out_rows), for the next oracle call on an equal tournament, so
-    no caller may write to it."""
-    tables = (_union_table(t.out_rows),
-              _union_table([t.in_mask(v) for v in range(t.n)]))
-    for u in tables:
-        u.setflags(write=False)
-    return tables
+    """The _union_table of the out-rows and of the in-rows of t, as int64
+    arrays.  The last result is kept, keyed by (n, out_rows), for the
+    next oracle call on an equal tournament."""
+    return (_union_table(t.out_rows),
+            _union_table([t.in_mask(v) for v in range(t.n)]))
 
 
 def oracle_cycles(t: Tournament, m: int) -> int:

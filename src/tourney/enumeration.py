@@ -112,7 +112,6 @@ import time
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -120,7 +119,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from .classify import is_regular
 from .core import (MAX_CANONICAL_ORDER, CanonicalForm, Tournament,
                    _minimal_relabelings, validate)
-from .counting import _row_bits
+from .counting import _row_bits, _table
 from .errors import (
     BadOrderError,
     CorpusMissingError,
@@ -204,16 +203,14 @@ def _classes(h: int, deadline: float | None
     return reps, orbits
 
 
-@cache
+@_table(maxsize=None)
 def _weight_masks(h: int, weight: int) -> tuple[np.ndarray, np.ndarray]:
     """Masks of one weight over h bits, combinations order, and bits."""
     import numpy as np
 
     chosen = combinations(range(h), weight)
     masks = np.array([sum(1 << b for b in c) for c in chosen], dtype=np.int64)
-    bits = _row_bits(masks, h)
-    masks.flags.writeable = bits.flags.writeable = False
-    return masks, bits
+    return masks, _row_bits(masks, h)
 
 
 def _cross_matrices(row_sums: Sequence[int], col_sums: Sequence[int]
@@ -272,18 +269,14 @@ def _completions(n: int, reps: np.ndarray, orbits: Sequence[int]
             yield _extend(pair, full), plus_count * minus_count * scale
 
 
-@cache
+@_table(maxsize=None)
 def _binomials(n: int) -> tuple[np.ndarray, ...]:
-    """C(v, 2), C(v, 3) and C(v, 4) for 0 <= v <= n as read-only int64
-    arrays, built once per order for the profile pass and the extremal
-    kernel."""
+    """C(v, 2), C(v, 3) and C(v, 4) for 0 <= v <= n as int64 arrays,
+    built once per order for the profile pass and the extremal kernel."""
     import numpy as np
 
-    tables = tuple(np.array([comb(v, r) for v in range(n + 1)],
-                            dtype=np.int64) for r in (2, 3, 4))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return tuple(np.array([comb(v, r) for v in range(n + 1)],
+                          dtype=np.int64) for r in (2, 3, 4))
 
 
 def _c3_profiles(n: int, rows: Sequence[Sequence[int]]

@@ -79,7 +79,9 @@ by C(x + 1, 3) = C(x, 3) + C(x, 2), where o is the entrywise product.
 The two out-set terms are cut forms s^T X u: X = A^3 for c5 and
 X = (A o C(A^2, 2))^T for the arcs, as u^T Y s = s^T Y^T u.  _cut_forms
 takes each over all 2^(n-1) out-sets as one product vec(X) . vec(s u^T)
-in float64, the one place where a counted value passes through a float.
+in float64, the one place where a counted value passes through a float;
+it reads the weights vec(s u^T) from _outsets(n - 1), which builds the
+out-set tables once per order.
 It is exact because every term and partial sum is a non-negative
 integer below 2^53: the sum has (n-1)^2 terms of at most (n-1)^3 each,
 so it stays below (n-1)^5 < 64^5 = 2^30 for any order the package
@@ -89,7 +91,8 @@ vertices, s5 splits into one share per old vertex i,
 C(p_i, 3) - C(out_i, 4) - C(n - 1 - out_i, 4) with p_i the 2-paths along
 i's arc with vertex 0.  In A, vertex i has deg_i = n - 2 - |in_i|, where
 in_i is its in-mask (bit k set when k -> i), so the share depends only
-on i, in_i and s.  _vertex_table(n) lists it once per order as
+on i, in_i and s.  _vertex_table(n) lists it once per order, from
+_outsets(n - 1)'s masks, bits and sizes, as
 F[i, in_i, s], 6 * 64 * 64 int64 entries (192 KiB) at n = 7, and a
 batch reads the shares of its extensions from the rows F[i, in_i]
 instead of computing a degree and a path count for each one.
@@ -99,12 +102,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .core import CanonicalForm, Tournament, canonical_form
-from .counting import _row_bits, c4_formula, c5_formula, s5_formula, trace_m
+from .counting import (_row_bits, _table, c4_formula, c5_formula,
+                       s5_formula, trace_m)
 from .classify import is_nearly_doubly_regular, is_regular, aat_positive
 from .enumeration import (EnumCorpus, _binomials, _check_deadline,
                           _classes, _deadline, _extend, certified_classes,
@@ -374,16 +377,34 @@ def verify_binomial_sum_min(n: int, p: int) -> MinimizationReport:
 # Bases per numpy batch.  The largest arrays of one batch, the
 # gathered vertex shares, hold 256 * (n-1) * 2^(n-1) int64 entries,
 # 768 KiB at n = 7; each cut form holds 256 * 2^(n-1) entries, 128 KiB,
-# and its float64 operands 256 * (n-1)^2 and (n-1)^2 * 2^(n-1), so the
-# sweep's peak memory stays near that of importing numpy.
+# and its float64 operand 256 * (n-1)^2 beside the per-order weight of
+# (n-1)^2 * 2^(n-1), so the sweep's peak memory stays near that of
+# importing numpy.
 _SWEEP_BATCH = 256
 
 
-def _cut_forms(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+@_table(maxsize=None)
+def _outsets(m: int) -> tuple[np.ndarray, ...]:
+    """(bit, outsets, s, size, weight) for the out-sets of a new vertex
+    over m old ones: the vertex indices 0..m-1, the out-set masks
+    0..2^m - 1 as int64, their 0/1 rows (bit k of s_q set when the new
+    vertex beats old vertex k), their sizes |s_q|, and the float64
+    matrix of shape (m m, 2^m) whose column q is vec(s_q u_q^T),
+    u = 1 - s, the weight of _cut_forms."""
+    import numpy as np
+
+    bit = np.arange(m)
+    outsets = np.arange(1 << m, dtype=np.int64)
+    s = _row_bits(outsets, m)
+    outer = (s[:, :, None] * (1 - s)[:, None, :]).reshape(len(s), m * m)
+    return bit, outsets, s, s.sum(axis=1), outer.T.astype(np.float64)
+
+
+def _cut_forms(x: np.ndarray) -> np.ndarray:
     """s_q^T X_b (1 - s_q) for every m x m matrix X_b of the int64 stack
-    x and every 0/1 row s_q of s, as an int64 array of shape
-    (len(x), len(s)): the product vec(X_b) . vec(s_q u_q^T), u = 1 - s,
-    of the (B, m m) and (m m, len(s)) matrices, taken in float64 so that
+    x and every out-set row s_q of _outsets(m), as an int64 array of
+    shape (len(x), 2^m): the product vec(X_b) . vec(s_q u_q^T) of the
+    (B, m m) matrix with _outsets' weight, taken in float64 so that
     numpy hands it to BLAS.  It is exact for the kernel's operands:
     their entries are non-negative integers, and each of the m^2 terms
     is at most m^3, so every partial sum is an integer below m^5, and
@@ -392,51 +413,29 @@ def _cut_forms(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     import numpy as np
 
     m = x.shape[1]
-    outer = (s[:, :, None] * (1 - s)[:, None, :]).reshape(len(s), m * m)
+    *_, weight = _outsets(m)
     return (x.reshape(len(x), m * m).astype(np.float64)
-            @ outer.T.astype(np.float64)).astype(np.int64)
+            @ weight).astype(np.int64)
 
 
-@cache
-def _outsets(m: int) -> tuple[np.ndarray, ...]:
-    """(bit, outsets, s, size), read-only, for the out-sets of a new
-    vertex over m old ones: the vertex indices 0..m-1, the out-set masks
-    0..2^m - 1 as int64, their 0/1 rows (bit k of s_q set when the new
-    vertex beats old vertex k) and their sizes |s_q|."""
-    import numpy as np
-
-    bit = np.arange(m)
-    outsets = np.arange(1 << m, dtype=np.int64)
-    s = _row_bits(outsets, m)
-    tables = bit, outsets, s, s.sum(axis=1)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-@cache
+@_table(maxsize=None)
 def _vertex_table(n: int) -> np.ndarray:
-    """F[i, in_i, s], read-only, of shape (n-1, 2^(n-1), 2^(n-1)): old
-    vertex i's part of s5 besides the arcs among old vertices, when its
-    in-mask is in_i (bit k set when k -> i) and vertex 0's out-set is s.
-    That part is C(p, 3) - C(o, 4) - C(n - 1 - o, 4), with o = deg_i + u_i
-    its out-degree and p the 2-paths along its arc with vertex 0:
+    """F[i, in_i, s] of shape (n-1, 2^(n-1), 2^(n-1)): old vertex i's
+    part of s5 besides the arcs among old vertices, when its in-mask is
+    in_i (bit k set when k -> i) and vertex 0's out-set is s.  That part
+    is C(p, 3) - C(o, 4) - C(n - 1 - o, 4), with o = deg_i + u_i its
+    out-degree and p the 2-paths along its arc with vertex 0:
     (s^T A)_i = |in_i & s| when 0 -> i, and
     (A u)_i = deg_i - |s| + |in_i & s| when i -> 0.  Entries whose in_i
-    holds bit i name no tournament and are never read."""
-    import numpy as np
-
+    holds bit i name no tournament and are never read.  The masks, their
+    bits and their sizes, for in_i and s alike, are _outsets(n - 1)'s."""
     m = n - 1
-    masks = np.arange(1 << m, dtype=np.int64)
-    bits = _row_bits(masks, m)  # [mask, i]
-    size = bits.sum(axis=1)
+    _, masks, bits, size, _ = _outsets(m)  # bits[mask, i]
     u = 1 - bits.T[:, None, :]  # [i, 1, s]
     deg = (m - 1 - size)[:, None]  # [in_i, 1]
     paths = size[masks[:, None] & masks] + u * (deg - size)
     _, c3, c4 = _binomials(n)
-    table = c3[paths] - c4[deg + u] - c4[n - 1 - deg - u]
-    table.flags.writeable = False
-    return table
+    return c3[paths] - c4[deg + u] - c4[n - 1 - deg - u]
 
 
 def _extension_batch(n: int, a: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -454,20 +453,20 @@ def _extension_batch(n: int, a: np.ndarray) -> tuple[np.ndarray, ...]:
 
     m = n - 1
     h = m // 2
-    bit, outsets, s, size = _outsets(m)
+    bit, outsets, _, size, _ = _outsets(m)
     sq = a @ a
     cube = sq @ a
     tr5 = (cube * np.swapaxes(sq, 1, 2)).sum(axis=(1, 2))
     if (tr5 % 5).any():
         raise VerificationFailedError("closed 5-walk total not 5-divisible")
-    c5 = (tr5 // 5)[:, None] + _cut_forms(cube, s)
+    c5 = (tr5 // 5)[:, None] + _cut_forms(cube)
 
     c2, c3, c4 = _binomials(n)
     inmask = (a << bit[:, None]).sum(axis=1)
     s5 = (comb(n, 5) - c4[size] - c4[n - 1 - size]
           + (a * c3[sq]).sum(axis=(1, 2))[:, None]
           # u^T Y s = s^T Y^T u for the arc term's Y = A o C(A^2, 2)
-          + _cut_forms(np.swapaxes(a * c2[sq], 1, 2), s)
+          + _cut_forms(np.swapaxes(a * c2[sq], 1, 2))
           + _vertex_table(n)[bit, inmask].sum(axis=1))
     # regular means deg_i + u_i = h for every old i and |s| = h, so the
     # one regular out-set of a base, if any, has s_i = deg_i - h + 1
@@ -477,17 +476,14 @@ def _extension_batch(n: int, a: np.ndarray) -> tuple[np.ndarray, ...]:
     return c5, s5, regular
 
 
-@cache
+@_table(maxsize=None)
 def _code_pairs(n: int) -> tuple[np.ndarray, ...]:
-    """(i, j, k), read-only: the pairs i < j of order n in lexicographic
-    order and their bit positions k = 0..C(n, 2) - 1 in an edge code."""
+    """(i, j, k): the pairs i < j of order n in lexicographic order and
+    their bit positions k = 0..C(n, 2) - 1 in an edge code."""
     import numpy as np
 
     i, j = np.triu_indices(n, 1)
-    tables = i, j, np.arange(len(i))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return i, j, np.arange(len(i))
 
 
 def _code_adjacency(n: int, codes: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """The public API: every name in tourney.__all__ resolves on the package,
 so `from tourney import *` works, and removed names stay removed.  The
 library checks its claims with raises, not asserts, which `python -O`
-strips."""
+strips.  Every cached numpy table is shared by later callers, so one
+decorator, counting._table, marks them all read-only."""
 
 from __future__ import annotations
 
@@ -37,3 +38,61 @@ def test_library_has_no_assert():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _top_level_nodes():
+    """(module stem, top-level statement) over the package's modules."""
+    for path in sorted(Path(tourney.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            yield path.stem, top
+
+
+def test_only_table_sets_the_write_flag():
+    # counting._table freezes every cached table; no builder does it by
+    # hand
+    found = [f"{stem}.{getattr(top, 'name', top.lineno)}"
+             for stem, top in _top_level_nodes()
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute)
+             and (node.attr == "setflags"
+                  or node.attr == "writeable"
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "flags")]
+    assert found == ["counting._table"]
+
+
+RLT7 = tourney.gen_rlt(7)
+
+# every builder under counting._table, with arguments to build it
+TABLES = {
+    "counting._arc_profiles": (RLT7,),
+    "counting._adjacency_powers": (RLT7,),
+    "counting._union_tables": (RLT7,),
+    "counting._subset_sizes": (),
+    "counting._subset_masks": (5, 2),
+    "enumeration._weight_masks": (4, 2),
+    "enumeration._binomials": (7,),
+    "extremal._outsets": (4,),
+    "extremal._vertex_table": (5,),
+    "extremal._code_pairs": (5,),
+}
+
+
+def test_every_table_builder_is_listed():
+    assert {f"{stem}.{top.name}" for stem, top in _top_level_nodes()
+            if isinstance(top, ast.FunctionDef)
+            and any(isinstance(d, ast.Call) and getattr(d.func, "id", None)
+                    == "_table" for d in top.decorator_list)} == set(TABLES)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_cached_tables_are_shared_and_read_only(name):
+    module, attr = name.split(".")
+    build = getattr(getattr(tourney, module), attr)
+    tables = build(*TABLES[name])
+    hits = build.cache_info().hits
+    assert build(*TABLES[name]) is tables
+    assert build.cache_info().hits == hits + 1
+    for x in tables if isinstance(tables, tuple) else (tables,):
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = x  # leaves the shared table intact if it is writable

@@ -355,6 +355,13 @@ class TestEnumerate:
         code, _ = run(capsys, "enumerate", "--n", "6")
         assert code == 2
 
+    def test_no_constraint_flag(self, capsys):
+        # regular is the one constraint, so enumerate takes no flag for it
+        code = main(["enumerate", "--n", "5", "--constraint", "regular"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unrecognized arguments: --constraint regular" in err
+
     @pytest.mark.parametrize("old,new", [
         (b"n 5", b"n x"),
         (b"class ", b"class zz"),

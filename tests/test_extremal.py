@@ -519,9 +519,9 @@ class TestExtensionKernel:
         rng = np.random.default_rng(m)
         x = rng.integers(-50, 51, (3, m, m))
         x[:, range(m), range(m)] = rng.integers(1, 51, (3, m))
-        s = self.outsets(m)
-        assert extremal._cut_forms(x, s).tolist() == [
-            [cut_form(xb.tolist(), sq.tolist()) for sq in s] for xb in x]
+        assert extremal._cut_forms(x).tolist() == [
+            [cut_form(xb.tolist(), sq.tolist()) for sq in self.outsets(m)]
+            for xb in x]
 
     @pytest.mark.parametrize("n", [5, 7, 9, 11])
     def test_cut_forms_of_the_kernel_operands(self, n):
@@ -548,8 +548,8 @@ class TestExtensionKernel:
         c2 = extremal._binomials(n)[0]
         cube, arcs = sq @ a, a * c2[sq]
         assert (np.diagonal(cube, axis1=1, axis2=2) != 0).any()
-        assert (extremal._cut_forms(cube, s) == dense(cube, s, u)).all()
-        assert (extremal._cut_forms(np.swapaxes(arcs, 1, 2), s)
+        assert (extremal._cut_forms(cube) == dense(cube, s, u)).all()
+        assert (extremal._cut_forms(np.swapaxes(arcs, 1, 2))
                 == dense(arcs, u, s)).all()
 
     def test_binomials(self):
@@ -561,19 +561,23 @@ class TestExtensionKernel:
 
     def test_per_order_constants(self):
         # built once per order and shared by every batch, so read-only
-        bit, outsets, s, size = extremal._outsets(6)
+        bit, outsets, s, size, weight = extremal._outsets(6)
         assert extremal._outsets(6) is extremal._outsets(6)
         assert bit.tolist() == list(range(6))
         assert outsets.tolist() == list(range(64))
         assert s.tolist() == self.outsets(6).tolist()
         assert size.tolist() == [bin(q).count("1") for q in range(64)]
+        assert weight.dtype == np.float64 and weight.shape == (36, 64)
+        assert weight.T.reshape(64, 6, 6).tolist() == [
+            [[sq[i] * (1 - sq[j]) for j in range(6)] for i in range(6)]
+            for sq in self.outsets(6).tolist()]
         i, j, shifts = extremal._code_pairs(6)
         assert extremal._code_pairs(6) is extremal._code_pairs(6)
         assert list(zip(i.tolist(), j.tolist())) == [
             (p, q) for p in range(6) for q in range(p + 1, 6)]
         assert shifts.tolist() == list(range(15))
         assert not any(table.flags.writeable for table in
-                       (bit, outsets, s, size, i, j, shifts))
+                       (bit, outsets, s, size, weight, i, j, shifts))
 
     def test_dropped_batch_raises(self, monkeypatch):
         # the labeled sweep's one order-5 batch is the first the kernel
