@@ -3,6 +3,8 @@
 Subcommands: gen (emit a .tour), count (counting report as JSON),
 classify (classification report as JSON), verify (bound and identity
 drivers as JSON), enumerate (regular corpus generation/verification).
+Each gen family and verify target has a parser of its own that takes
+exactly the flags its builder reads, so any other flag is a usage error.
 
 Exit codes: 0 success, 1 a mathematical claim failed its check, 2 usage,
 parse, or input errors.  JSON output never contains floats; exact
@@ -19,9 +21,10 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import classify, counting, enumeration, extremal, generators, io
+from .core import Tournament
 from .errors import (
     InternalParityError,
     InvalidInput,
@@ -57,45 +60,8 @@ def _write_text(text: str, out: str | None) -> None:
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "transitive":
-        t = generators.gen_transitive(_need(args, "n"))
-    elif family == "rlt":
-        t = generators.gen_rlt(_need(args, "n"))
-    elif family == "rotational":
-        n = _need(args, "n")
-        if args.symbol is None:
-            raise InvalidInput("gen rotational needs --symbol")
-        try:
-            diffs = frozenset(map(_natural, args.symbol.split(",")))
-        except argparse.ArgumentTypeError:
-            raise InvalidInput(
-                f"--symbol must be comma-separated ASCII decimal integers, "
-                f"got {args.symbol!r}") from None
-        t = generators.gen_rotational(generators.RotationalSymbol(n, diffs))
-    elif family == "qr":
-        if args.p is None:
-            raise InvalidInput("gen qr needs --p")
-        t = (generators.gen_qr_power(args.p, args.power)
-             if args.power != 1 else generators.gen_qr(args.p))
-    elif family == "named":
-        if args.name is None:
-            raise InvalidInput("gen named needs --name")
-        t = generators.gen_named(args.name)
-    else:  # random
-        n = _need(args, "n")
-        if args.seed is None:
-            raise InvalidInput("gen random needs --seed")
-        t = generators.gen_random(n, args.seed)
-    _write_text(io.format_tour(t), args.out)
+    _write_text(io.format_tour(args.build(args)), args.out)
     return 0
-
-
-def _need(args: argparse.Namespace, name: str) -> int:
-    value = getattr(args, name)
-    if value is None:
-        raise InvalidInput(f"this generator needs --{name}")
-    return value
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -116,59 +82,66 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    target = args.target
-    if target == "thm1":
-        _emit(extremal.verify_c5_max(_need(args, "n"),
-                                     time_budget=args.time_budget))
-    elif target == "prop2":
-        if args.corpus is None:
-            raise InvalidInput("verify prop2 needs --corpus")
-        corpus = enumeration.read_corpus(args.corpus)
-        enumeration.verify_corpus(corpus)
-        _emit(extremal.verify_regular9(corpus))
-    elif target == "lemma1":
-        if args.p is None:
-            raise InvalidInput("verify lemma1 needs --p")
-        _emit(extremal.verify_binomial_sum_min(_need(args, "n"), args.p))
-    else:  # eq7
-        if args.input is None:
-            raise InvalidInput("verify eq7 needs --input")
-        t = io.read_tour(args.input)
-        lhs, rhs = extremal.regular_identity(t)
-        tl, tr = extremal.regular_identity_trace(t)
-        if lhs != rhs or tl != tr:
-            raise VerificationFailedError(
-                f"identity failed: {lhs} != {rhs} or {tl} != {tr}")
-        _emit({
-            "n": t.n,
-            "lhs": lhs,
-            "rhs": rhs,
-            "trace_lhs": tl,
-            "trace_rhs": tr,
-            "equal": True,
-        })
+    _emit(args.build(args))
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.verify is not None:
+        if args.out is not None:
+            raise InvalidInput("--out writes an enumeration by --n, "
+                               "not a corpus read by --verify")
         corpus = enumeration.read_corpus(args.verify)
         enumeration.verify_corpus(corpus)
     else:
-        if args.n is None:
-            raise InvalidInput("enumerate needs --n (or --verify FILE)")
         corpus = enumeration.enumerate_regular(
             args.n, time_budget=args.time_budget)
         if args.out is not None:
             enumeration.write_corpus(corpus, args.out)
     _emit({
         "n": corpus.n,
-        "constraint": corpus.constraint,
+        "constraint": "regular",
         "labeled_count": corpus.labeled_count,
         "classes": len(corpus.classes),
         "keys": [cf.hex() for cf, _ in corpus.classes],
     })
     return 0
+
+
+# -- gen families and verify targets that need more than one call -----------
+
+def _rotational(args: argparse.Namespace) -> Tournament:
+    try:
+        diffs = frozenset(map(_natural, args.symbol.split(",")))
+    except argparse.ArgumentTypeError:
+        raise InvalidInput(
+            f"--symbol must be comma-separated ASCII decimal integers, "
+            f"got {args.symbol!r}") from None
+    return generators.gen_rotational(
+        generators.RotationalSymbol(args.n, diffs))
+
+
+def _prop2(args: argparse.Namespace) -> dict[str, Any]:
+    corpus = enumeration.read_corpus(args.corpus)
+    enumeration.verify_corpus(corpus)
+    return extremal.verify_regular9(corpus)
+
+
+def _eq7(args: argparse.Namespace) -> dict[str, Any]:
+    t = io.read_tour(args.input)
+    lhs, rhs = extremal.regular_identity(t)
+    tl, tr = extremal.regular_identity_trace(t)
+    if lhs != rhs or tl != tr:
+        raise VerificationFailedError(
+            f"identity failed: {lhs} != {rhs} or {tl} != {tr}")
+    return {
+        "n": t.n,
+        "lhs": lhs,
+        "rhs": rhs,
+        "trace_lhs": tl,
+        "trace_rhs": tr,
+        "equal": True,
+    }
 
 
 # -- parser ------------------------------------------------------------------
@@ -207,6 +180,55 @@ def _seed(text: str) -> int:
     return _natural(text)
 
 
+_NATURAL = {"type": _natural}
+
+# Each gen family and verify target: its name and help, the function of
+# the parsed arguments that builds its result, and the flags it reads,
+# each with add_argument's keywords.
+_FAMILIES = (
+    ("transitive", "TT_n, where i -> j iff i < j",
+     lambda a: generators.gen_transitive(a.n), {"--n": _NATURAL}),
+    ("rlt", "RLT_n, the rotational tournament on 1..(n-1)/2",
+     lambda a: generators.gen_rlt(a.n), {"--n": _NATURAL}),
+    ("rotational", "the rotational tournament of a difference set",
+     _rotational,
+     {"--n": _NATURAL, "--symbol": {"help": "comma-separated differences"}}),
+    ("qr", "the quadratic-residue tournament over GF(p^power)",
+     lambda a: generators.gen_qr_power(a.p, a.power),
+     {"--p": {"type": _natural, "help": "prime, 3 (mod 4)"},
+      "--power": {"type": _natural, "default": 1,
+                  "help": "odd extension degree"}}),
+    ("named", "a named tournament (see gen_named)",
+     lambda a: generators.gen_named(a.name), {"--name": {}}),
+    ("random", "a seeded uniformly random tournament",
+     lambda a: generators.gen_random(a.n, a.seed),
+     {"--n": _NATURAL, "--seed": {"type": _seed}}),
+)
+_TARGETS = (
+    ("thm1", "exhaustive 5-cycle maximum at order 5 or 7",
+     lambda a: extremal.verify_c5_max(a.n, time_budget=a.time_budget),
+     {"--n": _NATURAL}),
+    ("prop2", "order-9 regular corpus extremes", _prop2, {"--corpus": {}}),
+    ("lemma1", "score-sequence minimization",
+     lambda a: extremal.verify_binomial_sum_min(a.n, a.p),
+     {"--n": _NATURAL, "--p": _NATURAL}),
+    ("eq7", "the regular c5 + 2 c4 identity", _eq7, {"--input": {}}),
+)
+
+
+def _add_builders(parser: argparse.ArgumentParser, dest: str,
+                  specs: tuple) -> Iterable[argparse.ArgumentParser]:
+    """One subparser of parser per spec, under dest, each taking its
+    spec's flags, required unless they have a default."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, help_, build, flags in specs:
+        builder = sub.add_parser(name, help=help_)
+        builder.set_defaults(build=build)
+        for flag, kw in flags.items():
+            builder.add_argument(flag, required="default" not in kw, **kw)
+    return sub.choices.values()
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
@@ -220,19 +242,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a tournament in .tour form")
-    gen.add_argument("family",
-                     choices=["transitive", "rlt", "rotational", "qr",
-                              "named", "random"])
-    gen.add_argument("--n", type=_natural)
-    gen.add_argument("--p", type=_natural, help="prime for the qr family")
-    gen.add_argument("--power", type=_natural, default=1,
-                     help="odd extension degree for qr over a prime power")
-    gen.add_argument("--symbol", help="comma-separated differences")
-    gen.add_argument("--name", help="named family (see gen_named)")
-    gen.add_argument("--seed", type=_seed)
-    gen.add_argument("--out", help="output path (default stdout)")
+    gen.set_defaults(run=_cmd_gen)
+    for family in _add_builders(gen, "family", _FAMILIES):
+        family.add_argument("--out", help="output path (default stdout)")
 
     count = sub.add_parser("count", help="counting report as JSON")
+    count.set_defaults(run=_cmd_count)
     count.add_argument("--input", required=True)
     for q in counting._FIXED_QUANTITIES:
         count.add_argument(f"--{q}", action="store_true")
@@ -246,34 +261,21 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="all")
 
     cls = sub.add_parser("classify", help="classification report as JSON")
+    cls.set_defaults(run=_cmd_classify)
     cls.add_argument("--input", required=True)
 
     verify = sub.add_parser("verify", help="bound and identity checks")
-    verify.add_argument("target", choices=["thm1", "prop2", "lemma1", "eq7"],
-                        help="thm1: exhaustive 5-cycle maximum at order 5 or "
-                             "7; prop2: order-9 regular corpus extremes; "
-                             "lemma1: score-sequence minimization; eq7: the "
-                             "regular c5 + 2 c4 identity")
-    verify.add_argument("--n", type=_natural)
-    verify.add_argument("--p", type=_natural)
-    verify.add_argument("--corpus")
-    verify.add_argument("--input")
+    verify.set_defaults(run=_cmd_verify)
+    _add_builders(verify, "target", _TARGETS)
 
     enum = sub.add_parser("enumerate", help="regular corpus generation")
-    enum.add_argument("--n", type=_natural)
+    enum.set_defaults(run=_cmd_enumerate)
+    source = enum.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=_natural)
+    source.add_argument("--verify", metavar="FILE",
+                        help="verify an existing .corpus instead")
     enum.add_argument("--out", help="write a .corpus file")
-    enum.add_argument("--verify", metavar="FILE",
-                      help="verify an existing .corpus instead")
     return parser
-
-
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "count": _cmd_count,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "enumerate": _cmd_enumerate,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -285,7 +287,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         args.time_budget = _seconds(args.time_budget)
         enumeration.check_time_budget(args.time_budget)
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (VerificationFailedError, InternalParityError) as exc:

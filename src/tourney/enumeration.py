@@ -371,11 +371,11 @@ def certified_classes(n: int, blocks: Iterable[tuple[Sequence[Sequence[int]],
 
 @dataclass(frozen=True)
 class EnumCorpus:
-    """Isomorphism classes of one enumeration run: (canonical form,
-    canonical representative) pairs sorted by key, plus the labeled count."""
+    """Isomorphism classes of one enumeration run of regular
+    tournaments: (canonical form, canonical representative) pairs sorted
+    by key, plus the labeled count."""
 
     n: int
-    constraint: str
     labeled_count: int
     classes: tuple[tuple[CanonicalForm, Tournament], ...]
 
@@ -386,7 +386,7 @@ def _corpus_from_keys(n: int, labeled: int, keys: Iterable[int]
     for key in sorted(keys):
         cf = CanonicalForm(n, key)
         classes.append((cf, validate(n, list(cf.rows()))))
-    return EnumCorpus(n, "regular", labeled, tuple(classes))
+    return EnumCorpus(n, labeled, tuple(classes))
 
 
 def enumerate_regular(n: int, *, threads: int = 1,
@@ -421,7 +421,7 @@ def write_corpus(corpus: EnumCorpus, path: str | os.PathLike[str]) -> None:
     parts = [
         _MAGIC,
         f"n {corpus.n}",
-        f"constraint {corpus.constraint}",
+        "constraint regular",
         f"labeled_count {corpus.labeled_count}",
         f"classes {len(corpus.classes)}",
         "",
@@ -503,7 +503,7 @@ def read_corpus(path: str | os.PathLike[str]) -> EnumCorpus:
     if pos != len(lines):
         raise ParseError("trailing content after the last class",
                          line=pos + 1)
-    return EnumCorpus(n, constraint, labeled, tuple(classes))
+    return EnumCorpus(n, labeled, tuple(classes))
 
 
 # class counts known independently of this enumerator, for every order

@@ -332,7 +332,9 @@ def verify_binomial_sum_min(n: int, p: int) -> MinimizationReport:
     report only carries the computed minimum."""
     if p < 2:
         raise BadOrderError(f"need p >= 2, got {p}")
-    if n < 1 or n > 12:
+    if n < 1:
+        raise BadOrderError(f"need n >= 1, got {n}")
+    if n > 12:
         raise TooLargeError(f"sequence sweeps are capped at n = 12, got {n}")
     total = n * (n - 1) // 2
     best = 0
@@ -699,7 +701,7 @@ def verify_regular9(corpus: EnumCorpus) -> dict[str, BoundReport]:
       fixture matrices.  max c5 = 180, attained exactly by the two nearly
       doubly regular classes.
     """
-    if corpus.n != 9 or corpus.constraint != "regular":
+    if corpus.n != 9:
         raise CorpusMissingError("need the order-9 regular corpus")
     if len(corpus.classes) != 15:
         raise VerificationFailedError(

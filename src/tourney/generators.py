@@ -158,7 +158,10 @@ def gen_qr_power(p: int, k: int) -> Tournament:
     Vertices are field elements indexed by base-p digit strings;
     i -> j iff elem(j) - elem(i) is a nonzero square.  The order cap
     comes first, and bounds k before p ** k is computed: p^k >= 2^k,
-    which exceeds MAX_ORDER from k = 7 on."""
+    which exceeds MAX_ORDER from k = 7 on.  k = 1 is gen_qr(p), its
+    refusals included."""
+    if k == 1:
+        return gen_qr(p)
     if p > 1 and (k > MAX_ORDER.bit_length() or p ** k > MAX_ORDER):
         raise OrderTooLargeError(f"order {p}^{k} exceeds {MAX_ORDER}")
     if not _is_prime(p):
@@ -168,8 +171,6 @@ def gen_qr_power(p: int, k: int) -> Tournament:
     if k < 1 or k % 2 == 0:
         raise BadResidueClassError(f"need odd extension degree, got k={k}")
     q = p ** k
-    if k == 1:
-        return gen_qr(p)
     f = _find_irreducible(p, k)
 
     def elem(idx: int) -> tuple[int, ...]:

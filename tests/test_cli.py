@@ -4,6 +4,7 @@ entry point."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -254,6 +255,115 @@ class TestParserReuse:
         # the appended --w values do not leak into the next call
         names = [e["name"] for e in json.loads(first[1][1])["quantities"]]
         assert not any(name.startswith("w") for name in names)
+
+
+# (argv, a flag the command does not read): each argv runs without the flag
+UNREAD_FLAGS = [
+    (["gen", "transitive", "--n", "5"], ["--seed", "3"]),
+    (["gen", "rlt", "--n", "7"], ["--seed", "3"]),
+    (["gen", "rotational", "--n", "7", "--symbol", "1,2,3"], ["--p", "7"]),
+    (["gen", "qr", "--p", "7"], ["--n", "5"]),
+    (["gen", "named", "--name", "kz7"], ["--seed", "7"]),
+    (["gen", "random", "--n", "5", "--seed", "1"], ["--power", "3"]),
+    (["verify", "thm1", "--n", "5"], ["--p", "2"]),
+    (["verify", "prop2", "--corpus", "{corpus9}"], ["--n", "9"]),
+    (["verify", "lemma1", "--n", "5", "--p", "4"], ["--input", "{qr11}"]),
+    (["verify", "eq7", "--input", "{qr11}"], ["--corpus", "{corpus9}"]),
+]
+
+# (argv missing one required flag, that flag)
+MISSING_FLAGS = [
+    (["gen", "transitive"], "--n"),
+    (["gen", "rlt"], "--n"),
+    (["gen", "rotational", "--symbol", "1,2,3"], "--n"),
+    (["gen", "rotational", "--n", "7"], "--symbol"),
+    (["gen", "qr", "--power", "3"], "--p"),
+    (["gen", "named"], "--name"),
+    (["gen", "random", "--seed", "1"], "--n"),
+    (["gen", "random", "--n", "5"], "--seed"),
+    (["verify", "thm1"], "--n"),
+    (["verify", "prop2"], "--corpus"),
+    (["verify", "lemma1", "--p", "4"], "--n"),
+    (["verify", "lemma1", "--n", "5"], "--p"),
+    (["verify", "eq7"], "--input"),
+]
+
+
+def subcommands(parser) -> dict:
+    """The subparsers of parser, by name."""
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestFlagsPerTarget:
+    """Each gen family and verify target takes exactly the flags it
+    reads: any other flag, or a missing required one, is a usage error."""
+
+    @pytest.mark.parametrize("argv,unread", UNREAD_FLAGS,
+                             ids=[" ".join(a[:2]) for a, _ in UNREAD_FLAGS])
+    def test_unread_flag_is_usage_error(self, capsys, golden_inputs, argv,
+                                        unread):
+        argv = [a.format(**golden_inputs) for a in argv]
+        unread = [a.format(**golden_inputs) for a in unread]
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        code = main([*argv, *unread])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"unrecognized arguments: {' '.join(unread)}" in captured.err
+
+    @pytest.mark.parametrize("argv,flag", MISSING_FLAGS,
+                             ids=[f"{' '.join(a[:2])} {f}"
+                                  for a, f in MISSING_FLAGS])
+    def test_missing_flag_is_usage_error(self, capsys, argv, flag):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"the following arguments are required: {flag}" \
+            in captured.err
+
+    def test_enumerate_takes_n_or_verify(self, capsys, tmp_path):
+        path = str(tmp_path / "r5.corpus")
+        out = str(tmp_path / "copy.corpus")
+        code, _ = run(capsys, "enumerate", "--n", "5", "--out", path)
+        assert code == 0
+        for argv in (["enumerate"], ["enumerate", "--n", "5", "--verify",
+                                     path]):
+            code, stdout = run(capsys, *argv)
+            assert code == 2 and stdout == ""
+        err = assert_usage_error(capsys, "enumerate", "--verify", path,
+                                 "--out", out)
+        assert "--out" in err
+        assert not os.path.exists(out)
+
+    def test_lemma1_order_zero(self, capsys):
+        err = assert_usage_error(capsys, "verify", "lemma1", "--n", "0",
+                                 "--p", "2")
+        assert "need n >= 1, got 0" in err
+
+    def test_option_strings(self):
+        commands = subcommands(_build_parser())
+        flags = {}  # (command, family or target) -> {flag: required}
+        for command in ("gen", "verify"):
+            for name, parser in subcommands(commands[command]).items():
+                flags[command, name] = {
+                    opt: action.required for action in parser._actions
+                    for opt in action.option_strings
+                    if opt not in ("-h", "--help")}
+        assert flags == {
+            ("gen", "transitive"): {"--n": True, "--out": False},
+            ("gen", "rlt"): {"--n": True, "--out": False},
+            ("gen", "rotational"): {"--n": True, "--symbol": True,
+                                    "--out": False},
+            ("gen", "qr"): {"--p": True, "--power": False, "--out": False},
+            ("gen", "named"): {"--name": True, "--out": False},
+            ("gen", "random"): {"--n": True, "--seed": True, "--out": False},
+            ("verify", "thm1"): {"--n": True},
+            ("verify", "prop2"): {"--corpus": True},
+            ("verify", "lemma1"): {"--n": True, "--p": True},
+            ("verify", "eq7"): {"--input": True},
+        }
 
 
 class TestBlasThreads:

@@ -541,4 +541,4 @@ class TestCorpusFiles:
 
     def test_verify_rejects_unknown_order(self):
         with pytest.raises(BadOrderError, match="1, 3, 5, 7, 9, 11"):
-            verify_corpus(EnumCorpus(13, "regular", 0, ()))
+            verify_corpus(EnumCorpus(13, 0, ()))

@@ -51,6 +51,7 @@ from tourney import (
 )
 from tourney.core import CanonicalForm, Tournament
 from tourney.errors import (
+    BadOrderError,
     BadResidueError,
     InternalParityError,
     InvalidInput,
@@ -235,6 +236,13 @@ class TestBalancedMinimization:
     def test_enumeration_cap(self):
         with pytest.raises(TooLargeError):
             verify_binomial_sum_min(13, 2)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one(self, n):
+        # an empty sweep is a bad order, not one past the cap
+        with pytest.raises(BadOrderError,
+                           match=f"^need n >= 1, got {n}$"):
+            verify_binomial_sum_min(n, 2)
 
 
 class TestSweepDrivers:
@@ -612,7 +620,7 @@ class TestRegular9Driver:
 
     def test_fails_on_truncated_corpus(self, corpus9):
         from tourney.enumeration import EnumCorpus
-        broken = EnumCorpus(corpus9.n, corpus9.constraint,
-                            corpus9.labeled_count, corpus9.classes[:10])
+        broken = EnumCorpus(corpus9.n, corpus9.labeled_count,
+                            corpus9.classes[:10])
         with pytest.raises(VerificationFailedError):
             verify_regular9(broken)

@@ -36,6 +36,7 @@ from tourney.errors import (
     BadResidueClassError,
     BadSymbolError,
     EvenOrderError,
+    InvalidInput,
     NotPrimeError,
     OrderTooLargeError,
     SizeMismatchError,
@@ -145,6 +146,17 @@ class TestQuadraticResidue:
         with pytest.raises(BadResidueClassError):
             gen_qr_power(3, 2)  # 9 = 3^2 has -1 a square
 
+    @pytest.mark.parametrize("p", [67, 5, 9],
+                             ids=["above-cap", "residue-1", "not-prime"])
+    def test_power_one_refuses_as_gen_qr(self, p):
+        # GF(p^1) is Z_p, so degree 1 is QR_p with QR_p's refusals
+        with pytest.raises(InvalidInput) as direct:
+            gen_qr(p)
+        with pytest.raises(InvalidInput) as via_power:
+            gen_qr_power(p, 1)
+        assert type(via_power.value) is type(direct.value)
+        assert str(via_power.value) == str(direct.value)
+
 
 class TestNamed:
     def test_delta(self):
@@ -187,7 +199,7 @@ class TestNamed:
         # a corpus with the leftover class twice gives two candidates;
         # the check must raise even under python -O
         kz7 = [c for c in corpus7.classes if c[1] == gen_named("kz7")]
-        doubled = EnumCorpus(7, "regular", corpus7.labeled_count,
+        doubled = EnumCorpus(7, corpus7.labeled_count,
                              corpus7.classes + tuple(kz7))
         monkeypatch.setattr(generators, "enumerate_regular",
                             lambda n: doubled)
