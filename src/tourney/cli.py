@@ -229,11 +229,19 @@ def _add_builders(parser: argparse.ArgumentParser, dest: str,
     return sub.choices.values()
 
 
+class _ExactParser(argparse.ArgumentParser):
+    """A parser that takes a long flag only as spelled in full; its
+    subparsers are of its own class, so the rule holds for all of them."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
     state in it between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _ExactParser(
         prog="tourney",
         description="Construct, count, classify and verify small tournaments.")
     parser.add_argument("--time-budget", default=None,

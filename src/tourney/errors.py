@@ -69,10 +69,6 @@ class NotPrimeError(InvalidInput):
     """The quadratic-residue construction needs a prime (or prime power)."""
 
 
-class BadResidueClassError(InvalidInput):
-    """The quadratic-residue construction needs p = 3 (mod 4)."""
-
-
 class UnknownNameError(InvalidInput):
     """gen_named was asked for a family name it does not know."""
 
@@ -110,7 +106,10 @@ class BadOrderError(InvalidInput):
 
 
 class BadResidueError(InvalidInput):
-    """An order in the wrong residue class mod 4 for this quantity."""
+    """A residue the construction cannot take: a prime p other than
+    3 (mod 4) or an even extension degree k for the quadratic-residue
+    tournaments, or an order n in the wrong class mod 4 for an extremal
+    closed form."""
 
 
 class NotRegularError(InvalidInput):

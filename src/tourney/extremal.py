@@ -25,18 +25,15 @@ verify_regular9 audits the enumerated order-9 regular corpus.  Both
 raise VerificationFailedError the moment a claimed fact fails.
 
 verify_c5_max runs one reducer, _extremes, over two routes that add one
-vertex to the tournaments of order n - 1:
+vertex to the tournaments of order n - 1, each as out-rows:
 
-  labeled sweep  one of each converse pair, weight 2: the labeled
-                 bases whose top upper-triangle edge-code bit is clear,
-                 2^(C(n-1,2)-1) codes, decoded by _code_adjacency, the
-                 one reader of edge codes; the code is only the sweep's
-                 index, so its extensions number 2^(C(n,2)-1) and stand
-                 for all 2^C(n,2).  The converse (every arc reversed)
-                 takes the extension of base c by out-set s to that of
-                 c ^ (2^C(n-1,2) - 1) by s ^ (2^(n-1) - 1), one to one
-                 from the scored half onto the rest, and keeps c5, s5
-                 and regularity
+  labeled sweep  the labeled tournaments of order n - 1 in which vertex
+                 1 beats vertex 0, 2^(C(n-1,2)-1) of them, grown from
+                 the empty tournament by enumeration._extend, weight 2;
+                 their extensions number 2^(C(n,2)-1) and stand for all
+                 2^C(n,2), as swapping labels 1 and 2 of an extension
+                 keeps its class and flips the base's arc (0, 1), with
+                 no fixed point
   class scan     the out-rows of every class rep R of order n - 1 from
                  the class engine (enumeration._classes), weighted by
                  R's orbit (n-1)!/|Aut R|; each extension stands for
@@ -54,10 +51,9 @@ maximizers of c5 and s5, 3 and 32 at order 5 for 40 and 544.  The sweep
 keeps no maximizers; it only counts their mass.
 
 Both routes score their extensions with one kernel, _extension_batch,
-on adjacency arrays: the sweep's from its codes, the scan's from its
-reps' out-rows by the one shared unpack, counting._row_bits.  Only the
-scan's argmax hits become out-rows, by enumeration._extend, the helper
-that forms the class engine's candidates.
+on blocks of out-rows, which it unpacks by the one shared unpack,
+counting._row_bits.  Only the scan's argmax hits become the out-rows
+of order n, by enumeration._extend.
 With A the adjacency of vertices 1..n-1, s the 0/1 out-set of vertex 0
 and u = 1 - s, the order-n tournament is T = [[0, s^T], [u, A]], and
 
@@ -146,8 +142,8 @@ def c5_max_bound(n: int) -> Fraction:
 
     Where each part is checked: over all tournaments, verify_c5_max finds
     it strict at n = 5 and attained by QR_7 alone at n = 7, by the
-    labeled sweep (one of each converse pair, weight 2) and the class
-    scan;
+    labeled sweep (the labelings in which vertex 2 beats vertex 1,
+    weight 2) and the class scan;
     verify_regular9 finds it strict among the regular tournaments of
     order 9, but no check covers the irregular ones there.  The tests
     find it attained by QR_p for every prime p = 3 (mod 4) from 7 to 59
@@ -174,8 +170,8 @@ def s5_of_rlt(n: int) -> int:
     """(n+1) n (n-1)(n-3)(11 n - 47) / 1920, the strong-5-subset count of
     RLT_n.  That it is the maximum over all tournaments of order n is
     checked exhaustively by verify_c5_max at n = 5 and 7 only, by the
-    labeled sweep (one of each converse pair, weight 2) and the class
-    scan; above order 7 nothing checks it."""
+    labeled sweep (the labelings in which vertex 2 beats vertex 1,
+    weight 2) and the class scan; above order 7 nothing checks it."""
     _require_odd(n, 3)
     return _exact_div((n + 1) * n * (n - 1) * (n - 3) * (11 * n - 47), 1920)
 
@@ -284,7 +280,7 @@ class SweepExtremes:
     """Extremes of every tournament of order n, on which the labeled
     sweep and the class scan agree; total_codes and regular_codes count
     labeled tournaments, all 2^C(n,2) of them, though the labeled sweep
-    scores one of each converse pair with weight 2."""
+    scores the half in which vertex 2 beats vertex 1 with weight 2."""
 
     n: int
     total_codes: int
@@ -374,7 +370,7 @@ def verify_binomial_sum_min(n: int, p: int) -> MinimizationReport:
     )
 
 
-# -- exhaustive sweeps: labeled codes and class reps ------------------------
+# -- exhaustive sweeps: labeled tournaments and class reps -------------------
 
 # Bases per numpy batch.  The largest arrays of one batch, the
 # gathered vertex shares, hold 256 * (n-1) * 2^(n-1) int64 entries,
@@ -440,22 +436,25 @@ def _vertex_table(n: int) -> np.ndarray:
     return c3[paths] - c4[deg + u] - c4[n - 1 - deg - u]
 
 
-def _extension_batch(n: int, a: np.ndarray) -> tuple[np.ndarray, ...]:
+def _extension_batch(n: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """(c5, s5, regular) of every order-n one-vertex extension of the
-    order-(n-1) tournaments whose 0/1 int64 adjacency matrices are the
-    stack a: each result has shape (len(a), 2^(n-1)), with the extension
-    of base b by out-set s in row b, column s.
+    order-(n-1) tournaments whose int64 out-rows are the rows of rows,
+    shape (B, n-1): each result has shape (B, 2^(n-1)), with the
+    extension of base b by out-set s in row b, column s.
 
     The base's vertices become 1..n-1 and bit k of s means 0 -> k+1, as
-    in enumeration._extend.  With u = 1 - s and old out-degrees
-    deg_A + u, the counts follow from A^2 and A^3 once per base, by the
-    identities in the module docstring, with the out-set terms from
-    _cut_forms and each old vertex's share of s5 from _vertex_table."""
+    in enumeration._extend.  With A the bases' adjacency matrices by
+    counting._row_bits, u = 1 - s and old out-degrees deg_A + u, the
+    counts follow from A^2 and A^3 once per base, by the identities in
+    the module docstring, with the out-set terms from _cut_forms and
+    each old vertex's share of s5 from _vertex_table, read at its
+    in-mask, the vertices other than i that row i leaves out."""
     import numpy as np
 
     m = n - 1
     h = m // 2
     bit, outsets, _, size, _ = _outsets(m)
+    a = _row_bits(rows, m)
     sq = a @ a
     cube = sq @ a
     tr5 = (cube * np.swapaxes(sq, 1, 2)).sum(axis=(1, 2))
@@ -464,7 +463,7 @@ def _extension_batch(n: int, a: np.ndarray) -> tuple[np.ndarray, ...]:
     c5 = (tr5 // 5)[:, None] + _cut_forms(cube)
 
     c2, c3, c4 = _binomials(n)
-    inmask = (a << bit[:, None]).sum(axis=1)
+    inmask = (outsets[-1] ^ 1 << bit) & ~rows
     s5 = (comb(n, 5) - c4[size] - c4[n - 1 - size]
           + (a * c3[sq]).sum(axis=(1, 2))[:, None]
           # u^T Y s = s^T Y^T u for the arc term's Y = A o C(A^2, 2)
@@ -478,91 +477,68 @@ def _extension_batch(n: int, a: np.ndarray) -> tuple[np.ndarray, ...]:
     return c5, s5, regular
 
 
-@_table(maxsize=None)
-def _code_pairs(n: int) -> tuple[np.ndarray, ...]:
-    """(i, j, k): the pairs i < j of order n in lexicographic order and
-    their bit positions k = 0..C(n, 2) - 1 in an edge code."""
+def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, int]]:
+    """Every labeled tournament of order n - 1 in which vertex 1 beats
+    vertex 0, as int64 out-rows in blocks of at most _SWEEP_BATCH, each
+    with weight 2.  They grow from the empty tournament by _extend, one
+    new vertex 0 at a time with every out-set, except the last, whose
+    out-sets are the even ones: bit 0 clear, so vertex 1 beats it.  The
+    last step runs one block at a time, so the sweep holds only the
+    tournaments of order n - 2 and one block.
+
+    Swapping labels 0 and 1 maps each labeled tournament to one in the
+    same class and flips arc (0, 1), with no fixed point, so every class
+    has exactly half of its labelings in the scored half; so does every
+    class of order n among their extensions, by the same swap on
+    vertices 1 and 2."""
     import numpy as np
 
-    i, j = np.triu_indices(n, 1)
-    return i, j, np.arange(len(i))
-
-
-def _code_adjacency(n: int, codes: np.ndarray) -> np.ndarray:
-    """The labeled sweep's decoder, and the one reader of edge codes:
-    the 0/1 int64 adjacency matrices, shape (len(codes), n, n), of the
-    order-n edge codes in the int64 array codes.  Bit k of a code
-    orients the k-th pair i < j in lexicographic order, 1 meaning
-    i -> j; C(n, 2) <= 63 bits for the sweep's n <= 6."""
-    import numpy as np
-
-    i, j, shifts = _code_pairs(n)
-    bits = (codes[:, None] >> shifts) & 1
-    a = np.zeros((len(codes), n, n), dtype=np.int64)
-    a[:, i, j] = bits
-    a[:, j, i] = 1 - bits
-    return a
-
-
-def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, int, None]]:
-    """One of each converse pair of labeled tournaments of order n: the
-    bases of order n - 1 whose top edge-code bit is clear, codes 0 ..
-    2^(C(n-1,2)-1) - 1, as adjacency matrices in ascending order of code
-    and in batches of _SWEEP_BATCH, each with weight 2 and no out-rows:
-    the labeled sweep keeps no maximizers.
-
-    The converse, which reverses every arc, maps the extension of base c
-    by out-set s to that of c ^ (2^C(n-1,2) - 1) by s ^ (2^(n-1) - 1),
-    so it pairs the extensions scored here one to one with those left
-    out.  It keeps c5, s5 and regularity, so each mass and maximum of
-    the weighted half is that of every labeled tournament."""
-    import numpy as np
-
-    bases = 1 << (comb(n - 1, 2) - 1)
-    for lo in range(0, bases, _SWEEP_BATCH):
-        codes = np.arange(lo, min(lo + _SWEEP_BATCH, bases), dtype=np.int64)
-        yield _code_adjacency(n - 1, codes), 2, None
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, n - 1):
+        rows = _extend(rows[:, None, :], np.arange(1 << (k - 1))
+                       ).reshape(-1, k)
+    even = np.arange(0, 1 << (n - 2), 2)
+    step = _SWEEP_BATCH // len(even)
+    for lo in range(0, len(rows), step):
+        yield _extend(rows[lo:lo + step, None, :], even).reshape(-1, n - 1), 2
 
 
 def _class_batches(n: int, deadline: float | None = None
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every class rep R of order n - 1, in key order and in batches of
-    _SWEEP_BATCH, as (adjacency matrices, orbit (n-1)!/|Aut R| as a
-    column, out-rows); the class engine checks deadline as
-    enumerate_regular's does."""
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every class rep R of order n - 1, in key order and in blocks of
+    _SWEEP_BATCH, as (out-rows, orbit (n-1)!/|Aut R| as a column); the
+    class engine checks deadline as enumerate_regular's does."""
     import numpy as np
 
     reps, orbits = _classes(n - 1, deadline)
     orbits = np.array(orbits, dtype=np.int64)[:, None]
     for lo in range(0, len(reps), _SWEEP_BATCH):
-        batch = reps[lo:lo + _SWEEP_BATCH]
-        yield _row_bits(batch, n - 1), orbits[lo:lo + _SWEEP_BATCH], batch
+        yield reps[lo:lo + _SWEEP_BATCH], orbits[lo:lo + _SWEEP_BATCH]
 
 
-def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int,
-                                              np.ndarray | None]],
-              deadline: float | None = None
+def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int]],
+              deadline: float | None = None, *, witnesses: bool
               ) -> tuple[tuple[int, ...], list[list[tuple[np.ndarray, list]]]]:
     """Extremes of the order-n one-vertex extensions of weighted
-    order-(n-1) bases.  batches yields (adjacency matrices, weight,
-    out-rows or None); the weight, a scalar or a column, is broadcast
-    over the rows of _extension_batch(n, adjacency matrices), so every
-    extension of a base carries its weight.  Returns the summary (mass,
-    regular mass, max c5, c5 witness mass, max s5, s5 witness mass),
-    each mass a weight total, and the argmax extensions of c5 and of s5
-    as blocks (out-rows, weights), one per batch that carries out-rows
-    and attains the maximum, built by enumeration._extend.  Raises
-    TimeBudgetExceededError once the monotonic clock passes deadline,
-    checked once per batch."""
+    order-(n-1) bases.  batches yields blocks (out-rows, weight), the
+    block type of certified_classes; the weight, a scalar or a column,
+    is broadcast over the rows of _extension_batch(n, out-rows), so
+    every extension of a base carries its weight.  Returns the summary
+    (mass, regular mass, max c5, c5 witness mass, max s5, s5 witness
+    mass), each mass a weight total, and the argmax extensions of c5 and
+    of s5 as blocks (out-rows, weights), one per batch that attains the
+    maximum, built by enumeration._extend when witnesses is true and
+    empty otherwise.  Raises TimeBudgetExceededError once the monotonic
+    clock passes deadline, checked once per batch."""
     import numpy as np
 
     mass = regular = 0
     best = [-1, -1]
     hit_mass = [0, 0]
     argmax: list[list[tuple[np.ndarray, list[int]]]] = [[], []]
-    for a, weight, rows in batches:
+    for rows, weight in batches:
         _check_deadline(deadline, "the sweep")
-        c5, s5, is_reg = _extension_batch(n, a)
+        c5, s5, is_reg = _extension_batch(n, rows)
         w = np.broadcast_to(weight, c5.shape)
         mass += int(w.sum())
         regular += int(w[is_reg].sum())
@@ -574,7 +550,7 @@ def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int,
                 hit = values == bmax
                 hit_weight = w[hit]
                 hit_mass[q] += int(hit_weight.sum())
-                if rows is not None:
+                if witnesses:
                     b, s = np.nonzero(hit)
                     argmax[q].append((_extend(rows[b], s),
                                       hit_weight.tolist()))
@@ -620,13 +596,15 @@ def verify_c5_max(n: int, *, time_budget: float | None = None
     if n not in (5, 7):
         raise TooLargeError(f"the exhaustive sweep runs at n in {{5, 7}}, got {n}")
     deadline = _deadline(time_budget)
-    labeled, _ = _extremes(n, _labeled_batches(n), deadline)
+    labeled, _ = _extremes(n, _labeled_batches(n), deadline,
+                           witnesses=False)
     total, regular, best_c5, c5_mass, best_s5, s5_mass = labeled
     if total != 1 << comb(n, 2):
         raise VerificationFailedError(
-            f"sweep visited {total} codes, not 2^{comb(n, 2)}")
+            f"sweep visited {total} labeled tournaments, not "
+            f"2^{comb(n, 2)}")
     scan, (c5_argmax, s5_argmax) = _extremes(n, _class_batches(n, deadline),
-                                             deadline)
+                                             deadline, witnesses=True)
     if scan != labeled:
         raise VerificationFailedError(
             f"the labeled sweep {labeled} and the class scan {scan} disagree")
@@ -661,8 +639,8 @@ def _check_sweep_claims(result: SweepExtremes,
         n, time_budget=_check_deadline(deadline, "the sweep"))
     if result.regular_codes != corpus.labeled_count:
         raise VerificationFailedError(
-            f"sweep saw {result.regular_codes} regular codes, enumerator "
-            f"says {corpus.labeled_count}")
+            f"sweep saw {result.regular_codes} regular labeled tournaments, "
+            f"enumerator says {corpus.labeled_count}")
     if n == 7:
         if not result.c5.tight:
             raise VerificationFailedError(

@@ -25,7 +25,7 @@ from .classify import is_doubly_regular, is_locally_transitive
 from .core import MAX_ORDER, Tournament, _check_order, compose, validate
 from .enumeration import enumerate_regular
 from .errors import (
-    BadResidueClassError,
+    BadResidueError,
     BadSymbolError,
     EvenOrderError,
     NotPrimeError,
@@ -108,7 +108,7 @@ def gen_qr(p: int) -> Tournament:
     if not _is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if p % 4 != 3:
-        raise BadResidueClassError(f"need p = 3 (mod 4), got {p} = {p % 4} (mod 4)")
+        raise BadResidueError(f"need p = 3 (mod 4), got {p} = {p % 4} (mod 4)")
     squares = frozenset((x * x) % p for x in range(1, p))
     return gen_rotational(RotationalSymbol(p, squares))
 
@@ -167,9 +167,9 @@ def gen_qr_power(p: int, k: int) -> Tournament:
     if not _is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if p % 4 != 3:
-        raise BadResidueClassError(f"need p = 3 (mod 4), got {p}")
+        raise BadResidueError(f"need p = 3 (mod 4), got {p}")
     if k < 1 or k % 2 == 0:
-        raise BadResidueClassError(f"need odd extension degree, got k={k}")
+        raise BadResidueError(f"need odd extension degree, got k={k}")
     q = p ** k
     f = _find_irreducible(p, k)
 

@@ -7,10 +7,10 @@ bitmask rows; for the extremal sweep's vertex table
 (extremal._vertex_table), one old vertex's share of s5 by a walk over
 its neighbours; for the sweep's out-set terms (extremal._cut_forms), the
 cut form of one matrix and one out-set by a double loop; for the
-labeled sweep's decoder (extremal._code_adjacency), the tournament of
-one edge code by a loop over its pairs; for the labeled sweep
-(extremal._labeled_batches), which scores one of each converse pair
-with weight 2, every edge code with weight 1; for the join's cross
+labeled sweep (extremal._labeled_batches), which grows the labelings
+in which vertex 1 beats vertex 0 and scores them with weight 2, every
+labeled tournament with weight 1, each decoded from its upper-triangle
+edge code by a loop over the code's pairs; for the join's cross
 matrices (enumeration._cross_matrices), a recursion that copies the
 column sums at every choice and checks each one against the rows left;
 for core.validate's column check, a loop over every pair i < j; for
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from tourney import (CanonicalForm, Tournament, canonical_form, induced,
                      is_locally_regular, is_regular)
@@ -240,18 +240,26 @@ def cut_form(x: Sequence[Sequence[int]], s: Sequence[int]) -> int:
                for i in range(m) for j in range(m) if i != j)
 
 
-def every_code_batches(n: int) -> Iterator[tuple]:
-    """The labeled sweep without its converse halving: every labeled
-    base of order n - 1, all 2^C(n-1,2) edge codes in ascending order
-    and in batches of extremal._SWEEP_BATCH, each with weight 1 and no
-    out-rows, decoded by extremal._code_adjacency."""
+def code_rows(n: int, codes: Iterable[int]):
+    """The int64 out-rows, shape (len(codes), n), of the labeled
+    tournaments of order n that the edge codes name, one
+    tournament_from_code each."""
     import numpy as np
-    from tourney.extremal import _SWEEP_BATCH, _code_adjacency
+
+    return np.array([tournament_from_code(n, int(code)).out_rows
+                     for code in codes], dtype=np.int64).reshape(-1, n)
+
+
+def every_code_batches(n: int) -> Iterator[tuple]:
+    """The labeled sweep without its halving: every labeled base of
+    order n - 1, decoded by code_rows from all 2^C(n-1,2) edge codes in
+    ascending order, as blocks (int64 out-rows, weight 1) of
+    extremal._SWEEP_BATCH bases."""
+    from tourney.extremal import _SWEEP_BATCH
 
     bases = 1 << comb(n - 1, 2)
     for lo in range(0, bases, _SWEEP_BATCH):
-        codes = np.arange(lo, min(lo + _SWEEP_BATCH, bases), dtype=np.int64)
-        yield _code_adjacency(n - 1, codes), 1, None
+        yield code_rows(n - 1, range(lo, min(lo + _SWEEP_BATCH, bases))), 1
 
 
 def cross_matrices_by_recursion(row_sums: Sequence[int],

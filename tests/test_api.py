@@ -74,7 +74,6 @@ TABLES = {
     "enumeration._binomials": (7,),
     "extremal._outsets": (4,),
     "extremal._vertex_table": (5,),
-    "extremal._code_pairs": (5,),
 }
 
 

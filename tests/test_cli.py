@@ -288,6 +288,18 @@ MISSING_FLAGS = [
     (["verify", "eq7"], "--input"),
 ]
 
+# flags spelled short of a full name, which argparse would otherwise
+# take as an abbreviation: --n for --name, --time for --time-budget, --o
+# for --out, --met for --method, --ver for --verify, --inp for --input
+ABBREVIATED_FLAGS = [
+    ["gen", "named", "--n", "kz7"],
+    ["--time", "5", "gen", "rlt", "--n", "3"],
+    ["gen", "rlt", "--n", "3", "--o", "{out}"],
+    ["count", "--input", "{qr11}", "--met", "all"],
+    ["enumerate", "--ver", "{corpus9}"],
+    ["classify", "--inp", "{qr11}"],
+]
+
 
 def subcommands(parser) -> dict:
     """The subparsers of parser, by name."""
@@ -298,7 +310,8 @@ def subcommands(parser) -> dict:
 
 class TestFlagsPerTarget:
     """Each gen family and verify target takes exactly the flags it
-    reads: any other flag, or a missing required one, is a usage error."""
+    reads: any other flag, a missing required one, or one not spelled in
+    full is a usage error."""
 
     @pytest.mark.parametrize("argv,unread", UNREAD_FLAGS,
                              ids=[" ".join(a[:2]) for a, _ in UNREAD_FLAGS])
@@ -322,6 +335,15 @@ class TestFlagsPerTarget:
         assert code == 2 and captured.out == ""
         assert f"the following arguments are required: {flag}" \
             in captured.err
+
+    @pytest.mark.parametrize("argv", ABBREVIATED_FLAGS,
+                             ids=[" ".join(a) for a in ABBREVIATED_FLAGS])
+    def test_abbreviated_flag_is_usage_error(self, capsys, golden_inputs,
+                                             tmp_path, argv):
+        out = tmp_path / "out.tour"
+        code = main([a.format(out=out, **golden_inputs) for a in argv])
+        assert code == 2 and capsys.readouterr().out == ""
+        assert not out.exists()
 
     def test_enumerate_takes_n_or_verify(self, capsys, tmp_path):
         path = str(tmp_path / "r5.corpus")

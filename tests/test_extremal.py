@@ -61,13 +61,12 @@ from tourney.errors import (
     VerificationFailedError,
 )
 from tourney import extremal
-from tourney.counting import _cycles_by_trace
+from tourney.counting import _cycles_by_trace, _row_bits
 from tourney.enumeration import _extend
-from tourney.extremal import (_class_batches, _code_adjacency, _exact_div,
-                              _extension_batch, _extremes, _labeled_batches,
-                              _witness_classes, delta_tt3_copies_in_rlt,
-                              rlt5_copies_in_rlt)
-from oracle_reference import (cut_form, every_code_batches,
+from tourney.extremal import (_class_batches, _exact_div, _extension_batch,
+                              _extremes, _labeled_batches, _witness_classes,
+                              delta_tt3_copies_in_rlt, rlt5_copies_in_rlt)
+from oracle_reference import (code_rows, cut_form, every_code_batches,
                               tournament_from_code, vertex_share)
 
 
@@ -308,7 +307,7 @@ class TestSweepDrivers:
         # RLT_5 is the one regular class of order 5, and the class scan
         # reaches it by one extension of weight 5!/|Aut RLT_5| = 24; any
         # other weight leaves the certificate over or short of its orbit
-        _, (_, s5_argmax) = _extremes(5, _class_batches(5))
+        _, (_, s5_argmax) = _extremes(5, _class_batches(5), witnesses=True)
         regular = [(rows, w) for rows, w in members(s5_argmax)
                    if is_regular(validate(5, rows.tolist()))]
         assert [w for _, w in regular] == [24]
@@ -342,14 +341,15 @@ def orbit_mass(report: BoundReport) -> int:
 
 
 class TestTwoRoutes:
-    """verify_c5_max reduces one of each converse pair of labeled codes
-    of order n, with weight 2, and the orbit-weighted extensions of every
-    class rep of order n - 1 by one reducer, and raises unless the two
-    summaries agree."""
+    """verify_c5_max reduces the extensions of the labeled tournaments
+    of order n - 1 in which vertex 1 beats vertex 0, with weight 2, and
+    the orbit-weighted extensions of every class rep of order n - 1 by
+    one reducer, and raises unless the two summaries agree."""
 
     def test_routes_agree_at_order5(self, sweep5):
-        labeled, _ = _extremes(5, _labeled_batches(5))
-        scan, (c5_argmax, s5_argmax) = _extremes(5, _class_batches(5))
+        labeled, _ = _extremes(5, _labeled_batches(5), witnesses=False)
+        scan, (c5_argmax, s5_argmax) = _extremes(5, _class_batches(5),
+                                                 witnesses=True)
         assert labeled == scan == (
             1 << 10, 24, 3, orbit_mass(sweep5.c5), 1, orbit_mass(sweep5.s5))
         assert (scan[3], scan[5]) == (40, 544)
@@ -357,7 +357,8 @@ class TestTwoRoutes:
 
     def test_routes_agree_at_order7(self, sweep7, corpus7):
         # sweep7 ran the labeled route and compared it with this scan
-        scan, (c5_argmax, s5_argmax) = _extremes(7, _class_batches(7))
+        scan, (c5_argmax, s5_argmax) = _extremes(7, _class_batches(7),
+                                                 witnesses=True)
         assert scan == (sweep7.total_codes, sweep7.regular_codes,
                         sweep7.c5.observed, orbit_mass(sweep7.c5),
                         sweep7.s5.observed, orbit_mass(sweep7.s5))
@@ -383,8 +384,9 @@ class TestTwoRoutes:
         # counted
         reduce = extremal._extremes
 
-        def drop_regular(n, batches, deadline):
-            summary, (c5_argmax, s5_argmax) = reduce(n, batches, deadline)
+        def drop_regular(n, batches, deadline, *, witnesses):
+            summary, (c5_argmax, s5_argmax) = reduce(n, batches, deadline,
+                                                     witnesses=witnesses)
             kept = [([rows], [w]) for rows, w in members(s5_argmax)
                     if not is_regular(validate(n, rows.tolist()))]
             return summary, [c5_argmax, kept]
@@ -407,51 +409,60 @@ class TestTwoRoutes:
 
 
 class TestConverseHalving:
-    """The labeled sweep scores one of each converse pair of labeled
-    tournaments with weight 2.  Reversing every arc takes the extension
-    of base c by out-set s to that of c ^ full by s ^ full and keeps c5,
-    s5 and regularity, so each summary entry is the every-code sweep's."""
+    """The labeled sweep scores the labeled tournaments of order n - 1
+    in which vertex 1 beats vertex 0 with weight 2: swapping labels 0
+    and 1 keeps the class and flips that arc, so each summary entry is
+    the every-code sweep's.  Apart from the halving, reversing every arc
+    takes the extension of a base by out-set s to that of its converse
+    by the complement of s, and the kernel keeps c5, s5 and regularity
+    under it."""
 
     @pytest.mark.parametrize("n,sample", [(5, None), (6, None), (7, 256)])
     def test_kernel_agrees_on_converse_extensions(self, n, sample):
         # every base of order n - 1 below order 6; at order 7 a seeded
-        # sample of 256 of the 2^15 bases.  Column s ^ full is column s
-        # read backwards
+        # sample of 256 of the 2^15 bases.  The converse of row i is
+        # its in-mask, and column s ^ full is column s read backwards
         m = n - 1
-        full = (1 << comb(m, 2)) - 1
-        base = np.arange(full + 1)
+        base = np.arange(1 << comb(m, 2))
         if sample:
             base = np.random.default_rng(n).choice(base, sample,
                                                    replace=False)
-        scores = _extension_batch(n, _code_adjacency(m, base))
-        converse = _extension_batch(n, _code_adjacency(m, base ^ full))
+        rows = code_rows(m, base)
+        scores = _extension_batch(n, rows)
+        converse = _extension_batch(n, ((1 << m) - 1 ^ 1 << np.arange(m))
+                                    ^ rows)
         if n % 2:
             assert scores[2].any()  # the regular flags are not all False
         for score, image in zip(scores, converse):
             assert (image[:, ::-1] == score).all()
 
     @pytest.mark.parametrize("n", [5, 7])
-    def test_one_of_each_converse_pair_with_weight_2(self, n):
+    def test_each_labeling_with_1_beating_0_once_with_weight_2(self, n):
+        # every labeled tournament of order n - 1, decoded from its code
         m = n - 1
-        i, j = np.triu_indices(m, 1)
-        full = (1 << len(i)) - 1
-        codes = []
-        for a, weight, rows in _labeled_batches(n):
-            assert (weight, rows) == (2, None)
-            codes += (a[:, i, j] << np.arange(len(i))).sum(axis=1).tolist()
-        assert len(codes) == len(set(codes)) == 1 << (len(i) - 1)
-        assert set(codes) | {c ^ full for c in codes} == set(range(full + 1))
+        half = {rows for rows in map(tuple, code_rows(
+            m, range(1 << comb(m, 2))).tolist()) if rows[1] & 1}
+        seen = []
+        for rows, weight in _labeled_batches(n):
+            assert weight == 2
+            assert rows.dtype == np.int64 and rows.shape[1:] == (m,)
+            seen += map(tuple, rows.tolist())
+        assert len(seen) == len(set(seen)) == len(half) == 1 << comb(m, 2) - 1
+        assert set(seen) == half
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_halved_sweep_equals_every_code(self, n):
-        labeled, argmax = _extremes(n, _labeled_batches(n))
-        assert (labeled, argmax) == _extremes(n, every_code_batches(n))
+        labeled, argmax = _extremes(n, _labeled_batches(n), witnesses=False)
+        assert (labeled, argmax) == _extremes(n, every_code_batches(n),
+                                              witnesses=False)
         assert labeled[0] == 1 << comb(n, 2)
+        assert argmax == [[], []]
 
 
 class TestExtensionKernel:
-    """The sweep's per-code counts against the counting oracles on the
-    labeled tournament each code names."""
+    """The kernel's counts, on bases decoded from edge codes, against
+    the counting oracles on the labeled tournament each extension's code
+    names."""
 
     @staticmethod
     def assert_matches_oracles(n, codes, c5, s5, regular):
@@ -469,7 +480,7 @@ class TestExtensionKernel:
 
     def test_every_order5_code(self):
         base = np.arange(64)
-        c5, s5, regular = _extension_batch(5, _code_adjacency(4, base))
+        c5, s5, regular = _extension_batch(5, code_rows(4, base))
         codes = self.extension_codes(5, base)
         assert codes.tolist() == np.arange(1 << 10).reshape(64, 16).tolist()
         self.assert_matches_oracles(5, codes, c5, s5, regular)
@@ -479,7 +490,7 @@ class TestExtensionKernel:
     def test_order7_codes(self, code):
         # the sampled code's base, with all 64 out-sets of vertex 0
         base = np.array([code >> 6])
-        c5, s5, regular = _extension_batch(7, _code_adjacency(6, base))
+        c5, s5, regular = _extension_batch(7, code_rows(6, base))
         codes = self.extension_codes(7, base)
         assert codes[0, code & 63] == code
         self.assert_matches_oracles(7, codes, c5, s5, regular)
@@ -489,8 +500,8 @@ class TestExtensionKernel:
         # 3,584 extensions include every regular class of order 7, built
         # from the reps' out-rows as the class scan builds its hits
         checked = regular_seen = 0
-        for a, _, reps in _class_batches(7):
-            c5, s5, regular = _extension_batch(7, a)
+        for reps, _ in _class_batches(7):
+            c5, s5, regular = _extension_batch(7, reps)
             rows = _extend(reps[:, None, :], np.arange(64))
             for t_rows, c, s, r in zip(
                     rows.reshape(-1, 7).tolist(), c5.ravel().tolist(),
@@ -501,7 +512,8 @@ class TestExtensionKernel:
                 checked += 1
                 regular_seen += r
         # the five extensions that the module docstring counts as the
-        # s5 maximizers: their orbits add up to the 2,640 regular codes
+        # s5 maximizers: their orbits add up to the 2,640 regular labeled
+        # tournaments
         assert (checked, regular_seen) == (56 * 64, 5)
 
     @pytest.mark.parametrize("n", [5, 7])
@@ -538,13 +550,14 @@ class TestExtensionKernel:
         # random bases
         m = n - 1
         if n == 5:
-            a = _code_adjacency(m, np.arange(64))
+            rows = code_rows(m, range(64))
         elif n == 7:
-            a = np.concatenate([a for a, _, _ in _class_batches(7)]
-                               + [_code_adjacency(m, np.arange(256) * 127)])
+            rows = np.concatenate([reps for reps, _ in _class_batches(7)]
+                                  + [code_rows(m, np.arange(256) * 127)])
         else:
-            a = _code_adjacency(m, np.random.default_rng(n).integers(
+            rows = code_rows(m, np.random.default_rng(n).integers(
                 0, 1 << comb(m, 2), 64))
+        a = _row_bits(rows, m)
         sq = a @ a
         s = self.outsets(m)
         u = 1 - s
@@ -579,13 +592,8 @@ class TestExtensionKernel:
         assert weight.T.reshape(64, 6, 6).tolist() == [
             [[sq[i] * (1 - sq[j]) for j in range(6)] for i in range(6)]
             for sq in self.outsets(6).tolist()]
-        i, j, shifts = extremal._code_pairs(6)
-        assert extremal._code_pairs(6) is extremal._code_pairs(6)
-        assert list(zip(i.tolist(), j.tolist())) == [
-            (p, q) for p in range(6) for q in range(p + 1, 6)]
-        assert shifts.tolist() == list(range(15))
         assert not any(table.flags.writeable for table in
-                       (bit, outsets, s, size, weight, i, j, shifts))
+                       (bit, outsets, s, size, weight))
 
     def test_dropped_batch_raises(self, monkeypatch):
         # the labeled sweep's one order-5 batch is the first the kernel
@@ -593,12 +601,13 @@ class TestExtensionKernel:
         kernel = extremal._extension_batch
         calls = []
 
-        def drop_first(n, a):
+        def drop_first(n, rows):
             calls.append(n)
-            return kernel(n, a[:0] if len(calls) == 1 else a)
+            return kernel(n, rows[:0] if len(calls) == 1 else rows)
 
         monkeypatch.setattr(extremal, "_extension_batch", drop_first)
-        with pytest.raises(VerificationFailedError, match="visited 0 codes"):
+        with pytest.raises(VerificationFailedError,
+                           match="visited 0 labeled tournaments"):
             verify_c5_max(5)
 
 

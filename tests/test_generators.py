@@ -33,7 +33,7 @@ from tourney import (
     scores,
 )
 from tourney.errors import (
-    BadResidueClassError,
+    BadResidueError,
     BadSymbolError,
     EvenOrderError,
     InvalidInput,
@@ -125,7 +125,7 @@ class TestQuadraticResidue:
     def test_rejects_bad_inputs(self):
         with pytest.raises(NotPrimeError):
             gen_qr(9)
-        with pytest.raises(BadResidueClassError):
+        with pytest.raises(BadResidueError):
             gen_qr(13)  # 13 % 4 == 1: j - i and i - j both or neither square
 
     def test_prime_power_field(self):
@@ -143,7 +143,7 @@ class TestQuadraticResidue:
             "0c7c367d179ce2a26a9a62574960053473f59dd14ae9c096029a42afbbc1fa72")
 
     def test_prime_power_rejects_even_degree(self):
-        with pytest.raises(BadResidueClassError):
+        with pytest.raises(BadResidueError):
             gen_qr_power(3, 2)  # 9 = 3^2 has -1 a square
 
     @pytest.mark.parametrize("p", [67, 5, 9],
