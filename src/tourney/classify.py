@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 from .core import Tournament, is_strong, vertices_of
 from .counting import _c3_within
-from .errors import BadMError, NotRegularError, NotSortedError
+from .errors import InvalidInput
 
 _SIDES = ("plus", "minus", "both")
 
@@ -79,7 +79,7 @@ def is_near_regular(t: Tournament) -> bool:
 def semi_degree(t: Tournament) -> int:
     """(n-1)/2 for a regular tournament."""
     if not is_regular(t):
-        raise NotRegularError("semi-degree is defined for regular tournaments")
+        raise InvalidInput("semi-degree is defined for regular tournaments")
     return (t.n - 1) // 2
 
 
@@ -87,7 +87,7 @@ def _side_masks(t: Tournament, side: str) -> Iterator[int]:
     """The out-sets (plus), in-sets (minus), or both, of every vertex,
     made one at a time so that a caller's first failure stops the rest."""
     if side not in _SIDES:
-        raise BadMError(f"side must be one of {_SIDES}, got {side!r}")
+        raise InvalidInput(f"side must be one of {_SIDES}, got {side!r}")
     if side != "minus":
         yield from t.out_rows
     if side != "plus":
@@ -166,7 +166,8 @@ def landau_feasible(seq: Sequence[int]) -> bool:
     prev = 0
     for v in seq:
         if v < prev or v < 0:
-            raise NotSortedError("scores must be non-negative and non-decreasing")
+            raise InvalidInput(
+                "scores must be non-negative and non-decreasing")
         prev = v
     total = 0
     for k, v in enumerate(seq, start=1):

@@ -35,14 +35,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (
-    ArityMismatchError,
-    LoopArcError,
-    MissingOrDoubleArcError,
-    OrderTooLargeError,
-    OutOfRangeError,
-    SizeMismatchError,
-)
+from .errors import ArcError, InvalidInput
 
 MAX_ORDER = 64
 MAX_CANONICAL_ORDER = 16
@@ -107,30 +100,29 @@ class Tournament:
 
 
 def _check_order(n: int) -> None:
-    """Raise SizeMismatchError for n < 1 and OrderTooLargeError for
-    n > MAX_ORDER."""
+    """Raise InvalidInput for n < 1 and for n > MAX_ORDER."""
     if n < 1:
-        raise SizeMismatchError(f"order must be >= 1, got {n}")
+        raise InvalidInput(f"order must be >= 1, got {n}")
     if n > MAX_ORDER:
-        raise OrderTooLargeError(f"order {n} exceeds the cap of {MAX_ORDER}")
+        raise InvalidInput(f"order {n} exceeds the cap of {MAX_ORDER}")
 
 
 def validate(n: int, rows: Sequence[int]) -> Tournament:
     """Check the tournament axioms and build a Tournament.
 
-    Raises SizeMismatchError (bad n, row count, or stray bits outside the
-    vertex range), LoopArcError (diagonal bit), MissingOrDoubleArcError
-    (some pair without exactly one arc), OrderTooLargeError (n > 64).
+    Raises InvalidInput for an order outside 1..64, a wrong row count
+    or stray bits outside the vertex range, and ArcError, with its cell,
+    for a diagonal bit or a pair without exactly one arc.
     """
     _check_order(n)
     if len(rows) != n:
-        raise SizeMismatchError(f"expected {n} rows, got {len(rows)}")
+        raise InvalidInput(f"expected {n} rows, got {len(rows)}")
     full = (1 << n) - 1
     for i, row in enumerate(rows):
         if row < 0 or row & ~full:
-            raise SizeMismatchError(f"row {i} has bits outside vertices 0..{n - 1}")
+            raise InvalidInput(f"row {i} has bits outside vertices 0..{n - 1}")
         if (row >> i) & 1:
-            raise LoopArcError(f"vertex {i} has an arc to itself", (i, i))
+            raise ArcError(f"vertex {i} has an arc to itself", (i, i))
     # bit j of row i sits at flat[i * n + j], so column i, the in-arcs
     # of vertex i, is flat[i::n]; pair (i, j) has exactly one arc when
     # bit j of row i and of column i differ.  The mismatches are
@@ -142,15 +134,14 @@ def validate(n: int, rows: Sequence[int]) -> Tournament:
         if bad:
             j = (bad & -bad).bit_length() - 1
             kind = "no arc" if (row >> j) & 1 == 0 else "both arcs"
-            raise MissingOrDoubleArcError(f"pair ({i}, {j}) has {kind}",
-                                          (i, j))
+            raise ArcError(f"pair ({i}, {j}) has {kind}", (i, j))
     return Tournament(n, tuple(rows))
 
 
 def _as_subset_mask(t: Tournament, subset: VertexSet | Iterable[int]) -> int:
     mask = subset if isinstance(subset, int) else mask_of(subset)
     if mask < 0 or mask & ~t.full_mask():
-        raise OutOfRangeError("vertex set is not a subset of the host tournament")
+        raise InvalidInput("vertex set is not a subset of the host tournament")
     return mask
 
 
@@ -185,12 +176,12 @@ def compose(t: Tournament, replacements: Sequence[Tournament]) -> Tournament:
     follow the host arc.  Blocks are laid out in host-vertex order.
     """
     if len(replacements) != t.n:
-        raise ArityMismatchError(
+        raise InvalidInput(
             f"need {t.n} replacement tournaments, got {len(replacements)}")
     orders = [r.n for r in replacements]
     total = sum(orders)
     if total > MAX_ORDER:
-        raise OrderTooLargeError(f"composed order {total} exceeds {MAX_ORDER}")
+        raise InvalidInput(f"composed order {total} exceeds {MAX_ORDER}")
     offsets = [0] * t.n
     for i in range(1, t.n):
         offsets[i] = offsets[i - 1] + orders[i - 1]
@@ -323,7 +314,7 @@ def _minimal_relabelings(t: Tournament) -> tuple[CanonicalForm, int]:
     """
     n = t.n
     if n > MAX_CANONICAL_ORDER:
-        raise OrderTooLargeError(
+        raise InvalidInput(
             f"canonicalization capped at order {MAX_CANONICAL_ORDER}, got {n}")
     rows = t.out_rows
     best = 1 << n * n

@@ -77,12 +77,7 @@ from math import comb
 from typing import Callable, Sequence
 
 from .core import Tournament
-from .errors import (
-    BadMError,
-    InternalParityError,
-    NotAnArcError,
-    TooLargeError,
-)
+from .errors import InternalParityError, InvalidInput
 
 ORACLE_MAX_ORDER = 12
 TRACE_MAX_M = 1024
@@ -110,7 +105,7 @@ class ArcIntersection:
 
 def arc_intersections(t: Tournament, i: int, j: int) -> ArcIntersection:
     if not t.has_arc(i, j):
-        raise NotAnArcError(f"({i}, {j}) is not an arc")
+        raise InvalidInput(f"({i}, {j}) is not an arc")
     oi, oj = t.out_rows[i], t.out_rows[j]
     mi, mj = t.in_mask(i), t.in_mask(j)
     return ArcIntersection(
@@ -263,7 +258,7 @@ def w_formula(t: Tournament, m: int) -> int:
     dpm = |N+(i) & N-(j)| = d_i - 1 - (A A^T)[i, j].
     Returns 0 for m > n."""
     if m < 3:
-        raise BadMError(f"w_m needs m >= 3, got {m}")
+        raise InvalidInput(f"w_m needs m >= 3, got {m}")
     n = t.n
     if m > n:
         return 0
@@ -276,8 +271,8 @@ def s_formula(t: Tournament, m: int) -> int:
     """Strong m-subsets by formula, valid for m in {3, 4, 5} where every
     sink-free and source-free subtournament of that order is strong."""
     if m not in (3, 4, 5):
-        raise BadMError(f"the strong-subset formula holds only for m in"
-                        f" {{3, 4, 5}}, got {m}")
+        raise InvalidInput(f"the strong-subset formula holds only for m in"
+                           f" {{3, 4, 5}}, got {m}")
     return w_formula(t, m)
 
 
@@ -314,7 +309,7 @@ def trace_m(t: Tournament, m: int) -> int:
     takes seconds.
     """
     if m < 1 or m > TRACE_MAX_M:
-        raise BadMError(f"trace needs 1 <= m <= {TRACE_MAX_M}, got {m}")
+        raise InvalidInput(f"trace needs 1 <= m <= {TRACE_MAX_M}, got {m}")
     import numpy as np
 
     a, a2 = _adjacency_powers(t)
@@ -340,7 +335,7 @@ def trace_m(t: Tournament, m: int) -> int:
 
 def _check_oracle_order(t: Tournament) -> None:
     if t.n > ORACLE_MAX_ORDER:
-        raise TooLargeError(
+        raise InvalidInput(
             f"oracles are capped at order {ORACLE_MAX_ORDER}, got {t.n}")
 
 
@@ -393,7 +388,7 @@ def oracle_cycles(t: Tournament, m: int) -> int:
     and a directed cycle has a single traversal direction."""
     _check_oracle_order(t)
     if m < 3:
-        raise BadMError(f"cycles need m >= 3, got {m}")
+        raise InvalidInput(f"cycles need m >= 3, got {m}")
     n = t.n
     if m > n:
         return 0
@@ -420,7 +415,7 @@ def oracle_strong_subs(t: Tournament, m: int) -> int:
     is more than m - 1 steps from another inside it."""
     _check_oracle_order(t)
     if m < 1:
-        raise BadMError(f"subset order must be >= 1, got {m}")
+        raise InvalidInput(f"subset order must be >= 1, got {m}")
     n = t.n
     if m > n:
         return 0
@@ -441,7 +436,7 @@ def oracle_w(t: Tournament, m: int) -> int:
     has 0 or m - 1 out-arcs inside the subset."""
     _check_oracle_order(t)
     if m < 3:
-        raise BadMError(f"w oracle needs m >= 3, got {m}")
+        raise InvalidInput(f"w oracle needs m >= 3, got {m}")
     n = t.n
     if m > n:
         return 0
@@ -509,13 +504,13 @@ def _routes(name: str) -> list[tuple[str, Callable[[Tournament], int]]]:
         try:
             m = int(suffixed[2])
         except ValueError:  # longer than the interpreter's int-string limit
-            raise BadMError(f"the order of {suffixed[1]} has too many digits "
-                            f"({len(suffixed[2])})") from None
+            raise InvalidInput(f"the order of {suffixed[1]} has too many "
+                               f"digits ({len(suffixed[2])})") from None
         if suffixed[1] == "w":
             return [("formula", lambda t: w_formula(t, m)),
                     ("oracle", lambda t: oracle_w(t, m))]
         return [("trace", lambda t: trace_m(t, m))]
-    raise BadMError(f"unknown quantity {name!r}")
+    raise InvalidInput(f"unknown quantity {name!r}")
 
 
 def count_report(t: Tournament, names: Sequence[str],
@@ -529,7 +524,7 @@ def count_report(t: Tournament, names: Sequence[str],
     oracle out above ORACLE_MAX_ORDER.
     """
     if method not in ("formula", "oracle", "trace", "all"):
-        raise BadMError(f"unknown method {method!r}")
+        raise InvalidInput(f"unknown method {method!r}")
     entries: list[CountEntry] = []
     agree = True
     for name in names:
@@ -539,7 +534,8 @@ def count_report(t: Tournament, names: Sequence[str],
                 routes = [r for r in routes if r[0] != "oracle"]
             routes = [r for r in routes if method in (r[0], "all")]
             if not routes:
-                raise BadMError(f"method {method!r} does not apply to {name}")
+                raise InvalidInput(
+                    f"method {method!r} does not apply to {name}")
         values = [CountEntry(name, how, route(t)) for how, route in routes]
         agree = agree and len({e.value for e in values}) == 1
         entries += values

@@ -120,16 +120,8 @@ from .classify import is_regular
 from .core import (MAX_CANONICAL_ORDER, CanonicalForm, Tournament,
                    _minimal_relabelings, validate)
 from .counting import _row_bits, _table
-from .errors import (
-    BadOrderError,
-    CorpusMissingError,
-    EvenOrderError,
-    InvalidInput,
-    OrderTooLargeError,
-    ParseError,
-    TimeBudgetExceededError,
-    VerificationFailedError,
-)
+from .errors import (InvalidInput, ParseError, TimeBudgetExceededError,
+                     VerificationFailedError)
 from .io import _decimal, format_tour, parse_tour, read_text
 
 if TYPE_CHECKING:
@@ -321,7 +313,7 @@ def certified_classes(n: int, blocks: Iterable[tuple[Sequence[Sequence[int]],
     adds each weight to its profile's bucket, as exact ints.  Then each
     bucket canonicalizes its members in walk order while it is short of
     its mass; a new class adds its orbit, and only a member that is
-    canonicalized becomes a Tournament.  Raises OrderTooLargeError for
+    canonicalized becomes a Tournament.  Raises InvalidInput for
     n > MAX_CANONICAL_ORDER, VerificationFailedError if a bucket goes
     over its mass or is still short after its last member, and
     TimeBudgetExceededError once the monotonic clock passes deadline,
@@ -329,8 +321,8 @@ def certified_classes(n: int, blocks: Iterable[tuple[Sequence[Sequence[int]],
     import numpy as np
 
     if n > MAX_CANONICAL_ORDER:
-        raise OrderTooLargeError(f"classes are certified up to order "
-                                 f"{MAX_CANONICAL_ORDER}, got {n}")
+        raise InvalidInput(f"classes are certified up to order "
+                           f"{MAX_CANONICAL_ORDER}, got {n}")
     parts = [np.zeros((0, n), dtype=np.uint16)]  # uint16 holds n <= 16
     weights: list[int] = []
     for rows, weight in blocks:
@@ -400,9 +392,9 @@ def enumerate_regular(n: int, *, threads: int = 1,
     TimeBudgetExceededError past the budget, checked once per block of
     members and after every search."""
     if n % 2 == 0:
-        raise EvenOrderError(f"regular tournaments have odd order, got {n}")
+        raise InvalidInput(f"regular tournaments have odd order, got {n}")
     if n < 1 or n > ENUM_MAX_ORDER:
-        raise BadOrderError(
+        raise InvalidInput(
             f"order must be odd in 1..{ENUM_MAX_ORDER}, got {n}")
     if threads < 1:
         raise InvalidInput(f"worker count must be at least 1, got {threads}")
@@ -435,8 +427,6 @@ def write_corpus(corpus: EnumCorpus, path: str | os.PathLike[str]) -> None:
 
 
 def read_corpus(path: str | os.PathLike[str]) -> EnumCorpus:
-    if not os.path.exists(path):
-        raise CorpusMissingError(f"no corpus file at {path}")
     lines = read_text(path).split("\n")
     pos = 0
 
@@ -516,11 +506,11 @@ def verify_corpus(corpus: EnumCorpus) -> None:
     keys match their representatives, the representatives are regular,
     keys are sorted and distinct, the labeled count satisfies the
     orbit-counting identity sum(n!/|Aut|), and the class count matches
-    the known table.  Raises BadOrderError for an order outside the
+    the known table.  Raises InvalidInput for an order outside the
     table and VerificationFailedError on any mismatch."""
     known = KNOWN_REGULAR_CLASSES.get(corpus.n)
     if known is None:
-        raise BadOrderError(
+        raise InvalidInput(
             f"no known regular class count at order {corpus.n}; the "
             f"admitted orders are {', '.join(map(str, KNOWN_REGULAR_CLASSES))}")
     seen: set[int] = set()

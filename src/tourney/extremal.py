@@ -108,15 +108,8 @@ from .classify import is_nearly_doubly_regular, is_regular, aat_positive
 from .enumeration import (EnumCorpus, _binomials, _check_deadline,
                           _classes, _deadline, _extend, certified_classes,
                           enumerate_regular)
-from .errors import (
-    BadOrderError,
-    BadResidueError,
-    CorpusMissingError,
-    InternalParityError,
-    NotRegularError,
-    TooLargeError,
-    VerificationFailedError,
-)
+from .errors import (InternalParityError, InvalidInput,
+                     VerificationFailedError)
 from .generators import gen_named, gen_qr
 
 if TYPE_CHECKING:
@@ -132,7 +125,7 @@ def _exact_div(num: int, den: int) -> int:
 
 def _require_odd(n: int, least: int) -> None:
     if n % 2 == 0 or n < least:
-        raise BadOrderError(f"need odd n >= {least}, got {n}")
+        raise InvalidInput(f"need odd n >= {least}, got {n}")
 
 
 def c5_max_bound(n: int) -> Fraction:
@@ -162,7 +155,7 @@ def c5_regular_max(n: int) -> int:
     checks it at n = 13 or above."""
     _require_odd(n, 5)
     if n % 4 != 1:
-        raise BadResidueError(f"need n = 1 (mod 4), got {n}")
+        raise InvalidInput(f"need n = 1 (mod 4), got {n}")
     return _exact_div(n * (n - 1) * (n ** 3 - 4 * n * n + n - 14), 160)
 
 
@@ -187,7 +180,7 @@ def s5_of_dr(n: int) -> int:
     any doubly regular tournament (n = 3 mod 4)."""
     _require_odd(n, 3)
     if n % 4 != 3:
-        raise BadResidueError(f"need n = 3 (mod 4), got {n}")
+        raise InvalidInput(f"need n = 3 (mod 4), got {n}")
     return _exact_div(n * (n + 1) * (n - 1) * (n - 3) * (17 * n - 59), 3840)
 
 
@@ -196,7 +189,7 @@ def s5_of_ndr(n: int) -> int:
     count of any nearly doubly regular tournament (n = 1 mod 4)."""
     _require_odd(n, 5)
     if n % 4 != 1:
-        raise BadResidueError(f"need n = 1 (mod 4), got {n}")
+        raise InvalidInput(f"need n = 1 (mod 4), got {n}")
     return _exact_div(
         n * (n - 1) * (17 * n ** 3 - 93 * n * n + 127 * n - 243), 3840)
 
@@ -219,7 +212,7 @@ def expected_cycles(n: int, m: int) -> Fraction:
     """Expected m-cycle count of a uniform random n-tournament:
     falling_factorial(n, m) / (m 2^m)."""
     if m < 3 or n < 0:
-        raise BadOrderError(f"need m >= 3 and n >= 0, got n={n}, m={m}")
+        raise InvalidInput(f"need m >= 3 and n >= 0, got n={n}, m={m}")
     ff = 1
     for k in range(m):
         ff *= n - k
@@ -230,7 +223,7 @@ def regular_identity(t: Tournament) -> tuple[int, int]:
     """(c5 + 2 c4, n (n-1)(n+1)(n-3)(n+3) / 160) for a regular
     tournament; the two are equal."""
     if not is_regular(t):
-        raise NotRegularError("the c5 + 2 c4 identity needs a regular tournament")
+        raise InvalidInput("the c5 + 2 c4 identity needs a regular tournament")
     n = t.n
     lhs = c5_formula(t) + 2 * c4_formula(t)
     rhs = _exact_div(n * (n - 1) * (n + 1) * (n - 3) * (n + 3), 160)
@@ -241,7 +234,7 @@ def regular_identity_trace(t: Tournament) -> tuple[Fraction, Fraction]:
     """Trace form of the same identity:
     tr5 + (5/2) tr4 = n (n-1)(n+1)(n-3)(n+3) / 32."""
     if not is_regular(t):
-        raise NotRegularError("the trace identity needs a regular tournament")
+        raise InvalidInput("the trace identity needs a regular tournament")
     n = t.n
     lhs = Fraction(trace_m(t, 5)) + Fraction(5, 2) * trace_m(t, 4)
     rhs = Fraction(n * (n - 1) * (n + 1) * (n - 3) * (n + 3), 32)
@@ -295,7 +288,7 @@ def balanced_sequence(n: int) -> tuple[int, ...]:
     """The non-decreasing degree sequence closest to uniform with total
     n (n-1)/2: all (n-1)/2 for odd n, half n/2-1 and half n/2 for even."""
     if n < 1:
-        raise BadOrderError(f"need n >= 1, got {n}")
+        raise InvalidInput(f"need n >= 1, got {n}")
     if n % 2 == 1:
         return ((n - 1) // 2,) * n
     return (n // 2 - 1,) * (n // 2) + (n // 2,) * (n // 2)
@@ -305,7 +298,7 @@ def binomial_sum_min(n: int, p: int) -> int:
     """min sum C(d_i, p) over non-decreasing non-negative sequences with
     sum n (n-1)/2; the minimum sits at the balanced sequence."""
     if p < 2:
-        raise BadOrderError(f"need p >= 2, got {p}")
+        raise InvalidInput(f"need p >= 2, got {p}")
     return sum(comb(d, p) for d in balanced_sequence(n))
 
 
@@ -327,11 +320,11 @@ def verify_binomial_sum_min(n: int, p: int) -> MinimizationReport:
     to be the unique minimizer once n >= 2p - 1; below that range the
     report only carries the computed minimum."""
     if p < 2:
-        raise BadOrderError(f"need p >= 2, got {p}")
+        raise InvalidInput(f"need p >= 2, got {p}")
     if n < 1:
-        raise BadOrderError(f"need n >= 1, got {n}")
+        raise InvalidInput(f"need n >= 1, got {n}")
     if n > 12:
-        raise TooLargeError(f"sequence sweeps are capped at n = 12, got {n}")
+        raise InvalidInput(f"sequence sweeps are capped at n = 12, got {n}")
     total = n * (n - 1) // 2
     best = 0
     argmin: list[tuple[int, ...]] = []
@@ -459,7 +452,7 @@ def _extension_batch(n: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     cube = sq @ a
     tr5 = (cube * np.swapaxes(sq, 1, 2)).sum(axis=(1, 2))
     if (tr5 % 5).any():
-        raise VerificationFailedError("closed 5-walk total not 5-divisible")
+        raise InternalParityError("closed 5-walk total not 5-divisible")
     c5 = (tr5 // 5)[:, None] + _cut_forms(cube)
 
     c2, c3, c4 = _binomials(n)
@@ -594,7 +587,8 @@ def verify_c5_max(n: int, *, time_budget: float | None = None
     once per batch of either route and as enumerate_regular checks.
     """
     if n not in (5, 7):
-        raise TooLargeError(f"the exhaustive sweep runs at n in {{5, 7}}, got {n}")
+        raise InvalidInput(
+            f"the exhaustive sweep runs at n in {{5, 7}}, got {n}")
     deadline = _deadline(time_budget)
     labeled, _ = _extremes(n, _labeled_batches(n), deadline,
                            witnesses=False)
@@ -680,7 +674,7 @@ def verify_regular9(corpus: EnumCorpus) -> dict[str, BoundReport]:
       doubly regular classes.
     """
     if corpus.n != 9:
-        raise CorpusMissingError("need the order-9 regular corpus")
+        raise InvalidInput("need the order-9 regular corpus")
     if len(corpus.classes) != 15:
         raise VerificationFailedError(
             f"expected 15 order-9 regular classes, got {len(corpus.classes)}")

@@ -24,15 +24,7 @@ from functools import lru_cache
 from .classify import is_doubly_regular, is_locally_transitive
 from .core import MAX_ORDER, Tournament, _check_order, compose, validate
 from .enumeration import enumerate_regular
-from .errors import (
-    BadResidueError,
-    BadSymbolError,
-    EvenOrderError,
-    NotPrimeError,
-    OrderTooLargeError,
-    UnknownNameError,
-    VerificationFailedError,
-)
+from .errors import InvalidInput, VerificationFailedError
 from .io import parse_tour
 
 
@@ -55,14 +47,15 @@ class RotationalSymbol:
         n = self.n
         _check_order(n)
         if n % 2 == 0:
-            raise EvenOrderError(f"rotational tournaments need odd order, got {n}")
+            raise InvalidInput(
+                f"rotational tournaments need odd order, got {n}")
         diffs = frozenset(self.diffs)
         object.__setattr__(self, "diffs", diffs)
         if any(d < 1 or d > n - 1 for d in diffs):
-            raise BadSymbolError("differences must lie in 1..n-1")
+            raise InvalidInput("differences must lie in 1..n-1")
         for d in range(1, n):
             if (d in diffs) == ((n - d) in diffs):
-                raise BadSymbolError(
+                raise InvalidInput(
                     f"exactly one of {d} and {n - d} must be in the symbol")
 
 
@@ -82,7 +75,7 @@ def gen_rlt(n: int) -> Tournament:
     """RLT_n, the rotational tournament with symbol {1..(n-1)/2}.  Every
     out-set induces a transitive tournament."""
     if n % 2 == 0:
-        raise EvenOrderError(f"RLT needs odd order, got {n}")
+        raise InvalidInput(f"RLT needs odd order, got {n}")
     return gen_rotational(RotationalSymbol(n, frozenset(range(1, (n + 1) // 2))))
 
 
@@ -104,11 +97,11 @@ def gen_qr(p: int) -> Tournament:
     quadratic residue mod p.  The order cap comes before the primality
     test, whose trial division would run for ages on a large p."""
     if p > MAX_ORDER:
-        raise OrderTooLargeError(f"order {p} exceeds {MAX_ORDER}")
+        raise InvalidInput(f"order {p} exceeds {MAX_ORDER}")
     if not _is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise InvalidInput(f"{p} is not prime")
     if p % 4 != 3:
-        raise BadResidueError(f"need p = 3 (mod 4), got {p} = {p % 4} (mod 4)")
+        raise InvalidInput(f"need p = 3 (mod 4), got {p} = {p % 4} (mod 4)")
     squares = frozenset((x * x) % p for x in range(1, p))
     return gen_rotational(RotationalSymbol(p, squares))
 
@@ -149,7 +142,7 @@ def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
         if all(sum(c * x ** d for d, c in enumerate(f)) % p
                for x in range(p)):
             return f
-    raise NotPrimeError(f"no irreducible polynomial found for p={p}, k={k}")
+    raise InvalidInput(f"no irreducible polynomial found for p={p}, k={k}")
 
 
 def gen_qr_power(p: int, k: int) -> Tournament:
@@ -163,13 +156,13 @@ def gen_qr_power(p: int, k: int) -> Tournament:
     if k == 1:
         return gen_qr(p)
     if p > 1 and (k > MAX_ORDER.bit_length() or p ** k > MAX_ORDER):
-        raise OrderTooLargeError(f"order {p}^{k} exceeds {MAX_ORDER}")
+        raise InvalidInput(f"order {p}^{k} exceeds {MAX_ORDER}")
     if not _is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise InvalidInput(f"{p} is not prime")
     if p % 4 != 3:
-        raise BadResidueError(f"need p = 3 (mod 4), got {p}")
+        raise InvalidInput(f"need p = 3 (mod 4), got {p}")
     if k < 1 or k % 2 == 0:
-        raise BadResidueError(f"need odd extension degree, got k={k}")
+        raise InvalidInput(f"need odd extension degree, got k={k}")
     q = p ** k
     f = _find_irreducible(p, k)
 
@@ -276,7 +269,7 @@ def gen_named(name: str) -> Tournament:
         "prop2_b": lambda: parse_tour(_NINE_B),
     }
     if name not in table:
-        raise UnknownNameError(
+        raise InvalidInput(
             f"unknown tournament name {name!r}; known: {sorted(table)}")
     return table[name]()
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 import os
 
 from .core import Tournament, _check_order, validate
-from .errors import (LoopArcError, MissingOrDoubleArcError,
-                     OrderTooLargeError, ParseError, SizeMismatchError)
+from .errors import ArcError, InvalidInput, ParseError
 
 
 # str.translate table that deletes 0 and 1: a row is binary exactly
@@ -58,7 +57,7 @@ def parse_tour(text: str) -> Tournament:
     n = _decimal(lines[0], "order line", line=1)
     try:
         _check_order(n)
-    except (SizeMismatchError, OrderTooLargeError) as exc:
+    except InvalidInput as exc:
         raise ParseError(str(exc), line=1) from None
     if len(lines) - 1 != n:
         # point at the first missing or first extra line
@@ -77,7 +76,7 @@ def parse_tour(text: str) -> Tournament:
         rows.append(int(raw[::-1], 2))
     try:
         return validate(n, rows)
-    except (LoopArcError, MissingOrDoubleArcError) as exc:
+    except ArcError as exc:
         # the order is in range and the rows match it in count and
         # width, so only a cell can be wrong
         i, j = exc.cell

@@ -31,8 +31,7 @@ from tourney import (CanonicalForm, Tournament, canonical_form, induced,
                      is_locally_regular, is_regular)
 from tourney.core import _check_order
 from tourney.counting import _c3_within, _check_oracle_order
-from tourney.errors import (BadMError, LoopArcError, MissingOrDoubleArcError,
-                            SizeMismatchError)
+from tourney.errors import ArcError, InvalidInput
 
 
 def tournament_from_code(n: int, code: int) -> Tournament:
@@ -60,21 +59,20 @@ def validate_by_pairs(n: int, rows: Sequence[int]) -> Tournament:
     i < j in row-major order, one bit of each row at a time."""
     _check_order(n)
     if len(rows) != n:
-        raise SizeMismatchError(f"expected {n} rows, got {len(rows)}")
+        raise InvalidInput(f"expected {n} rows, got {len(rows)}")
     full = (1 << n) - 1
     for i, row in enumerate(rows):
         if row < 0 or row & ~full:
-            raise SizeMismatchError(f"row {i} has bits outside vertices 0..{n - 1}")
+            raise InvalidInput(f"row {i} has bits outside vertices 0..{n - 1}")
         if (row >> i) & 1:
-            raise LoopArcError(f"vertex {i} has an arc to itself", (i, i))
+            raise ArcError(f"vertex {i} has an arc to itself", (i, i))
     for i in range(n):
         for j in range(i + 1, n):
             forward = (rows[i] >> j) & 1
             backward = (rows[j] >> i) & 1
             if forward == backward:
                 kind = "no arc" if forward == 0 else "both arcs"
-                raise MissingOrDoubleArcError(f"pair ({i}, {j}) has {kind}",
-                                              (i, j))
+                raise ArcError(f"pair ({i}, {j}) has {kind}", (i, j))
     return Tournament(n, tuple(rows))
 
 
@@ -116,7 +114,7 @@ def cycles_by_dfs(t: Tournament, m: int) -> int:
     walk starts at the cycle's smallest vertex and only visits larger
     ones, and a directed cycle has a single traversal direction."""
     if m < 3:
-        raise BadMError(f"cycles need m >= 3, got {m}")
+        raise InvalidInput(f"cycles need m >= 3, got {m}")
     n = t.n
     if m > n:
         return 0
@@ -192,14 +190,14 @@ def _masks(n: int, m: int):
 def strong_subs_by_combinations(t: Tournament, m: int) -> int:
     """Strong m-subsets by exhausting subsets (m = 1 counts vertices)."""
     if m < 1:
-        raise BadMError(f"subset order must be >= 1, got {m}")
+        raise InvalidInput(f"subset order must be >= 1, got {m}")
     return sum(_strong_within(t.out_rows, mask) for _, mask in _masks(t.n, m))
 
 
 def w_by_combinations(t: Tournament, m: int) -> int:
     """Sink-free source-free m-subsets by exhausting subsets."""
     if m < 3:
-        raise BadMError(f"w oracle needs m >= 3, got {m}")
+        raise InvalidInput(f"w oracle needs m >= 3, got {m}")
     return sum(all(0 < (t.out_rows[v] & mask).bit_count() < m - 1
                    for v in combo)
                for combo, mask in _masks(t.n, m))

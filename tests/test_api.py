@@ -2,7 +2,9 @@
 so `from tourney import *` works, and removed names stay removed.  The
 library checks its claims with raises, not asserts, which `python -O`
 strips.  Every cached numpy table is shared by later callers, so one
-decorator, counting._table, marks them all read-only."""
+decorator, counting._table, marks them all read-only.  tourney.errors
+holds seven classes, and every raise in the library names one of them
+or argparse.ArgumentTypeError."""
 
 from __future__ import annotations
 
@@ -59,6 +61,41 @@ def test_only_table_sets_the_write_flag():
                   and isinstance(node.value, ast.Attribute)
                   and node.value.attr == "flags")]
     assert found == ["counting._table"]
+
+
+ERROR_CLASSES = {"TourneyError", "InvalidInput", "ParseError", "ArcError",
+                 "InternalParityError", "VerificationFailedError",
+                 "TimeBudgetExceededError"}
+
+
+def test_errors_defines_seven_classes():
+    tree = ast.parse(Path(tourney.errors.__file__).read_text())
+    assert {node.name for node in tree.body
+            if isinstance(node, ast.ClassDef)} == ERROR_CLASSES
+    assert {name for name, value in vars(tourney.errors).items()
+            if isinstance(value, type)} == ERROR_CLASSES
+
+
+def test_every_raise_names_an_error_class():
+    # the message says what went wrong; the class only picks the exit code
+    found = [f"{stem}:{node.lineno} {ast.unparse(node.exc)}"
+             for stem, top in _top_level_nodes()
+             for node in ast.walk(top)
+             if isinstance(node, ast.Raise)
+             and ast.unparse(getattr(node.exc, "func", node.exc))
+             not in ERROR_CLASSES | {"argparse.ArgumentTypeError"}]
+    assert found == []
+
+
+@pytest.mark.parametrize("name", [
+    "_CellError", "LoopArcError", "MissingOrDoubleArcError",
+    "SizeMismatchError", "OutOfRangeError", "ArityMismatchError",
+    "OrderTooLargeError", "EvenOrderError", "BadSymbolError",
+    "NotPrimeError", "UnknownNameError", "NotAnArcError", "BadMError",
+    "TooLargeError", "NotSortedError", "BadOrderError", "BadResidueError",
+    "NotRegularError", "CorpusMissingError"])
+def test_folded_error_classes_are_gone(name):
+    assert not hasattr(tourney.errors, name)
 
 
 RLT7 = tourney.gen_rlt(7)

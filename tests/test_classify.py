@@ -42,7 +42,7 @@ from tourney import (
 
 from tourney.classify import tournaments_with_scores
 from tourney.enumeration import enumerate_regular
-from tourney.errors import NotRegularError, NotSortedError
+from tourney.errors import InvalidInput
 
 from oracle_reference import (doubly_regular_by_pairs,
                               nearly_doubly_regular_by_out_sets,
@@ -59,7 +59,8 @@ class TestBasicPredicates:
         assert is_regular(gen_rlt(9))
         assert not is_regular(gen_transitive(5))
         assert semi_degree(gen_rlt(9)) == 4
-        with pytest.raises(NotRegularError):
+        with pytest.raises(InvalidInput, match="^semi-degree is defined for "
+                                               "regular tournaments$"):
             semi_degree(gen_transitive(5))
 
     def test_near_regular(self):
@@ -279,7 +280,8 @@ class TestLandau:
         assert not landau_feasible((1, 1, 1, 3, 3))  # total 9 != binom(5,2)
 
     def test_requires_sorted(self):
-        with pytest.raises(NotSortedError):
+        with pytest.raises(InvalidInput, match="^scores must be non-negative "
+                                               "and non-decreasing$"):
             landau_feasible((2, 1, 2, 2, 3))
 
 

@@ -559,6 +559,22 @@ class TestEnumerate:
         assert err == ("claim violated: expected 1223 classes at order 11, "
                        "got 0\n")
 
+    @pytest.mark.parametrize("argv", [["enumerate", "--verify"],
+                                      ["verify", "prop2", "--corpus"]],
+                             ids=["enumerate", "prop2"])
+    def test_missing_corpus(self, capsys, tmp_path, argv):
+        # open's own OSError, as for a missing .tour
+        path = str(tmp_path / "missing.corpus")
+        err = assert_usage_error(capsys, *argv, path)
+        assert err == f"error: [Errno 2] No such file or directory: {path!r}\n"
+
+    def test_prop2_rejects_order7_corpus(self, capsys, tmp_path, corpus7):
+        path = tmp_path / "r7.corpus"
+        write_corpus(corpus7, path)
+        err = assert_usage_error(capsys, "verify", "prop2", "--corpus",
+                                 str(path))
+        assert err == "error: need the order-9 regular corpus\n"
+
     def test_corpus_row_error_names_file_line(self, capsys, tmp_path):
         path = tmp_path / "r7.corpus"
         code, _ = run(capsys, "enumerate", "--n", "7", "--out", str(path))

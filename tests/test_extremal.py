@@ -51,13 +51,9 @@ from tourney import (
 )
 from tourney.core import CanonicalForm, Tournament
 from tourney.errors import (
-    BadOrderError,
-    BadResidueError,
     InternalParityError,
     InvalidInput,
-    NotRegularError,
     TimeBudgetExceededError,
-    TooLargeError,
     VerificationFailedError,
 )
 from tourney import extremal
@@ -103,7 +99,8 @@ class TestClosedForms:
         assert c5_regular_max(5) == 2
         assert c5_regular_max(9) == 180
         assert c5_regular_max(13) == 1482
-        with pytest.raises(BadResidueError):
+        with pytest.raises(InvalidInput,
+                           match=r"^need n = 1 \(mod 4\), got 7$"):
             c5_regular_max(7)  # 3 mod 4 has no such closed form here
 
     def test_bound_values(self):
@@ -189,7 +186,8 @@ class TestRegularIdentity:
         assert regular_identity(gen_rlt(11))[1] == 924
 
     def test_rejects_irregular(self):
-        with pytest.raises(NotRegularError):
+        with pytest.raises(InvalidInput, match="^the c5 \\+ 2 c4 identity "
+                                               "needs a regular tournament$"):
             regular_identity(gen_transitive(5))
 
 
@@ -233,14 +231,14 @@ class TestBalancedMinimization:
         assert not report.unique_minimizer
 
     def test_enumeration_cap(self):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(InvalidInput, match="^sequence sweeps are capped "
+                                               "at n = 12, got 13$"):
             verify_binomial_sum_min(13, 2)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_order_below_one(self, n):
         # an empty sweep is a bad order, not one past the cap
-        with pytest.raises(BadOrderError,
-                           match=f"^need n >= 1, got {n}$"):
+        with pytest.raises(InvalidInput, match=f"^need n >= 1, got {n}$"):
             verify_binomial_sum_min(n, 2)
 
 
@@ -272,7 +270,8 @@ class TestSweepDrivers:
             cf.hex() for cf, _ in corpus7.classes)
 
     def test_rejects_other_orders(self):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(InvalidInput, match="^the exhaustive sweep runs "
+                                               "at n in {5, 7}, got 9$"):
             verify_c5_max(9)
 
     def test_time_budget_stops_the_sweep(self):
@@ -477,6 +476,13 @@ class TestExtensionKernel:
         """The code of base b's extension by out-set s, at row b, column
         s: vertex 0's pairs come first in the edge code."""
         return (base[:, None] << n - 1) + np.arange(1 << n - 1)
+
+    def test_indivisible_5_walk_total_is_a_bug(self):
+        # a looped 1x1 base has one closed 5-walk; no tournament can give
+        # a total that 5 does not divide, so this is a parity fault
+        with pytest.raises(InternalParityError,
+                           match="^closed 5-walk total not 5-divisible$"):
+            _extension_batch(2, np.array([[1]], dtype=np.int64))
 
     def test_every_order5_code(self):
         base = np.arange(64)
