@@ -3,8 +3,11 @@
 Subcommands: gen (emit a .tour), count (counting report as JSON),
 classify (classification report as JSON), verify (bound and identity
 drivers as JSON), enumerate (regular corpus generation/verification).
-Each gen family and verify target has a parser of its own that takes
-exactly the flags its builder reads, so any other flag is a usage error.
+Each command path takes exactly the flags it reads, so any other flag
+is a usage error: each gen family and verify target has a parser of its
+own, count takes the library's quantity names (c5, w4, tr5, ...) as
+positional arguments, and --time-budget belongs to the two paths that
+run against a clock, enumerate --n and verify thm1.
 
 Exit codes: 0 success, 1 a mathematical claim failed its check, 2 usage,
 parse, or input errors.  JSON output never contains floats; exact
@@ -66,11 +69,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     t = io.read_tour(args.input)
-    names = [q for q in counting._FIXED_QUANTITIES if getattr(args, q)]
-    names += [f"w{m}" for m in args.w or []]
-    names += [f"tr{m}" for m in args.trace or []]
-    report = counting.count_report(
-        t, names or counting._FIXED_QUANTITIES, args.method)
+    report = counting.count_report(t, args.names, args.method)
     _emit(report)
     return 0 if report.cross_checked else 1
 
@@ -88,9 +87,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.verify is not None:
-        if args.out is not None:
-            raise InvalidInput("--out writes an enumeration by --n, "
-                               "not a corpus read by --verify")
+        if args.out is not None or args.time_budget is not None:
+            raise InvalidInput("--out and --time-budget go with an "
+                               "enumeration by --n, not with --verify")
         corpus = enumeration.read_corpus(args.verify)
         enumeration.verify_corpus(corpus)
     else:
@@ -112,13 +111,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _rotational(args: argparse.Namespace) -> Tournament:
     try:
-        diffs = frozenset(map(_natural, args.symbol.split(",")))
+        diffs = list(map(_natural, args.symbol.split(",")))
     except argparse.ArgumentTypeError:
         raise InvalidInput(
             f"--symbol must be comma-separated ASCII decimal integers, "
             f"got {args.symbol!r}") from None
+    for i, d in enumerate(diffs):
+        if d in diffs[:i]:
+            raise InvalidInput(f"--symbol repeats the difference {d}")
     return generators.gen_rotational(
-        generators.RotationalSymbol(args.n, diffs))
+        generators.RotationalSymbol(args.n, frozenset(diffs)))
 
 
 def _prop2(args: argparse.Namespace) -> dict[str, Any]:
@@ -156,20 +158,16 @@ def _natural(text: str) -> int:
     return int(text)
 
 
-def _seconds(text: str | None) -> float | None:
-    """The --time-budget value, None when the flag is absent: ASCII
-    decimal digits with at most one '.', _natural's rule plus a decimal
-    point, where float() alone would also take a sign, spaces,
-    underscores, an exponent, nan, inf and non-ASCII digits.  Anything
-    else raises InvalidInput, as enumeration.check_time_budget does for
-    a budget out of range, so every refused budget prints one error
-    line; the range check stays in check_time_budget alone."""
-    if text is None:
-        return None
+def _seconds(text: str) -> float:
+    """A --time-budget value: ASCII decimal digits with at most one '.',
+    _natural's rule plus a decimal point, where float() alone would also
+    take a sign, spaces, underscores, an exponent, nan, inf and non-ASCII
+    digits.  The range check is enumeration._deadline's, which the two
+    commands that take a budget reach before they start work."""
     if not (text.isascii() and text.replace(".", "", 1).isdigit()):
-        raise InvalidInput(f"time budget must be a positive finite number "
-                           f"of seconds in ASCII decimal digits with at "
-                           f"most one '.', got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number of seconds in ASCII decimal "
+            f"digits with at most one '.', got {text!r}")
     return float(text)
 
 
@@ -181,6 +179,8 @@ def _seed(text: str) -> int:
 
 
 _NATURAL = {"type": _natural}
+_BUDGET = {"type": _seconds, "default": None, "metavar": "SECONDS",
+           "help": "wall-clock budget in seconds"}
 
 # Each gen family and verify target: its name and help, the function of
 # the parsed arguments that builds its result, and the flags it reads,
@@ -207,7 +207,7 @@ _FAMILIES = (
 _TARGETS = (
     ("thm1", "exhaustive 5-cycle maximum at order 5 or 7",
      lambda a: extremal.verify_c5_max(a.n, time_budget=a.time_budget),
-     {"--n": _NATURAL}),
+     {"--n": _NATURAL, "--time-budget": _BUDGET}),
     ("prop2", "order-9 regular corpus extremes", _prop2, {"--corpus": {}}),
     ("lemma1", "score-sequence minimization",
      lambda a: extremal.verify_binomial_sum_min(a.n, a.p),
@@ -244,9 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _ExactParser(
         prog="tourney",
         description="Construct, count, classify and verify small tournaments.")
-    parser.add_argument("--time-budget", default=None,
-                        help="wall-clock budget in seconds for "
-                             "enumerate --n and verify thm1")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a tournament in .tour form")
@@ -257,13 +254,11 @@ def _build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="counting report as JSON")
     count.set_defaults(run=_cmd_count)
     count.add_argument("--input", required=True)
-    for q in counting._FIXED_QUANTITIES:
-        count.add_argument(f"--{q}", action="store_true")
-    count.add_argument("--w", type=_natural, action="append", metavar="M",
-                       help="sink-and-source-free subset count of order M")
-    count.add_argument("--trace", type=_natural, action="append", metavar="M",
-                       help="adjacency-power trace of order M, "
-                            f"1 <= M <= {counting.TRACE_MAX_M}")
+    count.add_argument("names", nargs="*", metavar="NAME",
+                       default=counting._FIXED_QUANTITIES,
+                       help="c3 c4 c5 s3 s4 s5 (the default), wM "
+                            "(M >= 3) or trM "
+                            f"(1 <= M <= {counting.TRACE_MAX_M})")
     count.add_argument("--method",
                        choices=["formula", "oracle", "trace", "all"],
                        default="all")
@@ -283,6 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--verify", metavar="FILE",
                         help="verify an existing .corpus instead")
     enum.add_argument("--out", help="write a .corpus file")
+    enum.add_argument("--time-budget", **_BUDGET)
     return parser
 
 
@@ -293,8 +289,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
-        args.time_budget = _seconds(args.time_budget)
-        enumeration.check_time_budget(args.time_budget)
         return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -136,17 +136,12 @@ _PROFILE_BATCH = 2048
 
 # -- class engines -----------------------------------------------------------
 
-def check_time_budget(time_budget: float | None) -> None:
-    """InvalidInput unless time_budget is None or positive and finite."""
+def _deadline(time_budget: float | None) -> float | None:
+    """The monotonic time time_budget seconds from now, or None for no
+    budget; InvalidInput for a budget not positive and finite."""
     if time_budget is not None and not 0 < time_budget < math.inf:
         raise InvalidInput(f"time budget must be a positive finite number of "
                            f"seconds, got {time_budget}")
-
-
-def _deadline(time_budget: float | None) -> float | None:
-    """The monotonic time time_budget seconds from now, or None for no
-    budget; InvalidInput for a budget check_time_budget refuses."""
-    check_time_budget(time_budget)
     return None if time_budget is None else time.monotonic() + time_budget
 
 

@@ -128,21 +128,11 @@ def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...],
     return tuple(prod[:k])
 
 
-def _find_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Monic irreducible polynomial of degree k over F_p, as the length
-    k + 1 coefficient tuple (low-degree-first, leading 1): the first one,
-    in base-p order of the low coefficients, with no root in F_p.
-
-    Exact for k <= 3 only, where a reducible polynomial has a linear
-    factor and so a root.  The order cap keeps k there: p = 3 (mod 4)
-    and odd k > 1 with p^k <= MAX_ORDER leave GF(27) alone.
-    """
-    for code in range(p ** k):
-        f = tuple(code // p ** d % p for d in range(k)) + (1,)
-        if all(sum(c * x ** d for d, c in enumerate(f)) % p
-               for x in range(p)):
-            return f
-    raise InvalidInput(f"no irreducible polynomial found for p={p}, k={k}")
+# The modulus of GF(27), x^3 + 2x + 1, low-degree-first.  With p = 3
+# (mod 4), odd k > 1 and p^k <= MAX_ORDER, (p, k) = (3, 3) is the one
+# extension field gen_qr_power reaches.  The modulus is irreducible
+# because it is a cubic with no root in F_3, so it has no linear factor.
+_GF27_MODULUS = (1, 2, 0, 1)
 
 
 def gen_qr_power(p: int, k: int) -> Tournament:
@@ -164,7 +154,7 @@ def gen_qr_power(p: int, k: int) -> Tournament:
     if k < 1 or k % 2 == 0:
         raise InvalidInput(f"need odd extension degree, got k={k}")
     q = p ** k
-    f = _find_irreducible(p, k)
+    f = _GF27_MODULUS
 
     def elem(idx: int) -> tuple[int, ...]:
         digits = []

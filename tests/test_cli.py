@@ -18,10 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tourney import (TRACE_MAX_M, enumerate_regular, format_tour, gen_qr,
-                     gen_random, gen_rlt, parse_tour, write_corpus,
-                     write_tour)
+from tourney import (TRACE_MAX_M, count_report, enumerate_regular,
+                     format_tour, gen_qr, gen_random, gen_rlt, parse_tour,
+                     write_corpus, write_tour)
 from tourney.cli import _build_parser, _emit, main
+from tourney.counting import _FIXED_QUANTITIES
+from tourney.errors import InvalidInput
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -45,8 +47,6 @@ INTEGER_FLAGS = [
     ["gen", "qr", "--p", "X"],
     ["gen", "qr", "--p", "3", "--power", "X"],
     ["gen", "random", "--n", "7", "--seed", "X"],
-    ["count", "--input", "FILE", "--w", "X"],
-    ["count", "--input", "FILE", "--trace", "X"],
     ["verify", "thm1", "--n", "X"],
     ["verify", "lemma1", "--n", "7", "--p", "X"],
     ["enumerate", "--n", "X"],
@@ -93,6 +93,26 @@ class TestGen:
         err = assert_usage_error(capsys, "gen", "rotational", "--n", "7",
                                  "--symbol", "1,2,x")
         assert "--symbol" in err
+
+    @pytest.mark.parametrize("n,symbol,d", [("3", "1,1", 1),
+                                            ("7", "1,2,3,2", 2)],
+                             ids=["1,1", "1,2,3,2"])
+    def test_repeated_difference_is_usage_error(self, capsys, n, symbol, d):
+        # without the repeat, each is the symbol of RLT_n
+        err = assert_usage_error(capsys, "gen", "rotational", "--n", n,
+                                 "--symbol", symbol)
+        assert err == f"error: --symbol repeats the difference {d}\n"
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["--p", "3", "--power", "3"],
+         "0c7c367d179ce2a26a9a62574960053473f59dd14ae9c096029a42afbbc1fa72"),
+        (["--p", "59"],
+         "8394e1cc1ce13b9aa269f7d3ee89cdebe4fe39771b87a84f6196d3d352063733"),
+    ], ids=["qr27", "qr59"])
+    def test_qr_stdout_is_pinned(self, capsys, argv, digest):
+        code, out = run(capsys, "gen", "qr", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_missing_argument_is_usage_error(self, capsys):
         code, _ = run(capsys, "gen", "rlt")
@@ -157,14 +177,14 @@ class TestCount:
         assert names == {"c3", "c4", "c5", "s3", "s4", "s5"}
 
     def test_c5_value(self, capsys, rlt7_file):
-        code, out = run(capsys, "count", "--input", rlt7_file, "--c5")
+        code, out = run(capsys, "count", "--input", rlt7_file, "c5")
         doc = json.loads(out)
         values = {e["value"] for e in doc["quantities"]}
         assert code == 0 and values == {28}
 
     def test_w_and_trace(self, capsys, rlt7_file):
         code, out = run(capsys, "count", "--input", rlt7_file,
-                        "--w", "4", "--trace", "5", "--method", "formula")
+                        "w4", "tr5", "--method", "formula")
         doc = json.loads(out)
         assert code == 0
         assert {e["name"] for e in doc["quantities"]} == {"w4", "tr5"}
@@ -176,7 +196,7 @@ class TestCount:
         assert code == 0
         capsys.readouterr()
         code, _ = run(capsys, "count", "--input", str(path),
-                      "--c3", "--method", "oracle")
+                      "c3", "--method", "oracle")
         assert code == 2
 
     def test_default_above_oracle_cap(self, capsys, tmp_path):
@@ -224,8 +244,46 @@ class TestCount:
         path = tmp_path / "r64.tour"
         write_tour(gen_random(64, 1), path)
         err = assert_usage_error(capsys, "count", "--input", str(path),
-                                 "--trace", "100000")
+                                 "tr100000")
         assert str(TRACE_MAX_M) in err
+
+    @pytest.mark.parametrize("names", [
+        (),
+        ("w4", "tr3", "w5", "tr5", "c4"),
+        ("w4", "w4"),
+        ("c5", "c6"),
+    ], ids=["default", "w-tr-mix", "repeated-w4", "c6"])
+    def test_names_go_to_count_report(self, capsys, rlt7_file, names):
+        # stdout is count_report's for exactly these names, or exit 2
+        # with its message
+        code = main(["count", "--input", rlt7_file, *names])
+        got = capsys.readouterr()
+        assert code == (2 if "c6" in names else 0)
+        try:
+            _emit(count_report(gen_rlt(7), names or _FIXED_QUANTITIES))
+        except InvalidInput as exc:
+            assert (got.out, got.err) == ("", f"error: {exc}\n")
+        else:
+            assert got.out == capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["wX", "trX"])
+    @pytest.mark.parametrize("bad", ["٧", "+7", "0_7"],
+                             ids=["arabic-indic", "sign", "underscore"])
+    def test_quantity_orders_are_ascii_digits(self, capsys, rlt7_file, name,
+                                              bad):
+        # int() reads each of these as 7
+        name = name.replace("X", bad)
+        err = assert_usage_error(capsys, "count", "--input", rlt7_file, name)
+        assert err == f"error: unknown quantity {name!r}\n"
+
+    @pytest.mark.parametrize("old", [["--c5"], ["--w", "4"], ["--trace", "5"]],
+                             ids=["--c5", "--w", "--trace"])
+    def test_flag_spellings_are_gone(self, capsys, rlt7_file, old):
+        code = main(["count", "--input", rlt7_file, *old])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        # the value after the flag parses as a quantity name
+        assert f"unrecognized arguments: {old[0]}\n" in captured.err
 
 
 class TestParserReuse:
@@ -239,20 +297,18 @@ class TestParserReuse:
                                                        tmp_path):
         path = str(tmp_path / "rlt7.tour")
         write_tour(gen_rlt(7), path)
-        first = [run(capsys, "count", "--input", path, "--w", "4",
-                     "--w", "5"),
+        first = [run(capsys, "count", "--input", path, "w4", "w5"),
                  run(capsys, "count", "--input", path),
                  run(capsys, "gen", "qr", "--p", "7")]
         for bad in (("gen", "nosuchfamily"), ("count",),
-                    ("--time-budget", "x", "gen", "rlt", "--n", "5")):
+                    ("verify", "thm1", "--n", "5", "--time-budget", "x")):
             code, out = run(capsys, *bad)
             assert code == 2 and out == ""
-            again = [run(capsys, "count", "--input", path, "--w", "4",
-                         "--w", "5"),
+            again = [run(capsys, "count", "--input", path, "w4", "w5"),
                      run(capsys, "count", "--input", path),
                      run(capsys, "gen", "qr", "--p", "7")]
             assert again == first
-        # the appended --w values do not leak into the next call
+        # the names of one call do not leak into the next
         names = [e["name"] for e in json.loads(first[1][1])["quantities"]]
         assert not any(name.startswith("w") for name in names)
 
@@ -293,11 +349,30 @@ MISSING_FLAGS = [
 # for --out, --met for --method, --ver for --verify, --inp for --input
 ABBREVIATED_FLAGS = [
     ["gen", "named", "--n", "kz7"],
-    ["--time", "5", "gen", "rlt", "--n", "3"],
+    ["enumerate", "--n", "3", "--time", "5"],
     ["gen", "rlt", "--n", "3", "--o", "{out}"],
     ["count", "--input", "{qr11}", "--met", "all"],
     ["enumerate", "--ver", "{corpus9}"],
     ["classify", "--inp", "{qr11}"],
+]
+
+
+# one argv per command path, enumerate once by --n and once by --verify
+COMMAND_PATHS = [
+    ["gen", "transitive", "--n", "5"],
+    ["gen", "rlt", "--n", "7"],
+    ["gen", "rotational", "--n", "7", "--symbol", "1,2,3"],
+    ["gen", "qr", "--p", "7"],
+    ["gen", "named", "--name", "kz7"],
+    ["gen", "random", "--n", "5", "--seed", "1"],
+    ["count", "--input", "{qr11}"],
+    ["classify", "--input", "{qr11}"],
+    ["verify", "thm1", "--n", "5"],
+    ["verify", "prop2", "--corpus", "{corpus9}"],
+    ["verify", "lemma1", "--n", "5", "--p", "4"],
+    ["verify", "eq7", "--input", "{qr11}"],
+    ["enumerate", "--n", "5"],
+    ["enumerate", "--verify", "{corpus9}"],
 ]
 
 
@@ -345,6 +420,30 @@ class TestFlagsPerTarget:
         assert code == 2 and capsys.readouterr().out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", COMMAND_PATHS,
+                             ids=[" ".join(a[:2]).removesuffix(" --input")
+                                  for a in COMMAND_PATHS])
+    def test_time_budget_only_where_read(self, capsys, golden_inputs, argv):
+        argv = [a.format(**golden_inputs) for a in argv]
+        code, plain = run(capsys, *argv)
+        assert code == 0
+        code = main([*argv, "--time-budget", "5"])
+        captured = capsys.readouterr()
+        if argv[:2] in (["verify", "thm1"], ["enumerate", "--n"]):
+            assert code == 0 and captured.out == plain
+        elif argv[:2] == ["enumerate", "--verify"]:
+            assert code == 2 and captured.out == ""
+            assert captured.err == ("error: --out and --time-budget go with "
+                                    "an enumeration by --n, not with "
+                                    "--verify\n")
+        else:
+            assert code == 2 and captured.out == ""
+            # count takes the 5 as a quantity name
+            assert "unrecognized arguments: --time-budget" in captured.err
+        # nor does the top level take a budget
+        code = main(["--time-budget", "5", *argv])
+        assert code == 2 and capsys.readouterr().out == ""
+
     def test_enumerate_takes_n_or_verify(self, capsys, tmp_path):
         path = str(tmp_path / "r5.corpus")
         out = str(tmp_path / "copy.corpus")
@@ -365,14 +464,18 @@ class TestFlagsPerTarget:
         assert "need n >= 1, got 0" in err
 
     def test_option_strings(self):
+        # every settable value of every command path, positional ones by
+        # their dest, with whether it is required
         commands = subcommands(_build_parser())
-        flags = {}  # (command, family or target) -> {flag: required}
+        paths = {(name,): parser for name, parser in commands.items()
+                 if name not in ("gen", "verify")}
         for command in ("gen", "verify"):
             for name, parser in subcommands(commands[command]).items():
-                flags[command, name] = {
-                    opt: action.required for action in parser._actions
-                    for opt in action.option_strings
-                    if opt not in ("-h", "--help")}
+                paths[command, name] = parser
+        flags = {path: {(action.option_strings or [action.dest])[-1]:
+                        action.required for action in parser._actions
+                        if not isinstance(action, argparse._HelpAction)}
+                 for path, parser in paths.items()}
         assert flags == {
             ("gen", "transitive"): {"--n": True, "--out": False},
             ("gen", "rlt"): {"--n": True, "--out": False},
@@ -381,11 +484,19 @@ class TestFlagsPerTarget:
             ("gen", "qr"): {"--p": True, "--power": False, "--out": False},
             ("gen", "named"): {"--name": True, "--out": False},
             ("gen", "random"): {"--n": True, "--seed": True, "--out": False},
-            ("verify", "thm1"): {"--n": True},
+            ("count",): {"--input": True, "names": False, "--method": False},
+            ("classify",): {"--input": True},
+            ("verify", "thm1"): {"--n": True, "--time-budget": False},
             ("verify", "prop2"): {"--corpus": True},
             ("verify", "lemma1"): {"--n": True, "--p": True},
             ("verify", "eq7"): {"--input": True},
+            ("enumerate",): {"--n": False, "--verify": False, "--out": False,
+                             "--time-budget": False},
         }
+        assert sum(map(len, flags.values())) == 29
+        # the top level takes no flag but --help
+        assert [a.option_strings for a in _build_parser()._actions
+                if a.option_strings] == [["-h", "--help"]]
 
 
 class TestBlasThreads:
@@ -587,51 +698,44 @@ class TestEnumerate:
         err = assert_usage_error(capsys, "enumerate", "--verify", str(path))
         assert "(line 9, col 1)" in err
 
-    @pytest.mark.parametrize("flags", [["--time-budget", "0"],
-                                       ["--time-budget", "nan"],
-                                       ["--time-budget", "inf"],
-                                       ["--time-budget", "-1"]],
+    @pytest.mark.parametrize("budget", ["0", "nan", "inf", "-1"],
                              ids=["budget-0", "budget-nan", "budget-inf",
                                   "budget-neg"])
-    def test_bad_run_limits_are_usage_errors(self, capsys, tmp_path, flags):
-        # the budget is checked before any subcommand runs, so each of
-        # these would otherwise exit 0
-        path = str(tmp_path / "r5.corpus")
-        code, _ = run(capsys, "enumerate", "--n", "5", "--out", path)
-        assert code == 0
-        for command in (["enumerate", "--n", "5"], ["gen", "rlt", "--n", "5"],
-                        ["verify", "thm1", "--n", "5"],
-                        ["enumerate", "--verify", path]):
-            err = assert_usage_error(capsys, *flags, *command)
-            assert "time budget must be a positive finite number" in err
+    def test_bad_run_limits_are_usage_errors(self, capsys, budget):
+        # each of these commands would otherwise run
+        for command in (["enumerate", "--n", "5"],
+                        ["verify", "thm1", "--n", "5"]):
+            code = main([*command, "--time-budget", budget])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert "must be a positive finite number" in captured.err
 
     @pytest.mark.parametrize("budget", ["٥", "1_0", " 1", "+1", "1e3"],
                              ids=["arabic-indic", "underscore", "space",
                                   "sign", "exponent"])
     def test_budget_is_ascii_decimal(self, capsys, budget):
         # float() reads each of these as a positive finite number
-        err = assert_usage_error(capsys, "--time-budget", budget,
-                                 "gen", "rlt", "--n", "5")
-        assert f"ASCII decimal digits with at most one '.', got " \
-               f"{budget!r}" in err
+        code = main(["verify", "thm1", "--n", "5", "--time-budget", budget])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"argument --time-budget: must be a positive finite number " \
+               f"of seconds in ASCII decimal digits with at most one '.', " \
+               f"got {budget!r}" in captured.err
 
     @pytest.mark.parametrize("budget", ["0.5", "30"])
     def test_decimal_budgets_run(self, capsys, budget):
-        code, out = run(capsys, "--time-budget", budget,
-                        "gen", "rlt", "--n", "5")
-        assert code == 0 and parse_tour(out) == gen_rlt(5)
-        code, out = run(capsys, "--time-budget", budget,
-                        "enumerate", "--n", "5")
+        code, out = run(capsys, "enumerate", "--n", "5",
+                        "--time-budget", budget)
         assert code == 0 and json.loads(out)["classes"] == 1
 
     def test_thm1_honours_the_budget(self, capsys):
-        err = assert_usage_error(capsys, "--time-budget", "0.001",
-                                 "verify", "thm1", "--n", "7")
+        err = assert_usage_error(capsys, "verify", "thm1", "--n", "7",
+                                 "--time-budget", "0.001")
         assert "ran past its budget" in err
 
     def test_thm1_within_its_budget_prints_the_same(self, capsys):
-        code, out = run(capsys, "--time-budget", "600",
-                        "verify", "thm1", "--n", "5")
+        code, out = run(capsys, "verify", "thm1", "--n", "5",
+                        "--time-budget", "600")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == \
             GOLDEN["thm1-5"][1]
@@ -730,17 +834,17 @@ GOLDEN = {
         ("count", "--input", "{random8}"),
         "8f1fe7376d95a222c9828410c15e7ab30b2faee9f9fda2aede446b36526375ac"),
     "count-formula-qr11": (
-        ("count", "--input", "{qr11}", "--w", "4", "--trace", "5",
-         "--method", "formula"),
+        ("count", "--input", "{qr11}", "w4", "tr5", "--method", "formula"),
         "976c42f106e9c63d7660e17338e2d31e718ed89f5e765efe58db1c1a7eebac33"),
     "count-formula-rlt9": (
-        ("count", "--input", "{rlt9}", "--w", "4", "--trace", "5",
-         "--method", "formula"),
+        ("count", "--input", "{rlt9}", "w4", "tr5", "--method", "formula"),
         "f443c5b44fee384c0e7b682972502d2cfefe1aa875ad3d42d72c9ff1c29a743a"),
     "count-formula-random8": (
-        ("count", "--input", "{random8}", "--w", "4", "--trace", "5",
-         "--method", "formula"),
+        ("count", "--input", "{random8}", "w4", "tr5", "--method", "formula"),
         "42e3a2a884d06ea0f1547d433d3f5c7b4a2ab1de7afe8eba13c9df3d365cddcc"),
+    "count-names-rlt7": (
+        ("count", "--input", "{rlt7}", "c5", "s5", "w4", "tr5"),
+        "8f87dd181bcbae0f6b76f56565537af0512e0bfe15c5b6c3aba8574b11a4f993"),
     "classify-qr11": (
         ("classify", "--input", "{qr11}"),
         "4be89107846978a5f61f9a5596787dbde7ede6ea7c9200ce5b264fe648678f00"),
@@ -776,8 +880,8 @@ def golden_inputs(tmp_path_factory, corpus9) -> dict[str, str]:
     d = tmp_path_factory.mktemp("golden")
     paths = {"corpus9": str(d / "r9.corpus")}
     write_corpus(corpus9, paths["corpus9"])
-    for name, t in (("qr11", gen_qr(11)), ("rlt9", gen_rlt(9)),
-                    ("random8", gen_random(8, 42))):
+    for name, t in (("qr11", gen_qr(11)), ("rlt7", gen_rlt(7)),
+                    ("rlt9", gen_rlt(9)), ("random8", gen_random(8, 42))):
         paths[name] = str(d / f"{name}.tour")
         write_tour(t, paths[name])
     return paths

@@ -139,6 +139,13 @@ class TestQuadraticResidue:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "0c7c367d179ce2a26a9a62574960053473f59dd14ae9c096029a42afbbc1fa72")
 
+    def test_gf27_modulus_is_a_cubic_with_no_root_in_f3(self):
+        # a reducible cubic has a linear factor, hence a root
+        f = generators._GF27_MODULUS
+        assert len(f) == 4 and f[-1] == 1
+        assert all(sum(c * x ** d for d, c in enumerate(f)) % 3
+                   for x in range(3))
+
     def test_prime_power_rejects_even_degree(self):
         with pytest.raises(InvalidInput,
                            match="^need odd extension degree, got k=2$"):
