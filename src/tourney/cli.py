@@ -3,11 +3,12 @@
 Subcommands: gen (emit a .tour), count (counting report as JSON),
 classify (classification report as JSON), verify (bound and identity
 drivers as JSON), enumerate (regular corpus generation/verification).
-Each command path takes exactly the flags it reads, so any other flag
-is a usage error: each gen family and verify target has a parser of its
-own, count takes the library's quantity names (c5, w4, tr5, ...) as
-positional arguments, and --time-budget belongs to the two paths that
-run against a clock, enumerate --n and verify thm1.
+Each command path takes exactly the flags it reads, so any other flag,
+also one before the command, is a usage error that names it: each gen
+family and verify target has a parser of its own, count takes the
+library's quantity names (c5, w4, tr5, ...) as positional arguments,
+and --time-budget belongs to the two paths that run against a clock,
+enumerate --n and verify thm1.
 
 Exit codes: 0 success, 1 a mathematical claim failed its check, 2 usage,
 parse, or input errors.  JSON output never contains floats; exact
@@ -282,13 +283,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The tokens before the command that argparse handles itself: the top
+# level's help flags, "-" (read as a command name) and "--" (the end of
+# the flags).
+_TOP_LEVEL_ARGS = ("-h", "--help", "-", "--")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     # numpy reads this when it is first imported, which the library does
     # lazily; its products are small, so more BLAS threads cost more CPU
     # than they save in wall time.  An explicit value is left alone.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        if argv and argv[0].startswith("-") and argv[0] not in _TOP_LEVEL_ARGS:
+            # argparse would take the flag's value for the command
+            parser.error(f"unrecognized arguments: {argv[0]} (a flag goes "
+                         f"after the command that reads it)")
+        args = parser.parse_args(argv)
         return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)

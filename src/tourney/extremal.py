@@ -27,13 +27,15 @@ raise VerificationFailedError the moment a claimed fact fails.
 verify_c5_max runs one reducer, _extremes, over two routes that add one
 vertex to the tournaments of order n - 1, each as out-rows:
 
-  labeled sweep  the labeled tournaments of order n - 1 in which vertex
-                 1 beats vertex 0, 2^(C(n-1,2)-1) of them, grown from
-                 the empty tournament by enumeration._extend, weight 2;
-                 their extensions number 2^(C(n,2)-1) and stand for all
-                 2^C(n,2), as swapping labels 1 and 2 of an extension
-                 keeps its class and flips the base's arc (0, 1), with
-                 no fixed point
+  labeled sweep  the labeled tournaments of order n - 1 whose last
+                 three labels hold the transitive triangle (weight 6)
+                 or the 3-cycle (weight 2), 2^(C(n-1,2)-2) of them,
+                 grown from those two triangles by enumeration._extend;
+                 their extensions number 2^(C(n,2)-2) and stand for all
+                 2^C(n,2), as permuting the three labels keeps the
+                 class and takes each of the 8 labeled triangles to
+                 its class's one, 6 of them to the transitive and 2 to
+                 the 3-cycle
   class scan     the out-rows of every class rep R of order n - 1 from
                  the class engine (enumeration._classes), weighted by
                  R's orbit (n-1)!/|Aut R|; each extension stands for
@@ -42,13 +44,14 @@ vertex to the tournaments of order n - 1, each as out-rows:
 
 Both give (mass, regular mass, max c5, c5 witness mass, max s5, s5
 witness mass), and the two must agree.  At order 7 the scan has 56 reps
-and 3,584 extensions against the sweep's 1,048,576, scored with weight
-2 for the 2,097,152 labeled tournaments.  The scan's maximizing
-extensions, weighted by orbit, then go to certified_classes in one
-block per batch, and their classes must add up to the labeled
-witness mass: 1 and 5 extensions at order 7 for 240 and 2,640 labeled
-maximizers of c5 and s5, 3 and 32 at order 5 for 40 and 544.  The sweep
-keeps no maximizers; it only counts their mass.
+and 3,584 extensions against the sweep's 524,288 in 32 blocks, scored
+with weights 6 and 2 for the 2,097,152 labeled tournaments; at order 5
+the sweep scores 256 in one block.  The scan's maximizing extensions,
+weighted by orbit, then go to certified_classes in one block per batch,
+and their classes must add up to the labeled witness mass: 1 and 5
+extensions at order 7 for 240 and 2,640 labeled maximizers of c5 and
+s5, 3 and 32 at order 5 for 40 and 544.  The sweep keeps no maximizers;
+it only counts their mass.
 
 Both routes score their extensions with one kernel, _extension_batch,
 on blocks of out-rows, which it unpacks by the one shared unpack,
@@ -135,8 +138,9 @@ def c5_max_bound(n: int) -> Fraction:
 
     Where each part is checked: over all tournaments, verify_c5_max finds
     it strict at n = 5 and attained by QR_7 alone at n = 7, by the
-    labeled sweep (the labelings in which vertex 2 beats vertex 1,
-    weight 2) and the class scan;
+    labeled sweep (the labelings whose last three labels hold the
+    transitive triangle, weight 6, or the 3-cycle, weight 2) and the
+    class scan;
     verify_regular9 finds it strict among the regular tournaments of
     order 9, but no check covers the irregular ones there.  The tests
     find it attained by QR_p for every prime p = 3 (mod 4) from 7 to 59
@@ -163,8 +167,9 @@ def s5_of_rlt(n: int) -> int:
     """(n+1) n (n-1)(n-3)(11 n - 47) / 1920, the strong-5-subset count of
     RLT_n.  That it is the maximum over all tournaments of order n is
     checked exhaustively by verify_c5_max at n = 5 and 7 only, by the
-    labeled sweep (the labelings in which vertex 2 beats vertex 1,
-    weight 2) and the class scan; above order 7 nothing checks it."""
+    labeled sweep (the labelings whose last three labels hold the
+    transitive triangle, weight 6, or the 3-cycle, weight 2) and the
+    class scan; above order 7 nothing checks it."""
     _require_odd(n, 3)
     return _exact_div((n + 1) * n * (n - 1) * (n - 3) * (11 * n - 47), 1920)
 
@@ -273,7 +278,8 @@ class SweepExtremes:
     """Extremes of every tournament of order n, on which the labeled
     sweep and the class scan agree; total_codes and regular_codes count
     labeled tournaments, all 2^C(n,2) of them, though the labeled sweep
-    scores the half in which vertex 2 beats vertex 1 with weight 2."""
+    scores only the quarter whose last three labels hold the transitive
+    triangle, with weight 6, or the 3-cycle, with weight 2."""
 
     n: int
     total_codes: int
@@ -470,30 +476,36 @@ def _extension_batch(n: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
     return c5, s5, regular
 
 
-def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, int]]:
-    """Every labeled tournament of order n - 1 in which vertex 1 beats
-    vertex 0, as int64 out-rows in blocks of at most _SWEEP_BATCH, each
-    with weight 2.  They grow from the empty tournament by _extend, one
-    new vertex 0 at a time with every out-set, except the last, whose
-    out-sets are the even ones: bit 0 clear, so vertex 1 beats it.  The
-    last step runs one block at a time, so the sweep holds only the
-    tournaments of order n - 2 and one block.
+def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every labeled tournament of order n - 1 whose triangle on its
+    last three labels is the transitive [0b110, 0b100, 0] or the 3-cycle
+    [0b010, 0b100, 0b001], as blocks (int64 out-rows, weight 6 or 2 as a
+    column) of at most _SWEEP_BATCH bases.  They grow from the two
+    triangles by _extend, one new vertex 0 at a time with every out-set,
+    which shifts the old labels up and keeps the triangle on the last
+    three.  The last step runs one block at a time, so the sweep holds
+    only the bases of order n - 2 and one block.
 
-    Swapping labels 0 and 1 maps each labeled tournament to one in the
-    same class and flips arc (0, 1), with no fixed point, so every class
-    has exactly half of its labelings in the scored half; so does every
-    class of order n among their extensions, by the same swap on
-    vertices 1 and 2."""
+    An extension keeps its base's triangle on its own last three labels.
+    Permuting those three labels maps the labeled tournaments of order n
+    one to one and keeps c5, s5 and regularity.  Each of the 8 labeled
+    triangles goes to its class's rep by some permutation, which carries
+    the tournaments with that triangle onto those with the rep; the
+    transitive class has 6 labelings and the 3-cycle 2, so the rep's
+    extensions with weight 6 or 2 stand for all 2^C(n,2)."""
     import numpy as np
 
-    rows = np.zeros((1, 0), dtype=np.int64)
-    for k in range(1, n - 1):
-        rows = _extend(rows[:, None, :], np.arange(1 << (k - 1))
-                       ).reshape(-1, k)
-    even = np.arange(0, 1 << (n - 2), 2)
-    step = _SWEEP_BATCH // len(even)
+    rows = np.array([[0b110, 0b100, 0], [0b010, 0b100, 0b001]],
+                    dtype=np.int64)
+    weight = np.array([6, 2], dtype=np.int64)
+    for k in range(3, n - 2):
+        rows = _extend(rows[:, None, :], np.arange(1 << k)).reshape(-1, k + 1)
+        weight = np.repeat(weight, 1 << k)
+    s = np.arange(1 << (n - 2))
+    step = _SWEEP_BATCH // len(s)
     for lo in range(0, len(rows), step):
-        yield _extend(rows[lo:lo + step, None, :], even).reshape(-1, n - 1), 2
+        yield (_extend(rows[lo:lo + step, None, :], s).reshape(-1, n - 1),
+               np.repeat(weight[lo:lo + step], len(s))[:, None])
 
 
 def _class_batches(n: int, deadline: float | None = None

@@ -8,9 +8,10 @@ bitmask rows; for the extremal sweep's vertex table
 its neighbours; for the sweep's out-set terms (extremal._cut_forms), the
 cut form of one matrix and one out-set by a double loop; for the
 labeled sweep (extremal._labeled_batches), which grows the labelings
-in which vertex 1 beats vertex 0 and scores them with weight 2, every
-labeled tournament with weight 1, each decoded from its upper-triangle
-edge code by a loop over the code's pairs; for the join's cross
+whose last three labels hold the transitive triangle or the 3-cycle
+and scores them with weight 6 or 2, every labeled tournament with
+weight 1, each decoded from its upper-triangle edge code by a loop
+over the code's pairs; for the join's cross
 matrices (enumeration._cross_matrices), a recursion that copies the
 column sums at every choice and checks each one against the rows left;
 for core.validate's column check, a loop over every pair i < j; for
@@ -249,7 +250,7 @@ def code_rows(n: int, codes: Iterable[int]):
 
 
 def every_code_batches(n: int) -> Iterator[tuple]:
-    """The labeled sweep without its halving: every labeled base of
+    """The labeled sweep without its triangle rule: every labeled base of
     order n - 1, decoded by code_rows from all 2^C(n-1,2) edge codes in
     ascending order, as blocks (int64 out-rows, weight 1) of
     extremal._SWEEP_BATCH bases."""

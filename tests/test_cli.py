@@ -440,9 +440,47 @@ class TestFlagsPerTarget:
             assert code == 2 and captured.out == ""
             # count takes the 5 as a quantity name
             assert "unrecognized arguments: --time-budget" in captured.err
-        # nor does the top level take a budget
+        # nor does the top level take a budget, and it names the flag
         code = main(["--time-budget", "5", *argv])
-        assert code == 2 and capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "unrecognized arguments: --time-budget (" in captured.err
+
+    @pytest.mark.parametrize("flags", [
+        ["--time-budget", "5"], ["--time-budget=5"], ["--time-budget"],
+        ["--threads", "2"], ["--threads=2"], ["-x"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--input", "{rlt9}"], ["enumerate", "--n", "5"],
+        ["verify", "thm1", "--n", "5"],
+    ], ids=" ".join)
+    def test_flag_before_command_is_named(self, capsys, golden_inputs,
+                                          flags, argv):
+        # argparse alone reports the value after a flag as a bad command
+        code = main([*flags, *(a.format(**golden_inputs) for a in argv)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"tourney: error: unrecognized arguments: {flags[0]} (a flag "
+            f"goes after the command that reads it)\n")
+
+    @pytest.mark.parametrize("argv,err", [
+        (["-"], "argument command: invalid choice: '-'"),
+        (["-", "classify"], "argument command: invalid choice: '-'"),
+        (["--"], "the following arguments are required: command"),
+        (["--", "classify"], "argument command: invalid choice: '--'"),
+    ], ids=["-", "- classify", "--", "-- classify"])
+    def test_dashes_before_command_are_argparse_errors(self, capsys, argv,
+                                                       err):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"tourney: error: {err}" in captured.err
+
+    def test_top_level_help(self, capsys):
+        for flag in ("-h", "--help"):
+            code, out = run(capsys, flag)
+            assert code == 0 and out.startswith("usage: tourney")
 
     def test_enumerate_takes_n_or_verify(self, capsys, tmp_path):
         path = str(tmp_path / "r5.corpus")

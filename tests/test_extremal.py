@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import islice, permutations
 from math import comb, factorial
 
 import numpy as np
@@ -341,9 +342,10 @@ def orbit_mass(report: BoundReport) -> int:
 
 class TestTwoRoutes:
     """verify_c5_max reduces the extensions of the labeled tournaments
-    of order n - 1 in which vertex 1 beats vertex 0, with weight 2, and
-    the orbit-weighted extensions of every class rep of order n - 1 by
-    one reducer, and raises unless the two summaries agree."""
+    of order n - 1 whose last three labels hold the transitive triangle
+    (weight 6) or the 3-cycle (weight 2), and the orbit-weighted
+    extensions of every class rep of order n - 1, by one reducer, and
+    raises unless the two summaries agree."""
 
     def test_routes_agree_at_order5(self, sweep5):
         labeled, _ = _extremes(5, _labeled_batches(5), witnesses=False)
@@ -409,12 +411,20 @@ class TestTwoRoutes:
 
 class TestConverseHalving:
     """The labeled sweep scores the labeled tournaments of order n - 1
-    in which vertex 1 beats vertex 0 with weight 2: swapping labels 0
-    and 1 keeps the class and flips that arc, so each summary entry is
-    the every-code sweep's.  Apart from the halving, reversing every arc
-    takes the extension of a base by out-set s to that of its converse
-    by the complement of s, and the kernel keeps c5, s5 and regularity
-    under it."""
+    whose triangle on the last three labels is one of the two order-3
+    reps, with the rep's number of labelings as weight: permuting those
+    three labels keeps the class and takes every labeled triangle to its
+    rep, so each summary entry is the every-code sweep's.  Apart from
+    the triangle rule, reversing every arc takes the extension of a base
+    by out-set s to that of its converse by the complement of s, and the
+    kernel keeps c5, s5 and regularity under it."""
+
+    TRIANGLES = {(0b110, 0b100, 0): 6, (0b010, 0b100, 0b001): 2}
+
+    @staticmethod
+    def triangle(rows):
+        """The out-rows of the triangle on the last three labels."""
+        return tuple(row >> (len(rows) - 3) & 0b111 for row in rows[-3:])
 
     @pytest.mark.parametrize("n,sample", [(5, None), (6, None), (7, 256)])
     def test_kernel_agrees_on_converse_extensions(self, n, sample):
@@ -436,18 +446,41 @@ class TestConverseHalving:
             assert (image[:, ::-1] == score).all()
 
     @pytest.mark.parametrize("n", [5, 7])
-    def test_each_labeling_with_1_beating_0_once_with_weight_2(self, n):
+    def test_each_labeling_with_a_rep_triangle_once_with_its_weight(self, n):
         # every labeled tournament of order n - 1, decoded from its code
         m = n - 1
-        half = {rows for rows in map(tuple, code_rows(
-            m, range(1 << comb(m, 2))).tolist()) if rows[1] & 1}
+        reps = {rows: self.TRIANGLES[self.triangle(rows)]
+                for rows in map(tuple, code_rows(
+                    m, range(1 << comb(m, 2))).tolist())
+                if self.triangle(rows) in self.TRIANGLES}
         seen = []
         for rows, weight in _labeled_batches(n):
-            assert weight == 2
-            assert rows.dtype == np.int64 and rows.shape[1:] == (m,)
-            seen += map(tuple, rows.tolist())
-        assert len(seen) == len(set(seen)) == len(half) == 1 << comb(m, 2) - 1
-        assert set(seen) == half
+            assert rows.dtype == weight.dtype == np.int64
+            assert rows.shape[1:] == (m,) and weight.shape == (len(rows), 1)
+            seen += zip(map(tuple, rows.tolist()), weight.ravel().tolist())
+        assert len(seen) == len(dict(seen)) == len(reps) == 1 << comb(m, 2) - 2
+        assert dict(seen) == reps
+        assert sum(w for _, w in seen) << m == 1 << comb(n, 2)
+
+    def test_triangle_weights_are_orbit_sizes(self):
+        # the 6 relabelings of every labeled triangle, by row permutation:
+        # i -> j in t exactly when p[i] -> p[j] in its image
+        def relabel(t, p):
+            image = [0] * 3
+            for i in range(3):
+                for j in range(3):
+                    if t[i] >> j & 1:
+                        image[p[i]] |= 1 << p[j]
+            return tuple(image)
+
+        triangles = set(map(tuple, code_rows(3, range(8)).tolist()))
+        assert len(triangles) == 8
+        onto = {rep: {t for t in triangles
+                      if any(relabel(t, p) == rep
+                             for p in permutations(range(3)))}
+                for rep in self.TRIANGLES}
+        assert {rep: len(ts) for rep, ts in onto.items()} == self.TRIANGLES
+        assert set().union(*onto.values()) == triangles
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_halved_sweep_equals_every_code(self, n):
@@ -602,19 +635,16 @@ class TestExtensionKernel:
                        (bit, outsets, s, size, weight))
 
     def test_dropped_batch_raises(self, monkeypatch):
-        # the labeled sweep's one order-5 batch is the first the kernel
-        # sees
-        kernel = extremal._extension_batch
-        calls = []
-
-        def drop_first(n, rows):
-            calls.append(n)
-            return kernel(n, rows[:0] if len(calls) == 1 else rows)
-
-        monkeypatch.setattr(extremal, "_extension_batch", drop_first)
+        # the last of the 32 order-7 blocks, rows and weights: 256 bases
+        # with the 3-cycle, weight 2, of 64 extensions each, so the sweep
+        # counts 2^21 - 32,768
+        batches = extremal._labeled_batches
+        monkeypatch.setattr(extremal, "_labeled_batches",
+                            lambda n: islice(batches(n), 31))
         with pytest.raises(VerificationFailedError,
-                           match="visited 0 labeled tournaments"):
-            verify_c5_max(5)
+                           match=r"visited 2064384 labeled tournaments, "
+                                 r"not 2\^21"):
+            verify_c5_max(7)
 
 
 class TestRegular9Driver:
