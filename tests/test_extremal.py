@@ -462,6 +462,24 @@ class TestConverseHalving:
         assert dict(seen) == reps
         assert sum(w for _, w in seen) << m == 1 << comb(n, 2)
 
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_each_labeling_with_1_beating_0_once_with_weight_2(self, n):
+        # the older halving rule, by a second symmetry: swapping labels 0
+        # and 1 keeps the class and flips that arc, so the labelings in
+        # which 1 beats 0, each once with weight 2, reduce to the
+        # triangle rule's summary
+        m = n - 1
+        rows = code_rows(m, range(1 << comb(m, 2)))
+        half = rows[rows[:, 1] & 1 == 1]
+        assert len(half) == len(set(map(tuple, half.tolist()))) \
+            == 1 << comb(m, 2) - 1
+        step = extremal._SWEEP_BATCH
+        batches = ((half[lo:lo + step], 2)
+                   for lo in range(0, len(half), step))
+        halved = _extremes(n, batches, witnesses=False)
+        assert halved == _extremes(n, _labeled_batches(n), witnesses=False)
+        assert halved[0][0] == 1 << comb(n, 2)
+
     def test_triangle_weights_are_orbit_sizes(self):
         # the 6 relabelings of every labeled triangle, by row permutation:
         # i -> j in t exactly when p[i] -> p[j] in its image
