@@ -11,7 +11,10 @@ and --time-budget belongs to the two paths that run against a clock,
 enumerate --n and verify thm1.
 
 Exit codes: 0 success, 1 a mathematical claim failed its check, 2 usage,
-parse, or input errors.  JSON output never contains floats; exact
+parse, or input errors.  Every number from a flag, a file header or a
+count name is read by io._decimal: ASCII decimal digits only (a --seed
+may start with one '-', a --time-budget hold one '.'), and a value too
+long for an int exits 2 too.  JSON output never contains floats; exact
 rationals are {"num": ..., "den": ...}.  A printed report's JSON is
 exactly its dataclass fields, in declaration order (see _exact).
 """
@@ -32,6 +35,7 @@ from .core import Tournament
 from .errors import (
     InternalParityError,
     InvalidInput,
+    ParseError,
     TourneyError,
     VerificationFailedError,
 )
@@ -53,18 +57,14 @@ def _emit(doc: Any) -> None:
     sys.stdout.write("\n")
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    _write_text(io.format_tour(args.build(args)), args.out)
+    t = args.build(args)
+    if args.out is None:
+        sys.stdout.write(io.format_tour(t))
+    else:
+        io.write_tour(t, args.out)
     return 0
 
 
@@ -112,9 +112,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _rotational(args: argparse.Namespace) -> Tournament:
     try:
-        diffs = list(map(_natural, args.symbol.split(",")))
-    except argparse.ArgumentTypeError:
+        diffs = [io._decimal(d, "a --symbol part")
+                 for d in args.symbol.split(",")]
+    except ParseError as exc:  # with no column: too many digits
         raise InvalidInput(
+            exc.reason if exc.col is None else
             f"--symbol must be comma-separated ASCII decimal integers, "
             f"got {args.symbol!r}") from None
     for i, d in enumerate(diffs):
@@ -149,31 +151,35 @@ def _eq7(args: argparse.Namespace) -> dict[str, Any]:
 
 # -- parser ------------------------------------------------------------------
 
-def _natural(text: str) -> int:
-    """An integer argument of ASCII decimal digits only, the rule
-    io._decimal applies to file headers: int() alone would also take a
-    sign, spaces, underscores and non-ASCII digits."""
-    if not (text.isascii() and text.isdigit()):
+def _argument(text: str, digits: str, rule: str) -> int:
+    """io._decimal's value of digits, the digits of the flag value text,
+    as argparse takes it from a type function: a bad character is
+    reported as rule with the text, a value with too many digits by
+    io._decimal's message, which leaves the value out."""
+    try:
+        return io._decimal(digits, "the value")
+    except ParseError as exc:
         raise argparse.ArgumentTypeError(
-            f"must be ASCII decimal digits, got {text!r}")
-    return int(text)
+            exc.reason if exc.col is None else f"{rule}, got {text!r}"
+        ) from None
+
+
+def _natural(text: str) -> int:
+    return _argument(text, text, "must be ASCII decimal digits")
 
 
 def _seconds(text: str) -> float:
-    """A --time-budget value: ASCII decimal digits with at most one '.',
-    _natural's rule plus a decimal point, where float() alone would also
-    take a sign, spaces, underscores, an exponent, nan, inf and non-ASCII
-    digits.  The range check is enumeration._deadline's, which the two
-    commands that take a budget reach before they start work."""
-    if not (text.isascii() and text.replace(".", "", 1).isdigit()):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number of seconds in ASCII decimal "
-            f"digits with at most one '.', got {text!r}")
+    """A --time-budget value, whose digits are the text without its
+    first '.'.  The range check is enumeration._deadline's, which the
+    two commands that take a budget reach before they start work."""
+    _argument(text, text.replace(".", "", 1),
+              "must be a positive finite number of seconds in ASCII "
+              "decimal digits with at most one '.'")
     return float(text)
 
 
 def _seed(text: str) -> int:
-    """A seed: ASCII decimal digits after at most one leading '-'."""
+    """A seed: a _natural after at most one leading '-'."""
     if text.startswith("-"):
         return -_natural(text[1:])
     return _natural(text)

@@ -78,6 +78,7 @@ from typing import Callable, Sequence
 
 from .core import Tournament
 from .errors import InternalParityError, InvalidInput
+from .io import _decimal
 
 ORACLE_MAX_ORDER = 12
 TRACE_MAX_M = 1024
@@ -489,7 +490,7 @@ def _routes(name: str) -> list[tuple[str, Callable[[Tournament], int]]]:
     among this module's globals when it runs, so a wrapper installed
     there sees every call."""
     if name in _FIXED_QUANTITIES:
-        m = int(name[1])
+        m = _decimal(name[1], name)
         if name[0] == "c":
             return [("formula",
                      lambda t: (c3_formula, c4_formula, c5_formula)[m - 3](t)),
@@ -497,15 +498,9 @@ def _routes(name: str) -> list[tuple[str, Callable[[Tournament], int]]]:
                     ("trace", lambda t: _cycles_by_trace(t, m))]
         return [("formula", lambda t: s_formula(t, m)),
                 ("oracle", lambda t: oracle_strong_subs(t, m))]
-    # ASCII digits only, the rule of io._decimal; str.isdigit also
-    # takes "²" and "٣"
     suffixed = re.fullmatch(r"(w|tr)([0-9]+)", name)
     if suffixed:
-        try:
-            m = int(suffixed[2])
-        except ValueError:  # longer than the interpreter's int-string limit
-            raise InvalidInput(f"the order of {suffixed[1]} has too many "
-                               f"digits ({len(suffixed[2])})") from None
+        m = _decimal(suffixed[2], f"the order of {suffixed[1]}")
         if suffixed[1] == "w":
             return [("formula", lambda t: w_formula(t, m)),
                     ("oracle", lambda t: oracle_w(t, m))]

@@ -27,15 +27,9 @@ raise VerificationFailedError the moment a claimed fact fails.
 verify_c5_max runs one reducer, _extremes, over two routes that add one
 vertex to the tournaments of order n - 1, each as out-rows:
 
-  labeled sweep  the labeled tournaments of order n - 1 whose last
-                 three labels hold the transitive triangle (weight 6)
-                 or the 3-cycle (weight 2), 2^(C(n-1,2)-2) of them,
-                 grown from those two triangles by enumeration._extend;
-                 their extensions number 2^(C(n,2)-2) and stand for all
-                 2^C(n,2), as permuting the three labels keeps the
-                 class and takes each of the 8 labeled triangles to
-                 its class's one, 6 of them to the transitive and 2 to
-                 the 3-cycle
+  labeled sweep  a weighted quarter of the labeled tournaments of
+                 order n - 1 from _labeled_batches, whose docstring
+                 argues that their extensions stand for all 2^C(n,2)
   class scan     the out-rows of every class rep R of order n - 1 from
                  the class engine (enumeration._classes), weighted by
                  R's orbit (n-1)!/|Aut R|; each extension stands for
@@ -44,9 +38,9 @@ vertex to the tournaments of order n - 1, each as out-rows:
 
 Both give (mass, regular mass, max c5, c5 witness mass, max s5, s5
 witness mass), and the two must agree.  At order 7 the scan has 56 reps
-and 3,584 extensions against the sweep's 524,288 in 32 blocks, scored
-with weights 6 and 2 for the 2,097,152 labeled tournaments; at order 5
-the sweep scores 256 in one block.  The scan's maximizing extensions,
+and 3,584 extensions against the sweep's 524,288 in 32 blocks, which
+stand for the 2,097,152 labeled tournaments; at order 5 the sweep
+scores 256 in one block.  The scan's maximizing extensions,
 weighted by orbit, then go to certified_classes in one block per batch,
 and their classes must add up to the labeled witness mass: 1 and 5
 extensions at order 7 for 240 and 2,640 labeled maximizers of c5 and
@@ -137,10 +131,8 @@ def c5_max_bound(n: int) -> Fraction:
     tournaments (n = 3 mod 4); strict otherwise.
 
     Where each part is checked: over all tournaments, verify_c5_max finds
-    it strict at n = 5 and attained by QR_7 alone at n = 7, by the
-    labeled sweep (the labelings whose last three labels hold the
-    transitive triangle, weight 6, or the 3-cycle, weight 2) and the
-    class scan;
+    it strict at n = 5 and attained by QR_7 alone at n = 7, by its two
+    routes, the labeled sweep and the class scan;
     verify_regular9 finds it strict among the regular tournaments of
     order 9, but no check covers the irregular ones there.  The tests
     find it attained by QR_p for every prime p = 3 (mod 4) from 7 to 59
@@ -166,10 +158,9 @@ def c5_regular_max(n: int) -> int:
 def s5_of_rlt(n: int) -> int:
     """(n+1) n (n-1)(n-3)(11 n - 47) / 1920, the strong-5-subset count of
     RLT_n.  That it is the maximum over all tournaments of order n is
-    checked exhaustively by verify_c5_max at n = 5 and 7 only, by the
-    labeled sweep (the labelings whose last three labels hold the
-    transitive triangle, weight 6, or the 3-cycle, weight 2) and the
-    class scan; above order 7 nothing checks it."""
+    checked exhaustively by verify_c5_max at n = 5 and 7 only, by its
+    two routes, the labeled sweep and the class scan; above order 7
+    nothing checks it."""
     _require_odd(n, 3)
     return _exact_div((n + 1) * n * (n - 1) * (n - 3) * (11 * n - 47), 1920)
 
@@ -275,11 +266,10 @@ class MinimizationReport:
 
 @dataclass(frozen=True)
 class SweepExtremes:
-    """Extremes of every tournament of order n, on which the labeled
-    sweep and the class scan agree; total_codes and regular_codes count
-    labeled tournaments, all 2^C(n,2) of them, though the labeled sweep
-    scores only the quarter whose last three labels hold the transitive
-    triangle, with weight 6, or the 3-cycle, with weight 2."""
+    """Extremes of every tournament of order n, on which verify_c5_max's
+    two routes, the labeled sweep and the class scan, agree;
+    total_codes and regular_codes count labeled tournaments, all
+    2^C(n,2) of them."""
 
     n: int
     total_codes: int

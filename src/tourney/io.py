@@ -30,11 +30,16 @@ from .errors import ArcError, InvalidInput, ParseError
 _DROP_BITS = str.maketrans("", "", "01")
 
 
-def _decimal(text: str, what: str, line: int, col: int = 1) -> int:
+def _decimal(text: str, what: str, line: int | None = None,
+             col: int = 1) -> int:
     """The value of text, which must be ASCII decimal digits only: no
-    sign, space or underscore.  Anything else raises ParseError naming
-    the line and the column of the first bad character, where the text
-    starts at column col."""
+    sign, space or underscore.  The package reads every decimal number
+    from outside by it: a .tour order line, a .corpus header, a CLI
+    flag, the M of a count name wM or trM.  A bad character raises
+    ParseError with the column of the first one, where text starts at
+    column col; a value past the interpreter's int-string limit raises
+    one with no column that leaves the value out.  The message names a
+    position only when line is given."""
     bad = next((k for k, ch in enumerate(text) if not "0" <= ch <= "9"),
                None)
     if not text or bad is not None:

@@ -314,6 +314,35 @@ class TestParserReuse:
 
 
 # (argv, a flag the command does not read): each argv runs without the flag
+# a value past the interpreter's 4,300-digit limit on int strings, at
+# every path that reads a number from the command line
+LONG = "7" * 5000
+LONG_NUMBERS = [
+    *INTEGER_FLAGS,
+    ["gen", "rotational", "--n", "5", "--symbol", "1,X"],
+    ["gen", "random", "--n", "7", "--seed", "-X"],
+    ["verify", "thm1", "--n", "5", "--time-budget", "X"],
+    ["count", "--input", "FILE", "wX"],
+    ["count", "--input", "FILE", "trX"],
+]
+
+
+@pytest.mark.parametrize("argv", LONG_NUMBERS,
+                         ids=[" ".join(a).replace("X", "<5000 digits>")
+                              for a in LONG_NUMBERS])
+def test_long_numbers_are_usage_errors(capsys, rlt7_file, argv):
+    # io._decimal's message, without the value and without a traceback
+    argv = [rlt7_file if a == "FILE" else a.replace("X", LONG) for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "has too many digits (5000)" in errors[0]
+    for leak in ("Traceback", "_natural", "_seed", "7" * 20):
+        assert leak not in captured.err
+
+
 UNREAD_FLAGS = [
     (["gen", "transitive", "--n", "5"], ["--seed", "3"]),
     (["gen", "rlt", "--n", "7"], ["--seed", "3"]),

@@ -9,6 +9,7 @@ import pytest
 
 from tourney import format_tour, gen_random, gen_rlt, parse_tour, read_tour, write_tour
 from tourney.errors import InvalidInput, ParseError
+from tourney.io import _decimal
 
 
 class TestRoundTrip:
@@ -143,3 +144,23 @@ class TestRowsIntWouldTake:
         for _ in range(10):
             t = gen_random(64, rng.randrange(1 << 62))
             assert parse_tour(format_tour(t)) == t
+
+
+class TestDecimal:
+    """_decimal reads every decimal number the package takes from
+    outside; without a line its message names no position, and only a
+    value with too many digits has no column."""
+
+    def test_no_line_no_position(self):
+        with pytest.raises(ParseError) as info:
+            _decimal("7x", "n")
+        e = info.value
+        assert str(e) == "n must be a decimal integer"
+        assert (e.line, e.col) == (None, 2)
+
+    def test_too_many_digits_has_no_column_nor_value(self):
+        with pytest.raises(ParseError) as info:
+            _decimal("7" * 5000, "n")
+        e = info.value
+        assert str(e) == "n has too many digits (5000)"
+        assert (e.line, e.col) == (None, None)
