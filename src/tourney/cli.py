@@ -118,7 +118,7 @@ def _rotational(args: argparse.Namespace) -> Tournament:
         raise InvalidInput(
             exc.reason if exc.col is None else
             f"--symbol must be comma-separated ASCII decimal integers, "
-            f"got {args.symbol!r}") from None
+            f"got {_echo(args.symbol)}") from None
     for i, d in enumerate(diffs):
         if d in diffs[:i]:
             raise InvalidInput(f"--symbol repeats the difference {d}")
@@ -151,6 +151,18 @@ def _eq7(args: argparse.Namespace) -> dict[str, Any]:
 
 # -- parser ------------------------------------------------------------------
 
+# The longest flag value that an error message repeats whole.
+_ECHO = 40
+
+
+def _echo(text: str) -> str:
+    """text as an error message shows it: its repr up to _ECHO
+    characters, past that the repr of its first _ECHO and its length."""
+    if len(text) <= _ECHO:
+        return repr(text)
+    return f"{text[:_ECHO]!r}... ({len(text)} characters)"
+
+
 def _argument(text: str, digits: str, rule: str) -> int:
     """io._decimal's value of digits, the digits of the flag value text,
     as argparse takes it from a type function: a bad character is
@@ -160,12 +172,15 @@ def _argument(text: str, digits: str, rule: str) -> int:
         return io._decimal(digits, "the value")
     except ParseError as exc:
         raise argparse.ArgumentTypeError(
-            exc.reason if exc.col is None else f"{rule}, got {text!r}"
+            exc.reason if exc.col is None else f"{rule}, got {_echo(text)}"
         ) from None
 
 
+_DIGITS = "must be ASCII decimal digits"
+
+
 def _natural(text: str) -> int:
-    return _argument(text, text, "must be ASCII decimal digits")
+    return _argument(text, text, _DIGITS)
 
 
 def _seconds(text: str) -> float:
@@ -181,7 +196,7 @@ def _seconds(text: str) -> float:
 def _seed(text: str) -> int:
     """A seed: a _natural after at most one leading '-'."""
     if text.startswith("-"):
-        return -_natural(text[1:])
+        return -_argument(text, text[1:], _DIGITS)
     return _natural(text)
 
 

@@ -27,7 +27,7 @@ raise VerificationFailedError the moment a claimed fact fails.
 verify_c5_max runs one reducer, _extremes, over two routes that add one
 vertex to the tournaments of order n - 1, each as out-rows:
 
-  labeled sweep  a weighted quarter of the labeled tournaments of
+  labeled sweep  a weighted eighth of the labeled tournaments of
                  order n - 1 from _labeled_batches, whose docstring
                  argues that their extensions stand for all 2^C(n,2)
   class scan     the out-rows of every class rep R of order n - 1 from
@@ -38,9 +38,9 @@ vertex to the tournaments of order n - 1, each as out-rows:
 
 Both give (mass, regular mass, max c5, c5 witness mass, max s5, s5
 witness mass), and the two must agree.  At order 7 the scan has 56 reps
-and 3,584 extensions against the sweep's 524,288 in 32 blocks, which
+and 3,584 extensions against the sweep's 262,144 in 16 blocks, which
 stand for the 2,097,152 labeled tournaments; at order 5 the sweep
-scores 256 in one block.  The scan's maximizing extensions,
+scores 128 in one block.  The scan's maximizing extensions,
 weighted by orbit, then go to certified_classes in one block per batch,
 and their classes must add up to the labeled witness mass: 1 and 5
 extensions at order 7 for 240 and 2,640 labeled maximizers of c5 and
@@ -469,11 +469,13 @@ def _extension_batch(n: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
 def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every labeled tournament of order n - 1 whose triangle on its
     last three labels is the transitive [0b110, 0b100, 0] or the 3-cycle
-    [0b010, 0b100, 0b001], as blocks (int64 out-rows, weight 6 or 2 as a
+    [0b010, 0b100, 0b001], and in which vertex 0 beats the triangle's
+    middle label n - 3, as blocks (int64 out-rows, weight 12 or 4 as a
     column) of at most _SWEEP_BATCH bases.  They grow from the two
     triangles by _extend, one new vertex 0 at a time with every out-set,
     which shifts the old labels up and keeps the triangle on the last
-    three.  The last step runs one block at a time, so the sweep holds
+    three; the last step keeps only the out-sets holding the middle
+    label, bit n - 4.  It runs one block at a time, so the sweep holds
     only the bases of order n - 2 and one block.
 
     An extension keeps its base's triangle on its own last three labels.
@@ -481,17 +483,26 @@ def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     one to one and keeps c5, s5 and regularity.  Each of the 8 labeled
     triangles goes to its class's rep by some permutation, which carries
     the tournaments with that triangle onto those with the rep; the
-    transitive class has 6 labelings and the 3-cycle 2, so the rep's
-    extensions with weight 6 or 2 stand for all 2^C(n,2)."""
+    transitive class has 6 labelings and the 3-cycle 2.  Then let psi
+    reverse every arc and swap the triangle's two end labels.  It keeps
+    c5, s5 and regularity, maps each rep triangle onto itself, and
+    reverses the arc between any two labels it fixes, among them vertex
+    0 and the middle label.  So psi is an involution without a fixed
+    point that pairs the bases in which vertex 0 beats the middle label
+    one to one with those in which it does not, and maps the extensions
+    of a base onto those of its image.  The rep's extensions where
+    vertex 0 beats the middle label, with weight 12 or 4, stand for all
+    2^C(n,2)."""
     import numpy as np
 
     rows = np.array([[0b110, 0b100, 0], [0b010, 0b100, 0b001]],
                     dtype=np.int64)
-    weight = np.array([6, 2], dtype=np.int64)
+    weight = np.array([12, 4], dtype=np.int64)
     for k in range(3, n - 2):
         rows = _extend(rows[:, None, :], np.arange(1 << k)).reshape(-1, k + 1)
         weight = np.repeat(weight, 1 << k)
     s = np.arange(1 << (n - 2))
+    s = s[(s >> (n - 4) & 1).astype(bool)]
     step = _SWEEP_BATCH // len(s)
     for lo in range(0, len(rows), step):
         yield (_extend(rows[lo:lo + step, None, :], s).reshape(-1, n - 1),

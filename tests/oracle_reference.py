@@ -9,7 +9,8 @@ its neighbours; for the sweep's out-set terms (extremal._cut_forms), the
 cut form of one matrix and one out-set by a double loop; for the
 labeled sweep (extremal._labeled_batches), which grows the labelings
 whose last three labels hold the transitive triangle or the 3-cycle
-and scores them with weight 6 or 2, every labeled tournament with
+and in which vertex 0 beats the triangle's middle label, and scores
+them with weight 12 or 4, every labeled tournament with
 weight 1, each decoded from its upper-triangle edge code by a loop
 over the code's pairs; for the join's cross
 matrices (enumeration._cross_matrices), a recursion that copies the
@@ -250,10 +251,10 @@ def code_rows(n: int, codes: Iterable[int]):
 
 
 def every_code_batches(n: int) -> Iterator[tuple]:
-    """The labeled sweep without its triangle rule: every labeled base of
-    order n - 1, decoded by code_rows from all 2^C(n-1,2) edge codes in
-    ascending order, as blocks (int64 out-rows, weight 1) of
-    extremal._SWEEP_BATCH bases."""
+    """The labeled sweep without its triangle and converse rules: every
+    labeled base of order n - 1, decoded by code_rows from all
+    2^C(n-1,2) edge codes in ascending order, as blocks (int64 out-rows,
+    weight 1) of extremal._SWEEP_BATCH bases."""
     from tourney.extremal import _SWEEP_BATCH
 
     bases = 1 << comb(n - 1, 2)

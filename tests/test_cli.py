@@ -131,6 +131,14 @@ class TestGen:
         assert code == 0
         assert parse_tour(out) == gen_random(6, -9)
 
+    def test_bad_negative_seed_is_echoed_with_its_sign(self, capsys):
+        code = main(["gen", "random", "--n", "5", "--seed=-٧"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --seed: must be ASCII decimal digits, "
+            "got '-٧'\n")
+
     @pytest.mark.parametrize("value", ["١,٢,٣", "+1,2,3", "1,2,0_3",
                                        " 1,2,3", "1,2,-4"],
                              ids=["arabic-indic", "sign", "underscore",
@@ -341,6 +349,41 @@ def test_long_numbers_are_usage_errors(capsys, rlt7_file, argv):
     assert "has too many digits (5000)" in errors[0]
     for leak in ("Traceback", "_natural", "_seed", "7" * 20):
         assert leak not in captured.err
+
+
+# (argv with X for 300 sevens, the length of the value that holds X): one
+# bad character in a value at each path that echoes it
+LONG_BAD_VALUES = [
+    (["gen", "rlt", "--n", "Xx"], 301),
+    (["gen", "rotational", "--n", "5", "--symbol", "x,X"], 302),
+    (["gen", "random", "--n", "5", "--seed=-Xx"], 302),
+    (["verify", "thm1", "--n", "5", "--time-budget", "Xx"], 301),
+]
+
+
+@pytest.mark.parametrize("argv,length", LONG_BAD_VALUES,
+                         ids=[" ".join(a).replace("X", "<300 digits>")
+                              for a, _ in LONG_BAD_VALUES])
+def test_long_bad_values_are_echoed_in_part(capsys, argv, length):
+    # the message shows the value's first 40 characters and its length
+    code = main([a.replace("X", "7" * 300) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and len(errors[0]) < 240
+    assert errors[0].endswith(f"'... ({length} characters)")
+    assert "7" * 41 not in captured.err
+
+
+@pytest.mark.parametrize("length", [40, 41])
+def test_values_up_to_40_characters_are_echoed_whole(capsys, length):
+    value = "7" * (length - 1) + "x"
+    code = main(["gen", "rlt", "--n", value])
+    shown = (f"'{value}'" if length == 40 else
+             f"'{value[:40]}'... (41 characters)")
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --n: must be ASCII decimal digits, got {shown}\n")
 
 
 UNREAD_FLAGS = [

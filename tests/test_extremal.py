@@ -343,7 +343,8 @@ def orbit_mass(report: BoundReport) -> int:
 class TestTwoRoutes:
     """verify_c5_max reduces the extensions of the labeled tournaments
     of order n - 1 whose last three labels hold the transitive triangle
-    (weight 6) or the 3-cycle (weight 2), and the orbit-weighted
+    (weight 12) or the 3-cycle (weight 4) and in which vertex 0 beats
+    the triangle's middle label, and the orbit-weighted
     extensions of every class rep of order n - 1, by one reducer, and
     raises unless the two summaries agree."""
 
@@ -410,14 +411,18 @@ class TestTwoRoutes:
 
 
 class TestConverseHalving:
-    """The labeled sweep scores the labeled tournaments of order n - 1
+    """The labeled sweep scores the labeled tournaments of order m = n - 1
     whose triangle on the last three labels is one of the two order-3
-    reps, with the rep's number of labelings as weight: permuting those
-    three labels keeps the class and takes every labeled triangle to its
-    rep, so each summary entry is the every-code sweep's.  Apart from
-    the triangle rule, reversing every arc takes the extension of a base
-    by out-set s to that of its converse by the complement of s, and the
-    kernel keeps c5, s5 and regularity under it."""
+    reps and in which vertex 0 beats the triangle's middle label m - 2,
+    with twice the rep's number of labelings as weight, 12 or 4.
+    Permuting the three labels keeps the class and takes every labeled
+    triangle to its rep; psi, which reverses every arc and swaps the
+    triangle's two end labels, keeps each rep triangle and flips the arc
+    from vertex 0 to the middle label, so each summary entry is the
+    every-code sweep's.  Reversing every arc takes the extension of a
+    base by out-set s to that of its converse by the complement of s,
+    and the kernel keeps c5, s5 and regularity under it and under
+    psi."""
 
     TRIANGLES = {(0b110, 0b100, 0): 6, (0b010, 0b100, 0b001): 2}
 
@@ -425,6 +430,33 @@ class TestConverseHalving:
     def triangle(rows):
         """The out-rows of the triangle on the last three labels."""
         return tuple(row >> (len(rows) - 3) & 0b111 for row in rows[-3:])
+
+    @classmethod
+    def rep_triangle_bases(cls, m):
+        """Every labeled tournament of order m whose last three labels
+        hold a rep triangle, decoded from its code, as (rows, weight 6 or
+        2) in code order."""
+        return [(rows, cls.TRIANGLES[cls.triangle(rows)])
+                for rows in map(tuple, code_rows(
+                    m, range(1 << comb(m, 2))).tolist())
+                if cls.triangle(rows) in cls.TRIANGLES]
+
+    @staticmethod
+    def swap_ends(x, m):
+        """x with bits m - 3 and m - 1 swapped."""
+        flip = (x >> m - 3 ^ x >> m - 1) & 1
+        return x ^ (flip << m - 3 | flip << m - 1)
+
+    @classmethod
+    def psi(cls, rows):
+        """The int64 out-rows (B, m) with every arc reversed and labels
+        m - 3 and m - 1 swapped: the converse's row i is its in-mask, and
+        the swap exchanges those two rows and those two bits of each."""
+        m = rows.shape[1]
+        converse = ((1 << m) - 1 ^ 1 << np.arange(m)) ^ rows
+        order = np.arange(m)
+        order[[m - 3, m - 1]] = m - 1, m - 3
+        return cls.swap_ends(converse[:, order], m)
 
     @pytest.mark.parametrize("n,sample", [(5, None), (6, None), (7, 256)])
     def test_kernel_agrees_on_converse_extensions(self, n, sample):
@@ -446,21 +478,60 @@ class TestConverseHalving:
             assert (image[:, ::-1] == score).all()
 
     @pytest.mark.parametrize("n", [5, 7])
-    def test_each_labeling_with_a_rep_triangle_once_with_its_weight(self, n):
+    def test_each_labeling_with_0_beating_the_middle_once_with_its_weight(
+            self, n):
         # every labeled tournament of order n - 1, decoded from its code
         m = n - 1
-        reps = {rows: self.TRIANGLES[self.triangle(rows)]
-                for rows in map(tuple, code_rows(
-                    m, range(1 << comb(m, 2))).tolist())
-                if self.triangle(rows) in self.TRIANGLES}
+        reps = {rows: 2 * weight
+                for rows, weight in self.rep_triangle_bases(m)
+                if rows[0] >> m - 2 & 1}
         seen = []
         for rows, weight in _labeled_batches(n):
             assert rows.dtype == weight.dtype == np.int64
             assert rows.shape[1:] == (m,) and weight.shape == (len(rows), 1)
             seen += zip(map(tuple, rows.tolist()), weight.ravel().tolist())
-        assert len(seen) == len(dict(seen)) == len(reps) == 1 << comb(m, 2) - 2
+        assert len(seen) == len(dict(seen)) == len(reps) == 1 << comb(m, 2) - 3
         assert dict(seen) == reps
         assert sum(w for _, w in seen) << m == 1 << comb(n, 2)
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_each_labeling_with_a_rep_triangle_once_with_its_weight(self, n):
+        # the older triangle rule without psi: every labeling with a rep
+        # triangle, each once with weight 6 or 2, reduces to the sweep's
+        # summary
+        m = n - 1
+        bases = self.rep_triangle_bases(m)
+        assert len(bases) == 1 << comb(m, 2) - 2
+        rows = np.array([rows for rows, _ in bases], dtype=np.int64)
+        weight = np.array([[w] for _, w in bases], dtype=np.int64)
+        step = extremal._SWEEP_BATCH
+        batches = ((rows[lo:lo + step], weight[lo:lo + step])
+                   for lo in range(0, len(rows), step))
+        triangles = _extremes(n, batches, witnesses=False)
+        assert triangles == _extremes(n, _labeled_batches(n), witnesses=False)
+        assert triangles[0][0] == 1 << comb(n, 2)
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_psi_pairs_the_rep_triangle_bases(self, m):
+        # every base of order m with a rep triangle; psi's image of the
+        # extension by out-set s is psi(base) extended by the complement
+        # of s with its end bits swapped
+        rows = np.array([rows for rows, _ in self.rep_triangle_bases(m)],
+                        dtype=np.int64)
+        image = self.psi(rows)
+        assert (self.psi(image) == rows).all()
+        assert (image != rows).any(axis=1).all()
+        assert set(map(tuple, image.tolist())) == set(map(tuple,
+                                                          rows.tolist()))
+        assert ((image[:, 0] ^ rows[:, 0]) >> m - 2 & 1).all()
+        assert [self.triangle(r) for r in image.tolist()] \
+            == [self.triangle(r) for r in rows.tolist()]
+        n = m + 1
+        outsets = self.swap_ends((1 << m) - 1 ^ np.arange(1 << m), m)
+        scores = _extension_batch(n, rows)
+        assert scores[2].any()  # the regular flags are not all False
+        for score, psi_score in zip(scores, _extension_batch(n, image)):
+            assert (psi_score[:, outsets] == score).all()
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_each_labeling_with_1_beating_0_once_with_weight_2(self, n):
@@ -653,14 +724,14 @@ class TestExtensionKernel:
                        (bit, outsets, s, size, weight))
 
     def test_dropped_batch_raises(self, monkeypatch):
-        # the last of the 32 order-7 blocks, rows and weights: 256 bases
-        # with the 3-cycle, weight 2, of 64 extensions each, so the sweep
-        # counts 2^21 - 32,768
+        # the last of the 16 order-7 blocks, rows and weights: 256 bases
+        # with the 3-cycle, weight 4, of 64 extensions each, so the sweep
+        # counts 2^21 - 65,536
         batches = extremal._labeled_batches
         monkeypatch.setattr(extremal, "_labeled_batches",
-                            lambda n: islice(batches(n), 31))
+                            lambda n: islice(batches(n), 15))
         with pytest.raises(VerificationFailedError,
-                           match=r"visited 2064384 labeled tournaments, "
+                           match=r"visited 2031616 labeled tournaments, "
                                  r"not 2\^21"):
             verify_c5_max(7)
 
