@@ -118,7 +118,7 @@ def _rotational(args: argparse.Namespace) -> Tournament:
         raise InvalidInput(
             exc.reason if exc.col is None else
             f"--symbol must be comma-separated ASCII decimal integers, "
-            f"got {_echo(args.symbol)}") from None
+            f"got {io._echo(args.symbol)}") from None
     for i, d in enumerate(diffs):
         if d in diffs[:i]:
             raise InvalidInput(f"--symbol repeats the difference {d}")
@@ -151,18 +151,6 @@ def _eq7(args: argparse.Namespace) -> dict[str, Any]:
 
 # -- parser ------------------------------------------------------------------
 
-# The longest flag value that an error message repeats whole.
-_ECHO = 40
-
-
-def _echo(text: str) -> str:
-    """text as an error message shows it: its repr up to _ECHO
-    characters, past that the repr of its first _ECHO and its length."""
-    if len(text) <= _ECHO:
-        return repr(text)
-    return f"{text[:_ECHO]!r}... ({len(text)} characters)"
-
-
 def _argument(text: str, digits: str, rule: str) -> int:
     """io._decimal's value of digits, the digits of the flag value text,
     as argparse takes it from a type function: a bad character is
@@ -172,7 +160,7 @@ def _argument(text: str, digits: str, rule: str) -> int:
         return io._decimal(digits, "the value")
     except ParseError as exc:
         raise argparse.ArgumentTypeError(
-            exc.reason if exc.col is None else f"{rule}, got {_echo(text)}"
+            exc.reason if exc.col is None else f"{rule}, got {io._echo(text)}"
         ) from None
 
 

@@ -78,7 +78,7 @@ from typing import Callable, Sequence
 
 from .core import Tournament
 from .errors import InternalParityError, InvalidInput
-from .io import _decimal
+from .io import _decimal, _echo
 
 ORACLE_MAX_ORDER = 12
 TRACE_MAX_M = 1024
@@ -505,7 +505,7 @@ def _routes(name: str) -> list[tuple[str, Callable[[Tournament], int]]]:
             return [("formula", lambda t: w_formula(t, m)),
                     ("oracle", lambda t: oracle_w(t, m))]
         return [("trace", lambda t: trace_m(t, m))]
-    raise InvalidInput(f"unknown quantity {name!r}")
+    raise InvalidInput(f"unknown quantity {_echo(name)}")
 
 
 def count_report(t: Tournament, names: Sequence[str],

@@ -122,7 +122,7 @@ from .core import (MAX_CANONICAL_ORDER, CanonicalForm, Tournament,
 from .counting import _row_bits, _table
 from .errors import (InvalidInput, ParseError, TimeBudgetExceededError,
                      VerificationFailedError)
-from .io import _decimal, format_tour, parse_tour, read_text
+from .io import _decimal, _echo, format_tour, parse_tour, read_text
 
 if TYPE_CHECKING:
     import numpy as np
@@ -464,8 +464,8 @@ def read_corpus(path: str | os.PathLike[str]) -> EnumCorpus:
                          f"got {n}", line=pos)
     constraint = take("constraint ")
     if constraint != "regular":
-        raise ParseError(f"constraint must be 'regular', got {constraint!r}",
-                         line=pos)
+        raise ParseError(f"constraint must be 'regular', got "
+                         f"{_echo(constraint)}", line=pos)
     labeled = take_decimal("labeled_count")
     nclasses = take_decimal("classes")
     classes = []

@@ -37,11 +37,12 @@ vertex to the tournaments of order n - 1, each as out-rows:
                  argument in enumeration's docstring)
 
 Both give (mass, regular mass, max c5, c5 witness mass, max s5, s5
-witness mass), and the two must agree.  At order 7 the scan has 56 reps
-and 3,584 extensions against the sweep's 262,144 in 16 blocks, which
-stand for the 2,097,152 labeled tournaments; at order 5 the sweep
-scores 128 in one block.  The scan's maximizing extensions,
-weighted by orbit, then go to certified_classes in one block per batch,
+witness mass), and the two must agree.  _extremes scores each route in
+slices of at most _SWEEP_BATCH bases: at order 7 the scan's 56 reps, one
+block, in one slice of 3,584 extensions and the sweep's 262,144 in 16,
+which stand for the 2,097,152 labeled tournaments; at order 5 the sweep
+scores 128 in one.  The scan's maximizing extensions, weighted
+by orbit, then go to certified_classes in one block per slice,
 and their classes must add up to the labeled witness mass: 1 and 5
 extensions at order 7 for 240 and 2,640 labeled maximizers of c5 and
 s5, 3 and 32 at order 5 for 40 and 544.  The sweep keeps no maximizers;
@@ -96,7 +97,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .core import CanonicalForm, Tournament, canonical_form
 from .counting import (_row_bits, _table, c4_formula, c5_formula,
@@ -132,12 +133,11 @@ def c5_max_bound(n: int) -> Fraction:
 
     Where each part is checked: over all tournaments, verify_c5_max finds
     it strict at n = 5 and attained by QR_7 alone at n = 7, by its two
-    routes, the labeled sweep and the class scan;
-    verify_regular9 finds it strict among the regular tournaments of
-    order 9, but no check covers the irregular ones there.  The tests
-    find it attained by QR_p for every prime p = 3 (mod 4) from 7 to 59
-    and by the doubly regular gen_qr_power(3, 3) of order 27.  Nothing
-    checks "strict otherwise" above order 9."""
+    routes, the labeled sweep and the class scan; the tests' class scan
+    over every class of order 8 finds it strict at n = 9, max c5 = 180.
+    The tests find it attained by QR_p for every prime p = 3 (mod 4)
+    from 7 to 59 and by the doubly regular gen_qr_power(3, 3) of order
+    27.  Nothing checks "strict otherwise" above order 9."""
     _require_odd(n, 5)
     return Fraction((n + 1) * n * (n - 1) * (n - 2) * (n - 3), 160)
 
@@ -158,9 +158,10 @@ def c5_regular_max(n: int) -> int:
 def s5_of_rlt(n: int) -> int:
     """(n+1) n (n-1)(n-3)(11 n - 47) / 1920, the strong-5-subset count of
     RLT_n.  That it is the maximum over all tournaments of order n is
-    checked exhaustively by verify_c5_max at n = 5 and 7 only, by its
-    two routes, the labeled sweep and the class scan; above order 7
-    nothing checks it."""
+    checked exhaustively by verify_c5_max at n = 5 and 7, by its two
+    routes, the labeled sweep and the class scan, and at n = 9, with
+    RLT_9 the one maximizing class, by the tests' class scan over every
+    class of order 8; above order 9 nothing checks it."""
     _require_odd(n, 3)
     return _exact_div((n + 1) * n * (n - 1) * (n - 3) * (11 * n - 47), 1920)
 
@@ -361,15 +362,6 @@ def verify_binomial_sum_min(n: int, p: int) -> MinimizationReport:
 
 # -- exhaustive sweeps: labeled tournaments and class reps -------------------
 
-# Bases per numpy batch.  The largest arrays of one batch, the
-# gathered vertex shares, hold 256 * (n-1) * 2^(n-1) int64 entries,
-# 768 KiB at n = 7; each cut form holds 256 * 2^(n-1) entries, 128 KiB,
-# and its float64 operand 256 * (n-1)^2 beside the per-order weight of
-# (n-1)^2 * 2^(n-1), so the sweep's peak memory stays near that of
-# importing numpy.
-_SWEEP_BATCH = 256
-
-
 @_table(maxsize=None)
 def _outsets(m: int) -> tuple[np.ndarray, ...]:
     """(bit, outsets, s, size, weight) for the out-sets of a new vertex
@@ -470,8 +462,8 @@ def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every labeled tournament of order n - 1 whose triangle on its
     last three labels is the transitive [0b110, 0b100, 0] or the 3-cycle
     [0b010, 0b100, 0b001], and in which vertex 0 beats the triangle's
-    middle label n - 3, as blocks (int64 out-rows, weight 12 or 4 as a
-    column) of at most _SWEEP_BATCH bases.  They grow from the two
+    middle label n - 3, as blocks (int64 out-rows, int64 weights 12 or
+    4) of at most _SWEEP_BATCH bases.  They grow from the two
     triangles by _extend, one new vertex 0 at a time with every out-set,
     which shifts the old labels up and keeps the triangle on the last
     three; the last step keeps only the out-sets holding the middle
@@ -506,60 +498,61 @@ def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     step = _SWEEP_BATCH // len(s)
     for lo in range(0, len(rows), step):
         yield (_extend(rows[lo:lo + step, None, :], s).reshape(-1, n - 1),
-               np.repeat(weight[lo:lo + step], len(s))[:, None])
+               np.repeat(weight[lo:lo + step], len(s)))
 
 
-def _class_batches(n: int, deadline: float | None = None
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every class rep R of order n - 1, in key order and in blocks of
-    _SWEEP_BATCH, as (out-rows, orbit (n-1)!/|Aut R| as a column); the
-    class engine checks deadline as enumerate_regular's does."""
-    import numpy as np
-
-    reps, orbits = _classes(n - 1, deadline)
-    orbits = np.array(orbits, dtype=np.int64)[:, None]
-    for lo in range(0, len(reps), _SWEEP_BATCH):
-        yield reps[lo:lo + _SWEEP_BATCH], orbits[lo:lo + _SWEEP_BATCH]
+# Bases per slice of _extremes, one _extension_batch call each.  The
+# largest arrays of one slice, the gathered vertex shares, hold
+# 256 * (n-1) * 2^(n-1) int64 entries, 768 KiB at n = 7; each cut form
+# holds 256 * 2^(n-1) entries, 128 KiB, and its float64 operand
+# 256 * (n-1)^2 beside the per-order weight of (n-1)^2 * 2^(n-1), so the
+# sweep's peak memory stays near that of importing numpy.
+_SWEEP_BATCH = 256
 
 
-def _extremes(n: int, batches: Iterable[tuple[np.ndarray, np.ndarray | int]],
+def _extremes(n: int, blocks: Iterable[tuple[Sequence[Sequence[int]],
+                                              int | Sequence[int]]],
               deadline: float | None = None, *, witnesses: bool
               ) -> tuple[tuple[int, ...], list[list[tuple[np.ndarray, list]]]]:
     """Extremes of the order-n one-vertex extensions of weighted
-    order-(n-1) bases.  batches yields blocks (out-rows, weight), the
-    block type of certified_classes; the weight, a scalar or a column,
-    is broadcast over the rows of _extension_batch(n, out-rows), so
-    every extension of a base carries its weight.  Returns the summary
+    order-(n-1) bases.  blocks yields certified_classes' blocks
+    (out-rows, weight) of any length, the weight one int for the block
+    or one int per row, carried by every extension of that row; each is
+    scored in slices of at most _SWEEP_BATCH bases.  Returns the summary
     (mass, regular mass, max c5, c5 witness mass, max s5, s5 witness
     mass), each mass a weight total, and the argmax extensions of c5 and
-    of s5 as blocks (out-rows, weights), one per batch that attains the
+    of s5 as blocks (out-rows, weights), one per slice that attains the
     maximum, built by enumeration._extend when witnesses is true and
     empty otherwise.  Raises TimeBudgetExceededError once the monotonic
-    clock passes deadline, checked once per batch."""
+    clock passes deadline, checked once per slice."""
     import numpy as np
 
     mass = regular = 0
     best = [-1, -1]
     hit_mass = [0, 0]
     argmax: list[list[tuple[np.ndarray, list[int]]]] = [[], []]
-    for rows, weight in batches:
-        _check_deadline(deadline, "the sweep")
-        c5, s5, is_reg = _extension_batch(n, rows)
-        w = np.broadcast_to(weight, c5.shape)
-        mass += int(w.sum())
-        regular += int(w[is_reg].sum())
-        for q, values in enumerate((c5, s5)):
-            bmax = int(values.max(initial=-1))
-            if bmax > best[q]:
-                best[q], hit_mass[q], argmax[q] = bmax, 0, []
-            if bmax == best[q]:
-                hit = values == bmax
-                hit_weight = w[hit]
-                hit_mass[q] += int(hit_weight.sum())
-                if witnesses:
-                    b, s = np.nonzero(hit)
-                    argmax[q].append((_extend(rows[b], s),
-                                      hit_weight.tolist()))
+    for block, weights in blocks:
+        block = np.asarray(block, dtype=np.int64)
+        weights = np.broadcast_to(weights, len(block))
+        for lo in range(0, len(block), _SWEEP_BATCH):
+            _check_deadline(deadline, "the sweep")
+            rows = block[lo:lo + _SWEEP_BATCH]
+            c5, s5, is_reg = _extension_batch(n, rows)
+            w = np.broadcast_to(weights[lo:lo + _SWEEP_BATCH, None], c5.shape)
+            mass += int(w.sum())
+            regular += int(w[is_reg].sum())
+            for q, values in enumerate((c5, s5)):
+                bmax = int(values.max(initial=-1))
+                if bmax > best[q]:
+                    best[q], hit_mass[q], argmax[q] = bmax, 0, []
+                if bmax == best[q]:
+                    hit = values == bmax
+                    hit_weight = w[hit]
+                    hit_mass[q] += int(hit_weight.sum())
+                    if witnesses:
+                        b, s = np.nonzero(hit)
+                        argmax[q].append((_extend(rows[b], s),
+                                          hit_weight.tolist()))
     return (mass, regular, best[0], hit_mass[0], best[1], hit_mass[1]), argmax
 
 
@@ -597,7 +590,7 @@ def verify_c5_max(n: int, *, time_budget: float | None = None
     time_budget is None or a positive finite number of seconds
     (InvalidInput otherwise) for the whole run, the enumeration of the
     regular classes included; TimeBudgetExceededError past it, checked
-    once per batch of either route and as enumerate_regular checks.
+    once per slice of either route and as enumerate_regular checks.
     """
     if n not in (5, 7):
         raise InvalidInput(
@@ -610,8 +603,8 @@ def verify_c5_max(n: int, *, time_budget: float | None = None
         raise VerificationFailedError(
             f"sweep visited {total} labeled tournaments, not "
             f"2^{comb(n, 2)}")
-    scan, (c5_argmax, s5_argmax) = _extremes(n, _class_batches(n, deadline),
-                                             deadline, witnesses=True)
+    scan, (c5_argmax, s5_argmax) = _extremes(
+        n, [_classes(n - 1, deadline)], deadline, witnesses=True)
     if scan != labeled:
         raise VerificationFailedError(
             f"the labeled sweep {labeled} and the class scan {scan} disagree")

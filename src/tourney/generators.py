@@ -25,7 +25,7 @@ from .classify import is_doubly_regular, is_locally_transitive
 from .core import MAX_ORDER, Tournament, _check_order, compose, validate
 from .enumeration import enumerate_regular
 from .errors import InvalidInput, VerificationFailedError
-from .io import parse_tour
+from .io import _echo, parse_tour
 
 
 def gen_transitive(n: int) -> Tournament:
@@ -260,7 +260,7 @@ def gen_named(name: str) -> Tournament:
     }
     if name not in table:
         raise InvalidInput(
-            f"unknown tournament name {name!r}; known: {sorted(table)}")
+            f"unknown tournament name {_echo(name)}; known: {sorted(table)}")
     return table[name]()
 
 

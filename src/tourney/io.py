@@ -52,6 +52,18 @@ def _decimal(text: str, what: str, line: int | None = None,
                          line=line) from None
 
 
+# The longest outside value that an error message repeats whole.
+_ECHO = 40
+
+
+def _echo(text: str) -> str:
+    """text as an error message shows it: its repr up to _ECHO
+    characters, past that the repr of its first _ECHO and its length."""
+    if len(text) <= _ECHO:
+        return repr(text)
+    return f"{text[:_ECHO]!r}... ({len(text)} characters)"
+
+
 def parse_tour(text: str) -> Tournament:
     """Parse .tour text into a validated Tournament."""
     lines = text.split("\n")

@@ -250,16 +250,12 @@ def code_rows(n: int, codes: Iterable[int]):
                      for code in codes], dtype=np.int64).reshape(-1, n)
 
 
-def every_code_batches(n: int) -> Iterator[tuple]:
+def every_code_block(n: int) -> tuple:
     """The labeled sweep without its triangle and converse rules: every
     labeled base of order n - 1, decoded by code_rows from all
-    2^C(n-1,2) edge codes in ascending order, as blocks (int64 out-rows,
-    weight 1) of extremal._SWEEP_BATCH bases."""
-    from tourney.extremal import _SWEEP_BATCH
-
-    bases = 1 << comb(n - 1, 2)
-    for lo in range(0, bases, _SWEEP_BATCH):
-        yield code_rows(n - 1, range(lo, min(lo + _SWEEP_BATCH, bases))), 1
+    2^C(n-1,2) edge codes in ascending order, as one block (int64
+    out-rows, weight 1)."""
+    return code_rows(n - 1, range(1 << comb(n - 1, 2))), 1
 
 
 def cross_matrices_by_recursion(row_sums: Sequence[int],

@@ -375,6 +375,37 @@ def test_long_bad_values_are_echoed_in_part(capsys, argv, length):
     assert "7" * 41 not in captured.err
 
 
+# (argv with X for 300 sevens, the value that holds X, the message's
+# text before the echo): outside names that reach the library's own
+# messages, with FILE for RLT_7's .tour and CORPUS for an empty order-3
+# corpus whose constraint line holds the value
+LONG_BAD_NAMES = [
+    (["count", "--input", "FILE", "wXx"], "wXx", "unknown quantity "),
+    (["gen", "named", "--name", "Xx"], "Xx", "unknown tournament name "),
+    (["enumerate", "--verify", "CORPUS"], "Xx",
+     "constraint must be 'regular', got "),
+]
+
+
+@pytest.mark.parametrize("argv,value,before", LONG_BAD_NAMES,
+                         ids=[" ".join(a).replace("X", "<300 digits>")
+                              for a, _, _ in LONG_BAD_NAMES])
+def test_long_bad_names_are_echoed_in_part(capsys, rlt7_file, tmp_path,
+                                           argv, value, before):
+    value = value.replace("X", "7" * 300)
+    corpus = tmp_path / "e.corpus"
+    corpus.write_text(f"tourney-corpus 1\nn 3\nconstraint {value}\n"
+                      f"labeled_count 0\nclasses 0\n")
+    files = {"FILE": rlt7_file, "CORPUS": str(corpus)}
+    code = main([files.get(a, a.replace("X", "7" * 300)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and len(errors[0]) < 240
+    assert f"{before}{value[:40]!r}... ({len(value)} characters)" in errors[0]
+    assert "7" * 41 not in captured.err
+
+
 @pytest.mark.parametrize("length", [40, 41])
 def test_values_up_to_40_characters_are_echoed_whole(capsys, length):
     value = "7" * (length - 1) + "x"

@@ -50,6 +50,7 @@ from tourney import (
     verify_c5_max,
     verify_regular9,
 )
+from tourney.classify import tournaments_with_scores
 from tourney.core import CanonicalForm, Tournament
 from tourney.errors import (
     InternalParityError,
@@ -59,11 +60,11 @@ from tourney.errors import (
 )
 from tourney import extremal
 from tourney.counting import _cycles_by_trace, _row_bits
-from tourney.enumeration import _extend
-from tourney.extremal import (_class_batches, _exact_div, _extension_batch,
-                              _extremes, _labeled_batches, _witness_classes,
+from tourney.enumeration import _classes, _extend, certified_classes
+from tourney.extremal import (_exact_div, _extension_batch, _extremes,
+                              _labeled_batches, _witness_classes,
                               delta_tt3_copies_in_rlt, rlt5_copies_in_rlt)
-from oracle_reference import (code_rows, cut_form, every_code_batches,
+from oracle_reference import (code_rows, cut_form, every_code_block,
                               tournament_from_code, vertex_share)
 
 
@@ -276,7 +277,7 @@ class TestSweepDrivers:
             verify_c5_max(9)
 
     def test_time_budget_stops_the_sweep(self):
-        # the labeled sweep alone runs 64 batches at order 7
+        # the labeled sweep alone runs 16 slices at order 7
         with pytest.raises(TimeBudgetExceededError,
                            match="the sweep ran past its budget"):
             verify_c5_max(7, time_budget=0.001)
@@ -307,7 +308,7 @@ class TestSweepDrivers:
         # RLT_5 is the one regular class of order 5, and the class scan
         # reaches it by one extension of weight 5!/|Aut RLT_5| = 24; any
         # other weight leaves the certificate over or short of its orbit
-        _, (_, s5_argmax) = _extremes(5, _class_batches(5), witnesses=True)
+        _, (_, s5_argmax) = _extremes(5, [_classes(4, None)], witnesses=True)
         regular = [(rows, w) for rows, w in members(s5_argmax)
                    if is_regular(validate(5, rows.tolist()))]
         assert [w for _, w in regular] == [24]
@@ -350,7 +351,7 @@ class TestTwoRoutes:
 
     def test_routes_agree_at_order5(self, sweep5):
         labeled, _ = _extremes(5, _labeled_batches(5), witnesses=False)
-        scan, (c5_argmax, s5_argmax) = _extremes(5, _class_batches(5),
+        scan, (c5_argmax, s5_argmax) = _extremes(5, [_classes(4, None)],
                                                  witnesses=True)
         assert labeled == scan == (
             1 << 10, 24, 3, orbit_mass(sweep5.c5), 1, orbit_mass(sweep5.s5))
@@ -359,7 +360,7 @@ class TestTwoRoutes:
 
     def test_routes_agree_at_order7(self, sweep7, corpus7):
         # sweep7 ran the labeled route and compared it with this scan
-        scan, (c5_argmax, s5_argmax) = _extremes(7, _class_batches(7),
+        scan, (c5_argmax, s5_argmax) = _extremes(7, [_classes(6, None)],
                                                  witnesses=True)
         assert scan == (sweep7.total_codes, sweep7.regular_codes,
                         sweep7.c5.observed, orbit_mass(sweep7.c5),
@@ -386,8 +387,8 @@ class TestTwoRoutes:
         # counted
         reduce = extremal._extremes
 
-        def drop_regular(n, batches, deadline, *, witnesses):
-            summary, (c5_argmax, s5_argmax) = reduce(n, batches, deadline,
+        def drop_regular(n, blocks, deadline, *, witnesses):
+            summary, (c5_argmax, s5_argmax) = reduce(n, blocks, deadline,
                                                      witnesses=witnesses)
             kept = [([rows], [w]) for rows, w in members(s5_argmax)
                     if not is_regular(validate(n, rows.tolist()))]
@@ -408,6 +409,64 @@ class TestTwoRoutes:
                                 (result.s5, s5_formula)):
             for key in report.witnesses:
                 assert formula(rep_of(result.n, key)) == report.observed, key
+
+
+class TestOneBlockType:
+    """_extremes takes certified_classes' blocks (out-rows, weight), the
+    weight one int for the block or one per row, of any length, and
+    slices them itself, so any partition of a member list reduces to
+    the same summary and the same argmax members."""
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_partitions_of_the_class_list_agree(self, n):
+        reps, orbits = _classes(n - 1, None)
+        partitions = {
+            "whole": [(reps, np.array(orbits, dtype=np.int64))],
+            "per rep": [(reps[k:k + 1], orbit)
+                        for k, orbit in enumerate(orbits)],
+            "by 7": [(reps[lo:lo + 7], orbits[lo:lo + 7])
+                     for lo in range(0, len(reps), 7)],
+        }
+        results = {}
+        for name, blocks in partitions.items():
+            summary, argmax = _extremes(n, blocks, witnesses=True)
+            results[name] = summary, [
+                [(rows.tolist(), w) for rows, w in members(hits)]
+                for hits in argmax]
+        assert results["per rep"] == results["whole"] == results["by 7"]
+        summary, (c5_hits, s5_hits) = results["whole"]
+        assert summary[0] == 1 << comb(n, 2)
+        assert sum(w for _, w in c5_hits) == summary[3]
+        assert sum(w for _, w in s5_hits) == summary[5]
+
+    @pytest.mark.parametrize("k", [4, 6])
+    def test_certified_classes_takes_the_class_list(self, k):
+        reps, orbits = _classes(k, None)
+        total, found = certified_classes(k, [(reps, orbits)])
+        assert total == 1 << comb(k, 2)
+        assert [list(CanonicalForm(k, key).rows()) for key in sorted(found)] \
+            == reps.tolist()
+        assert [found[key] for key in sorted(found)] == orbits
+
+
+class TestOrder9ClassScan:
+    """The class scan alone at order 9: the orbit-weighted extensions of
+    the 6,880 classes of order 8 stand for all 2^36 labeled tournaments
+    of order 9, so their extremes are the maxima over every tournament
+    of that order, irregular ones included."""
+
+    def test_maxima_over_every_tournament(self, classes8, corpus9):
+        summary, (c5_argmax, s5_argmax) = _extremes(9, [classes8],
+                                                    witnesses=True)
+        assert summary == (1 << 36, 3_230_080, 180, 161_280, 117, 40_320)
+        assert summary[1] == corpus9.labeled_count \
+            == tournaments_with_scores((4,) * 9)
+        assert summary[2] < c5_max_bound(9) == 189
+        assert summary[4] == s5_of_rlt(9)
+        assert _witness_classes(9, c5_argmax, summary[3]) \
+            == verify_regular9(corpus9)["c5_max"].witnesses
+        assert _witness_classes(9, s5_argmax, summary[5]) \
+            == (canonical_form(gen_rlt(9)).hex(),)
 
 
 class TestConverseHalving:
@@ -485,11 +544,14 @@ class TestConverseHalving:
         reps = {rows: 2 * weight
                 for rows, weight in self.rep_triangle_bases(m)
                 if rows[0] >> m - 2 & 1}
-        seen = []
+        seen, sizes = [], []
         for rows, weight in _labeled_batches(n):
             assert rows.dtype == weight.dtype == np.int64
-            assert rows.shape[1:] == (m,) and weight.shape == (len(rows), 1)
-            seen += zip(map(tuple, rows.tolist()), weight.ravel().tolist())
+            assert rows.shape[1:] == (m,) and weight.shape == (len(rows),)
+            seen += zip(map(tuple, rows.tolist()), weight.tolist())
+            sizes.append(len(rows))
+        # streamed in blocks of at most one slice: 16 of 256 at order 7
+        assert sizes == {5: [8], 7: [256] * 16}[n]
         assert len(seen) == len(dict(seen)) == len(reps) == 1 << comb(m, 2) - 3
         assert dict(seen) == reps
         assert sum(w for _, w in seen) << m == 1 << comb(n, 2)
@@ -503,11 +565,8 @@ class TestConverseHalving:
         bases = self.rep_triangle_bases(m)
         assert len(bases) == 1 << comb(m, 2) - 2
         rows = np.array([rows for rows, _ in bases], dtype=np.int64)
-        weight = np.array([[w] for _, w in bases], dtype=np.int64)
-        step = extremal._SWEEP_BATCH
-        batches = ((rows[lo:lo + step], weight[lo:lo + step])
-                   for lo in range(0, len(rows), step))
-        triangles = _extremes(n, batches, witnesses=False)
+        weight = np.array([w for _, w in bases], dtype=np.int64)
+        triangles = _extremes(n, [(rows, weight)], witnesses=False)
         assert triangles == _extremes(n, _labeled_batches(n), witnesses=False)
         assert triangles[0][0] == 1 << comb(n, 2)
 
@@ -544,10 +603,7 @@ class TestConverseHalving:
         half = rows[rows[:, 1] & 1 == 1]
         assert len(half) == len(set(map(tuple, half.tolist()))) \
             == 1 << comb(m, 2) - 1
-        step = extremal._SWEEP_BATCH
-        batches = ((half[lo:lo + step], 2)
-                   for lo in range(0, len(half), step))
-        halved = _extremes(n, batches, witnesses=False)
+        halved = _extremes(n, [(half, 2)], witnesses=False)
         assert halved == _extremes(n, _labeled_batches(n), witnesses=False)
         assert halved[0][0] == 1 << comb(n, 2)
 
@@ -574,7 +630,7 @@ class TestConverseHalving:
     @pytest.mark.parametrize("n", [5, 7])
     def test_halved_sweep_equals_every_code(self, n):
         labeled, argmax = _extremes(n, _labeled_batches(n), witnesses=False)
-        assert (labeled, argmax) == _extremes(n, every_code_batches(n),
+        assert (labeled, argmax) == _extremes(n, [every_code_block(n)],
                                               witnesses=False)
         assert labeled[0] == 1 << comb(n, 2)
         assert argmax == [[], []]
@@ -628,17 +684,17 @@ class TestExtensionKernel:
         # 3,584 extensions include every regular class of order 7, built
         # from the reps' out-rows as the class scan builds its hits
         checked = regular_seen = 0
-        for reps, _ in _class_batches(7):
-            c5, s5, regular = _extension_batch(7, reps)
-            rows = _extend(reps[:, None, :], np.arange(64))
-            for t_rows, c, s, r in zip(
-                    rows.reshape(-1, 7).tolist(), c5.ravel().tolist(),
-                    s5.ravel().tolist(), regular.ravel().tolist()):
-                t = validate(7, t_rows)
-                assert (c, s, r) == (c5_formula(t), s5_formula(t),
-                                     is_regular(t)), t_rows
-                checked += 1
-                regular_seen += r
+        reps, _ = _classes(6, None)
+        c5, s5, regular = _extension_batch(7, reps)
+        rows = _extend(reps[:, None, :], np.arange(64))
+        for t_rows, c, s, r in zip(
+                rows.reshape(-1, 7).tolist(), c5.ravel().tolist(),
+                s5.ravel().tolist(), regular.ravel().tolist()):
+            t = validate(7, t_rows)
+            assert (c, s, r) == (c5_formula(t), s5_formula(t),
+                                 is_regular(t)), t_rows
+            checked += 1
+            regular_seen += r
         # the five extensions that the module docstring counts as the
         # s5 maximizers: their orbits add up to the 2,640 regular labeled
         # tournaments
@@ -680,8 +736,8 @@ class TestExtensionKernel:
         if n == 5:
             rows = code_rows(m, range(64))
         elif n == 7:
-            rows = np.concatenate([reps for reps, _ in _class_batches(7)]
-                                  + [code_rows(m, np.arange(256) * 127)])
+            rows = np.concatenate([_classes(6, None)[0],
+                                   code_rows(m, np.arange(256) * 127)])
         else:
             rows = code_rows(m, np.random.default_rng(n).integers(
                 0, 1 << comb(m, 2), 64))
