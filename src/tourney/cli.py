@@ -240,11 +240,21 @@ def _add_builders(parser: argparse.ArgumentParser, dest: str,
 
 
 class _ExactParser(argparse.ArgumentParser):
-    """A parser that takes a long flag only as spelled in full; its
-    subparsers are of its own class, so the rule holds for all of them."""
+    """A parser that takes a long flag only as spelled in full and echoes
+    a bad choice by io._echo; its subparsers are of its own class, so
+    both rules hold for all of them."""
 
     def __init__(self, **kwargs) -> None:
         super().__init__(allow_abbrev=False, **kwargs)
+
+    def _check_value(self, action: argparse.Action, value: Any) -> None:
+        # argparse's own check and message, which echoes the value whole;
+        # each action with choices here is a flag or a subparser's dest
+        if action.choices is not None and value not in action.choices:
+            name = "/".join(action.option_strings) or action.dest
+            choices = ", ".join(map(repr, action.choices))
+            self.error(f"argument {name}: invalid choice: {io._echo(value)} "
+                       f"(choose from {choices})")
 
 
 @functools.cache
@@ -307,8 +317,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         if argv and argv[0].startswith("-") and argv[0] not in _TOP_LEVEL_ARGS:
-            # argparse would take the flag's value for the command
-            parser.error(f"unrecognized arguments: {argv[0]} (a flag goes "
+            # argparse would take the flag's value for the command; a
+            # long one is shown by io._echo
+            flag = argv[0] if len(argv[0]) <= io._ECHO else io._echo(argv[0])
+            parser.error(f"unrecognized arguments: {flag} (a flag goes "
                          f"after the command that reads it)")
         args = parser.parse_args(argv)
         return args.run(args)

@@ -27,9 +27,10 @@ raise VerificationFailedError the moment a claimed fact fails.
 verify_c5_max runs one reducer, _extremes, over two routes that add one
 vertex to the tournaments of order n - 1, each as out-rows:
 
-  labeled sweep  a weighted eighth of the labeled tournaments of
-                 order n - 1 from _labeled_batches, whose docstring
-                 argues that their extensions stand for all 2^C(n,2)
+  labeled sweep  a weighted thirty-second of the labeled tournaments
+                 of order n - 1 (a sixteenth at n = 5) from
+                 _labeled_batches, whose docstring argues that their
+                 extensions stand for all 2^C(n,2)
   class scan     the out-rows of every class rep R of order n - 1 from
                  the class engine (enumeration._classes), weighted by
                  R's orbit (n-1)!/|Aut R|; each extension stands for
@@ -39,9 +40,9 @@ vertex to the tournaments of order n - 1, each as out-rows:
 Both give (mass, regular mass, max c5, c5 witness mass, max s5, s5
 witness mass), and the two must agree.  _extremes scores each route in
 slices of at most _SWEEP_BATCH bases: at order 7 the scan's 56 reps, one
-block, in one slice of 3,584 extensions and the sweep's 262,144 in 16,
+block, in one slice of 3,584 extensions and the sweep's 65,536 in 4,
 which stand for the 2,097,152 labeled tournaments; at order 5 the sweep
-scores 128 in one.  The scan's maximizing extensions, weighted
+scores 64 in one.  The scan's maximizing extensions, weighted
 by orbit, then go to certified_classes in one block per slice,
 and their classes must add up to the labeled witness mass: 1 and 5
 extensions at order 7 for 240 and 2,640 labeled maximizers of c5 and
@@ -459,46 +460,57 @@ def _extension_batch(n: int, rows: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _labeled_batches(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every labeled tournament of order n - 1 whose triangle on its
-    last three labels is the transitive [0b110, 0b100, 0] or the 3-cycle
-    [0b010, 0b100, 0b001], and in which vertex 0 beats the triangle's
-    middle label n - 3, as blocks (int64 out-rows, int64 weights 12 or
-    4) of at most _SWEEP_BATCH bases.  They grow from the two
-    triangles by _extend, one new vertex 0 at a time with every out-set,
-    which shifts the old labels up and keeps the triangle on the last
-    three; the last step keeps only the out-sets holding the middle
-    label, bit n - 4.  It runs one block at a time, so the sweep holds
-    only the bases of order n - 2 and one block.
+    """Every labeled tournament of order n - 1, n odd, whose last four
+    labels hold one of the four order-4 reps, the transitive
+    [0b1110, 0b1100, 0b1000, 0], a source over the 3-cycle
+    [0b1110, 0b0100, 0b1000, 0b0010], the 3-cycle over a sink
+    [0b1010, 0b1100, 0b1001, 0] and the strong [0b0110, 0b1100, 0b1000,
+    0b0001], with weight 24, 8, 8 or 24, as blocks (int64 out-rows, int64
+    weights) of at most _SWEEP_BATCH bases.  From n = 7 on only those in
+    which vertex 0 beats vertex 1 are kept, with twice the weight.  They
+    grow from the four reps by _extend, one new vertex 0 at a time with
+    every out-set, which shifts the old labels up and keeps the rep on
+    the last four; the last step keeps only the odd out-sets, those
+    holding old vertex 0.  It runs one block at a time, so the sweep
+    holds only the bases of order n - 2 and one block.
 
-    An extension keeps its base's triangle on its own last three labels.
-    Permuting those three labels maps the labeled tournaments of order n
-    one to one and keeps c5, s5 and regularity.  Each of the 8 labeled
-    triangles goes to its class's rep by some permutation, which carries
-    the tournaments with that triangle onto those with the rep; the
-    transitive class has 6 labelings and the 3-cycle 2.  Then let psi
-    reverse every arc and swap the triangle's two end labels.  It keeps
-    c5, s5 and regularity, maps each rep triangle onto itself, and
-    reverses the arc between any two labels it fixes, among them vertex
-    0 and the middle label.  So psi is an involution without a fixed
-    point that pairs the bases in which vertex 0 beats the middle label
-    one to one with those in which it does not, and maps the extensions
-    of a base onto those of its image.  The rep's extensions where
-    vertex 0 beats the middle label, with weight 12 or 4, stand for all
+    An extension keeps its base's rep on its own last four labels.
+    Permuting those four labels maps the labeled tournaments of order n
+    one to one and keeps c5, s5 and regularity.  Each of the 64 labeled
+    tournaments of order 4 goes to its class's rep by some permutation,
+    which carries the tournaments holding it on their last four labels
+    onto those holding the rep; the four classes have 24, 8, 8 and 24
+    labelings.  So the reps' extensions, with these weights, stand for
+    all 2^C(n,2); at n = 5 the bases are the four reps alone, and no
+    label is left to halve by.  From n = 7 on, let psi reverse every arc
+    and then the order of the four labels.  It keeps c5, s5 and
+    regularity, maps the transitive and the strong rep each onto itself
+    and the two 3-cycle reps onto each other, and is an involution, as
+    its two steps are and commute.  It reverses the arc between any two
+    labels it fixes, among them vertices 0 and 1, so it has no fixed
+    point and pairs the bases in which vertex 0 beats vertex 1 one to
+    one with those in which it does not; and it maps the extensions of a
+    base onto those of its image.  So the reps' extensions in which
+    vertex 0 beats vertex 1, with weight 48, 16, 16 or 48, stand for all
     2^C(n,2)."""
     import numpy as np
 
-    rows = np.array([[0b110, 0b100, 0], [0b010, 0b100, 0b001]],
-                    dtype=np.int64)
-    weight = np.array([12, 4], dtype=np.int64)
-    for k in range(3, n - 2):
+    rows = np.array([[0b1110, 0b1100, 0b1000, 0],
+                     [0b1110, 0b0100, 0b1000, 0b0010],
+                     [0b1010, 0b1100, 0b1001, 0],
+                     [0b0110, 0b1100, 0b1000, 0b0001]], dtype=np.int64)
+    weight = np.array([24, 8, 8, 24], dtype=np.int64)
+    if n == 5:
+        yield rows, weight
+        return
+    for k in range(4, n - 2):
         rows = _extend(rows[:, None, :], np.arange(1 << k)).reshape(-1, k + 1)
         weight = np.repeat(weight, 1 << k)
-    s = np.arange(1 << (n - 2))
-    s = s[(s >> (n - 4) & 1).astype(bool)]
+    s = np.arange(1, 1 << (n - 2), 2)
     step = _SWEEP_BATCH // len(s)
     for lo in range(0, len(rows), step):
         yield (_extend(rows[lo:lo + step, None, :], s).reshape(-1, n - 1),
-               np.repeat(weight[lo:lo + step], len(s)))
+               np.repeat(2 * weight[lo:lo + step], len(s)))
 
 
 # Bases per slice of _extremes, one _extension_batch call each.  The

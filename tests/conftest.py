@@ -5,14 +5,21 @@ exhaustive sweeps) are session-scoped so the acceptance tests and the
 unit tests share one computation each.  Build times land in the
 `timings` dict so the acceptance suite can assert its runtime budgets
 regardless of which test happened to build a fixture first.
+
+numpy reads OPENBLAS_NUM_THREADS when it is first imported, which is
+here: neither pytest nor hypothesis imports it.  The tests run with one
+BLAS thread, as cli.main does, unless the variable is set already.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
-import numpy as np
 import pytest
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+import numpy as np
 
 from tourney import enumeration, extremal
 

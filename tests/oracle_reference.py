@@ -8,11 +8,13 @@ bitmask rows; for the extremal sweep's vertex table
 its neighbours; for the sweep's out-set terms (extremal._cut_forms), the
 cut form of one matrix and one out-set by a double loop; for the
 labeled sweep (extremal._labeled_batches), which grows the labelings
-whose last three labels hold the transitive triangle or the 3-cycle
-and in which vertex 0 beats the triangle's middle label, and scores
-them with weight 12 or 4, every labeled tournament with
-weight 1, each decoded from its upper-triangle edge code by a loop
-over the code's pairs; for the join's cross
+whose last four labels hold one of the four order-4 reps and in which
+vertex 0 beats vertex 1, and scores them with weight 48, 16, 16 or 48,
+every labeled tournament with weight 1, each decoded from its
+upper-triangle edge code by a loop over the code's pairs, and the
+older rule by the orbits of the triangle on the last three labels,
+which grows the labelings in which vertex 0 beats the triangle's
+middle label with weight 12 or 4; for the join's cross
 matrices (enumeration._cross_matrices), a recursion that copies the
 column sums at every choice and checks each one against the rows left;
 for core.validate's column check, a loop over every pair i < j; for
@@ -251,11 +253,57 @@ def code_rows(n: int, codes: Iterable[int]):
 
 
 def every_code_block(n: int) -> tuple:
-    """The labeled sweep without its triangle and converse rules: every
+    """The labeled sweep without its orbit and converse rules: every
     labeled base of order n - 1, decoded by code_rows from all
     2^C(n-1,2) edge codes in ascending order, as one block (int64
     out-rows, weight 1)."""
     return code_rows(n - 1, range(1 << comb(n - 1, 2))), 1
+
+
+def triangle_rule_blocks(n: int) -> Iterator[tuple]:
+    """The labeled sweep by the orbits of three labels instead of four:
+    every labeled tournament of order n - 1 whose triangle on its last
+    three labels is the transitive [0b110, 0b100, 0] or the 3-cycle
+    [0b010, 0b100, 0b001], and in which vertex 0 beats the triangle's
+    middle label n - 3, as blocks (int64 out-rows, int64 weights 12 or
+    4) of at most _SWEEP_BATCH bases.  They grow from the two triangles
+    by _extend, one new vertex 0 at a time with every out-set, which
+    shifts the old labels up and keeps the triangle on the last three;
+    the last step keeps only the out-sets holding the middle label, bit
+    n - 4.
+
+    An extension keeps its base's triangle on its own last three labels.
+    Permuting those three labels maps the labeled tournaments of order n
+    one to one and keeps c5, s5 and regularity.  Each of the 8 labeled
+    triangles goes to its class's rep by some permutation, which carries
+    the tournaments with that triangle onto those with the rep; the
+    transitive class has 6 labelings and the 3-cycle 2.  Then let psi
+    reverse every arc and swap the triangle's two end labels.  It keeps
+    c5, s5 and regularity, maps each rep triangle onto itself, and
+    reverses the arc between any two labels it fixes, among them vertex
+    0 and the middle label.  So psi is an involution without a fixed
+    point that pairs the bases in which vertex 0 beats the middle label
+    one to one with those in which it does not, and maps the extensions
+    of a base onto those of its image.  The rep's extensions where
+    vertex 0 beats the middle label, with weight 12 or 4, stand for all
+    2^C(n,2)."""
+    import numpy as np
+
+    from tourney.enumeration import _extend
+    from tourney.extremal import _SWEEP_BATCH
+
+    rows = np.array([[0b110, 0b100, 0], [0b010, 0b100, 0b001]],
+                    dtype=np.int64)
+    weight = np.array([12, 4], dtype=np.int64)
+    for k in range(3, n - 2):
+        rows = _extend(rows[:, None, :], np.arange(1 << k)).reshape(-1, k + 1)
+        weight = np.repeat(weight, 1 << k)
+    s = np.arange(1 << (n - 2))
+    s = s[(s >> (n - 4) & 1).astype(bool)]
+    step = _SWEEP_BATCH // len(s)
+    for lo in range(0, len(rows), step):
+        yield (_extend(rows[lo:lo + step, None, :], s).reshape(-1, n - 1),
+               np.repeat(weight[lo:lo + step], len(s)))
 
 
 def cross_matrices_by_recursion(row_sums: Sequence[int],

@@ -417,6 +417,59 @@ def test_values_up_to_40_characters_are_echoed_whole(capsys, length):
         f"error: argument --n: must be ASCII decimal digits, got {shown}\n")
 
 
+# (argv with X for 400 x's, the token that holds X, the message's text
+# before the echo): a bad choice, which argparse reports, and a flag
+# before the command, which main reports, with FILE for RLT_7's .tour
+LONG_ARGPARSE_ECHOES = [
+    (["count", "--input", "FILE", "c5", "--method", "X"], "X",
+     "argument --method: invalid choice: "),
+    (["X", "classify", "--input", "FILE"], "X",
+     "argument command: invalid choice: "),
+    (["gen", "X", "--n", "5"], "X", "argument family: invalid choice: "),
+    (["verify", "X"], "X", "argument target: invalid choice: "),
+    (["--X", "classify", "--input", "FILE"], "--X",
+     "unrecognized arguments: "),
+]
+
+
+@pytest.mark.parametrize("argv,value,before", LONG_ARGPARSE_ECHOES,
+                         ids=[" ".join(a).replace("X", "<400 x>")
+                              for a, _, _ in LONG_ARGPARSE_ECHOES])
+def test_long_choices_and_early_flags_are_echoed_in_part(capsys, rlt7_file,
+                                                        argv, value, before):
+    # the whole message, usage line included, stays under 300 bytes
+    code = main([rlt7_file if a == "FILE" else a.replace("X", "x" * 400)
+                 for a in argv])
+    captured = capsys.readouterr()
+    value = value.replace("X", "x" * 400)
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.encode()) < 300
+    assert f"error: {before}{value[:40]!r}... ({len(value)} characters)" \
+        in captured.err
+    assert "x" * 41 not in captured.err
+
+
+@pytest.mark.parametrize("length", [40, 41])
+def test_choices_and_early_flags_up_to_40_characters_are_echoed_whole(
+        capsys, rlt7_file, length):
+    # argparse's own wording for a bad choice; a flag before the command
+    # is shown bare, as argparse shows an unread flag after it
+    value = "--" + "x" * (length - 2)
+    code = main(["count", "--input", rlt7_file, f"--method={value}"])
+    shown = (repr(value) if length == 40 else
+             f"{value[:40]!r}... (41 characters)")
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --method: invalid choice: {shown} (choose from "
+        f"'formula', 'oracle', 'trace', 'all')\n")
+    code = main([value, "classify", "--input", rlt7_file])
+    shown = value if length == 40 else shown
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {shown} (a flag goes after the "
+        f"command that reads it)\n")
+
+
 UNREAD_FLAGS = [
     (["gen", "transitive", "--n", "5"], ["--seed", "3"]),
     (["gen", "rlt", "--n", "7"], ["--seed", "3"]),

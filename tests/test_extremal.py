@@ -65,7 +65,8 @@ from tourney.extremal import (_exact_div, _extension_batch, _extremes,
                               _labeled_batches, _witness_classes,
                               delta_tt3_copies_in_rlt, rlt5_copies_in_rlt)
 from oracle_reference import (code_rows, cut_form, every_code_block,
-                              tournament_from_code, vertex_share)
+                              tournament_from_code, triangle_rule_blocks,
+                              vertex_share)
 
 
 class TestClosedForms:
@@ -277,7 +278,7 @@ class TestSweepDrivers:
             verify_c5_max(9)
 
     def test_time_budget_stops_the_sweep(self):
-        # the labeled sweep alone runs 16 slices at order 7
+        # the labeled sweep alone runs 4 slices at order 7
         with pytest.raises(TimeBudgetExceededError,
                            match="the sweep ran past its budget"):
             verify_c5_max(7, time_budget=0.001)
@@ -343,11 +344,11 @@ def orbit_mass(report: BoundReport) -> int:
 
 class TestTwoRoutes:
     """verify_c5_max reduces the extensions of the labeled tournaments
-    of order n - 1 whose last three labels hold the transitive triangle
-    (weight 12) or the 3-cycle (weight 4) and in which vertex 0 beats
-    the triangle's middle label, and the orbit-weighted
-    extensions of every class rep of order n - 1, by one reducer, and
-    raises unless the two summaries agree."""
+    of order n - 1 whose last four labels hold one of the four order-4
+    reps, weighted by the rep's labelings (24, 8, 8 or 24, doubled where
+    vertex 0 beats vertex 1 is required, from order 7 on), and the
+    orbit-weighted extensions of every class rep of order n - 1, by one
+    reducer, and raises unless the two summaries agree."""
 
     def test_routes_agree_at_order5(self, sweep5):
         labeled, _ = _extremes(5, _labeled_batches(5), witnesses=False)
@@ -469,8 +470,57 @@ class TestOrder9ClassScan:
             == (canonical_form(gen_rlt(9)).hex(),)
 
 
+def relabel(t, p):
+    """The out-rows of labeled tournament t relabeled by p, by row
+    permutation: i -> j in t exactly when p[i] -> p[j] in the image."""
+    image = [0] * len(t)
+    for i, row in enumerate(t):
+        for j in range(len(t)):
+            if row >> j & 1:
+                image[p[i]] |= 1 << p[j]
+    return tuple(image)
+
+
+def last_labels(rows, k):
+    """The out-rows of the tournament on the last k labels."""
+    return tuple(row >> (len(rows) - k) & (1 << k) - 1 for row in rows[-k:])
+
+
+def rep_bases(m, reps):
+    """Every labeled tournament of order m whose last k labels hold one
+    of reps, a dict from the k out-rows of each rep to its weight,
+    decoded from its code, as (rows, weight) in code order."""
+    k = len(next(iter(reps)))
+    return [(rows, reps[last_labels(rows, k)])
+            for rows in map(tuple, code_rows(
+                m, range(1 << comb(m, 2))).tolist())
+            if last_labels(rows, k) in reps]
+
+
+def reverse_last(x, m, k):
+    """x with bits m - k .. m - 1 in reverse order."""
+    for a in range(k // 2):
+        lo, hi = m - k + a, m - 1 - a
+        flip = (x >> lo ^ x >> hi) & 1
+        x = x ^ (flip << lo | flip << hi)
+    return x
+
+
+def psi(rows, k):
+    """The int64 out-rows (B, m) with every arc reversed and labels
+    m - k .. m - 1 in reverse order: the converse's row i is its
+    in-mask, and the reversal reorders those k rows and those k bits of
+    each."""
+    m = rows.shape[1]
+    converse = ((1 << m) - 1 ^ 1 << np.arange(m)) ^ rows
+    order = np.arange(m)
+    order[m - k:] = order[m - k:][::-1]
+    return reverse_last(converse[:, order], m, k)
+
+
 class TestConverseHalving:
-    """The labeled sweep scores the labeled tournaments of order m = n - 1
+    """The older triangle rule, oracle_reference.triangle_rule_blocks,
+    scores the labeled tournaments of order m = n - 1
     whose triangle on the last three labels is one of the two order-3
     reps and in which vertex 0 beats the triangle's middle label m - 2,
     with twice the rep's number of labelings as weight, 12 or 4.
@@ -484,38 +534,6 @@ class TestConverseHalving:
     psi."""
 
     TRIANGLES = {(0b110, 0b100, 0): 6, (0b010, 0b100, 0b001): 2}
-
-    @staticmethod
-    def triangle(rows):
-        """The out-rows of the triangle on the last three labels."""
-        return tuple(row >> (len(rows) - 3) & 0b111 for row in rows[-3:])
-
-    @classmethod
-    def rep_triangle_bases(cls, m):
-        """Every labeled tournament of order m whose last three labels
-        hold a rep triangle, decoded from its code, as (rows, weight 6 or
-        2) in code order."""
-        return [(rows, cls.TRIANGLES[cls.triangle(rows)])
-                for rows in map(tuple, code_rows(
-                    m, range(1 << comb(m, 2))).tolist())
-                if cls.triangle(rows) in cls.TRIANGLES]
-
-    @staticmethod
-    def swap_ends(x, m):
-        """x with bits m - 3 and m - 1 swapped."""
-        flip = (x >> m - 3 ^ x >> m - 1) & 1
-        return x ^ (flip << m - 3 | flip << m - 1)
-
-    @classmethod
-    def psi(cls, rows):
-        """The int64 out-rows (B, m) with every arc reversed and labels
-        m - 3 and m - 1 swapped: the converse's row i is its in-mask, and
-        the swap exchanges those two rows and those two bits of each."""
-        m = rows.shape[1]
-        converse = ((1 << m) - 1 ^ 1 << np.arange(m)) ^ rows
-        order = np.arange(m)
-        order[[m - 3, m - 1]] = m - 1, m - 3
-        return cls.swap_ends(converse[:, order], m)
 
     @pytest.mark.parametrize("n,sample", [(5, None), (6, None), (7, 256)])
     def test_kernel_agrees_on_converse_extensions(self, n, sample):
@@ -542,10 +560,10 @@ class TestConverseHalving:
         # every labeled tournament of order n - 1, decoded from its code
         m = n - 1
         reps = {rows: 2 * weight
-                for rows, weight in self.rep_triangle_bases(m)
+                for rows, weight in rep_bases(m, self.TRIANGLES)
                 if rows[0] >> m - 2 & 1}
         seen, sizes = [], []
-        for rows, weight in _labeled_batches(n):
+        for rows, weight in triangle_rule_blocks(n):
             assert rows.dtype == weight.dtype == np.int64
             assert rows.shape[1:] == (m,) and weight.shape == (len(rows),)
             seen += zip(map(tuple, rows.tolist()), weight.tolist())
@@ -562,7 +580,7 @@ class TestConverseHalving:
         # triangle, each once with weight 6 or 2, reduces to the sweep's
         # summary
         m = n - 1
-        bases = self.rep_triangle_bases(m)
+        bases = rep_bases(m, self.TRIANGLES)
         assert len(bases) == 1 << comb(m, 2) - 2
         rows = np.array([rows for rows, _ in bases], dtype=np.int64)
         weight = np.array([w for _, w in bases], dtype=np.int64)
@@ -575,18 +593,18 @@ class TestConverseHalving:
         # every base of order m with a rep triangle; psi's image of the
         # extension by out-set s is psi(base) extended by the complement
         # of s with its end bits swapped
-        rows = np.array([rows for rows, _ in self.rep_triangle_bases(m)],
+        rows = np.array([rows for rows, _ in rep_bases(m, self.TRIANGLES)],
                         dtype=np.int64)
-        image = self.psi(rows)
-        assert (self.psi(image) == rows).all()
+        image = psi(rows, 3)
+        assert (psi(image, 3) == rows).all()
         assert (image != rows).any(axis=1).all()
         assert set(map(tuple, image.tolist())) == set(map(tuple,
                                                           rows.tolist()))
         assert ((image[:, 0] ^ rows[:, 0]) >> m - 2 & 1).all()
-        assert [self.triangle(r) for r in image.tolist()] \
-            == [self.triangle(r) for r in rows.tolist()]
+        assert [last_labels(r, 3) for r in image.tolist()] \
+            == [last_labels(r, 3) for r in rows.tolist()]
         n = m + 1
-        outsets = self.swap_ends((1 << m) - 1 ^ np.arange(1 << m), m)
+        outsets = reverse_last((1 << m) - 1 ^ np.arange(1 << m), m, 3)
         scores = _extension_batch(n, rows)
         assert scores[2].any()  # the regular flags are not all False
         for score, psi_score in zip(scores, _extension_batch(n, image)):
@@ -597,7 +615,7 @@ class TestConverseHalving:
         # the older halving rule, by a second symmetry: swapping labels 0
         # and 1 keeps the class and flips that arc, so the labelings in
         # which 1 beats 0, each once with weight 2, reduce to the
-        # triangle rule's summary
+        # labeled sweep's summary
         m = n - 1
         rows = code_rows(m, range(1 << comb(m, 2)))
         half = rows[rows[:, 1] & 1 == 1]
@@ -608,16 +626,7 @@ class TestConverseHalving:
         assert halved[0][0] == 1 << comb(n, 2)
 
     def test_triangle_weights_are_orbit_sizes(self):
-        # the 6 relabelings of every labeled triangle, by row permutation:
-        # i -> j in t exactly when p[i] -> p[j] in its image
-        def relabel(t, p):
-            image = [0] * 3
-            for i in range(3):
-                for j in range(3):
-                    if t[i] >> j & 1:
-                        image[p[i]] |= 1 << p[j]
-            return tuple(image)
-
+        # the 6 relabelings of every labeled triangle
         triangles = set(map(tuple, code_rows(3, range(8)).tolist()))
         assert len(triangles) == 8
         onto = {rep: {t for t in triangles
@@ -634,6 +643,96 @@ class TestConverseHalving:
                                               witnesses=False)
         assert labeled[0] == 1 << comb(n, 2)
         assert argmax == [[], []]
+
+
+class TestFourLabelRule:
+    """The labeled sweep scores the labeled tournaments of order m = n - 1
+    whose last four labels hold one of the four order-4 reps, with the
+    rep's number of labelings as weight, 24, 8, 8 or 24.  From m = 6 on
+    it keeps those in which vertex 0 beats vertex 1, with twice that
+    weight.  Permuting the four labels keeps the class and takes every
+    labeled order-4 tournament to its rep; psi, which reverses every arc
+    and then the order of the four labels, maps the reps onto each other
+    and flips the arc from vertex 0 to vertex 1, so each summary entry
+    is the every-code sweep's and the triangle rule's."""
+
+    # the transitive rep, a source over the 3-cycle, the 3-cycle over a
+    # sink and the strong rep, each with its number of labelings
+    REPS = {(0b1110, 0b1100, 0b1000, 0): 24,
+            (0b1110, 0b0100, 0b1000, 0b0010): 8,
+            (0b1010, 0b1100, 0b1001, 0): 8,
+            (0b0110, 0b1100, 0b1000, 0b0001): 24}
+
+    def test_rep_weights_are_orbit_sizes(self):
+        # the 24 relabelings of every labeled order-4 tournament: the
+        # four orbits have 64 members together, so they are disjoint
+        labelings = set(map(tuple, code_rows(4, range(64)).tolist()))
+        assert len(labelings) == 64
+        onto = {rep: {t for t in labelings
+                      if any(relabel(t, p) == rep
+                             for p in permutations(range(4)))}
+                for rep in self.REPS}
+        assert {rep: len(ts) for rep, ts in onto.items()} == self.REPS
+        assert sum(self.REPS.values()) == 64
+        assert set().union(*onto.values()) == labelings
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_each_labeling_with_a_rep_and_0_beating_1_once_with_its_weight(
+            self, n):
+        # every labeled tournament of order n - 1, decoded from its code;
+        # at order 4 the reps alone, each with its weight
+        m = n - 1
+        halved = m >= 6
+        reps = {rows: weight << halved
+                for rows, weight in rep_bases(m, self.REPS)
+                if not halved or rows[0] >> 1 & 1}
+        seen, sizes = [], []
+        for rows, weight in _labeled_batches(n):
+            assert rows.dtype == weight.dtype == np.int64
+            assert rows.shape[1:] == (m,) and weight.shape == (len(rows),)
+            seen += zip(map(tuple, rows.tolist()), weight.tolist())
+            sizes.append(len(rows))
+        # streamed in blocks of at most one slice: 4 of 256 at order 7
+        assert sizes == {5: [4], 7: [256] * 4}[n]
+        assert len(seen) == len(dict(seen)) == len(reps) \
+            == {5: 4, 7: 1 << comb(m, 2) - 5}[n]
+        assert dict(seen) == reps
+        assert sum(w for _, w in seen) << m == 1 << comb(n, 2)
+
+    def test_psi_pairs_the_rep_bases(self):
+        # every base of order 6 with a rep on its last four labels;
+        # psi's image of the extension by out-set s is psi(base)
+        # extended by the complement of s with its last four bits
+        # reversed
+        m, n = 6, 7
+        rows = np.array([rows for rows, _ in rep_bases(m, self.REPS)],
+                        dtype=np.int64)
+        assert len(rows) == 4 << comb(m, 2) - 6
+        image = psi(rows, 4)
+        assert (psi(image, 4) == rows).all()
+        assert (image != rows).any(axis=1).all()
+        assert set(map(tuple, image.tolist())) == set(map(tuple,
+                                                          rows.tolist()))
+        assert ((image[:, 0] ^ rows[:, 0]) >> 1 & 1).all()
+        # the transitive and the strong rep are their own images, the
+        # two 3-cycle reps each other's
+        transitive, source, sink, strong = self.REPS
+        partner = {transitive: transitive, source: sink, sink: source,
+                   strong: strong}
+        assert [last_labels(r, 4) for r in image.tolist()] \
+            == [partner[last_labels(r, 4)] for r in rows.tolist()]
+        outsets = reverse_last((1 << m) - 1 ^ np.arange(1 << m), m, 4)
+        scores = _extension_batch(n, rows)
+        assert scores[2].any()  # the regular flags are not all False
+        for score, psi_score in zip(scores, _extension_batch(n, image)):
+            assert (psi_score[:, outsets] == score).all()
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_sweep_equals_the_triangle_rule(self, n):
+        labeled = _extremes(n, _labeled_batches(n), witnesses=False)
+        assert labeled == _extremes(n, triangle_rule_blocks(n),
+                                    witnesses=False)
+        assert labeled[0][0] == 1 << comb(n, 2)
 
 
 class TestExtensionKernel:
@@ -780,14 +879,14 @@ class TestExtensionKernel:
                        (bit, outsets, s, size, weight))
 
     def test_dropped_batch_raises(self, monkeypatch):
-        # the last of the 16 order-7 blocks, rows and weights: 256 bases
-        # with the 3-cycle, weight 4, of 64 extensions each, so the sweep
-        # counts 2^21 - 65,536
+        # the last of the 4 order-7 blocks, rows and weights: 256 bases
+        # with the strong rep, weight 48, of 64 extensions each, so the
+        # sweep counts 2^21 - 786,432
         batches = extremal._labeled_batches
         monkeypatch.setattr(extremal, "_labeled_batches",
-                            lambda n: islice(batches(n), 15))
+                            lambda n: islice(batches(n), 3))
         with pytest.raises(VerificationFailedError,
-                           match=r"visited 2031616 labeled tournaments, "
+                           match=r"visited 1310720 labeled tournaments, "
                                  r"not 2\^21"):
             verify_c5_max(7)
 
