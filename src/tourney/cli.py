@@ -239,13 +239,28 @@ def _add_builders(parser: argparse.ArgumentParser, dest: str,
     return sub.choices.values()
 
 
+def _shown(token: str) -> str:
+    """An unread token as a usage error shows it: a flag longer than
+    io._ECHO characters by io._echo, any other token bare and whole."""
+    long_flag = token[:1] == "-" and len(token) > io._ECHO
+    return io._echo(token) if long_flag else token
+
+
 class _ExactParser(argparse.ArgumentParser):
     """A parser that takes a long flag only as spelled in full and echoes
-    a bad choice by io._echo; its subparsers are of its own class, so
-    both rules hold for all of them."""
+    a bad choice or a long unread flag by io._echo; its subparsers are of
+    its own class, so both rules hold for all of them."""
 
     def __init__(self, **kwargs) -> None:
         super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
+        # argparse's own check, whose message echoes each token whole
+        args, unread = self.parse_known_args(args, namespace)
+        if unread:
+            self.error(f"unrecognized arguments: "
+                       f"{' '.join(map(_shown, unread))}")
+        return args
 
     def _check_value(self, action: argparse.Action, value: Any) -> None:
         # argparse's own check and message, which echoes the value whole;
@@ -317,11 +332,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         if argv and argv[0].startswith("-") and argv[0] not in _TOP_LEVEL_ARGS:
-            # argparse would take the flag's value for the command; a
-            # long one is shown by io._echo
-            flag = argv[0] if len(argv[0]) <= io._ECHO else io._echo(argv[0])
-            parser.error(f"unrecognized arguments: {flag} (a flag goes "
-                         f"after the command that reads it)")
+            # argparse would take the flag's value for the command
+            parser.error(f"unrecognized arguments: {_shown(argv[0])} (a "
+                         f"flag goes after the command that reads it)")
         args = parser.parse_args(argv)
         return args.run(args)
     except SystemExit as exc:

@@ -100,16 +100,15 @@ from fractions import Fraction
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .core import CanonicalForm, Tournament, canonical_form
-from .counting import (_row_bits, _table, c4_formula, c5_formula,
-                       s5_formula, trace_m)
-from .classify import is_nearly_doubly_regular, is_regular, aat_positive
-from .enumeration import (EnumCorpus, _binomials, _check_deadline,
-                          _classes, _deadline, _extend, certified_classes,
-                          enumerate_regular)
+from .core import CanonicalForm, Tournament
+from .counting import (_arc_profiles, _row_bits, _table, c4_formula,
+                       c5_formula, s5_formula, trace_m)
+from .classify import is_doubly_regular, is_nearly_doubly_regular, is_regular
+from .enumeration import (KNOWN_REGULAR_CLASSES, EnumCorpus, _binomials,
+                          _check_deadline, _classes, _deadline, _extend,
+                          certified_classes, enumerate_regular)
 from .errors import (InternalParityError, InvalidInput,
                      VerificationFailedError)
-from .generators import gen_named, gen_qr
 
 if TYPE_CHECKING:
     import numpy as np
@@ -132,13 +131,12 @@ def c5_max_bound(n: int) -> Fraction:
     (n+1) n (n-1)(n-2)(n-3) / 160.  Attained exactly by the doubly regular
     tournaments (n = 3 mod 4); strict otherwise.
 
-    Where each part is checked: over all tournaments, verify_c5_max finds
-    it strict at n = 5 and attained by QR_7 alone at n = 7, by its two
-    routes, the labeled sweep and the class scan; the tests' class scan
-    over every class of order 8 finds it strict at n = 9, max c5 = 180.
-    The tests find it attained by QR_p for every prime p = 3 (mod 4)
-    from 7 to 59 and by the doubly regular gen_qr_power(3, 3) of order
-    27.  Nothing checks "strict otherwise" above order 9."""
+    It holds at every odd n by _bound_terms' certificate, terms >= 0
+    that add up to 8 (bound - c5).  The tests check the sum and that the
+    terms all vanish exactly on the doubly regular tournaments, on every
+    class of orders 5 and 7, the regular classes of orders 9 and 11,
+    QR_p, RLT_n and random tournaments up to order 63 (TestCertificates);
+    verify_c5_max certifies its witnesses by it."""
     _require_odd(n, 5)
     return Fraction((n + 1) * n * (n - 1) * (n - 2) * (n - 3), 160)
 
@@ -147,9 +145,10 @@ def c5_regular_max(n: int) -> int:
     """Maximum 5-cycle count over regular tournaments of order
     n = 1 (mod 4): n (n-1)(n^3 - 4 n^2 + n - 14) / 160.
 
-    verify_regular9 checks the maximum over the order-9 regular corpus.
-    At n = 5 it holds because RLT_5 is the only regular class.  Nothing
-    checks it at n = 13 or above."""
+    It holds by _regular_terms' certificate, terms >= 0 that add up to
+    4 (bound - c5) and vanish on the nearly doubly regular tournaments;
+    verify_regular9 checks it at order 9, and TestCertificates on
+    regular tournaments of every such order up to 61."""
     _require_odd(n, 5)
     if n % 4 != 1:
         raise InvalidInput(f"need n = 1 (mod 4), got {n}")
@@ -158,11 +157,9 @@ def c5_regular_max(n: int) -> int:
 
 def s5_of_rlt(n: int) -> int:
     """(n+1) n (n-1)(n-3)(11 n - 47) / 1920, the strong-5-subset count of
-    RLT_n.  That it is the maximum over all tournaments of order n is
-    checked exhaustively by verify_c5_max at n = 5 and 7, by its two
-    routes, the labeled sweep and the class scan, and at n = 9, with
-    RLT_9 the one maximizing class, by the tests' class scan over every
-    class of order 8; above order 9 nothing checks it."""
+    RLT_n, and the maximum over all tournaments of order n by
+    _bound_terms' certificate, terms >= 0 that add up to s5_of_rlt(n) -
+    s5; TestCertificates and verify_c5_max check it as for c5_max_bound."""
     _require_odd(n, 3)
     return _exact_div((n + 1) * n * (n - 1) * (n - 3) * (11 * n - 47), 1920)
 
@@ -237,6 +234,52 @@ def regular_identity_trace(t: Tournament) -> tuple[Fraction, Fraction]:
     lhs = Fraction(trace_m(t, 5)) + Fraction(5, 2) * trace_m(t, 4)
     rhs = Fraction(n * (n - 1) * (n + 1) * (n - 3) * (n + 3), 32)
     return lhs, rhs
+
+
+# -- per-tournament certificates ---------------------------------------------
+
+def _bound_terms(t: Tournament) -> tuple[np.ndarray, np.ndarray]:
+    """(g, p) for t of odd order n, int64 terms, each >= 0, that add up to
+    8 (c5_max_bound(n) - c5) and s5_of_rlt(n) - s5.  With the arc
+    profiles of c5_formula, g = (n-2)(n-3)/2 - 2 s1 s2 + s2 d1^2 + s1 d2^2
+    per arc, at least (s1 - s2)(s1 - s2 - (-1)^s2)/2 as d1 = s1, d2 = s2
+    (mod 2) and s1 + s2 = n - 2 is odd.  p is C(d_i, 4) - sum over j in
+    N+(i) of C(dpm_ij, 3) per vertex, as no 4-subset of N+(i) has two
+    sinks, and last Q = sum C(in_i, 4) - n C((n-1)/2, 4), as C(x, 4) is
+    convex and the in-degrees average (n-1)/2."""
+    import numpy as np
+
+    n = t.n
+    d, dpp, dmm, dpm, dmp = _arc_profiles(t)
+    s1, s2, d1, d2 = dpp + dmm, dpm + dmp, dpp - dmm, dpm - dmp
+    g = (n - 2) * (n - 3) // 2 - 2 * s1 * s2 + s2 * d1 * d1 + s1 * d2 * d2
+    _, c3, c4 = _binomials(n)
+    p = c4[d]  # a gather, so not the cached table
+    np.subtract.at(p, np.repeat(np.arange(n), d), c3[dpm])
+    q = int(c4[n - 1 - d].sum()) - n * comb((n - 1) // 2, 4)
+    return g, np.append(p, q)
+
+
+def _regular_terms(t: Tournament) -> tuple[np.ndarray, np.ndarray]:
+    """(e, j) for a regular t of order n = 1 (mod 4), per-arc int64 terms,
+    each >= 0, that add up to 4 (c5_regular_max(n) - c5) and
+    s5 - s5_of_ndr(n): e = (2 dpp - (n-3)/2)^2 - 1, an odd number squared
+    less 1, and j = C(dpm, 3) less its chord through lo = (n-5)/4 and
+    lo + 1, as C(x, 3) is convex on the integers x >= 0."""
+    n = t.n
+    _, dpp, _, dpm, _ = _arc_profiles(t)
+    _, c3, _ = _binomials(n)
+    lo = (n - 5) // 4
+    e = (2 * dpp - (n - 3) // 2) ** 2 - 1
+    return e, c3[dpm] - comb(lo, 3) - (dpm - lo) * comb(lo, 2)
+
+
+def _check_terms(terms: np.ndarray, gap: int | Fraction, what: str) -> None:
+    """Raise VerificationFailedError unless terms are >= 0, summing to gap."""
+    if terms.min() < 0 or int(terms.sum()) != gap:
+        raise VerificationFailedError(
+            f"{what}: certificate terms add up to {int(terms.sum())}, least "
+            f"{terms.min()}, want {gap} with none below 0")
 
 
 # -- reports -----------------------------------------------------------------
@@ -589,15 +632,10 @@ def verify_c5_max(n: int, *, time_budget: float | None = None
                   ) -> SweepExtremes:
     """Find the maxima of c5 and s5 over every tournament of order n in
     {5, 7} by two routes that must agree, report them with their classes,
-    and check the claims:
-
-      n = 7: max c5 = 42, attained exactly by the quadratic-residue
-             tournament; max s5 = 21 = C(7, 5), attained exactly by the
-             three regular classes; the regular labeled total matches the
-             enumerator.
-      n = 5: max c5 = 3 (the rational bound 9/2 is not attained), with
-             the middle-blowup of the 3-cycle among the maximizers;
-             max s5 = 1, attained exactly by the six strong classes.
+    and check them by one rule for every order: the regular mass is the
+    enumerator's, c5 meets its bound exactly on the doubly regular
+    classes, if any, s5 meets s5_of_rlt(n), and _bound_terms certifies
+    each witness class.  TestSweepDrivers asserts the values and classes.
 
     time_budget is None or a positive finite number of seconds
     (InvalidInput otherwise) for the whole run, the enumeration of the
@@ -620,26 +658,13 @@ def verify_c5_max(n: int, *, time_budget: float | None = None
     if scan != labeled:
         raise VerificationFailedError(
             f"the labeled sweep {labeled} and the class scan {scan} disagree")
-    c5_witnesses = _witness_classes(n, c5_argmax, c5_mass, deadline)
-    s5_witnesses = _witness_classes(n, s5_argmax, s5_mass, deadline)
-    bound = c5_max_bound(n)
-    c5_report = BoundReport(
-        bound_name="c5_max",
-        n=n,
-        bound_value=bound,
-        observed=best_c5,
-        tight=Fraction(best_c5) == bound,
-        witnesses=c5_witnesses,
-    )
-    s5_report = BoundReport(
-        bound_name="s5_max",
-        n=n,
-        bound_value=Fraction(s5_of_rlt(n)),
-        observed=best_s5,
-        tight=best_s5 == s5_of_rlt(n),
-        witnesses=s5_witnesses,
-    )
-    result = SweepExtremes(n, total, regular, c5_report, s5_report)
+    result = SweepExtremes(n, total, regular, *(
+        BoundReport(name, n, bound, best, best == bound,
+                    _witness_classes(n, argmax, mass, deadline))
+        for name, bound, best, argmax, mass in (
+            ("c5_max", c5_max_bound(n), best_c5, c5_argmax, c5_mass),
+            ("s5_max", Fraction(s5_of_rlt(n)), best_s5, s5_argmax,
+             s5_mass))))
     _check_sweep_claims(result, deadline)
     return result
 
@@ -653,88 +678,58 @@ def _check_sweep_claims(result: SweepExtremes,
         raise VerificationFailedError(
             f"sweep saw {result.regular_codes} regular labeled tournaments, "
             f"enumerator says {corpus.labeled_count}")
-    if n == 7:
-        if not result.c5.tight:
-            raise VerificationFailedError(
-                f"max c5 {result.c5.observed} misses the bound "
-                f"{result.c5.bound_value}")
-        qr_key = canonical_form(gen_qr(7)).hex()
-        if result.c5.witnesses != (qr_key,):
-            raise VerificationFailedError(
-                "c5 maximizers are not exactly the quadratic-residue class")
-        regular_keys = tuple(cf.hex() for cf, _ in corpus.classes)
-        if not result.s5.tight or result.s5.witnesses != regular_keys:
-            raise VerificationFailedError(
-                "s5 maximizers are not exactly the three regular classes")
-    else:
-        if result.c5.observed != 3 or result.c5.tight:
-            raise VerificationFailedError(
-                f"max c5 at order 5 should be 3 < 9/2, got "
-                f"{result.c5.observed}")
-        mid_key = canonical_form(gen_named("delta_o_delta_o")).hex()
-        if mid_key not in result.c5.witnesses:
-            raise VerificationFailedError(
-                "the middle-blowup 3-cycle is missing from the c5 maximizers")
-        if result.s5.observed != 1 or len(result.s5.witnesses) != 6:
-            raise VerificationFailedError(
-                "s5 maximizers at order 5 are not exactly the six strong "
-                "classes")
+    doubly_regular = tuple(cf.hex() for cf, rep in corpus.classes
+                           if is_doubly_regular(rep))
+    if result.c5.tight != bool(doubly_regular) or (
+            doubly_regular and result.c5.witnesses != doubly_regular):
+        raise VerificationFailedError(
+            f"max c5 {result.c5.observed} of bound {result.c5.bound_value} "
+            f"is not met on exactly the doubly regular classes")
+    if not result.s5.tight:
+        raise VerificationFailedError(
+            f"max s5 {result.s5.observed} misses {result.s5.bound_value}")
+    for k, (report, scale) in enumerate(((result.c5, 8), (result.s5, 1))):
+        for key in report.witnesses:
+            rep = Tournament(n, CanonicalForm(n, int(key, 16)).rows())
+            _check_terms(_bound_terms(rep)[k],
+                         scale * (report.bound_value - report.observed),
+                         f"{report.bound_name} witness {key}")
 
 
 def verify_regular9(corpus: EnumCorpus) -> dict[str, BoundReport]:
-    """Audit the order-9 regular corpus:
-
-      min s5 = 108 over the 15 classes, attained by exactly five, and the
-      minimizers are exactly the classes whose A A^T is positive
-      off-diagonal; two of the five are nearly doubly regular, one is the
-      triple blowup of the 3-cycle, and the other two match the embedded
-      fixture matrices.  max c5 = 180, attained exactly by the two nearly
-      doubly regular classes.
-    """
-    if corpus.n != 9:
+    """Audit the order-9 regular corpus of KNOWN_REGULAR_CLASSES[9]
+    classes by _regular_terms, which certify that no class passes
+    s5_of_ndr(9) or c5_regular_max(9); the classes whose terms vanish
+    meet them, and some must, the c5 ones nearly doubly regular.  The
+    tests (TestRegular9Driver, test_criterion_05) assert which they are."""
+    n = corpus.n
+    if n != 9:
         raise InvalidInput("need the order-9 regular corpus")
-    if len(corpus.classes) != 15:
+    if len(corpus.classes) != KNOWN_REGULAR_CLASSES[n]:
         raise VerificationFailedError(
-            f"expected 15 order-9 regular classes, got {len(corpus.classes)}")
-    stats = [(cf.hex(), s5_formula(rep), c5_formula(rep), rep)
-             for cf, rep in corpus.classes]
-    min_s5 = min(s for _, s, _, _ in stats)
-    max_c5 = max(c for _, _, c, _ in stats)
-    s5_witnesses = tuple(k for k, s, _, _ in stats if s == min_s5)
-    c5_witnesses = tuple(k for k, _, c, _ in stats if c == max_c5)
-    aat_keys = tuple(k for k, _, _, rep in stats if aat_positive(rep))
-    ndr_keys = tuple(k for k, _, _, rep in stats
-                     if is_nearly_doubly_regular(rep))
-    if min_s5 != s5_of_ndr(9):
+            f"expected {KNOWN_REGULAR_CLASSES[n]} order-9 regular classes, "
+            f"got {len(corpus.classes)}")
+    s5_min, c5_max = s5_of_ndr(n), c5_regular_max(n)
+    s5_witnesses, c5_witnesses = [], []
+    for cf, rep in corpus.classes:
+        key = cf.hex()
+        e, j = _regular_terms(rep)
+        _check_terms(j, s5_formula(rep) - s5_min, f"s5 of class {key}")
+        _check_terms(e, 4 * (c5_max - c5_formula(rep)), f"c5 of class {key}")
+        if not j.any():
+            s5_witnesses.append(key)
+        if not e.any():
+            if not is_nearly_doubly_regular(rep):
+                raise VerificationFailedError(
+                    f"c5 maximizer {key} is not nearly doubly regular")
+            c5_witnesses.append(key)
+    # a class meets a closed form exactly where its checked terms vanish
+    if not s5_witnesses or not c5_witnesses:
         raise VerificationFailedError(
-            f"min s5 is {min_s5}, closed form says {s5_of_ndr(9)}")
-    if len(s5_witnesses) != 5:
-        raise VerificationFailedError(
-            f"expected 5 minimizing classes, got {len(s5_witnesses)}")
-    if s5_witnesses != aat_keys:
-        raise VerificationFailedError(
-            "s5 minimizers differ from the positive-A A^T classes")
-    if len(ndr_keys) != 2 or not set(ndr_keys) <= set(s5_witnesses):
-        raise VerificationFailedError(
-            "expected exactly two nearly doubly regular minimizers")
-    named = {canonical_form(gen_named(name)).hex(): name
-             for name in ("delta_delta", "prop2_a", "prop2_b")}
-    if not set(named) <= set(s5_witnesses):
-        raise VerificationFailedError(
-            "the blowup and fixture classes are not all minimizers")
-    if set(s5_witnesses) != set(named) | set(ndr_keys):
-        raise VerificationFailedError(
-            "the five minimizers are not the expected five classes")
-    if max_c5 != c5_regular_max(9):
-        raise VerificationFailedError(
-            f"max c5 is {max_c5}, closed form says {c5_regular_max(9)}")
-    if c5_witnesses != ndr_keys:
-        raise VerificationFailedError(
-            "c5 maximizers are not exactly the nearly doubly regular classes")
+            f"no class meets min s5 = {s5_min} or max c5 = {c5_max}")
     return {
-        "s5_min": BoundReport("s5_min_regular", 9, Fraction(s5_of_ndr(9)),
-                              min_s5, True, s5_witnesses),
-        "c5_max": BoundReport("c5_max_regular", 9,
-                              Fraction(c5_regular_max(9)), max_c5, True,
-                              c5_witnesses),
+        "s5_min": BoundReport("s5_min_regular", n, Fraction(s5_min),
+                              s5_min, True, tuple(s5_witnesses)),
+        "c5_max": BoundReport("c5_max_regular", n, Fraction(c5_max),
+                              c5_max, True, tuple(c5_witnesses)),
     }

@@ -418,8 +418,9 @@ def test_values_up_to_40_characters_are_echoed_whole(capsys, length):
 
 
 # (argv with X for 400 x's, the token that holds X, the message's text
-# before the echo): a bad choice, which argparse reports, and a flag
-# before the command, which main reports, with FILE for RLT_7's .tour
+# before the echo): a bad choice, which argparse reports, a flag before
+# the command, which main reports, and an unread flag after it, which
+# the parser reports, with FILE for RLT_7's .tour
 LONG_ARGPARSE_ECHOES = [
     (["count", "--input", "FILE", "c5", "--method", "X"], "X",
      "argument --method: invalid choice: "),
@@ -428,6 +429,8 @@ LONG_ARGPARSE_ECHOES = [
     (["gen", "X", "--n", "5"], "X", "argument family: invalid choice: "),
     (["verify", "X"], "X", "argument target: invalid choice: "),
     (["--X", "classify", "--input", "FILE"], "--X",
+     "unrecognized arguments: "),
+    (["classify", "--input", "FILE", "--X"], "--X",
      "unrecognized arguments: "),
 ]
 
@@ -447,6 +450,17 @@ def test_long_choices_and_early_flags_are_echoed_in_part(capsys, rlt7_file,
     assert f"error: {before}{value[:40]!r}... ({len(value)} characters)" \
         in captured.err
     assert "x" * 41 not in captured.err
+
+
+def test_long_unread_flag_is_echoed_in_part_and_a_path_whole(capsys,
+                                                             rlt7_file):
+    flag = "--" + "x" * 400
+    code = main(["classify", "--input", rlt7_file, flag, rlt7_file])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.endswith(
+        f"error: unrecognized arguments: {flag[:40]!r}... (402 characters) "
+        f"{rlt7_file}\n")
 
 
 @pytest.mark.parametrize("length", [40, 41])

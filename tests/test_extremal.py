@@ -6,6 +6,7 @@ corpora built in this run."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, permutations
 from math import comb, factorial
@@ -31,10 +32,13 @@ from tourney import (
     gen_named,
     gen_qr,
     gen_qr_power,
+    gen_random,
     gen_rlt,
     gen_rotational,
     gen_transitive,
+    aat_positive,
     is_doubly_regular,
+    is_nearly_doubly_regular,
     is_regular,
     oracle_cycles,
     oracle_strong_subs,
@@ -61,8 +65,10 @@ from tourney.errors import (
 from tourney import extremal
 from tourney.counting import _cycles_by_trace, _row_bits
 from tourney.enumeration import _classes, _extend, certified_classes
-from tourney.extremal import (_exact_div, _extension_batch, _extremes,
-                              _labeled_batches, _witness_classes,
+from tourney.extremal import (SweepExtremes, _bound_terms,
+                              _check_sweep_claims, _exact_div,
+                              _extension_batch, _extremes, _labeled_batches,
+                              _regular_terms, _witness_classes,
                               delta_tt3_copies_in_rlt, rlt5_copies_in_rlt)
 from oracle_reference import (code_rows, cut_form, every_code_block,
                               tournament_from_code, triangle_rule_blocks,
@@ -119,6 +125,18 @@ class TestClosedForms:
         assert expected_cycles(5, 5) == Fraction(120, 160)
         assert expected_cycles(4, 5) == 0
 
+    def test_gaps_of_the_certificates(self):
+        # the closed forms the certificates' sums are measured from, as
+        # polynomials in n at every order each one admits up to 63
+        for n in range(3, 64, 2):
+            assert s5_of_rlt(n) == comb(n, 5) - n * comb((n - 1) // 2, 4)
+        for n in range(5, 64, 4):
+            low = Fraction((n + 1) * n * (n - 1) * (n - 3) * (17 * n - 59),
+                           3840)
+            assert c5_regular_max(n) == c5_max_bound(n) - Fraction(
+                comb(n, 2), 4)
+            assert s5_of_ndr(n) == low + Fraction(comb(n, 2) * (n - 7), 32)
+
     def test_inexact_division_is_a_bug(self):
         # a closed form whose numerator misses its denominator must raise
         # even under python -O, never floor
@@ -164,6 +182,86 @@ class TestFamiliesToTheBitmaskCap:
         tl, tr = regular_identity_trace(t)
         assert tl == tr == 5 * rhs
         assert tl == Fraction(trace_m(t, 5)) + Fraction(5, 2) * trace_m(t, 4)
+
+
+def certified_bounds(t: Tournament) -> tuple[np.ndarray, np.ndarray]:
+    """_bound_terms of t, once their identities and signs are asserted:
+    no term below 0, the per-arc terms adding up to 8 (c5_max_bound -
+    c5) and the per-vertex ones, with Q last, to s5_of_rlt - s5, and
+    every per-arc term 0 exactly when t is doubly regular."""
+    g, p = _bound_terms(t)
+    assert (len(g), len(p)) == (comb(t.n, 2), t.n + 1)
+    assert g.min() >= 0 and p.min() >= 0
+    assert int(g.sum()) == 8 * (c5_max_bound(t.n) - c5_formula(t))
+    assert int(p.sum()) == s5_of_rlt(t.n) - s5_formula(t)
+    assert (not g.any()) == is_doubly_regular(t)
+    return g, p
+
+
+def certified_regular(t: Tournament) -> tuple[np.ndarray, np.ndarray]:
+    """_regular_terms of a regular t, once their identities and signs
+    are asserted, with every e 0 exactly when t is nearly doubly
+    regular."""
+    e, j = _regular_terms(t)
+    assert len(e) == len(j) == comb(t.n, 2)
+    assert e.min() >= 0 and j.min() >= 0
+    assert int(e.sum()) == 4 * (c5_regular_max(t.n) - c5_formula(t))
+    assert int(j.sum()) == s5_formula(t) - s5_of_ndr(t.n)
+    assert (not e.any()) == is_nearly_doubly_regular(t)
+    return e, j
+
+
+class TestCertificates:
+    """The per-tournament certificates: _bound_terms on every class of
+    orders 5 and 7, the regular classes of orders 9 and 11, the doubly
+    regular families, and RLT_n and seeded random tournaments up to
+    order 63; _regular_terms on the order-9 regular classes and on RLT_n
+    and seeded regular rotational tournaments of every order 1 (mod 4)
+    up to 61."""
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_every_class(self, n):
+        reps, _ = _classes(n, None)
+        zero = [not certified_bounds(validate(n, rows))[1].any()
+                for rows in reps.tolist()]
+        # the s5 maximizers: the six strong classes, the three regular
+        assert sum(zero) == {5: 6, 7: 3}[n]
+
+    @pytest.mark.parametrize("corpus", ["corpus9", "corpus11"])
+    def test_regular_classes(self, corpus, request):
+        zero = [cf.hex() for cf, rep in request.getfixturevalue(
+            corpus).classes if not certified_bounds(rep)[0].any()]
+        assert zero == ([canonical_form(gen_qr(11)).hex()]
+                        if corpus == "corpus11" else [])
+
+    @pytest.mark.parametrize("t", _DOUBLY_REGULAR.values(),
+                             ids=_DOUBLY_REGULAR.keys())
+    def test_doubly_regular(self, t):
+        certified_bounds(t)
+
+    @pytest.mark.parametrize("n", range(5, 64, 2))
+    def test_rlt_and_random(self, n):
+        _, p = certified_bounds(gen_rlt(n))
+        assert not p.any()
+        if n >= 9:
+            for seed in range(3):
+                certified_bounds(gen_random(n, seed))
+
+    def test_regular_terms_on_the_order9_classes(self, corpus9):
+        # j vanishes on the five s5 minimizers, e on the two c5 maximizers
+        zeros = [[cf.hex() for cf, rep in corpus9.classes
+                  if not certified_regular(rep)[k].any()] for k in (1, 0)]
+        assert zeros == [
+            [cf.hex() for cf, rep in corpus9.classes if aat_positive(rep)],
+            [cf.hex() for cf, rep in corpus9.classes
+             if is_nearly_doubly_regular(rep)]]
+        assert [len(z) for z in zeros] == [5, 2]
+
+    @pytest.mark.parametrize("n", range(5, 62, 4))
+    def test_regular_terms_to_order61(self, n):
+        for t in (gen_rlt(n), seeded_rotational(n, n),
+                  seeded_rotational(n, n + 1)):
+            certified_regular(t)
 
 
 class TestRegularIdentity:
@@ -323,6 +421,69 @@ class TestSweepDrivers:
             _witness_classes(5, [([rows], [24])], 48)
 
 
+def perturbed(terms: tuple[np.ndarray, ...], k: int, how: str
+              ) -> tuple[np.ndarray, ...]:
+    """Copies of a certificate's term arrays with array k changed: its
+    first term one higher ("sum"), or its first term -1 and its second
+    higher by as much as the first lost, so that the sum holds
+    ("sign")."""
+    terms = tuple(x.copy() for x in terms)
+    x = terms[k]
+    if how == "sum":
+        x[0] += 1
+    else:
+        x[1] += x[0] + 1
+        x[0] = -1
+    return terms
+
+
+class TestClaimRule:
+    """_check_sweep_claims, the one rule verify_c5_max checks at every
+    order (sweep5 and sweep7 pass it when they are built), fails with
+    VerificationFailedError on a report that breaks it or on a witness
+    whose certificate does."""
+
+    @pytest.mark.parametrize("sweep", ["sweep5", "sweep7"])
+    def test_flipped_c5_tightness(self, sweep, request):
+        result = request.getfixturevalue(sweep)
+        c5 = replace(result.c5, tight=not result.c5.tight)
+        with pytest.raises(VerificationFailedError, match="doubly regular"):
+            _check_sweep_claims(replace(result, c5=c5))
+
+    def test_tight_c5_without_the_doubly_regular_class(self, sweep7):
+        c5 = replace(sweep7.c5, witnesses=())
+        with pytest.raises(VerificationFailedError, match="doubly regular"):
+            _check_sweep_claims(replace(sweep7, c5=c5))
+
+    def test_s5_below_its_bound(self, sweep7):
+        s5 = replace(sweep7.s5, tight=False)
+        with pytest.raises(VerificationFailedError, match="^max s5 21 "):
+            _check_sweep_claims(replace(sweep7, s5=s5))
+
+    @pytest.mark.parametrize("sweep", ["sweep5", "sweep7"])
+    def test_s5_witness_short_of_the_maximum(self, sweep, request):
+        # the transitive class has no strong 5-subset at all
+        result = request.getfixturevalue(sweep)
+        key = canonical_form(gen_transitive(result.n)).hex()
+        s5 = replace(result.s5, witnesses=result.s5.witnesses + (key,))
+        with pytest.raises(VerificationFailedError,
+                           match=f"^s5_max witness {key}: certificate terms "
+                                 f"add up to {s5_of_rlt(result.n)},"):
+            _check_sweep_claims(replace(result, s5=s5))
+
+    @pytest.mark.parametrize("sweep", ["sweep5", "sweep7"])
+    @pytest.mark.parametrize("k", [0, 1], ids=["g", "p"])
+    @pytest.mark.parametrize("how", ["sum", "sign"])
+    def test_perturbed_term(self, sweep, k, how, request, monkeypatch):
+        result = request.getfixturevalue(sweep)
+        bound_terms = extremal._bound_terms
+        monkeypatch.setattr(extremal, "_bound_terms",
+                            lambda t: perturbed(bound_terms(t), k, how))
+        with pytest.raises(VerificationFailedError,
+                           match="certificate terms add up to"):
+            _check_sweep_claims(result)
+
+
 def members(blocks) -> list:
     """(out-rows, weight) of every member of the blocks (out-rows,
     weights) that _extremes keeps, in order."""
@@ -454,7 +615,8 @@ class TestOrder9ClassScan:
     """The class scan alone at order 9: the orbit-weighted extensions of
     the 6,880 classes of order 8 stand for all 2^36 labeled tournaments
     of order 9, so their extremes are the maxima over every tournament
-    of that order, irregular ones included."""
+    of that order, irregular ones included, and verify_c5_max's claim
+    rule holds on them."""
 
     def test_maxima_over_every_tournament(self, classes8, corpus9):
         summary, (c5_argmax, s5_argmax) = _extremes(9, [classes8],
@@ -464,10 +626,17 @@ class TestOrder9ClassScan:
             == tournaments_with_scores((4,) * 9)
         assert summary[2] < c5_max_bound(9) == 189
         assert summary[4] == s5_of_rlt(9)
-        assert _witness_classes(9, c5_argmax, summary[3]) \
-            == verify_regular9(corpus9)["c5_max"].witnesses
-        assert _witness_classes(9, s5_argmax, summary[5]) \
-            == (canonical_form(gen_rlt(9)).hex(),)
+        c5_witnesses = _witness_classes(9, c5_argmax, summary[3])
+        s5_witnesses = _witness_classes(9, s5_argmax, summary[5])
+        assert c5_witnesses == verify_regular9(corpus9)["c5_max"].witnesses
+        assert s5_witnesses == (canonical_form(gen_rlt(9)).hex(),)
+        # the claim rule verify_c5_max checks at orders 5 and 7, as it is
+        _check_sweep_claims(SweepExtremes(
+            9, summary[0], summary[1],
+            BoundReport("c5_max", 9, c5_max_bound(9), 180, False,
+                        c5_witnesses),
+            BoundReport("s5_max", 9, Fraction(117), 117, True,
+                        s5_witnesses)))
 
 
 def relabel(t, p):
@@ -906,6 +1075,50 @@ class TestRegular9Driver:
         witnesses = set(reports["s5_min"].witnesses)
         for name in ("delta_delta", "prop2_a", "prop2_b"):
             assert canonical_form(gen_named(name)).hex() in witnesses
+
+    def test_fails_without_one_class(self, corpus9):
+        from tourney.enumeration import EnumCorpus
+        broken = EnumCorpus(corpus9.n, corpus9.labeled_count,
+                            corpus9.classes[:4] + corpus9.classes[5:])
+        with pytest.raises(VerificationFailedError,
+                           match="^expected 15 order-9 regular classes, "
+                                 "got 14$"):
+            verify_regular9(broken)
+
+    @pytest.mark.parametrize("k", [0, 1], ids=["e", "j"])
+    @pytest.mark.parametrize("how", ["sum", "sign"])
+    def test_fails_on_a_perturbed_term(self, corpus9, monkeypatch, k, how):
+        regular_terms = extremal._regular_terms
+        monkeypatch.setattr(extremal, "_regular_terms",
+                            lambda t: perturbed(regular_terms(t), k, how))
+        with pytest.raises(VerificationFailedError,
+                           match="certificate terms add up to"):
+            verify_regular9(corpus9)
+
+    def test_fails_when_no_class_meets_a_closed_form(self, corpus9,
+                                                     monkeypatch):
+        # a closed form one above the true max c5, 180, with terms that
+        # still add up to its gap on every class but vanish on none
+        regular_terms = extremal._regular_terms
+
+        def raised(t):
+            e, j = regular_terms(t)
+            return np.append(e[:1] + 4, e[1:]), j
+
+        monkeypatch.setattr(extremal, "c5_regular_max", lambda n: 181)
+        monkeypatch.setattr(extremal, "_regular_terms", raised)
+        with pytest.raises(VerificationFailedError,
+                           match="^no class meets min s5 = 108 or max c5 = "
+                                 "181$"):
+            verify_regular9(corpus9)
+
+    def test_fails_on_a_maximizer_not_nearly_doubly_regular(self, corpus9,
+                                                            monkeypatch):
+        monkeypatch.setattr(extremal, "is_nearly_doubly_regular",
+                            lambda t: False)
+        with pytest.raises(VerificationFailedError,
+                           match="is not nearly doubly regular$"):
+            verify_regular9(corpus9)
 
     def test_fails_on_truncated_corpus(self, corpus9):
         from tourney.enumeration import EnumCorpus
