@@ -128,6 +128,8 @@ def _rotational(args: argparse.Namespace) -> Tournament:
 
 def _prop2(args: argparse.Namespace) -> dict[str, Any]:
     corpus = enumeration.read_corpus(args.corpus)
+    if corpus.n != 9:  # a usage error, whatever the corpus holds
+        raise InvalidInput("need the order-9 regular corpus")
     enumeration.verify_corpus(corpus)
     return extremal.verify_regular9(corpus)
 

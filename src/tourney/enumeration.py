@@ -146,15 +146,10 @@ def _deadline(time_budget: float | None) -> float | None:
 
 
 def _check_deadline(deadline: float | None,
-                    what: str = "enumeration") -> float | None:
-    """The seconds left before deadline, or None for no deadline; raises
-    TimeBudgetExceededError, naming what ran, once it has passed."""
-    if deadline is None:
-        return None
-    left = deadline - time.monotonic()
-    if left <= 0:
+                    what: str = "enumeration") -> None:
+    """Raise TimeBudgetExceededError, naming what ran, past deadline."""
+    if deadline is not None and time.monotonic() >= deadline:
         raise TimeBudgetExceededError(f"{what} ran past its budget")
-    return left
 
 
 def _extend(reps: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -103,10 +103,11 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from .core import CanonicalForm, Tournament
 from .counting import (_arc_profiles, _row_bits, _table, c4_formula,
                        c5_formula, s5_formula, trace_m)
-from .classify import is_doubly_regular, is_nearly_doubly_regular, is_regular
+from .classify import (is_doubly_regular, is_nearly_doubly_regular,
+                       is_regular, tournaments_with_scores)
 from .enumeration import (KNOWN_REGULAR_CLASSES, EnumCorpus, _binomials,
                           _check_deadline, _classes, _deadline, _extend,
-                          certified_classes, enumerate_regular)
+                          certified_classes)
 from .errors import (InternalParityError, InvalidInput,
                      VerificationFailedError)
 
@@ -172,7 +173,10 @@ def c5_of_rlt(n: int) -> int:
 
 def s5_of_dr(n: int) -> int:
     """n (n+1)(n-1)(n-3)(17 n - 59) / 3840, the strong-5-subset count of
-    any doubly regular tournament (n = 3 mod 4)."""
+    any doubly regular tournament (n = 3 mod 4): TestFamiliesToTheBitmaskCap
+    checks it on QR_p and gen_qr_power(3, 3).  Nothing yet certifies it as
+    the minimum over regular tournaments of such orders, which needs a
+    certificate by the tangent of C(dpm, 3) at (n-3)/4, not built."""
     _require_odd(n, 3)
     if n % 4 != 3:
         raise InvalidInput(f"need n = 3 (mod 4), got {n}")
@@ -181,7 +185,9 @@ def s5_of_dr(n: int) -> int:
 
 def s5_of_ndr(n: int) -> int:
     """n (n-1)(17 n^3 - 93 n^2 + 127 n - 243) / 3840, the strong-5-subset
-    count of any nearly doubly regular tournament (n = 1 mod 4)."""
+    count of any nearly doubly regular tournament (n = 1 mod 4), and the
+    minimum over regular tournaments by _regular_terms' certificate j,
+    which TestCertificates checks up to order 61 and verify_regular9 at 9."""
     _require_odd(n, 5)
     if n % 4 != 1:
         raise InvalidInput(f"need n = 1 (mod 4), got {n}")
@@ -633,15 +639,14 @@ def verify_c5_max(n: int, *, time_budget: float | None = None
     """Find the maxima of c5 and s5 over every tournament of order n in
     {5, 7} by two routes that must agree, report them with their classes,
     and check them by one rule for every order: the regular mass is the
-    enumerator's, c5 meets its bound exactly on the doubly regular
-    classes, if any, s5 meets s5_of_rlt(n), and _bound_terms certifies
-    each witness class.  TestSweepDrivers asserts the values and classes.
+    score count tournaments_with_scores, c5 has witnesses, all doubly
+    regular if it meets its bound and none if not, s5 meets s5_of_rlt(n),
+    and _bound_terms certifies each witness class.  TestSweepDrivers
+    asserts the values and classes.
 
-    time_budget is None or a positive finite number of seconds
-    (InvalidInput otherwise) for the whole run, the enumeration of the
-    regular classes included; TimeBudgetExceededError past it, checked
-    once per slice of either route and as enumerate_regular checks.
-    """
+    time_budget is None or positive finite seconds (else InvalidInput)
+    for the whole run; past it, a slice of either route, the class engine
+    or certified_classes raises TimeBudgetExceededError."""
     if n not in (5, 7):
         raise InvalidInput(
             f"the exhaustive sweep runs at n in {{5, 7}}, got {n}")
@@ -665,33 +670,32 @@ def verify_c5_max(n: int, *, time_budget: float | None = None
             ("c5_max", c5_max_bound(n), best_c5, c5_argmax, c5_mass),
             ("s5_max", Fraction(s5_of_rlt(n)), best_s5, s5_argmax,
              s5_mass))))
-    _check_sweep_claims(result, deadline)
+    _check_sweep_claims(result)
     return result
 
 
-def _check_sweep_claims(result: SweepExtremes,
-                        deadline: float | None = None) -> None:
+def _check_sweep_claims(result: SweepExtremes) -> None:
     n = result.n
-    corpus = enumerate_regular(
-        n, time_budget=_check_deadline(deadline, "the sweep"))
-    if result.regular_codes != corpus.labeled_count:
+    regular = tournaments_with_scores(((n - 1) // 2,) * n)
+    if result.regular_codes != regular:
         raise VerificationFailedError(
             f"sweep saw {result.regular_codes} regular labeled tournaments, "
-            f"enumerator says {corpus.labeled_count}")
-    doubly_regular = tuple(cf.hex() for cf, rep in corpus.classes
-                           if is_doubly_regular(rep))
-    if result.c5.tight != bool(doubly_regular) or (
-            doubly_regular and result.c5.witnesses != doubly_regular):
+            f"the score count says {regular}")
+
+    def rep(key: str) -> Tournament:
+        return Tournament(n, CanonicalForm(n, int(key, 16)).rows())
+
+    c5 = result.c5
+    if {is_doubly_regular(rep(key)) for key in c5.witnesses} != {c5.tight}:
         raise VerificationFailedError(
-            f"max c5 {result.c5.observed} of bound {result.c5.bound_value} "
-            f"is not met on exactly the doubly regular classes")
+            f"max c5 {c5.observed} of bound {c5.bound_value} is not met "
+            f"on exactly the doubly regular classes")
     if not result.s5.tight:
         raise VerificationFailedError(
             f"max s5 {result.s5.observed} misses {result.s5.bound_value}")
-    for k, (report, scale) in enumerate(((result.c5, 8), (result.s5, 1))):
+    for k, (report, scale) in enumerate(((c5, 8), (result.s5, 1))):
         for key in report.witnesses:
-            rep = Tournament(n, CanonicalForm(n, int(key, 16)).rows())
-            _check_terms(_bound_terms(rep)[k],
+            _check_terms(_bound_terms(rep(key))[k],
                          scale * (report.bound_value - report.observed),
                          f"{report.bound_name} witness {key}")
 

@@ -145,6 +145,12 @@ class TestLocalStructure:
                 assert (is_locally_regular(rep, "plus")
                         == is_locally_regular(rep, "minus"))
 
+    def test_side_must_be_named(self):
+        with pytest.raises(InvalidInput, match=r"^side must be one of "
+                                               r"\('plus', 'minus', 'both'\), "
+                                               r"got 'up'$"):
+            is_locally_transitive(gen_rlt(5), "up")
+
 
 class TestDoublyRegular:
     def test_qr7_and_qr11(self):

@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tourney import (TRACE_MAX_M, count_report, enumerate_regular,
-                     format_tour, gen_qr, gen_random, gen_rlt, parse_tour,
-                     write_corpus, write_tour)
+                     format_tour, gen_qr, gen_random, gen_rlt,
+                     gen_transitive, parse_tour, write_corpus, write_tour)
 from tourney.cli import _build_parser, _emit, main
 from tourney.counting import _FIXED_QUANTITIES
 from tourney.errors import InvalidInput
@@ -776,6 +776,17 @@ class TestVerify:
         code, _ = run(capsys, "verify", "prop2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["verify", "lemma1", "--n", "5", "--p", "1"], "need p >= 2, got 1"),
+        (["gen", "qr", "--p", "4", "--power", "3"], "4 is not prime"),
+        (["gen", "qr", "--p", "2", "--power", "3"],
+         "need p = 3 (mod 4), got 2"),
+        (["gen", "qr", "--p", "1"], "1 is not prime"),
+    ], ids=["lemma1-p1", "qr-power-p4", "qr-power-p2", "qr-p1"])
+    def test_out_of_range_values_are_usage_errors(self, capsys, argv,
+                                                  message):
+        assert assert_usage_error(capsys, *argv) == f"error: {message}\n"
+
     def test_unknown_target_is_usage_error(self, capsys):
         code, _ = run(capsys, "verify", "thm99")
         assert code == 2
@@ -893,6 +904,44 @@ class TestEnumerate:
         err = assert_usage_error(capsys, "verify", "prop2", "--corpus",
                                  str(path))
         assert err == "error: need the order-9 regular corpus\n"
+
+    def test_prop2_refuses_order7_corpus_before_verifying_it(
+            self, capsys, tmp_path, corpus7):
+        # the order is checked first, so a count that fails orbit
+        # counting is the same usage error as the corpus as built
+        path = tmp_path / "r7.corpus"
+        write_corpus(corpus7, path)
+        path.write_text(path.read_text().replace("labeled_count 2640",
+                                                 "labeled_count 2641"))
+        err = assert_usage_error(capsys, "verify", "prop2", "--corpus",
+                                 str(path))
+        assert err == "error: need the order-9 regular corpus\n"
+
+    @pytest.mark.parametrize("edit,claim", [
+        (lambda b: [b[1], b[0], b[2]], "classes are not sorted by key"),
+        (lambda b: [b[0], b[0], b[2]], "duplicate class key 01e1e1e0e0e0e"),
+        (lambda b: [b[0].split("\n")[0] + "\n"
+                    + format_tour(gen_transitive(7)).rstrip("\n"), *b[1:]],
+         "a stored representative is not regular"),
+    ], ids=["swapped", "repeated", "not-regular"])
+    def test_verify_bad_class_list_fails(self, capsys, tmp_path, corpus7,
+                                         edit, claim):
+        path = tmp_path / "r7.corpus"
+        write_corpus(corpus7, path)
+        head, *blocks = path.read_text().rstrip("\n").split("\n\n")
+        path.write_text("\n\n".join([head, *edit(blocks)]) + "\n")
+        code = main(["enumerate", "--verify", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"claim violated: {claim}\n"
+
+    def test_trailing_line_is_usage_error(self, capsys, tmp_path, corpus7):
+        path = tmp_path / "r7.corpus"
+        write_corpus(corpus7, path)
+        text = path.read_text()
+        path.write_text(text + "extra\n")
+        err = assert_usage_error(capsys, "enumerate", "--verify", str(path))
+        assert err == (f"error: trailing content after the last class "
+                       f"(line {len(text.splitlines()) + 1})\n")
 
     def test_corpus_row_error_names_file_line(self, capsys, tmp_path):
         path = tmp_path / "r7.corpus"

@@ -240,6 +240,21 @@ class TestSurgery:
                 assert t.has_arc(i, j)
         assert t.has_arc(0, 1) and t.has_arc(2, 3) and t.has_arc(4, 5)
 
+    def test_compose_refusals(self):
+        delta = validate(3, [0b010, 0b100, 0b001])
+        with pytest.raises(InvalidInput,
+                           match="^need 3 replacement tournaments, got 2$"):
+            compose(delta, [gen_transitive(2)] * 2)
+        with pytest.raises(InvalidInput,
+                           match="^composed order 65 exceeds 64$"):
+            compose(delta, [gen_transitive(22), gen_transitive(22),
+                            gen_transitive(21)])
+
+    def test_induced_vertex_outside_the_host(self):
+        with pytest.raises(InvalidInput, match="^vertex set is not a subset "
+                                               "of the host tournament$"):
+            induced(gen_transitive(5), [0, 5])
+
 
 class TestStrongDecomposition:
     def test_transitive_splits_fully(self):

@@ -442,6 +442,11 @@ class TestEdgeCases:
         assert oracle_strong_subs(t, 1) == 6
         assert oracle_strong_subs(t, 2) == 0
 
+    def test_strong_subset_order_zero(self):
+        with pytest.raises(InvalidInput,
+                           match="^subset order must be >= 1, got 0$"):
+            oracle_strong_subs(gen_transitive(5), 0)
+
 
 class TestCopies:
     def test_tt3_in_tt5(self):

@@ -342,6 +342,22 @@ class TestBalancedMinimization:
         with pytest.raises(InvalidInput, match=f"^need n >= 1, got {n}$"):
             verify_binomial_sum_min(n, 2)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: c5_max_bound(4), "need odd n >= 5, got 4"),
+        (lambda: s5_of_dr(9), r"need n = 3 \(mod 4\), got 9"),
+        (lambda: s5_of_ndr(7), r"need n = 1 \(mod 4\), got 7"),
+        (lambda: expected_cycles(5, 2),
+         "need m >= 3 and n >= 0, got n=5, m=2"),
+        (lambda: balanced_sequence(0), "need n >= 1, got 0"),
+        (lambda: binomial_sum_min(5, 1), "need p >= 2, got 1"),
+        (lambda: regular_identity_trace(gen_transitive(5)),
+         "the trace identity needs a regular tournament"),
+    ], ids=["c5_max_bound", "s5_of_dr", "s5_of_ndr", "expected_cycles",
+            "balanced_sequence", "binomial_sum_min", "identity_trace"])
+    def test_refusals(self, call, message):
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            call()
+
 
 class TestSweepDrivers:
     def test_order5(self, sweep5):
@@ -380,22 +396,6 @@ class TestSweepDrivers:
         with pytest.raises(TimeBudgetExceededError,
                            match="the sweep ran past its budget"):
             verify_c5_max(7, time_budget=0.001)
-
-    def test_time_budget_is_shared_with_the_enumeration(self, sweep5,
-                                                        monkeypatch):
-        # the claim check enumerates the regular classes within what is
-        # left of the one budget, and the result is as without one
-        budgets = []
-        enumerate_regular = extremal.enumerate_regular
-
-        def record(n, *, time_budget=None):
-            budgets.append(time_budget)
-            return enumerate_regular(n, time_budget=time_budget)
-
-        monkeypatch.setattr(extremal, "enumerate_regular", record)
-        assert verify_c5_max(5, time_budget=600.0) == sweep5
-        (budget,) = budgets
-        assert 0 < budget < 600.0
 
     @pytest.mark.parametrize("budget", [0.0, -1.0, float("nan"),
                                         float("inf")])
@@ -449,6 +449,18 @@ class TestClaimRule:
         c5 = replace(result.c5, tight=not result.c5.tight)
         with pytest.raises(VerificationFailedError, match="doubly regular"):
             _check_sweep_claims(replace(result, c5=c5))
+
+    @pytest.mark.parametrize("sweep", ["sweep5", "sweep7"])
+    def test_regular_mass_off_the_score_count(self, sweep, request,
+                                              monkeypatch):
+        result = request.getfixturevalue(sweep)
+        monkeypatch.setattr(extremal, "tournaments_with_scores",
+                            lambda scores: tournaments_with_scores(scores) + 1)
+        with pytest.raises(VerificationFailedError,
+                           match=f"^sweep saw {result.regular_codes} regular "
+                                 f"labeled tournaments, the score count says "
+                                 f"{result.regular_codes + 1}$"):
+            _check_sweep_claims(result)
 
     def test_tight_c5_without_the_doubly_regular_class(self, sweep7):
         c5 = replace(sweep7.c5, witnesses=())
