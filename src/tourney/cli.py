@@ -126,14 +126,6 @@ def _rotational(args: argparse.Namespace) -> Tournament:
         generators.RotationalSymbol(args.n, frozenset(diffs)))
 
 
-def _prop2(args: argparse.Namespace) -> dict[str, Any]:
-    corpus = enumeration.read_corpus(args.corpus)
-    if corpus.n != 9:  # a usage error, whatever the corpus holds
-        raise InvalidInput("need the order-9 regular corpus")
-    enumeration.verify_corpus(corpus)
-    return extremal.verify_regular9(corpus)
-
-
 def _eq7(args: argparse.Namespace) -> dict[str, Any]:
     t = io.read_tour(args.input)
     lhs, rhs = extremal.regular_identity(t)
@@ -220,7 +212,9 @@ _TARGETS = (
     ("thm1", "exhaustive 5-cycle maximum at order 5 or 7",
      lambda a: extremal.verify_c5_max(a.n, time_budget=a.time_budget),
      {"--n": _NATURAL, "--time-budget": _BUDGET}),
-    ("prop2", "order-9 regular corpus extremes", _prop2, {"--corpus": {}}),
+    ("prop2", "order-9 regular corpus extremes",
+     lambda a: extremal.verify_regular9(enumeration.read_corpus(a.corpus)),
+     {"--corpus": {}}),
     ("lemma1", "score-sequence minimization",
      lambda a: extremal.verify_binomial_sum_min(a.n, a.p),
      {"--n": _NATURAL, "--p": _NATURAL}),

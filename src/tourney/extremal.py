@@ -21,7 +21,7 @@ for the flagship families:
 
 verify_c5_max finds the maxima of c5 and s5 over every tournament of
 order 5 or 7 and pins down their maximizers up to isomorphism;
-verify_regular9 audits the enumerated order-9 regular corpus.  Both
+verify_regular9 verifies and audits the order-9 regular corpus.  Both
 raise VerificationFailedError the moment a claimed fact fails.
 
 verify_c5_max runs one reducer, _extremes, over two routes that add one
@@ -105,9 +105,9 @@ from .counting import (_arc_profiles, _row_bits, _table, c4_formula,
                        c5_formula, s5_formula, trace_m)
 from .classify import (is_doubly_regular, is_nearly_doubly_regular,
                        is_regular, tournaments_with_scores)
-from .enumeration import (KNOWN_REGULAR_CLASSES, EnumCorpus, _binomials,
-                          _check_deadline, _classes, _deadline, _extend,
-                          certified_classes)
+from .enumeration import (EnumCorpus, _binomials, _check_deadline, _classes,
+                          _deadline, _extend, certified_classes,
+                          verify_corpus)
 from .errors import (InternalParityError, InvalidInput,
                      VerificationFailedError)
 
@@ -166,7 +166,9 @@ def s5_of_rlt(n: int) -> int:
 
 
 def c5_of_rlt(n: int) -> int:
-    """(n+1) n (n-1)(n-3)(3 n - 11) / 480, the 5-cycle count of RLT_n."""
+    """(n+1) n (n-1)(n-3)(3 n - 11) / 480, the 5-cycle count of RLT_n and
+    the least over regular tournaments, by per-vertex terms >= 0 that
+    TestCertificates::test_c5_above_rlt_on_regular_classes checks."""
     _require_odd(n, 3)
     return _exact_div((n + 1) * n * (n - 1) * (n - 3) * (3 * n - 11), 480)
 
@@ -701,18 +703,15 @@ def _check_sweep_claims(result: SweepExtremes) -> None:
 
 
 def verify_regular9(corpus: EnumCorpus) -> dict[str, BoundReport]:
-    """Audit the order-9 regular corpus of KNOWN_REGULAR_CLASSES[9]
-    classes by _regular_terms, which certify that no class passes
-    s5_of_ndr(9) or c5_regular_max(9); the classes whose terms vanish
-    meet them, and some must, the c5 ones nearly doubly regular.  The
-    tests (TestRegular9Driver, test_criterion_05) assert which they are."""
+    """Verify the order-9 regular corpus by verify_corpus, then audit it
+    by _regular_terms, which certify that no class passes s5_of_ndr(9)
+    or c5_regular_max(9); the classes whose terms vanish meet them, and
+    some must, the c5 ones nearly doubly regular.  TestRegular9Driver
+    and test_criterion_05 assert which they are."""
     n = corpus.n
-    if n != 9:
+    if n != 9:  # a usage error, whatever the corpus holds
         raise InvalidInput("need the order-9 regular corpus")
-    if len(corpus.classes) != KNOWN_REGULAR_CLASSES[n]:
-        raise VerificationFailedError(
-            f"expected {KNOWN_REGULAR_CLASSES[n]} order-9 regular classes, "
-            f"got {len(corpus.classes)}")
+    verify_corpus(corpus)
     s5_min, c5_max = s5_of_ndr(n), c5_regular_max(n)
     s5_witnesses, c5_witnesses = [], []
     for cf, rep in corpus.classes:

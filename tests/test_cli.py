@@ -755,6 +755,16 @@ class TestVerify:
         code, _ = run(capsys, "verify", "eq7", "--input", str(path))
         assert code == 2  # precondition failure, not a violated claim
 
+    def test_eq7_fails_on_a_broken_identity(self, capsys, tmp_path,
+                                            monkeypatch):
+        from tourney import extremal
+        path = tmp_path / "r.tour"
+        write_tour(gen_rlt(9), path)
+        monkeypatch.setattr(extremal, "regular_identity", lambda t: (1, 2))
+        assert main(["verify", "eq7", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("claim violated: identity failed: 1 != 2 or ")
+
     def test_lemma1(self, capsys):
         code, out = run(capsys, "verify", "lemma1", "--n", "7", "--p", "4")
         doc = json.loads(out)
@@ -1166,3 +1176,12 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert parse_tour(proc.stdout).n == 5
+
+    def test_package_as_module(self):
+        # python -m tourney, the same command as the installed script
+        proc = subprocess.run([sys.executable, "-m", "tourney",
+                               "verify", "thm1", "--n", "5"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            GOLDEN["thm1-5"][1])

@@ -537,6 +537,12 @@ class TestCorpusFiles:
         assert len(again.classes) == 1223
         assert again.labeled_count == 48251508480
 
+    def test_verify_rejects_a_rep_of_another_order(self, corpus7):
+        with pytest.raises(VerificationFailedError,
+                           match="^class order disagrees with header$"):
+            verify_corpus(EnumCorpus(9, corpus7.labeled_count,
+                                     corpus7.classes))
+
     def test_verify_rejects_unknown_order(self):
         with pytest.raises(InvalidInput, match="^no known regular class "
                                                "count at order 13; the "

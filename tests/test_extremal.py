@@ -63,7 +63,7 @@ from tourney.errors import (
     VerificationFailedError,
 )
 from tourney import extremal
-from tourney.counting import _cycles_by_trace, _row_bits
+from tourney.counting import _arc_profiles, _cycles_by_trace, _row_bits
 from tourney.enumeration import _classes, _extend, certified_classes
 from tourney.extremal import (SweepExtremes, _bound_terms,
                               _check_sweep_claims, _exact_div,
@@ -211,13 +211,30 @@ def certified_regular(t: Tournament) -> tuple[np.ndarray, np.ndarray]:
     return e, j
 
 
+def certified_above_rlt(t: Tournament) -> np.ndarray:
+    """The per-vertex terms of c5 - c5_of_rlt(n) for a regular t, once
+    their identity and signs are asserted: sum over r < h of r^2 less
+    the sum of dpm_ij^2 over j in N+(i), with h = (n-1)/2.  The dpm_ij
+    are the in-degrees of the order-h tournament on N+(i), which the
+    transitive ones 0..h-1 majorize, and x^2 is convex, so no term is
+    below 0; all are 0 exactly when every N+(i) is transitive."""
+    n, h = t.n, (t.n - 1) // 2
+    _, _, _, dpm, _ = _arc_profiles(t)
+    # a regular t has h arcs out of each vertex, in row-major order
+    terms = (h - 1) * h * (2 * h - 1) // 6 - (dpm * dpm).reshape(n, h).sum(1)
+    assert terms.min() >= 0
+    assert int(terms.sum()) == c5_formula(t) - c5_of_rlt(n)
+    return terms
+
+
 class TestCertificates:
     """The per-tournament certificates: _bound_terms on every class of
     orders 5 and 7, the regular classes of orders 9 and 11, the doubly
     regular families, and RLT_n and seeded random tournaments up to
     order 63; _regular_terms on the order-9 regular classes and on RLT_n
     and seeded regular rotational tournaments of every order 1 (mod 4)
-    up to 61."""
+    up to 61; and certified_above_rlt on the regular classes of orders
+    7, 9 and 11, the doubly regular families and RLT_n up to order 63."""
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_every_class(self, n):
@@ -238,11 +255,13 @@ class TestCertificates:
                              ids=_DOUBLY_REGULAR.keys())
     def test_doubly_regular(self, t):
         certified_bounds(t)
+        assert certified_above_rlt(t).min() > 0
 
     @pytest.mark.parametrize("n", range(5, 64, 2))
     def test_rlt_and_random(self, n):
         _, p = certified_bounds(gen_rlt(n))
         assert not p.any()
+        assert not certified_above_rlt(gen_rlt(n)).any()
         if n >= 9:
             for seed in range(3):
                 certified_bounds(gen_random(n, seed))
@@ -256,6 +275,14 @@ class TestCertificates:
             [cf.hex() for cf, rep in corpus9.classes
              if is_nearly_doubly_regular(rep)]]
         assert [len(z) for z in zeros] == [5, 2]
+
+    @pytest.mark.parametrize("corpus", ["corpus7", "corpus9", "corpus11"])
+    def test_c5_above_rlt_on_regular_classes(self, corpus, request):
+        # c5 - c5_of_rlt(n) vanishes on RLT_n's class alone
+        classes = request.getfixturevalue(corpus).classes
+        zero = [cf.hex() for cf, rep in classes
+                if not certified_above_rlt(rep).any()]
+        assert zero == [canonical_form(gen_rlt(classes[0][1].n)).hex()]
 
     @pytest.mark.parametrize("n", range(5, 62, 4))
     def test_regular_terms_to_order61(self, n):
@@ -335,6 +362,24 @@ class TestBalancedMinimization:
         with pytest.raises(InvalidInput, match="^sequence sweeps are capped "
                                                "at n = 12, got 13$"):
             verify_binomial_sum_min(13, 2)
+
+    def test_fails_on_a_wrong_closed_form(self, monkeypatch):
+        monkeypatch.setattr(extremal, "binomial_sum_min", lambda n, p: 22)
+        with pytest.raises(VerificationFailedError,
+                           match="^enumerated minimum 21 differs from closed "
+                                 "form 22 for n=7, p=2$"):
+            verify_binomial_sum_min(7, 2)
+
+    def test_fails_on_a_wrong_balanced_sequence(self, monkeypatch):
+        # the closed form stays right, so only the minimizer check fails
+        monkeypatch.setattr(extremal, "binomial_sum_min", lambda n, p: 21)
+        monkeypatch.setattr(extremal, "balanced_sequence",
+                            lambda n: (2, 3, 3, 3, 3, 3, 4))
+        with pytest.raises(VerificationFailedError,
+                           match=r"^minimizer set \[\(3, 3, 3, 3, 3, 3, 3\)\] "
+                                 r"is not the balanced sequence alone for "
+                                 r"n=7, p=2$"):
+            verify_binomial_sum_min(7, 2)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_order_below_one(self, n):
@@ -1093,9 +1138,25 @@ class TestRegular9Driver:
         broken = EnumCorpus(corpus9.n, corpus9.labeled_count,
                             corpus9.classes[:4] + corpus9.classes[5:])
         with pytest.raises(VerificationFailedError,
-                           match="^expected 15 order-9 regular classes, "
-                                 "got 14$"):
+                           match="^expected 15 classes at order 9, got 14$"):
             verify_regular9(broken)
+
+    def test_fails_on_keys_shifted_to_the_next_rep(self, corpus9):
+        # every key stays sorted and distinct, and each rep regular, but
+        # the audit alone would report the witness keys of other classes
+        from tourney.enumeration import EnumCorpus
+        keys = [cf for cf, _ in corpus9.classes]
+        reps = [rep for _, rep in corpus9.classes]
+        shifted = EnumCorpus(corpus9.n, corpus9.labeled_count,
+                             tuple(zip(keys, reps[1:] + reps[:1])))
+        with pytest.raises(VerificationFailedError,
+                           match="does not match its representative$"):
+            verify_regular9(shifted)
+
+    def test_refuses_another_order(self, corpus7):
+        with pytest.raises(InvalidInput,
+                           match="^need the order-9 regular corpus$"):
+            verify_regular9(corpus7)
 
     @pytest.mark.parametrize("k", [0, 1], ids=["e", "j"])
     @pytest.mark.parametrize("how", ["sum", "sign"])
