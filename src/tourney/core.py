@@ -44,15 +44,19 @@ VertexSet = int  # subset of vertices as a bitmask
 
 
 def mask_of(vertices: Iterable[int]) -> VertexSet:
-    """Bitmask of an iterable of vertex indices."""
+    """Bitmask of an iterable of vertex indices, each >= 0."""
     m = 0
     for v in vertices:
+        if v < 0:
+            raise InvalidInput("vertex indices must be >= 0")
         m |= 1 << v
     return m
 
 
 def vertices_of(mask: VertexSet) -> list[int]:
-    """Sorted vertex indices of a bitmask."""
+    """Sorted vertex indices of a bitmask >= 0."""
+    if mask < 0:
+        raise InvalidInput("a vertex mask must be >= 0")
     out = []
     while mask:
         low = mask & -mask

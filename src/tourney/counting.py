@@ -45,8 +45,8 @@ Every binomial sum is a Python-int sum over a histogram of its int64
 arguments, so it is exact where an int64 sum would overflow (w_32 at
 order 64).  The 5-cycle formula accumulates, over all arcs, a quartic
 form in the four intersection counts, and the total plus six times
-binomial(n, 5) is divisible by 8; every call checks that parity and
-raises InternalParityError when it fails.
+binomial(n, 5) is divisible by 8; _exact_div, which checks every exact
+division of the package, raises InternalParityError when it is not.
 
 The oracles, for orders up to ORACLE_MAX_ORDER, apply the definitions to
 every candidate, as numpy passes over int64 vertex bitmasks:
@@ -105,6 +105,8 @@ class ArcIntersection:
 
 
 def arc_intersections(t: Tournament, i: int, j: int) -> ArcIntersection:
+    if not (0 <= i < t.n and 0 <= j < t.n):
+        raise InvalidInput(f"arc ends must lie in 0..{t.n - 1}")
     if not t.has_arc(i, j):
         raise InvalidInput(f"({i}, {j}) is not an arc")
     oi, oj = t.out_rows[i], t.out_rows[j]
@@ -173,6 +175,15 @@ def _table(maxsize: int | None) -> Callable[[Callable], Callable]:
     return decorate
 
 
+def _exact_div(num: int, den: int) -> int:
+    """num // den, or InternalParityError when den does not divide num:
+    the package's one check of a division that must be exact."""
+    q, r = divmod(num, den)
+    if r:
+        raise InternalParityError(f"{num} not divisible by {den}")
+    return q
+
+
 def _binomial_sum(hist: Sequence[int], r: int) -> int:
     """sum of C(x, r) over values with histogram hist (hist[x] values
     equal x), as a Python int: sum over x of hist[x] * C(x, r), which no
@@ -226,30 +237,21 @@ def c4_formula(t: Tournament) -> int:
             + _binomial_sum(dpp, 2))
 
 
-def c5_formula(t: Tournament) -> int:
-    """5-cycles from arc intersection profiles.
-
-    8 * c5 = 6 * C(n, 5) + sum over arcs of
-      -(dpm + dmp)(dpp - dmm)^2 - (dpp + dmm)(dpm - dmp)^2
-      + 2 (dpp + dmm)(dpm + dmp),
-    where, for an arc i -> j with out-degrees d and dpp = (A A^T)[i, j],
-    dpm = d_i - 1 - dpp, dmp = d_j - dpp and dmm = n - 1 - d_i - d_j + dpp.
-    With s1 = dpp + dmm and s2 = dpm + dmp, which sum to n - 2, a term
-    is at most s1 s2 (s1 + s2 + 2) < 2^16 in size, and there are fewer
-    than 2^11 arcs, so the int64 sum is exact.
-    """
-    n = t.n
+def _c5_arc_terms(t: Tournament):
+    """c5_formula's per-arc term 2 s1 s2 - s2 d1^2 - s1 d2^2, int64 in
+    the arc order of _arc_profiles, with s1 = dpp + dmm, s2 = dpm + dmp,
+    d1 = dpp - dmm and d2 = dpm - dmp.  As s1 + s2 = n - 2, a term is at
+    most s1 s2 (s1 + s2 + 2) < 2^16 in size."""
     _, dpp, dmm, dpm, dmp = _arc_profiles(t)
-    s1 = dpp + dmm
-    s2 = dpm + dmp
-    d1 = dpp - dmm
-    d2 = dpm - dmp
-    acc = 6 * comb(n, 5) + int((-s2 * d1 * d1 - s1 * d2 * d2
-                                + 2 * s1 * s2).sum())
-    if acc % 8 != 0:
-        raise InternalParityError(
-            f"5-cycle accumulator {acc} not divisible by 8")
-    return acc // 8
+    s1, s2, d1, d2 = dpp + dmm, dpm + dmp, dpp - dmm, dpm - dmp
+    return 2 * s1 * s2 - s2 * d1 * d1 - s1 * d2 * d2
+
+
+def c5_formula(t: Tournament) -> int:
+    """5-cycles by the Komarov-Mackey per-arc formula: 8 c5 = 6 C(n, 5)
+    plus the sum of _c5_arc_terms, which is exact in int64 as there are
+    fewer than 2^11 arcs."""
+    return _exact_div(6 * comb(t.n, 5) + int(_c5_arc_terms(t).sum()), 8)
 
 
 def w_formula(t: Tournament, m: int) -> int:
@@ -478,10 +480,7 @@ _FIXED_QUANTITIES = ("c3", "c4", "c5", "s3", "s4", "s5")
 def _cycles_by_trace(t: Tournament, m: int) -> int:
     """c_m = tr_m / m for m in {3, 4, 5}, where every closed m-walk is
     an m-cycle counted once per starting vertex."""
-    tr = trace_m(t, m)
-    if tr % m != 0:
-        raise InternalParityError(f"trace {tr} not divisible by {m}")
-    return tr // m
+    return _exact_div(trace_m(t, m), m)
 
 
 def _routes(name: str) -> list[tuple[str, Callable[[Tournament], int]]]:

@@ -54,10 +54,10 @@ class ParseError(InvalidInput):
 
 
 class InternalParityError(TourneyError):
-    """A division that must be exact left a remainder: the 5-cycle
-    accumulator by 8, a trace by its cycle length, a closed form by its
-    denominator, or the sweep's closed 5-walk total by 5.  This indicates
-    a bug, never a property of the input (CLI exit 1)."""
+    """A division that must be exact left a remainder: one helper,
+    counting._exact_div, checks every scalar one, and the sweep's array
+    check its closed 5-walk totals by 5.  This indicates a bug, never a
+    property of the input (CLI exit 1)."""
 
 
 class VerificationFailedError(TourneyError):

@@ -101,8 +101,8 @@ from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .core import CanonicalForm, Tournament
-from .counting import (_arc_profiles, _row_bits, _table, c4_formula,
-                       c5_formula, s5_formula, trace_m)
+from .counting import (_arc_profiles, _c5_arc_terms, _exact_div, _row_bits,
+                       _table, c4_formula, c5_formula, s5_formula, trace_m)
 from .classify import (is_doubly_regular, is_nearly_doubly_regular,
                        is_regular, tournaments_with_scores)
 from .enumeration import (EnumCorpus, _binomials, _check_deadline, _classes,
@@ -113,13 +113,6 @@ from .errors import (InternalParityError, InvalidInput,
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise InternalParityError(f"{num} not divisible by {den}")
-    return q
 
 
 def _require_odd(n: int, least: int) -> None:
@@ -248,19 +241,18 @@ def regular_identity_trace(t: Tournament) -> tuple[Fraction, Fraction]:
 
 def _bound_terms(t: Tournament) -> tuple[np.ndarray, np.ndarray]:
     """(g, p) for t of odd order n, int64 terms, each >= 0, that add up to
-    8 (c5_max_bound(n) - c5) and s5_of_rlt(n) - s5.  With the arc
-    profiles of c5_formula, g = (n-2)(n-3)/2 - 2 s1 s2 + s2 d1^2 + s1 d2^2
-    per arc, at least (s1 - s2)(s1 - s2 - (-1)^s2)/2 as d1 = s1, d2 = s2
-    (mod 2) and s1 + s2 = n - 2 is odd.  p is C(d_i, 4) - sum over j in
+    8 (c5_max_bound(n) - c5) and s5_of_rlt(n) - s5.  g is c5_formula's
+    per-arc term _c5_arc_terms subtracted from (n-2)(n-3)/2, at least
+    (s1 - s2)(s1 - s2 - (-1)^s2)/2 as d1 = s1, d2 = s2 (mod 2) and
+    s1 + s2 = n - 2 is odd.  p is C(d_i, 4) - sum over j in
     N+(i) of C(dpm_ij, 3) per vertex, as no 4-subset of N+(i) has two
     sinks, and last Q = sum C(in_i, 4) - n C((n-1)/2, 4), as C(x, 4) is
     convex and the in-degrees average (n-1)/2."""
     import numpy as np
 
     n = t.n
-    d, dpp, dmm, dpm, dmp = _arc_profiles(t)
-    s1, s2, d1, d2 = dpp + dmm, dpm + dmp, dpp - dmm, dpm - dmp
-    g = (n - 2) * (n - 3) // 2 - 2 * s1 * s2 + s2 * d1 * d1 + s1 * d2 * d2
+    d, _, _, dpm, _ = _arc_profiles(t)
+    g = (n - 2) * (n - 3) // 2 - _c5_arc_terms(t)
     _, c3, c4 = _binomials(n)
     p = c4[d]  # a gather, so not the cached table
     np.subtract.at(p, np.repeat(np.arange(n), d), c3[dpm])

@@ -108,26 +108,6 @@ def gen_qr(p: int) -> Tournament:
 
 # -- quadratic residues over a prime-power field -----------------------------
 
-def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...],
-                  f: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Product of coefficient tuples mod the monic polynomial f, over F_p.
-    Tuples are low-degree-first with len(f) - 1 entries."""
-    k = len(f) - 1
-    prod = [0] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce: x^k = -(f[0] + f[1] x + ... + f[k-1] x^(k-1))
-    for deg in range(2 * k - 2, k - 1, -1):
-        c = prod[deg]
-        if c:
-            prod[deg] = 0
-            for j in range(k):
-                prod[deg - k + j] = (prod[deg - k + j] - c * f[j]) % p
-    return tuple(prod[:k])
-
-
 # The modulus of GF(27), x^3 + 2x + 1, low-degree-first.  With p = 3
 # (mod 4), odd k > 1 and p^k <= MAX_ORDER, (p, k) = (3, 3) is the one
 # extension field gen_qr_power reaches.  The modulus is irreducible
@@ -153,28 +133,25 @@ def gen_qr_power(p: int, k: int) -> Tournament:
         raise InvalidInput(f"need p = 3 (mod 4), got {p}")
     if k < 1 or k % 2 == 0:
         raise InvalidInput(f"need odd extension degree, got k={k}")
-    q = p ** k
-    f = _GF27_MODULUS
-
-    def elem(idx: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(k):
-            digits.append(idx % p)
-            idx //= p
-        return tuple(digits)
-
-    elements = [elem(i) for i in range(q)]
-    index = {e: i for i, e in enumerate(elements)}
-    zero = tuple([0] * k)
-    squares = {_poly_mul_mod(e, e, f, p) for e in elements} - {zero}
+    # (p, k) = (3, 3) is the one case left.  x is neither 0 nor +-1, so
+    # its order in GF(27)* is 13 or 26, and x^2 generates the 13 nonzero
+    # squares either way; e x shifts e up and folds x^3 = -(f0 + f1 x +
+    # f2 x^2) back in.
+    squares = []
+    e = (1, 0, 0)
+    for _ in range(13):
+        squares.append(e)
+        for _ in range(2):
+            e = tuple((c - e[2] * f) % 3
+                      for c, f in zip((0,) + e[:2], _GF27_MODULUS))
     rows = []
-    for i, ei in enumerate(elements):
+    for i in range(27):
         r = 0
-        for s in squares:
-            ej = tuple((ei[d] + s[d]) % p for d in range(k))
-            r |= 1 << index[ej]
+        for sq in squares:
+            r |= 1 << sum((i // 3 ** d + c) % 3 * 3 ** d
+                          for d, c in enumerate(sq))
         rows.append(r)
-    return validate(q, rows)
+    return validate(27, rows)
 
 
 # -- named flagship tournaments ----------------------------------------------

@@ -2,7 +2,8 @@
 so `from tourney import *` works, and removed names stay removed.  The
 library checks its claims with raises, not asserts, which `python -O`
 strips.  Every cached numpy table is shared by later callers, so one
-decorator, counting._table, marks them all read-only.  tourney.errors
+decorator, counting._table, marks them all read-only, and one helper,
+counting._exact_div, checks every exact scalar division.  tourney.errors
 holds seven classes, and every raise in the library names one of them
 or argparse.ArgumentTypeError."""
 
@@ -61,6 +62,18 @@ def test_only_table_sets_the_write_flag():
                   and isinstance(node.value, ast.Attribute)
                   and node.value.attr == "flags")]
     assert found == ["counting._table"]
+
+
+def test_one_helper_raises_the_parity_error():
+    # counting._exact_div checks every scalar division that must be
+    # exact; the sweep checks its arrays of closed 5-walk totals itself
+    found = [f"{stem}.{getattr(top, 'name', top.lineno)}"
+             for stem, top in _top_level_nodes()
+             for node in ast.walk(top)
+             if isinstance(node, ast.Raise)
+             and ast.unparse(getattr(node.exc, "func", node.exc))
+             == "InternalParityError"]
+    assert found == ["counting._exact_div", "extremal._extension_batch"]
 
 
 ERROR_CLASSES = {"TourneyError", "InvalidInput", "ParseError", "ArcError",

@@ -185,6 +185,17 @@ class TestMasks:
         assert vertices_of(mask_of([0, 2, 5])) == [0, 2, 5]
         assert mask_of([]) == 0
 
+    def test_negative_vertices_are_refused(self):
+        # a negative mask has infinitely many set bits, and a negative
+        # index is no shift count
+        with pytest.raises(InvalidInput, match="^a vertex mask must be >= 0$"):
+            vertices_of(-1)
+        for call in (lambda: mask_of([-1]),
+                     lambda: induced(gen_transitive(5), [-1])):
+            with pytest.raises(InvalidInput,
+                               match="^vertex indices must be >= 0$"):
+                call()
+
     def test_degrees_sum(self):
         t = gen_random(8, 3)
         for v in t.vertices():

@@ -40,9 +40,10 @@ from tourney import (
     trace_m,
     w_formula,
 )
+from tourney import counting
 from tourney.counting import (_adjacency_powers, _arc_profiles,
                               _cycles_by_trace, _histograms, _union_tables)
-from tourney.errors import InvalidInput
+from tourney.errors import InternalParityError, InvalidInput
 
 from oracle_reference import (
     count_copies,
@@ -202,6 +203,21 @@ class TestAboveOracleCap:
             assert w_formula(t, m) == w_by_arc_loop(t, m)
 
 
+def test_c5_total_off_by_one_is_a_bug(monkeypatch):
+    # one per-arc term shifted by 1 leaves 8 c5 + 1: c5_formula must
+    # raise, even under python -O, never floor
+    terms = counting._c5_arc_terms
+
+    def shifted(t):
+        x = terms(t).copy()
+        x[0] += 1
+        return x
+
+    monkeypatch.setattr(counting, "_c5_arc_terms", shifted)
+    with pytest.raises(InternalParityError, match="^17 not divisible by 8$"):
+        c5_formula(gen_rlt(5))
+
+
 class TestArcProfileMemo:
     """_arc_profiles keeps its last result.  Every formula must give what
     it gives with an empty memo, whichever tournament the memo holds."""
@@ -357,6 +373,12 @@ class TestArcIntersections:
             arc_intersections(t, 2, 0)
         with pytest.raises(InvalidInput, match=r"^\(1, 1\) is not an arc$"):
             arc_intersections(t, 1, 1)
+
+    @pytest.mark.parametrize("i, j", [(7, 0), (-1, 0), (0, -1)])
+    def test_rejects_vertices_outside_the_tournament(self, i, j):
+        with pytest.raises(InvalidInput,
+                           match=r"^arc ends must lie in 0\.\.4$"):
+            arc_intersections(gen_rlt(5), i, j)
 
 
 class TestScores:
