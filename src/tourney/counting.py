@@ -13,8 +13,9 @@ Quantities, for a tournament of order n:
   tr_m  trace of the m-th power of the adjacency matrix; tr_m = m * c_m
         for m in {3, 4, 5} and tr_1 = tr_2 = 0
 
-Each route keeps one table per tournament, built on its first call and
-kept, keyed by (n, out_rows), for the next calls on an equal tournament.
+Each route keeps its tables for the last tournament, built on its first
+call and kept, keyed by (n, out_rows), for the next calls on an equal
+tournament.
 Every numpy table the package caches, one per tournament as here or
 one per order, is built under _table, which marks its arrays read-only
 before the cache shares them: no caller may write to a cached table.
@@ -24,13 +25,16 @@ before the cache shares them: no caller may write to a cached table.
            0/1 adjacency matrix; _histograms: the bincount histograms of
            the out-degrees, the in-degrees, dpp and dpm
   oracle   _union_tables: the OR of the out-rows (in-rows) over every
-           vertex set
+           vertex set; _cycle_counts and _strong_counts: c_k and s_k
+           for every k up to a depth d, each from one pass, keyed by
+           the tournament and d
   trace    _adjacency_powers: A and A^2
 
-A formula report thus forms A A^T once, an oracle report builds the two
-2^n tables once, and a trace report forms A^2 once.  For an arc
-i -> j with out-degrees d, dpp = |N+(i) & N+(j)| = (A A^T)[i, j], and
-the other three intersection counts of the arc follow from the degrees:
+A formula report thus forms A A^T once, an oracle report walks the
+paths once and runs the closure pass once, and a trace report forms A^2
+once.  For an arc i -> j with out-degrees d, dpp = |N+(i) & N+(j)| =
+(A A^T)[i, j], and the other three intersection counts of the arc
+follow from the degrees:
 
   dpm = |N+(i) & N-(j)| = d_i - 1 - dpp
   dmp = |N-(i) & N+(j)| = d_j - dpp
@@ -49,18 +53,25 @@ binomial(n, 5) is divisible by 8; _exact_div, which checks every exact
 division of the package, raises InternalParityError when it is not.
 
 The oracles, for orders up to ORACLE_MAX_ORDER, apply the definitions to
-every candidate, as numpy passes over int64 vertex bitmasks:
+every candidate, as numpy passes over int64 vertex bitmasks.  The cycle
+and the strong-subset oracle answer an m <= n from one pass to the depth
+d = min(max(m, 5), n), which counts every order up to d at once, so c3,
+c4 and c5 (s3, s4 and s5) share one pass:
 
-  oracle_strong_subs  every m-subset mask; the forward and the backward
-                      closure of its lowest vertex, m - 1 gather rounds
+  oracle_strong_subs  every vertex mask of size 1..d, a prefix of the
+                      per-order table _masks_by_size of all 2^n masks
+                      sorted by size; the forward and the backward
+                      closure of its lowest vertex, d - 1 gather rounds
                       over a table of the OR of the out-rows (in-rows) of
-                      every vertex set, must both cover the subset
-  oracle_w            every m-subset mask; no member has 0 or m - 1
-                      out-arcs inside it
+                      every vertex set, must both cover the subset; the
+                      strong masks, counted by size, give s_1..s_d
+  oracle_w            every m-subset mask, a slice of the same table; no
+                      member has 0 or m - 1 out-arcs inside it
   oracle_cycles       every simple path that starts at its smallest vertex
-                      and steps to larger ones, grown one level at a time;
-                      after m - 1 steps a path whose end has an arc back to
-                      its start closes a cycle, counted once
+                      and steps to larger ones, grown one level at a time
+                      to d vertices; after k - 1 steps a path whose end
+                      has an arc back to its start closes a k-cycle,
+                      counted once
 
 They read only the out-rows and in-masks of the tournament, and share no
 helper with the formulas (no degrees, no A A^T, no _arc_profiles) or
@@ -78,7 +89,7 @@ from typing import Callable, Sequence
 
 from .core import Tournament
 from .errors import InternalParityError, InvalidInput
-from .io import _decimal, _echo
+from .io import _decimal, _echo, _int_in_range
 
 ORACLE_MAX_ORDER = 12
 TRACE_MAX_M = 1024
@@ -260,7 +271,7 @@ def w_formula(t: Tournament, m: int) -> int:
     + sum over arcs i -> j of C(dpm, m-2), where
     dpm = |N+(i) & N-(j)| = d_i - 1 - (A A^T)[i, j].
     Returns 0 for m > n."""
-    if m < 3:
+    if not _int_in_range(m, "m", 3):
         raise InvalidInput(f"w_m needs m >= 3, got {m}")
     n = t.n
     if m > n:
@@ -273,7 +284,7 @@ def w_formula(t: Tournament, m: int) -> int:
 def s_formula(t: Tournament, m: int) -> int:
     """Strong m-subsets by formula, valid for m in {3, 4, 5} where every
     sink-free and source-free subtournament of that order is strong."""
-    if m not in (3, 4, 5):
+    if not _int_in_range(m, "m", 3, 5):
         raise InvalidInput(f"the strong-subset formula holds only for m in"
                            f" {{3, 4, 5}}, got {m}")
     return w_formula(t, m)
@@ -311,7 +322,7 @@ def trace_m(t: Tournament, m: int) -> int:
     entries grow to about m log2(n) bits, and m = TRACE_MAX_M at n = 64
     takes seconds.
     """
-    if m < 1 or m > TRACE_MAX_M:
+    if not _int_in_range(m, "m", 1, TRACE_MAX_M):
         raise InvalidInput(f"trace needs 1 <= m <= {TRACE_MAX_M}, got {m}")
     import numpy as np
 
@@ -355,13 +366,18 @@ def _subset_sizes():
 
 
 @_table(maxsize=None)
-def _subset_masks(n: int, m: int):
-    """The m-subsets of the vertices 0..n-1 as an int64 array of
-    bitmasks in increasing order; callers keep 1 <= m <= n <=
-    ORACLE_MAX_ORDER, so the cache holds at most 78 entries."""
+def _masks_by_size(n: int):
+    """(masks, starts): every vertex mask of the vertices 0..n-1 as an
+    int64 array sorted by size, in increasing order within a size, and
+    the int64 offsets at which the sizes 0..n+1 start, so the m-subsets
+    are masks[starts[m]:starts[m + 1]].  Callers keep n <=
+    ORACLE_MAX_ORDER."""
     import numpy as np
 
-    return np.flatnonzero(_subset_sizes()[:1 << n] == m).astype(np.int64)
+    sizes = _subset_sizes()[:1 << n]
+    masks = np.argsort(sizes, kind="stable").astype(np.int64)
+    starts = np.searchsorted(sizes[masks], np.arange(n + 2))
+    return masks, starts.astype(np.int64)
 
 
 def _union_table(rows: Sequence[int]):
@@ -384,68 +400,98 @@ def _union_tables(t: Tournament):
             _union_table([t.in_mask(v) for v in range(t.n)]))
 
 
-def oracle_cycles(t: Tournament, m: int) -> int:
-    """Directed m-cycles by walking every simple path, one level at a time
-    for all paths at once.  Each cycle is counted exactly once: a path
-    starts at the cycle's smallest vertex and only steps to larger ones,
-    and a directed cycle has a single traversal direction."""
-    _check_oracle_order(t)
-    if m < 3:
-        raise InvalidInput(f"cycles need m >= 3, got {m}")
-    n = t.n
-    if m > n:
-        return 0
+def _pass_depth(t: Tournament, m: int) -> int:
+    """The depth of the one oracle pass that answers an m <= n.  Every
+    m <= 5 shares the depth-5 pass (depth n below order 5), so a
+    report's c3, c4 and c5 (s3, s4 and s5) cost one pass."""
+    return min(max(m, 5), t.n)
+
+
+@lru_cache(maxsize=1)
+def _cycle_counts(t: Tournament, d: int) -> tuple[int, ...]:
+    """c_k for k = 0..d as Python ints, from one walk of every simple
+    path that starts at its smallest vertex and steps to larger ones,
+    one level at a time for all paths at once: after k - 1 steps, each
+    path whose end has an arc back to its start closes a k-cycle,
+    counted once, as a directed cycle has a single traversal direction.
+    The last result is kept, keyed by (t, d), for the next call."""
     import numpy as np
 
+    n = t.n
     rows = np.array(t.out_rows, dtype=np.int64)
     start = end = np.arange(n, dtype=np.int64)
     bit = visited = 1 << start
     above = ((1 << n) - 1) & ~(2 * bit - 1)  # above[s]: the vertices > s
-    for _ in range(m - 1):
+    closed = [0, 0]  # no cycle has 0 or 1 vertices
+    for _ in range(d - 1):
         steps = rows[end] & above[start] & ~visited
         path, end = np.nonzero(steps[:, None] & bit)
         start = start[path]
         visited = visited[path] | bit[end]
-    return int(np.count_nonzero(rows[end] & bit[start]))
+        closed.append(int(np.count_nonzero(rows[end] & bit[start])))
+    return tuple(closed)
+
+
+@lru_cache(maxsize=1)
+def _strong_counts(t: Tournament, d: int) -> tuple[int, ...]:
+    """s_k for k = 0..d as Python ints, from one closure pass over every
+    vertex mask of size 1..d.  A subset is strong when the forward and
+    the backward closure of its lowest vertex inside it both cover it.
+    Each closure takes d - 1 rounds of reach <- (reach | union[reach]) &
+    subset, where union[S] is the OR of the out-rows (in-rows) over S:
+    no vertex of a k-subset is more than k - 1 steps from another inside
+    it, and a round changes nothing on a closed set.  The last result is
+    kept, keyed by (t, d), for the next call."""
+    import numpy as np
+
+    masks, starts = _masks_by_size(t.n)
+    subsets = masks[1:starts[d + 1]]
+    strong = np.ones(len(subsets), dtype=bool)
+    for union in _union_tables(t):
+        reach = subsets & -subsets
+        for _ in range(d - 1):
+            reach = (reach | union[reach]) & subsets
+        strong &= reach == subsets
+    sizes = _subset_sizes()[subsets[strong]]
+    return tuple(np.bincount(sizes, minlength=d + 1).tolist())
+
+
+def oracle_cycles(t: Tournament, m: int) -> int:
+    """Directed m-cycles by walking every simple path (_cycle_counts).
+    One walk to the depth _pass_depth answers every m up to it."""
+    _check_oracle_order(t)
+    if not _int_in_range(m, "m", 3):
+        raise InvalidInput(f"cycles need m >= 3, got {m}")
+    if m > t.n:
+        return 0
+    return _cycle_counts(t, _pass_depth(t, m))[m]
 
 
 def oracle_strong_subs(t: Tournament, m: int) -> int:
-    """Strong m-subsets by exhausting subsets (m = 1 counts vertices).  A
-    subset is strong when the forward and the backward closure of its
-    lowest vertex inside it both cover it.  Each closure takes m - 1
-    rounds of reach <- (reach | union[reach]) & subset, where union[S] is
-    the OR of the out-rows (in-rows) over S, and no vertex of an m-subset
-    is more than m - 1 steps from another inside it."""
+    """Strong m-subsets by exhausting subsets (m = 1 counts vertices),
+    by the closures of _strong_counts.  One closure pass to the depth
+    _pass_depth answers every m up to it."""
     _check_oracle_order(t)
-    if m < 1:
+    if not _int_in_range(m, "m", 1):
         raise InvalidInput(f"subset order must be >= 1, got {m}")
-    n = t.n
-    if m > n:
+    if m > t.n:
         return 0
-    import numpy as np
-
-    masks = _subset_masks(n, m)
-    strong = np.ones(len(masks), dtype=bool)
-    for union in _union_tables(t):
-        reach = masks & -masks
-        for _ in range(m - 1):
-            reach = (reach | union[reach]) & masks
-        strong &= reach == masks
-    return int(np.count_nonzero(strong))
+    return _strong_counts(t, _pass_depth(t, m))[m]
 
 
 def oracle_w(t: Tournament, m: int) -> int:
     """Sink-free source-free m-subsets by exhausting subsets: no member
     has 0 or m - 1 out-arcs inside the subset."""
     _check_oracle_order(t)
-    if m < 3:
+    if not _int_in_range(m, "m", 3):
         raise InvalidInput(f"w oracle needs m >= 3, got {m}")
     n = t.n
     if m > n:
         return 0
     import numpy as np
 
-    masks = _subset_masks(n, m)[:, None]
+    masks, starts = _masks_by_size(n)
+    masks = masks[starts[m]:starts[m + 1], None]
     rows = np.array(t.out_rows, dtype=np.int64)
     inside = (masks & (1 << np.arange(n, dtype=np.int64))) != 0
     degree = _subset_sizes()[rows & masks]

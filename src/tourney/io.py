@@ -64,6 +64,18 @@ def _echo(text: str) -> str:
     return f"{text[:_ECHO]!r}... ({len(text)} characters)"
 
 
+def _int_in_range(value, name: str, low: int,
+                  high: int | None = None) -> bool:
+    """Whether low <= value, and value <= high when high is given, for
+    an int value.  A bool or any other non-int raises InvalidInput that
+    names the argument and echoes the value.  The package's one type
+    check of an integer argument from a library caller; each caller
+    keeps its own message for an int out of range."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"{name} must be an int, got {_echo(repr(value))}")
+    return low <= value and (high is None or value <= high)
+
+
 def parse_tour(text: str) -> Tournament:
     """Parse .tour text into a validated Tournament."""
     lines = text.split("\n")

@@ -119,7 +119,7 @@ TABLES = {
     "counting._adjacency_powers": (RLT7,),
     "counting._union_tables": (RLT7,),
     "counting._subset_sizes": (),
-    "counting._subset_masks": (5, 2),
+    "counting._masks_by_size": (5,),
     "enumeration._weight_masks": (4, 2),
     "enumeration._binomials": (7,),
     "extremal._outsets": (4,),

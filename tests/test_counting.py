@@ -5,6 +5,7 @@ ride on top."""
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import astuple
 from math import comb
@@ -42,7 +43,8 @@ from tourney import (
 )
 from tourney import counting
 from tourney.counting import (_adjacency_powers, _arc_profiles,
-                              _cycles_by_trace, _histograms, _union_tables)
+                              _cycle_counts, _cycles_by_trace, _histograms,
+                              _strong_counts, _union_tables)
 from tourney.errors import InternalParityError, InvalidInput
 
 from oracle_reference import (
@@ -55,7 +57,8 @@ from oracle_reference import (
 
 
 # every per-tournament table a counting route keeps
-ROUTE_CACHES = (_arc_profiles, _histograms, _union_tables, _adjacency_powers)
+ROUTE_CACHES = (_arc_profiles, _histograms, _union_tables, _cycle_counts,
+                _strong_counts, _adjacency_powers)
 
 
 def clear_route_caches() -> None:
@@ -165,6 +168,36 @@ class TestArrayOracles:
             family.append(gen_qr(n))
         for t in family:
             assert_oracles_match_references(t)
+
+
+class TestOnePass:
+    """Each oracle answers every m up to its pass depth from one pass per
+    tournament.  Asked for m = 1..n + 1 in a shuffled order, which moves
+    between the depth-5 pass and deeper ones, and with no cache cleared
+    between tournaments, both must still equal the references: a pass of
+    another depth or tournament never answers."""
+
+    @staticmethod
+    def assert_shuffled(t, rng) -> None:
+        ms = list(range(1, t.n + 2))
+        rng.shuffle(ms)
+        if t.n > 5:  # a deeper pass is asked before the depth-5 one
+            assert any(5 < a <= t.n and b <= 5 for a, b in zip(ms, ms[1:]))
+        for m in ms:
+            for oracle, reference in ORACLE_PAIRS[:2]:
+                assert outcome(oracle, t, m) == outcome(reference, t, m), (
+                    oracle.__name__, t, m)
+
+    def test_every_order5_tournament(self):
+        rng = random.Random(5)
+        for code in range(1 << 10):
+            self.assert_shuffled(tournament_from_code(5, code), rng)
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_seeded(self, n):
+        rng = random.Random(n + 2)  # shuffles that leave a deep pass
+        for seed in (2, 3):
+            self.assert_shuffled(gen_random(n, seed), rng)
 
 
 class TestRandomOracleEquivalence:
@@ -303,10 +336,13 @@ class TestRouteCaches:
         t = gen_random(10, 5)
         clear_route_caches()
         count_report(t, ["c3", "c4", "c5", "s3", "s4", "s5"], "all")
-        # one build per route; every other call hits
+        # one build per route and per oracle pass; every other call
+        # hits, and only the strong-subset pass reads the union tables
         for cache in ROUTE_CACHES:
             assert cache.cache_info().misses == 1
-        assert _union_tables.cache_info().hits == 2
+        assert _cycle_counts.cache_info().hits == 2
+        assert _strong_counts.cache_info().hits == 2
+        assert _union_tables.cache_info().hits == 0
         assert _adjacency_powers.cache_info().hits == 2
 
     def test_tables_are_read_only(self):
@@ -318,6 +354,8 @@ class TestRouteCaches:
                 x[(0,) * x.ndim] = 1
             with pytest.raises(ValueError):
                 x += 1
+        passes = _cycle_counts(t, 5) + _strong_counts(t, 5)
+        assert all(type(x) is int for x in passes)
         hists = _histograms(t)
         assert isinstance(hists, tuple)
         assert all(isinstance(h, tuple) for h in hists)
@@ -463,6 +501,16 @@ class TestEdgeCases:
         t = gen_random(6, 8)
         assert oracle_strong_subs(t, 1) == 6
         assert oracle_strong_subs(t, 2) == 0
+
+    @pytest.mark.parametrize("m", [2.0, 3.0, 4.0, True, False], ids=repr)
+    @pytest.mark.parametrize("f", [oracle_cycles, oracle_strong_subs,
+                                   oracle_w, trace_m, w_formula, s_formula],
+                             ids=lambda f: f.__name__)
+    def test_m_must_be_an_int(self, f, m):
+        # refused for its type, whether or not its value is in range
+        with pytest.raises(InvalidInput, match="^m must be an int, got "
+                                               f"{re.escape(repr(repr(m)))}$"):
+            f(gen_rlt(7), m)
 
     def test_strong_subset_order_zero(self):
         with pytest.raises(InvalidInput,
