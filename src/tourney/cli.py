@@ -38,6 +38,8 @@ from .errors import (
     ParseError,
     TourneyError,
     VerificationFailedError,
+    _ECHO,
+    _echo,
 )
 
 
@@ -118,7 +120,7 @@ def _rotational(args: argparse.Namespace) -> Tournament:
         raise InvalidInput(
             exc.reason if exc.col is None else
             f"--symbol must be comma-separated ASCII decimal integers, "
-            f"got {io._echo(args.symbol)}") from None
+            f"got {_echo(args.symbol)}") from None
     for i, d in enumerate(diffs):
         if d in diffs[:i]:
             raise InvalidInput(f"--symbol repeats the difference {d}")
@@ -154,7 +156,7 @@ def _argument(text: str, digits: str, rule: str) -> int:
         return io._decimal(digits, "the value")
     except ParseError as exc:
         raise argparse.ArgumentTypeError(
-            exc.reason if exc.col is None else f"{rule}, got {io._echo(text)}"
+            exc.reason if exc.col is None else f"{rule}, got {_echo(text)}"
         ) from None
 
 
@@ -237,14 +239,14 @@ def _add_builders(parser: argparse.ArgumentParser, dest: str,
 
 def _shown(token: str) -> str:
     """An unread token as a usage error shows it: a flag longer than
-    io._ECHO characters by io._echo, any other token bare and whole."""
-    long_flag = token[:1] == "-" and len(token) > io._ECHO
-    return io._echo(token) if long_flag else token
+    _ECHO characters by _echo, any other token bare and whole."""
+    long_flag = token[:1] == "-" and len(token) > _ECHO
+    return _echo(token) if long_flag else token
 
 
 class _ExactParser(argparse.ArgumentParser):
     """A parser that takes a long flag only as spelled in full and echoes
-    a bad choice or a long unread flag by io._echo; its subparsers are of
+    a bad choice or a long unread flag by _echo; its subparsers are of
     its own class, so both rules hold for all of them."""
 
     def __init__(self, **kwargs) -> None:
@@ -264,7 +266,7 @@ class _ExactParser(argparse.ArgumentParser):
         if action.choices is not None and value not in action.choices:
             name = "/".join(action.option_strings) or action.dest
             choices = ", ".join(map(repr, action.choices))
-            self.error(f"argument {name}: invalid choice: {io._echo(value)} "
+            self.error(f"argument {name}: invalid choice: {_echo(value)} "
                        f"(choose from {choices})")
 
 

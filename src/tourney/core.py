@@ -35,7 +35,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ArcError, InvalidInput
+from .errors import ArcError, InvalidInput, _int_in_range
 
 MAX_ORDER = 64
 MAX_CANONICAL_ORDER = 16
@@ -104,8 +104,9 @@ class Tournament:
 
 
 def _check_order(n: int) -> None:
-    """Raise InvalidInput for n < 1 and for n > MAX_ORDER."""
-    if n < 1:
+    """Raise InvalidInput for a bool or any other non-int n, for n < 1
+    and for n > MAX_ORDER."""
+    if not _int_in_range(n, "order", 1):
         raise InvalidInput(f"order must be >= 1, got {n}")
     if n > MAX_ORDER:
         raise InvalidInput(f"order {n} exceeds the cap of {MAX_ORDER}")

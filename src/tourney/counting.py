@@ -88,8 +88,9 @@ from math import comb
 from typing import Callable, Sequence
 
 from .core import Tournament
-from .errors import InternalParityError, InvalidInput
-from .io import _decimal, _echo, _int_in_range
+from .errors import (InternalParityError, InvalidInput, _echo,
+                     _int_in_range)
+from .io import _decimal
 
 ORACLE_MAX_ORDER = 12
 TRACE_MAX_M = 1024

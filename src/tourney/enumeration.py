@@ -70,34 +70,39 @@ factor.
 Classes come from one walk of the pairs' blocks of (completion rows,
 weight), through certified_classes:
 
-  profile  keeps every member's rows in one array by member number,
+  key      keeps every member's rows in one array by member number,
            unpacks it slice by slice into adjacency arrays by the one
            shared unpack (counting._row_bits), and computes each
-           member's c3 profile, a cheap isomorphism invariant, in one
-           numpy pass from A A^T and A^2 (_c3_profiles): the sorted
-           pairs, over the vertices v, of the 3-cycle counts inside
-           v's out-set and in-set.  Each weight goes to its profile's
-           bucket, which lists its members in walk order.
+           member's bucket key, a cheap isomorphism invariant, in one
+           numpy pass from A A^T and A^2 (_bucket_keys): over the
+           vertices v, the sorted pairs of a code of v's out-degree and
+           the 3-cycle counts inside its out-set and in-set, and the
+           sum of that code over v's out-neighbours, one round of
+           vertex refinement as in McKay (1981).  Each weight goes to
+           its key's bucket, which lists its members in walk order.
   certify  each bucket canonicalizes its completions in walk order, and
            only while it is short of its mass; only these become a
            Tournament.  Each new class adds its orbit n!/|Aut| to the
            bucket.
 
-The certificate is exact.  A class lies in one bucket, because the
-profile is an invariant, and by the weight argument above the classes of
-a bucket add up to exactly its mass.  Every class has positive mass, so
+The certificate is exact.  A class lies in one bucket, because the key
+is an invariant, and by the weight argument above the classes of a
+bucket add up to exactly its mass.  Every class has positive mass, so
 a class the bucket never found leaves it short.  A bucket that goes over
 its mass, or is still short after its last completion, raises
 VerificationFailedError; no corpus is returned.  At order 9 the 16
-half-order pairs give 157 completions and 16 canonicalizations; at order
-11 the 144 pairs give 31,405 completions in 1,223 classes.
+half-order pairs give 157 completions and 15 canonicalizations, one per
+class; at order 11 the 144 pairs give 31,405 completions in 1,223
+classes and 1,230 canonicalizations.  Every bucket of the class engine
+holds one class up to order 8, so _classes searches once per class.
 certified_classes certifies any relabeling-closed set of labeled
 tournaments the same way, up to MAX_CANONICAL_ORDER = 16: _classes
-passes the one-vertex extensions, and extremal the class scan's
-maximizing extensions, weighted by orbit.  enumerate_regular's time
-budget is checked inside certified_classes, once per block (each class
-rep's extensions, each pair's completions) and after every
-canonicalization, so it bounds the certify phase as well as the join.
+passes each order's one-vertex extensions as one block, and extremal
+the class scan's maximizing extensions, weighted by orbit.
+enumerate_regular's time budget is checked inside certified_classes,
+once per block (each order's extensions, each pair's completions), once
+per slice of the key pass and after every canonicalization, so it
+bounds the certify phase as well as the join.
 
 Class representatives are decoded from the canonical key itself, so the
 corpus does not depend on the order of the join.  A .corpus file stores
@@ -121,16 +126,16 @@ from .core import (MAX_CANONICAL_ORDER, CanonicalForm, Tournament,
                    _minimal_relabelings, validate)
 from .counting import _row_bits, _table
 from .errors import (InvalidInput, ParseError, TimeBudgetExceededError,
-                     VerificationFailedError)
-from .io import _decimal, _echo, format_tour, parse_tour, read_text
+                     VerificationFailedError, _echo)
+from .io import _decimal, format_tour, parse_tour, read_text
 
 if TYPE_CHECKING:
     import numpy as np
 
 ENUM_MAX_ORDER = 11
 
-# Members per numpy pass of certified_classes' profile: 2,048 order-16
-# adjacency matrices are 4 MiB of int64 per array.
+# Members per numpy pass of certified_classes' bucket keys: 2,048
+# order-16 adjacency matrices are 4 MiB of int64 per array.
 _PROFILE_BATCH = 2048
 
 
@@ -169,15 +174,16 @@ def _classes(h: int, deadline: float | None
              ) -> tuple[np.ndarray, list[int]]:
     """The canonical reps of every class of order h in key order, as
     int64 out-rows of shape (classes, h), and their orbits h!/|Aut|:
-    order k certifies one block per rep R of order k-1, R plus every
-    out-set s of vertex 0, weighted by R's orbit."""
+    order k certifies one block, each rep R of order k-1 in turn plus
+    every out-set s of vertex 0, weighted by R's orbit."""
     import numpy as np
 
     reps, orbits = np.zeros((1, 0), dtype=np.int64), [1]
     for k in range(1, h + 1):
         s = np.arange(1 << (k - 1))
-        blocks = ((_extend(rep, s), orbit) for rep, orbit in zip(reps, orbits))
-        _, found = certified_classes(k, blocks, deadline)
+        block = (_extend(reps[:, None, :], s).reshape(-1, k),
+                 np.repeat(orbits, len(s)))
+        _, found = certified_classes(k, [block], deadline)
         keys = sorted(found)
         reps = np.array([CanonicalForm(k, key).rows() for key in keys],
                         dtype=np.int64)
@@ -254,20 +260,33 @@ def _completions(n: int, reps: np.ndarray, orbits: Sequence[int]
 @_table(maxsize=None)
 def _binomials(n: int) -> tuple[np.ndarray, ...]:
     """C(v, 2), C(v, 3) and C(v, 4) for 0 <= v <= n as int64 arrays,
-    built once per order for the profile pass and the extremal kernel."""
+    built once per order for the key pass and the extremal kernel."""
     import numpy as np
 
     return tuple(np.array([comb(v, r) for v in range(n + 1)],
                           dtype=np.int64) for r in (2, 3, 4))
 
 
-def _c3_profiles(n: int, rows: Sequence[Sequence[int]]
+def _bucket_keys(n: int, rows: Sequence[Sequence[int]]
                  ) -> list[tuple[int, ...]]:
-    """The c3 profile of each order-n tournament whose n out-rows are
-    a row of rows: the sorted pairs, over the vertices v, of (3-cycles
-    inside v's out-set, 3-cycles inside v's in-set), each pair written as
-    out * (C(n-1, 3) + 1) + in.  Both counts are at most C(n-1, 3), so
-    the sorted values order the pairs as tuples do, one to one.
+    """The bucket key of each order-n tournament whose n out-rows are a
+    row of rows, an isomorphism invariant.  Each vertex v has the code
+
+      code_v = (d_v * B + out_v) * B + in_v,   B = C(n-1, 3) + 1,
+
+    from its out-degree d_v and the 3-cycles out_v inside its out-set
+    and in_v inside its in-set, and nb_v = (A code)_v, the sum of code_u
+    over its out-neighbours u.  The key is the sorted values
+    code_v * n^2 B^2 + nb_v.  A relabeling of T carries each vertex to
+    one with the same code and the same nb, so the key is invariant.
+    Any invariant keeps certified_classes exact, as a class lies in one
+    bucket; a finer one leaves fewer searches that find a class its
+    bucket already holds.
+
+    d_v <= n - 1 and both counts are at most C(n-1, 3) < B, so
+    code_v < n B^2, nb_v < n^2 B^2, and each value stands for its pair
+    (code_v, nb_v) one to one, in tuple order.  Every value is below
+    n^3 B^4, under 1.8 * 10^14 at n = 16, so int64 holds them.
 
     A set of d vertices holds C(d, 3) triples, and each transitive one
     has exactly one vertex beating the other two.  Inside v's out-set,
@@ -280,11 +299,15 @@ def _c3_profiles(n: int, rows: Sequence[Sequence[int]]
 
     a = _row_bits(rows, n)
     c2, c3, _ = _binomials(n)
+    base = comb(n - 1, 3) + 1
     deg = a.sum(axis=2)
     out = c3[deg] - (a * c2[a @ np.swapaxes(a, 1, 2)]).sum(axis=2)
     inside = c3[n - 1 - deg] - (a * c2[a @ a]).sum(axis=1)
-    pairs = out * (comb(n - 1, 3) + 1) + inside
-    return [tuple(sorted(row)) for row in pairs.tolist()]
+    code = (deg * base + out) * base + inside
+    keys = code * (n * base) ** 2 + (a @ code[..., None])[..., 0]
+    # sorted, not np.sort: numpy's sort kernels would add their code
+    # pages to the resident memory of a run that needs no other sort
+    return [tuple(sorted(row)) for row in keys.tolist()]
 
 
 def certified_classes(n: int, blocks: Iterable[tuple[Sequence[Sequence[int]],
@@ -299,15 +322,15 @@ def certified_classes(n: int, blocks: Iterable[tuple[Sequence[Sequence[int]],
     labeled total and {canonical key: n!/|Aut|} over the classes.
 
     One uint16 array keeps every member's rows by member number; one
-    pass profiles it in slices of _PROFILE_BATCH by _c3_profiles and
-    adds each weight to its profile's bucket, as exact ints.  Then each
-    bucket canonicalizes its members in walk order while it is short of
-    its mass; a new class adds its orbit, and only a member that is
+    pass keys it in slices of _PROFILE_BATCH by _bucket_keys and adds
+    each weight to its key's bucket, as exact ints.  Then each bucket
+    canonicalizes its members in walk order while it is short of its
+    mass; a new class adds its orbit, and only a member that is
     canonicalized becomes a Tournament.  Raises InvalidInput for
     n > MAX_CANONICAL_ORDER, VerificationFailedError if a bucket goes
     over its mass or is still short after its last member, and
     TimeBudgetExceededError once the monotonic clock passes deadline,
-    checked once per block and after every search."""
+    checked once per block, once per slice and after every search."""
     import numpy as np
 
     if n > MAX_CANONICAL_ORDER:
@@ -323,14 +346,15 @@ def certified_classes(n: int, blocks: Iterable[tuple[Sequence[Sequence[int]],
     masses: Counter[tuple] = Counter()
     buckets: dict[tuple, array[int]] = {}  # member numbers, in walk order
     for lo in range(0, len(stored), _PROFILE_BATCH):
-        profiles = _c3_profiles(n, stored[lo:lo + _PROFILE_BATCH])
-        for k, profile in enumerate(profiles, lo):
-            masses[profile] += weights[k]
-            buckets.setdefault(profile, array("q")).append(k)
+        _check_deadline(deadline)
+        keys = _bucket_keys(n, stored[lo:lo + _PROFILE_BATCH])
+        for k, key in enumerate(keys, lo):
+            masses[key] += weights[k]
+            buckets.setdefault(key, array("q")).append(k)
     factorial = math.factorial(n)
     orbits: dict[int, int] = {}
-    for profile, bucket in buckets.items():
-        short = masses[profile]
+    for key, bucket in buckets.items():
+        short = masses[key]
         for k in bucket:
             if not short:
                 break
@@ -342,11 +366,11 @@ def certified_classes(n: int, blocks: Iterable[tuple[Sequence[Sequence[int]],
                 short -= orbits[cf.key]
                 if short < 0:
                     raise VerificationFailedError(
-                        f"classes with c3 profile {profile} exceed the "
+                        f"classes with bucket key {key} exceed the "
                         f"bucket's labeled count by {-short}")
         if short:
             raise VerificationFailedError(
-                f"classes with c3 profile {profile} are short of the "
+                f"classes with bucket key {key} are short of the "
                 f"bucket's labeled count by {short}")
     return masses.total(), orbits
 

@@ -11,6 +11,11 @@ only the message and picks its exit code by base class:
 
 The message says what was wrong; the class says only which of these
 outcomes it is.  InvalidInput also derives from ValueError.
+
+The two helpers at the end build messages for every module: _echo
+bounds a repeated outside value, and _int_in_range is the one type check
+of an integer argument.  This module imports no other, so core and io
+both import them with no cycle.
 """
 
 from __future__ import annotations
@@ -68,3 +73,27 @@ class TimeBudgetExceededError(TourneyError):
     """A budgeted run went past its wall-clock budget: the regular
     enumeration (enumerate --n) or the exhaustive 5-cycle sweep with its
     class engine and witness certificate (verify thm1) (CLI exit 2)."""
+
+
+# The longest outside value that an error message repeats whole.
+_ECHO = 40
+
+
+def _echo(text: str) -> str:
+    """text as an error message shows it: its repr up to _ECHO
+    characters, past that the repr of its first _ECHO and its length."""
+    if len(text) <= _ECHO:
+        return repr(text)
+    return f"{text[:_ECHO]!r}... ({len(text)} characters)"
+
+
+def _int_in_range(value, name: str, low: int,
+                  high: int | None = None) -> bool:
+    """Whether low <= value, and value <= high when high is given, for
+    an int value.  A bool or any other non-int raises InvalidInput that
+    names the argument and echoes the value.  The package's one type
+    check of an integer argument from a library caller; each caller
+    keeps its own message for an int out of range."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"{name} must be an int, got {_echo(repr(value))}")
+    return low <= value and (high is None or value <= high)

@@ -24,8 +24,8 @@ from functools import lru_cache
 from .classify import is_doubly_regular, is_locally_transitive
 from .core import MAX_ORDER, Tournament, _check_order, compose, validate
 from .enumeration import enumerate_regular
-from .errors import InvalidInput, VerificationFailedError
-from .io import _echo, parse_tour
+from .errors import InvalidInput, VerificationFailedError, _echo
+from .io import parse_tour
 
 
 def gen_transitive(n: int) -> Tournament:
@@ -74,6 +74,7 @@ def gen_rotational(symbol: RotationalSymbol) -> Tournament:
 def gen_rlt(n: int) -> Tournament:
     """RLT_n, the rotational tournament with symbol {1..(n-1)/2}.  Every
     out-set induces a transitive tournament."""
+    _check_order(n)
     if n % 2 == 0:
         raise InvalidInput(f"RLT needs odd order, got {n}")
     return gen_rotational(RotationalSymbol(n, frozenset(range(1, (n + 1) // 2))))

@@ -1,9 +1,9 @@
 """Reference routes for the array kernels of tourney: for the
 brute-force oracles of tourney.counting, a depth-first walk over simple
 paths and plain loops over itertools.combinations, one Python statement
-per bit; for the class engine's bucket invariant
-(enumeration._c3_profiles), the c3 profile of one tournament from its
-bitmask rows; for the extremal sweep's vertex table
+per bit; for the class certificate's bucket invariant
+(enumeration._bucket_keys), the key of one tournament from its bitmask
+rows by loops over its bits; for the extremal sweep's vertex table
 (extremal._vertex_table), one old vertex's share of s5 by a walk over
 its neighbours; for the sweep's out-set terms (extremal._cut_forms), the
 cut form of one matrix and one out-set by a double loop; for the
@@ -207,13 +207,24 @@ def w_by_combinations(t: Tournament, m: int) -> int:
                for combo, mask in _masks(t.n, m))
 
 
-def c3_profile(t: Tournament) -> tuple[tuple[int, int], ...]:
-    """Isomorphism invariant: the sorted pairs, over the vertices v, of
-    (3-cycles inside v's out-set, 3-cycles inside v's in-set)."""
+def bucket_key(t: Tournament) -> tuple[int, ...]:
+    """Isomorphism invariant: the sorted values, over the vertices v, of
+    code_v * n^2 B^2 + nb_v with B = C(n-1, 3) + 1, where code_v is
+    (out-degree * B + 3-cycles inside v's out-set) * B + 3-cycles inside
+    v's in-set, and nb_v adds up code_u over v's out-neighbours u."""
+    n = t.n
+    base = comb(n - 1, 3) + 1
     full = t.full_mask()
-    return tuple(sorted(
-        (_c3_within(t, row), _c3_within(t, full ^ row ^ (1 << v)))
-        for v, row in enumerate(t.out_rows)))
+    codes = []
+    for v, row in enumerate(t.out_rows):
+        degree = sum(row >> u & 1 for u in range(n))
+        inside = _c3_within(t, full ^ row ^ (1 << v))
+        codes.append((degree * base + _c3_within(t, row)) * base + inside)
+    keys = []
+    for v, row in enumerate(t.out_rows):
+        nb = sum(codes[u] for u in range(n) if row >> u & 1)
+        keys.append(codes[v] * (n * base) ** 2 + nb)
+    return tuple(sorted(keys))
 
 
 def vertex_share(n: int, i: int, in_i: int, s: int) -> int:

@@ -105,6 +105,11 @@ class TestValidate:
         with pytest.raises(InvalidInput, match="^order must be >= 1, got 0$"):
             validate(0, [])
 
+    def test_bool_order_rejected(self):
+        with pytest.raises(InvalidInput,
+                           match="^order must be an int, got 'True'$"):
+            validate(True, [0])
+
 
 def validate_outcome(check, n: int, rows: list[int]):
     """What check(n, rows) does: the Tournament it returns, or the type,

@@ -2,7 +2,7 @@
 regular-tournament join with its orbit-mass certificate, and the corpus
 file format.  Counts are cross-validated against a plain labeled sweep
 and a plain labeled arc backtracker where that is affordable, and the
-certificate's array profile against the scalar c3_profile."""
+certificate's array bucket keys against the scalar bucket_key."""
 
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from tourney import (
     is_regular,
     read_corpus,
     validate,
+    verify_c5_max,
     verify_corpus,
     write_corpus,
 )
@@ -40,7 +41,7 @@ from tourney.errors import (
     VerificationFailedError,
 )
 
-from oracle_reference import (c3_profile, cross_matrices_by_recursion,
+from oracle_reference import (bucket_key, cross_matrices_by_recursion,
                               tournament_from_code)
 
 
@@ -327,20 +328,27 @@ def regular_completions(n: int, fixed_row: bool = True):
     yield from walk(0)
 
 
-def decoded(n: int, keys: list[tuple[int, ...]]
-            ) -> list[tuple[tuple[int, int], ...]]:
-    """The profile keys of _c3_profiles as sorted (out, in) pairs."""
-    base = math.comb(n - 1, 3) + 1
-    return [tuple(divmod(c, base) for c in key) for key in keys]
+def reference_keys(n: int, rows) -> list[tuple[int, ...]]:
+    return [bucket_key(validate(n, r)) for r in np.asarray(rows).tolist()]
 
 
-def reference_profiles(n: int, rows) -> list[tuple[tuple[int, int], ...]]:
-    return [c3_profile(validate(n, r)) for r in np.asarray(rows).tolist()]
-
-
-def assert_same_profile(t: Tournament, u: Tournament) -> None:
-    first, second = enumeration._c3_profiles(t.n, [t.out_rows, u.out_rows])
+def assert_same_key(t: Tournament, u: Tournament) -> None:
+    first, second = enumeration._bucket_keys(t.n, [t.out_rows, u.out_rows])
     assert first == second
+
+
+def count_searches(monkeypatch) -> Counter:
+    """Counts of the relabeling searches certified_classes makes from
+    here on, by order."""
+    calls: Counter = Counter()
+    real = enumeration._minimal_relabelings
+
+    def counted(t):
+        calls[t.n] += 1
+        return real(t)
+
+    monkeypatch.setattr(enumeration, "_minimal_relabelings", counted)
+    return calls
 
 
 def canonicalize_every_completion(n: int, fixed_row: bool
@@ -364,29 +372,29 @@ class TestOrbitMassCertificate:
         corpus = {5: enumerate_regular(5), 7: corpus7, 9: corpus9}[n]
         t = data.draw(st.sampled_from([rep for _, rep in corpus.classes]))
         perm = data.draw(st.permutations(range(n)))
-        assert_same_profile(t, relabel(t, perm))
+        assert_same_key(t, relabel(t, perm))
 
     @given(code=st.integers(0, (1 << 21) - 1),
            perm=st.permutations(range(7)))
     @settings(max_examples=100, deadline=None)
     def test_profile_invariant_on_order7(self, code, perm):
         t = tournament_from_code(7, code)
-        assert_same_profile(t, relabel(t, perm))
+        assert_same_key(t, relabel(t, perm))
 
     def test_profile_of_every_extension_candidate(self, monkeypatch):
-        # every batch the class engine profiles up to order 7, against
-        # the scalar reference: the 1 + 2 + 4 + 16 + 64 + 384 + 3584
-        # candidates, rep R plus out-set s
-        kernel = enumeration._c3_profiles
+        # every slice the class engine keys up to order 7, against the
+        # scalar reference: the 1 + 2 + 4 + 16 + 64 + 384 + 3584
+        # candidates, rep R plus out-set s, in slices of 2,048
+        kernel = enumeration._bucket_keys
         seen = Counter()
 
         def checked(n, rows):
             keys = kernel(n, rows)
-            assert decoded(n, keys) == reference_profiles(n, rows)
+            assert keys == reference_keys(n, rows)
             seen[n] += len(rows)
             return keys
 
-        monkeypatch.setattr(enumeration, "_c3_profiles", checked)
+        monkeypatch.setattr(enumeration, "_bucket_keys", checked)
         enumeration._classes(7, None)
         assert seen == {1: 1, 2: 2, 3: 4, 4: 16, 5: 64, 6: 384, 7: 3584}
 
@@ -402,8 +410,21 @@ class TestOrbitMassCertificate:
             max_size=16))
         rows = [list(tournament_from_code(n, code).out_rows)
                 for code in codes]
-        keys = enumeration._c3_profiles(n, rows)
-        assert decoded(n, keys) == reference_profiles(n, rows)
+        keys = enumeration._bucket_keys(n, rows)
+        assert keys == reference_keys(n, rows)
+
+    def test_profile_of_the_largest_code_at_order16(self):
+        # a source over a regular order-15 tournament: its out-degree 15
+        # and its 140 = C(15, 3) - 15 C(7, 2) out-set 3-cycles, with no
+        # in-set, give the largest code at order 16, (15 B + 140) B for
+        # B = C(15, 3) + 1 = 456; every key value stays below
+        # 16^3 B^4 < 1.8e14, far inside int64
+        rows = [(1 << 16) - 2] + [r << 1 for r in gen_rlt(15).out_rows]
+        keys = enumeration._bucket_keys(16, [rows])
+        assert keys == reference_keys(16, [rows])
+        top = max(keys[0])
+        assert top // (16 * 456) ** 2 == (15 * 456 + 140) * 456 == 3182880
+        assert top < 16 ** 3 * 456 ** 4 < 1.8e14
 
     @pytest.mark.parametrize("fixed_row", [True, False])
     @pytest.mark.parametrize("n", [1, 3, 5, 7])
@@ -454,13 +475,14 @@ class TestOrbitMassCertificate:
             enumeration.certified_classes(
                 17, [([gen_transitive(17).out_rows], 0)])
 
-    @pytest.mark.parametrize("n,searches", [(7, 8), (9, 27), (11, 1562)])
+    @pytest.mark.parametrize("n,searches", [(7, 7), (9, 23), (11, 1250)])
     def test_one_walk_and_searches_only_while_short(self, monkeypatch, n,
                                                     searches):
-        # the join's 3 (order 7), 16 (order 9) or 1,523 (order 11)
-        # searches plus the half-order reps grown one vertex at a time,
-        # 1 + 1 + 3 for order 3, 1 + 1 + 3 + 6 for order 4 and
-        # 1 + 1 + 3 + 6 + 28 for order 5; canonicalizing every member
+        # the join's 3 (order 7), 15 (order 9) or 1,230 (order 11)
+        # searches for 3, 15 or 1,223 classes, plus the half-order reps
+        # grown one vertex at a time with one search per class,
+        # 1 + 1 + 2 for order 3, 1 + 1 + 2 + 4 for order 4 and
+        # 1 + 1 + 2 + 4 + 12 for order 5; canonicalizing every member
         # would take 13 + 7 or 157 + 23.  A bucket searches its members
         # in walk order, so the order-11 count pins the order of the
         # 144 pairs' blocks
@@ -479,6 +501,41 @@ class TestOrbitMassCertificate:
         count_calls("_minimal_relabelings")
         enumerate_regular(n)
         assert calls == {"_completions": 1, "_minimal_relabelings": searches}
+
+    def test_class_engine_searches_once_per_class(self, monkeypatch):
+        # each order's candidates are one block, and each bucket holds
+        # one class, so order k searches once per class of order k
+        calls = count_searches(monkeypatch)
+        enumeration._classes(7, None)
+        assert calls == {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 456}
+
+    def test_sweep_searches_once_per_class(self, monkeypatch):
+        # the class scan grows the 1 + 1 + 2 + 4 + 12 + 56 classes of
+        # orders 1..6, and the witnesses add 1 c5 class and 3 s5 classes
+        calls = count_searches(monkeypatch)
+        verify_c5_max(7)
+        assert calls == {1: 1, 2: 1, 3: 2, 4: 4, 5: 12, 6: 56, 7: 4}
+        assert sum(calls.values()) == 80
+
+    def test_deadline_checked_per_slice(self, monkeypatch):
+        # one block of 512 members keyed in 8 slices of 64, each slowed
+        # to 0.05 s, overruns a 0.1 s budget before the last slice
+        kernel = enumeration._bucket_keys
+        sliced = []
+
+        def slowed(n, rows):
+            sliced.append(len(rows))
+            time.sleep(0.05)
+            return kernel(n, rows)
+
+        monkeypatch.setattr(enumeration, "_PROFILE_BATCH", 64)
+        monkeypatch.setattr(enumeration, "_bucket_keys", slowed)
+        calls = count_searches(monkeypatch)
+        rows = np.repeat([gen_rlt(5).out_rows], 512, axis=0)
+        with pytest.raises(TimeBudgetExceededError):
+            enumeration.certified_classes(5, [(rows, 1)],
+                                          time.monotonic() + 0.1)
+        assert 0 < len(sliced) < 8 and not calls
 
     @pytest.mark.parametrize("wrong", [lambda aut: 1, lambda aut: 2 * aut],
                              ids=["mass-over", "mass-short"])

@@ -43,15 +43,32 @@ class TestOrderCheck:
 
     @pytest.mark.parametrize("make", [
         gen_transitive,
+        gen_rlt,
         lambda n: gen_random(n, 1),
         lambda n: RotationalSymbol(n, frozenset(range(1, (n + 1) // 2))),
-    ], ids=["transitive", "random", "rotational-symbol"])
+    ], ids=["transitive", "rlt", "random", "rotational-symbol"])
     @pytest.mark.parametrize("n, message", [
         (0, "order must be >= 1, got 0"),
         (65, "order 65 exceeds the cap of 64"),
     ], ids=["below-1", "above-64"])
     def test_order_outside_1_to_64(self, make, n, message):
         with pytest.raises(InvalidInput, match=f"^{message}$"):
+            make(n)
+
+    @pytest.mark.parametrize("make", [
+        gen_transitive,
+        gen_rlt,
+        lambda n: gen_random(n, 1),
+        lambda n: RotationalSymbol(n, frozenset({1})),
+    ], ids=["transitive", "rlt", "random", "rotational-symbol"])
+    @pytest.mark.parametrize("n, shown", [
+        (True, "'True'"),  # an int to Python, once taken as order 1
+        (7.0, "'7.0'"),
+        ("7", "\"'7'\""),
+    ], ids=["bool", "float", "str"])
+    def test_order_not_an_int(self, make, n, shown):
+        with pytest.raises(InvalidInput,
+                           match=f"^order must be an int, got {shown}$"):
             make(n)
 
 
