@@ -59,6 +59,7 @@ def _balanced(t: Tournament, mask: int) -> bool:
     k = mask.bit_count()
     lo, hi = (k - 1) // 2, k // 2
     m = mask
+    # inline, not vertices_of: a whole list would void the early return
     while m:
         low = m & -m
         m ^= low

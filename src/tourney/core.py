@@ -95,12 +95,9 @@ class Tournament:
 
     def arcs(self) -> Iterable[tuple[int, int]]:
         """All arcs (i, j) in row-major order."""
-        for i in range(self.n):
-            row = self.out_rows[i]
-            while row:
-                low = row & -row
-                yield i, low.bit_length() - 1
-                row ^= low
+        for i, row in enumerate(self.out_rows):
+            for j in vertices_of(row):
+                yield i, j
 
 
 def _check_order(n: int) -> None:
@@ -156,16 +153,9 @@ def induced(t: Tournament, subset: VertexSet | Iterable[int]) -> Tournament:
     mask = _as_subset_mask(t, subset)
     verts = vertices_of(mask)
     index = {v: a for a, v in enumerate(verts)}
-    rows = []
-    for v in verts:
-        row = t.out_rows[v] & mask
-        r = 0
-        while row:
-            low = row & -row
-            r |= 1 << index[low.bit_length() - 1]
-            row ^= low
-        rows.append(r)
-    return Tournament(len(verts), tuple(rows))
+    rows = tuple(mask_of(index[u] for u in vertices_of(t.out_rows[v] & mask))
+                 for v in verts)
+    return Tournament(len(verts), rows)
 
 
 def converse(t: Tournament) -> Tournament:
@@ -194,12 +184,8 @@ def compose(t: Tournament, replacements: Sequence[Tournament]) -> Tournament:
     rows = []
     for i in range(t.n):
         rep = replacements[i]
-        outside = 0
-        host_row = t.out_rows[i]
-        while host_row:
-            low = host_row & -host_row
-            outside |= block_mask[low.bit_length() - 1]
-            host_row ^= low
+        # the blocks are disjoint, so the sum of their masks is their union
+        outside = sum(block_mask[j] for j in vertices_of(t.out_rows[i]))
         for v in range(rep.n):
             rows.append((rep.out_rows[v] << offsets[i]) | outside)
     return Tournament(total, tuple(rows))
@@ -344,6 +330,7 @@ def _minimal_relabelings(t: Tournament) -> tuple[CanonicalForm, int]:
         rmin = 0
         cands = []
         m = first
+        # inline, not vertices_of: the search's inner loop, 10% slower so
         while m:
             low = m & -m
             m ^= low

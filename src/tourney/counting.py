@@ -137,6 +137,7 @@ def _c3_within(t: Tournament, mask: int) -> int:
     k = mask.bit_count()
     pairs = 0  # twice the sum of C(out-degree inside the mask, 2)
     m = mask
+    # inline, not vertices_of: its list made c3_formula about 14% slower
     while m:
         low = m & -m
         d = (rows[low.bit_length() - 1] & mask).bit_count()

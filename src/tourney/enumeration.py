@@ -90,7 +90,10 @@ is an invariant, and by the weight argument above the classes of a
 bucket add up to exactly its mass.  Every class has positive mass, so
 a class the bucket never found leaves it short.  A bucket that goes over
 its mass, or is still short after its last completion, raises
-VerificationFailedError; no corpus is returned.  At order 9 the 16
+VerificationFailedError; no corpus is returned.  A join pair left out
+takes its classes and their mass with it, which no bucket can see, so
+enumerate_regular also checks the labeled total against the score count
+tournaments_with_scores, which does not use the join.  At order 9 the 16
 half-order pairs give 157 completions and 15 canonicalizations, one per
 class; at order 11 the 144 pairs give 31,405 completions in 1,223
 classes and 1,230 canonicalizations.  Every bucket of the class engine
@@ -121,12 +124,12 @@ from itertools import combinations
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .classify import is_regular
+from .classify import is_regular, tournaments_with_scores
 from .core import (MAX_CANONICAL_ORDER, CanonicalForm, Tournament,
-                   _minimal_relabelings, validate)
+                   _minimal_relabelings, mask_of, validate)
 from .counting import _row_bits, _table
 from .errors import (InvalidInput, ParseError, TimeBudgetExceededError,
-                     VerificationFailedError, _echo)
+                     VerificationFailedError, _echo, _int_in_range)
 from .io import _decimal, format_tour, parse_tour, read_text
 
 if TYPE_CHECKING:
@@ -196,8 +199,8 @@ def _weight_masks(h: int, weight: int) -> tuple[np.ndarray, np.ndarray]:
     """Masks of one weight over h bits, combinations order, and bits."""
     import numpy as np
 
-    chosen = combinations(range(h), weight)
-    masks = np.array([sum(1 << b for b in c) for c in chosen], dtype=np.int64)
+    masks = np.array([mask_of(c) for c in combinations(range(h), weight)],
+                     dtype=np.int64)
     return masks, _row_bits(masks, h)
 
 
@@ -401,13 +404,16 @@ def enumerate_regular(n: int, *, threads: int = 1,
     isomorphism, plus the labeled total.  threads caps the worker
     processes; the join runs in this process, so it starts none.
     threads must be at least 1, and time_budget None or a positive
-    finite number of seconds; InvalidInput otherwise.  Raises
-    VerificationFailedError if the orbit-mass certificate fails, and
+    finite number of seconds; InvalidInput otherwise, as for an n that is
+    not an int.  Raises VerificationFailedError if the orbit-mass
+    certificate fails or the labeled total is not the score count
+    tournaments_with_scores, which sees a join pair the walk missed, and
     TimeBudgetExceededError past the budget, checked once per block of
     members and after every search."""
+    in_range = _int_in_range(n, "order", 1, ENUM_MAX_ORDER)
     if n % 2 == 0:
         raise InvalidInput(f"regular tournaments have odd order, got {n}")
-    if n < 1 or n > ENUM_MAX_ORDER:
+    if not in_range:
         raise InvalidInput(
             f"order must be odd in 1..{ENUM_MAX_ORDER}, got {n}")
     if threads < 1:
@@ -415,6 +421,11 @@ def enumerate_regular(n: int, *, threads: int = 1,
     deadline = _deadline(time_budget)
     labeled, orbits = certified_classes(
         n, _completions(n, *_classes((n - 1) // 2, deadline)), deadline)
+    regular = tournaments_with_scores(((n - 1) // 2,) * n)
+    if labeled != regular:
+        raise VerificationFailedError(
+            f"the join holds {labeled} labeled regular tournaments, the "
+            f"score count says {regular}")
     return _corpus_from_keys(n, labeled, orbits)
 
 

@@ -109,14 +109,14 @@ from .enumeration import (EnumCorpus, _binomials, _check_deadline, _classes,
                           _deadline, _extend, certified_classes,
                           verify_corpus)
 from .errors import (InternalParityError, InvalidInput,
-                     VerificationFailedError)
+                     VerificationFailedError, _int_in_range)
 
 if TYPE_CHECKING:
     import numpy as np
 
 
 def _require_odd(n: int, least: int) -> None:
-    if n % 2 == 0 or n < least:
+    if not _int_in_range(n, "n", least) or n % 2 == 0:
         raise InvalidInput(f"need odd n >= {least}, got {n}")
 
 
@@ -207,7 +207,7 @@ def delta_tt3_copies_in_rlt(n: int) -> int:
 def expected_cycles(n: int, m: int) -> Fraction:
     """Expected m-cycle count of a uniform random n-tournament:
     falling_factorial(n, m) / (m 2^m)."""
-    if m < 3 or n < 0:
+    if not (_int_in_range(m, "m", 3) and _int_in_range(n, "n", 0)):
         raise InvalidInput(f"need m >= 3 and n >= 0, got n={n}, m={m}")
     ff = 1
     for k in range(m):
@@ -641,7 +641,7 @@ def verify_c5_max(n: int, *, time_budget: float | None = None
     time_budget is None or positive finite seconds (else InvalidInput)
     for the whole run; past it, a slice of either route, the class engine
     or certified_classes raises TimeBudgetExceededError."""
-    if n not in (5, 7):
+    if not _int_in_range(n, "n", 5, 7) or n == 6:
         raise InvalidInput(
             f"the exhaustive sweep runs at n in {{5, 7}}, got {n}")
     deadline = _deadline(time_budget)

@@ -22,9 +22,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .classify import is_doubly_regular, is_locally_transitive
-from .core import MAX_ORDER, Tournament, _check_order, compose, validate
+from .core import (MAX_ORDER, Tournament, _check_order, compose, mask_of,
+                   validate)
 from .enumeration import enumerate_regular
-from .errors import InvalidInput, VerificationFailedError, _echo
+from .errors import (InvalidInput, VerificationFailedError, _echo,
+                     _int_in_range)
 from .io import parse_tour
 
 
@@ -62,13 +64,8 @@ class RotationalSymbol:
 def gen_rotational(symbol: RotationalSymbol) -> Tournament:
     """Rotational tournament of the symbol: i -> (i + d) mod n."""
     n = symbol.n
-    rows = []
-    for i in range(n):
-        r = 0
-        for d in symbol.diffs:
-            r |= 1 << ((i + d) % n)
-        rows.append(r)
-    return validate(n, rows)
+    return validate(n, [mask_of((i + d) % n for d in symbol.diffs)
+                        for i in range(n)])
 
 
 def gen_rlt(n: int) -> Tournament:
@@ -95,9 +92,10 @@ def _is_prime(p: int) -> bool:
 
 def gen_qr(p: int) -> Tournament:
     """QR_p for a prime p = 3 (mod 4): i -> j iff j - i is a nonzero
-    quadratic residue mod p.  The order cap comes before the primality
-    test, whose trial division would run for ages on a large p."""
-    if p > MAX_ORDER:
+    quadratic residue mod p.  A p that is not an int is refused, and the
+    order cap comes before the primality test, whose trial division
+    would run for ages on a large p."""
+    if _int_in_range(p, "p", MAX_ORDER + 1):
         raise InvalidInput(f"order {p} exceeds {MAX_ORDER}")
     if not _is_prime(p):
         raise InvalidInput(f"{p} is not prime")
@@ -120,19 +118,22 @@ def gen_qr_power(p: int, k: int) -> Tournament:
     """Quadratic-residue tournament over GF(p^k), p prime = 3 (mod 4) and
     k odd, so that -1 is a non-square and the orientation is total.
     Vertices are field elements indexed by base-p digit strings;
-    i -> j iff elem(j) - elem(i) is a nonzero square.  The order cap
-    comes first, and bounds k before p ** k is computed: p^k >= 2^k,
-    which exceeds MAX_ORDER from k = 7 on.  k = 1 is gen_qr(p), its
-    refusals included."""
+    i -> j iff elem(j) - elem(i) is a nonzero square.  A p or k that is
+    not an int is refused first.  k = 1 is gen_qr(p), its refusals
+    included.  Otherwise the order cap comes first, and bounds k before
+    p ** k is computed: p^k >= 2^k, which exceeds MAX_ORDER from k = 7
+    on."""
+    odd_k = _int_in_range(k, "k", 1) and k % 2 == 1
+    above_one = _int_in_range(p, "p", 2)
     if k == 1:
         return gen_qr(p)
-    if p > 1 and (k > MAX_ORDER.bit_length() or p ** k > MAX_ORDER):
+    if above_one and (k > MAX_ORDER.bit_length() or p ** k > MAX_ORDER):
         raise InvalidInput(f"order {p}^{k} exceeds {MAX_ORDER}")
     if not _is_prime(p):
         raise InvalidInput(f"{p} is not prime")
     if p % 4 != 3:
         raise InvalidInput(f"need p = 3 (mod 4), got {p}")
-    if k < 1 or k % 2 == 0:
+    if not odd_k:
         raise InvalidInput(f"need odd extension degree, got k={k}")
     # (p, k) = (3, 3) is the one case left.  x is neither 0 nor +-1, so
     # its order in GF(27)* is 13 or 26, and x^2 generates the 13 nonzero
@@ -145,14 +146,10 @@ def gen_qr_power(p: int, k: int) -> Tournament:
         for _ in range(2):
             e = tuple((c - e[2] * f) % 3
                       for c, f in zip((0,) + e[:2], _GF27_MODULUS))
-    rows = []
-    for i in range(27):
-        r = 0
-        for sq in squares:
-            r |= 1 << sum((i // 3 ** d + c) % 3 * 3 ** d
-                          for d, c in enumerate(sq))
-        rows.append(r)
-    return validate(27, rows)
+    return validate(27, [mask_of(sum((i // 3 ** d + c) % 3 * 3 ** d
+                                     for d, c in enumerate(sq))
+                                 for sq in squares)
+                         for i in range(27)])
 
 
 # -- named flagship tournaments ----------------------------------------------

@@ -90,11 +90,8 @@ def parse_tour(text: str) -> Tournament:
 
 def format_tour(t: Tournament) -> str:
     """Serialize to .tour text (with trailing newline)."""
-    out = [str(t.n)]
-    for i in range(t.n):
-        row = t.out_rows[i]
-        out.append("".join("1" if (row >> j) & 1 else "0" for j in range(t.n)))
-    return "\n".join(out) + "\n"
+    rows = [format(row, f"0{t.n}b")[::-1] for row in t.out_rows]
+    return "\n".join([str(t.n), *rows]) + "\n"
 
 
 def read_text(path: str | os.PathLike[str]) -> str:

@@ -3,9 +3,11 @@ so `from tourney import *` works, and removed names stay removed.  The
 library checks its claims with raises, not asserts, which `python -O`
 strips.  Every cached numpy table is shared by later callers, so one
 decorator, counting._table, marks them all read-only, and one helper,
-counting._exact_div, checks every exact scalar division.  tourney.errors
-holds seven classes, and every raise in the library names one of them
-or argparse.ArgumentTypeError."""
+counting._exact_div, checks every exact scalar division.  Vertex sets
+are walked by core.vertices_of but for three hot loops, and an integer
+argument of another type is refused.  tourney.errors holds seven
+classes, and every raise in the library names one of them or
+argparse.ArgumentTypeError."""
 
 from __future__ import annotations
 
@@ -74,6 +76,60 @@ def test_one_helper_raises_the_parity_error():
              and ast.unparse(getattr(node.exc, "func", node.exc))
              == "InternalParityError"]
     assert found == ["counting._exact_div", "extremal._extension_batch"]
+
+
+def _functions():
+    """(module.function or module.Class.method, node) over the package's
+    top-level functions and methods."""
+    for stem, top in _top_level_nodes():
+        if isinstance(top, ast.FunctionDef):
+            yield f"{stem}.{top.name}", top
+        elif isinstance(top, ast.ClassDef):
+            yield from ((f"{stem}.{top.name}.{item.name}", item)
+                        for item in top.body
+                        if isinstance(item, ast.FunctionDef))
+
+
+def _takes_lowest_bit(node: ast.AST) -> bool:
+    """Whether node is x & -x for one name x."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)
+            and isinstance(node.right, ast.UnaryOp)
+            and isinstance(node.right.op, ast.USub)
+            and isinstance(node.left, ast.Name)
+            and ast.unparse(node.right.operand) == node.left.id)
+
+
+def test_only_four_walks_take_the_lowest_bit_by_hand():
+    # core.mask_of builds a vertex set and core.vertices_of walks one;
+    # the three hot walks that stay inline say why in a comment
+    found = [name for name, func in _functions()
+             if any(isinstance(node, ast.While)
+                    and any(map(_takes_lowest_bit, ast.walk(node)))
+                    for node in ast.walk(func))]
+    assert sorted(found) == ["classify._balanced", "core._minimal_relabelings",
+                             "core.vertices_of", "counting._c3_within"]
+
+
+_NOT_INTS = [
+    # closed forms that returned a float for a float order
+    (tourney.s5_of_rlt, (9.0,)), (tourney.c5_of_rlt, (9.0,)),
+    (tourney.s5_of_ndr, (9.0,)), (tourney.rlt5_copies_in_rlt, (9.0,)),
+    # entries that raised a bare TypeError
+    (tourney.c5_max_bound, (7.0,)), (tourney.expected_cycles, (5.0, 5)),
+    (tourney.expected_cycles, (5, 5.0)), (tourney.verify_c5_max, (7.0,)),
+    (tourney.gen_qr, ("7",)), (tourney.gen_qr, (7.0,)),
+    (tourney.enumerate_regular, (7.0,)),
+    (tourney.enumerate_regular, (True,)),
+    # a power taken as 1, and a float prime taken as 3
+    (tourney.gen_qr_power, (3, True)), (tourney.gen_qr_power, (3.0, 3)),
+]
+
+
+@pytest.mark.parametrize("f, args", _NOT_INTS, ids=[
+    f"{f.__name__}({', '.join(map(repr, args))})" for f, args in _NOT_INTS])
+def test_integer_arguments_refuse_other_types(f, args):
+    with pytest.raises(tourney.InvalidInput, match=" must be an int, got "):
+        f(*args)
 
 
 ERROR_CLASSES = {"TourneyError", "InvalidInput", "ParseError", "ArcError",

@@ -6,6 +6,7 @@ certificate's array bucket keys against the scalar bucket_key."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import Counter
@@ -438,6 +439,19 @@ class TestOrbitMassCertificate:
         completions = sum(1 for _ in regular_completions(9))
         assert completions == 46144
         assert corpus9.labeled_count == completions * 70 == 3230080
+
+    def test_a_missing_join_pair_fails_the_labeled_count(self, monkeypatch):
+        # without the block of the first pair, transitive with
+        # transitive, every bucket still meets its mass and RLT_9
+        # (orbit 40,320) is lost; only the score count sees it
+        completions = enumeration._completions
+        monkeypatch.setattr(enumeration, "_completions", lambda *args:
+                            itertools.islice(completions(*args), 1, None))
+        with pytest.raises(VerificationFailedError,
+                           match="^the join holds 3189760 labeled regular "
+                                 "tournaments, the score count says "
+                                 "3230080$"):
+            enumerate_regular(9)
 
     def test_certified_classes_of_order4(self):
         labeled, orbits = enumeration.certified_classes(
